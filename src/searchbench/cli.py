@@ -39,6 +39,7 @@ from .gateway import (
 )
 from .generate import GenSpec, generate
 from .prompts import (
+    PromptBundle,
     PromptMode,
     bundle_text,
     default_exemplars,
@@ -271,6 +272,27 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
     return instances
 
 
+def render_bundles(
+    instances: Iterable[ProblemInstance],
+    modes: Iterable[PromptMode],
+    token_budget: int | None,
+) -> dict[tuple[str, PromptMode], PromptBundle]:
+    """Render every (instance, mode) prompt, building each (task, mode)
+    exemplar set once; bundles are keyed by (instance id, mode)."""
+    modes = tuple(modes)
+    exemplars: dict[tuple[TaskKind, PromptMode], list] = {}
+    bundles = {}
+    for instance in instances:
+        for mode in modes:
+            key = (instance.kind, mode)
+            if key not in exemplars:
+                exemplars[key] = default_exemplars(instance.kind, mode)
+            bundles[(instance.id, mode)] = render(
+                instance, mode, exemplars[key], token_budget=token_budget
+            )
+    return bundles
+
+
 def build_backend(model: ModelConfig, instances: Sequence[ProblemInstance]):
     if model.backend == "oracle":
         return OracleBackend(instances)
@@ -363,15 +385,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             rate_limiter=RateLimiter(model.requests_per_second),
         )
 
-    bundles = {}
-    for instance in instances:
-        for mode in {mode for mode, _ in config.matrix}:
-            bundles[(instance.id, mode)] = render(
-                instance,
-                mode,
-                default_exemplars(instance.kind, mode),
-                token_budget=config.token_budget,
-            )
+    bundles = render_bundles(
+        instances, {mode for mode, _ in config.matrix}, config.token_budget
+    )
 
     units = [
         (model, instance, mode, strategy)
@@ -454,19 +470,13 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
     """Render everything and estimate cost without touching any backend."""
     instances = generate_instances(config)
-    modes = sorted({mode for mode, _ in config.matrix}, key=lambda m: m.value)
-    prompt_tokens = 0
-    for instance in instances:
-        for mode in modes:
-            bundle = render(
-                instance,
-                mode,
-                default_exemplars(instance.kind, mode),
-                token_budget=config.token_budget,
-            )
-            prompt_tokens += estimate_tokens(bundle.system_text) + estimate_tokens(
-                bundle.body
-            )
+    bundles = render_bundles(
+        instances, {mode for mode, _ in config.matrix}, config.token_budget
+    )
+    prompt_tokens = sum(
+        estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)
+        for bundle in bundles.values()
+    )
 
     calls_per_strategy = {
         ScalingKind.NO_SCALING: lambda s: 1,
@@ -534,18 +544,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     mode = PromptMode(args.mode)
     out_dir = Path(args.out or "prompts")
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for instance in read_instances(args.instances):
-        bundle = render(
-            instance,
-            mode,
-            default_exemplars(instance.kind, mode),
-            token_budget=args.budget,
-        )
-        path = out_dir / f"{instance.id}.{mode.value}.txt"
+    bundles = render_bundles(read_instances(args.instances), [mode], args.budget)
+    for (instance_id, _), bundle in bundles.items():
+        path = out_dir / f"{instance_id}.{mode.value}.txt"
         path.write_text(bundle_text(bundle), encoding="utf-8")
-        count += 1
-    print(f"wrote {count} prompt(s) to {out_dir}")
+    print(f"wrote {len(bundles)} prompt(s) to {out_dir}")
     return 0
 
 

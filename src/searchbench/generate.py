@@ -323,16 +323,6 @@ def generate(spec: GenSpec) -> ProblemInstance:
     )
 
 
-def generate_batch(
-    kind: TaskKind, level: int, base_seed: int, count: int
-) -> list[ProblemInstance]:
-    """``count`` instances seeded ``base_seed .. base_seed+count-1``."""
-    return [
-        generate(GenSpec(kind=kind, level=level, seed=base_seed + i))
-        for i in range(count)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Exemplar provisioning: worked examples shown inside prompts come from a
 # dedicated seed namespace so they can never collide with target instances.

@@ -32,7 +32,6 @@ from .tasks import (
     TaskKind,
     ThreeDMPayload,
     TripPayload,
-    Verdict,
     VertexCoverPayload,
     minutes_to_clock,
     payload_kind,
@@ -927,18 +926,12 @@ REFINE_INSTRUCTION = (
 )
 
 
-def render_refine(
-    previous: PromptBundle,
-    previous_text: str,
-    verdict_hint: Verdict | None = None,
-) -> PromptBundle:
+def render_refine(previous: PromptBundle, previous_text: str) -> PromptBundle:
     """The follow-up message for one refinement round.
 
-    Refinement is verdict-blind: ``verdict_hint`` is accepted so orchestration
-    code can pass what it has, but nothing from it reaches the prompt — the
-    model must find mistakes on its own.
+    Refinement is verdict-blind: nothing of the previous verdict reaches the
+    prompt — the model must find mistakes on its own.
     """
-    del verdict_hint
     quoted = previous_text.strip() or EMPTY_ANSWER_PLACEHOLDER
     body = (
         "Your previous answer was:\n\n<<<\n"

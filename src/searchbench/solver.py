@@ -5,10 +5,13 @@ Two trace modes exist for every task kind:
 * ``dfs``    -- depth-first search with explicit pruning.  The trace records
   every tried transition (kept or pruned), every backtrack, and the final
   outcome.
-* ``greedy`` -- a straight-line commit trace: the solution path replayed as
-  kept steps with local evaluation commentary and no backtracking.  On
-  unsolvable inputs greedy performs a first-feasible descent and stops at the
-  dead end without a Success event.
+* ``greedy`` -- a straight-line commit trace that narrates the solution of
+  one depth-first search, with local evaluation commentary and no prune or
+  backtrack.  Trip and matching commits are the search's own success path;
+  cover commits the same vertices by falling degree; meeting commits the
+  canonical optimal schedule (:func:`optimal_schedule`), which the search
+  may not reach first.  On unsolvable inputs there is nothing to narrate:
+  the greedy trace is the search's Initialization alone, with no Success.
 
 All traces share one event protocol so renderers and tests can stay mostly
 task-agnostic:
@@ -25,10 +28,8 @@ task-agnostic:
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .tasks import (
@@ -147,6 +148,20 @@ class _Tracer:
             solution=solution,
             explored_count=self.explored,
         )
+
+
+def _commit_trace(dfs: SearchTrace, detail: str, state: str) -> SearchTrace:
+    """Greedy narration of a successful depth-first trace: its success path
+    replayed as straight-line commits ``G0 .. G{n-1}``, closed by the search's
+    own Evaluation and Success relabelled onto the last commit."""
+    path = success_path(dfs)
+    last = f"G{len(path) - 1}" if path else ""
+    events = (
+        (TraceEvent("", Action.INITIALIZATION, detail=detail, state_summary=state),)
+        + tuple(replace(e, step_label=f"G{i}") for i, e in enumerate(path))
+        + tuple(replace(e, step_label=last) for e in dfs.events[-2:])
+    )
+    return SearchTrace(dfs.kind, SearchMode.GREEDY, events, dfs.solution, len(path))
 
 
 def _letters(index: int, alphabet: str) -> str:
@@ -342,89 +357,12 @@ def _trip_dfs(payload: TripPayload) -> SearchTrace:
     return tracer.finish(TaskKind.TRIP_PLANNING, SearchMode.DFS, solution)
 
 
-def _trip_greedy(payload: TripPayload) -> SearchTrace:
-    tracer = _Tracer()
-    target = _trip_dfs(payload).solution
-    if target is not None:
-        order = [leg.city for leg in target.legs]
-        first = order[0]
-        d0 = payload.stay_of(first)
-        tracer.emit(
-            "",
-            Action.INITIALIZATION,
-            detail=f"{first} spans Day 1-{d0}",
-            state=f"(path=[{first}], UD={d0}, start=1)",
-            depth=0,
-        )
-        path: list[str] = []
-        end_day = 0
-        for i, city in enumerate(order):
-            keep, _, preview, new_end = _trip_try(payload, path, end_day, city)
-            assert keep, "replayed solution step must be feasible"
-            transition = f"**Start {city}**" if i == 0 else f"{path[-1]}→**{city}**"
-            state = preview if i == 0 else f"{preview} → UD = {new_end}"
-            tracer.emit(
-                f"G{i}", Action.EXPANSION, move=city,
-                detail=transition, state=state, depth=i + 1,
-            )
-            path.append(city)
-            end_day = new_end
-        tracer.emit(
-            f"G{len(order) - 1}",
-            Action.EVALUATION,
-            detail="all cities placed",
-            state=f"UD = {end_day} (check)",
-            depth=len(order),
-        )
-        tracer.emit(
-            f"G{len(order) - 1}",
-            Action.SUCCESS,
-            detail=" → ".join(order),
-            state=f"UD = {end_day}",
-            depth=len(order),
-        )
-        return tracer.finish(TaskKind.TRIP_PLANNING, SearchMode.GREEDY, target)
-
-    # No solution exists: honest first-feasible descent, ends without Success.
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
-        detail="no committed start; take the first feasible step at each point",
-        state="(path=[], UD=0, start=1)",
-        depth=0,
+def _trip_greedy(payload: TripPayload, dfs: SearchTrace) -> SearchTrace:
+    first = dfs.solution.cities[0]
+    d0 = payload.stay_of(first)
+    return _commit_trace(
+        dfs, f"{first} spans Day 1-{d0}", f"(path=[{first}], UD={d0}, start=1)"
     )
-    path = []
-    end_day = 0
-    step = 0
-    while len(path) < len(payload.cities):
-        candidates = list(payload.cities) if not path else sorted(payload.cities)
-        picked = None
-        for cand in candidates:
-            if path and cand == path[-1]:
-                continue
-            keep, _, preview, new_end = _trip_try(payload, path, end_day, cand)
-            if keep:
-                picked = (cand, preview, new_end)
-                break
-        if picked is None:
-            tracer.emit(
-                "",
-                Action.EVALUATION,
-                detail="no feasible next city",
-                state=f"{len(path)} of {len(payload.cities)} cities placed",
-                depth=len(path),
-            )
-            break
-        cand, preview, new_end = picked
-        transition = f"**Start {cand}**" if not path else f"{path[-1]}→**{cand}**"
-        tracer.emit(
-            f"G{step}", Action.EXPANSION, move=cand, detail=transition,
-            state=f"{preview} → UD = {new_end}", depth=step + 1,
-        )
-        path.append(cand)
-        end_day = new_end
-        step += 1
-    return tracer.finish(TaskKind.TRIP_PLANNING, SearchMode.GREEDY, None)
 
 
 def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
@@ -602,7 +540,8 @@ def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> int:
     return vertex_count
 
 
-def _cover_greedy(payload: VertexCoverPayload) -> SearchTrace:
+def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
+    """Commit the depth-first cover's vertices by falling degree, then id."""
     tracer = _Tracer()
     edges = sorted(payload.edges)
     m = len(edges)
@@ -614,7 +553,7 @@ def _cover_greedy(payload: VertexCoverPayload) -> SearchTrace:
         state=f"(cover=[], uncovered={m}, budget={k})",
         depth=0,
     )
-    target = _cover_dfs(payload).solution
+    target = dfs.solution
     chosen: set[int] = set()
 
     def covers_now(x: int) -> int:
@@ -624,69 +563,37 @@ def _cover_greedy(payload: VertexCoverPayload) -> SearchTrace:
             if (u == x or v == x) and u not in chosen and v not in chosen
         )
 
-    if target is not None:
-        degree = {x: 0 for x in target.vertices}
-        for u, v in edges:
-            if u in degree:
-                degree[u] += 1
-            if v in degree:
-                degree[v] += 1
-        order = sorted(target.vertices, key=lambda x: (-degree[x], x))
-        for i, x in enumerate(order):
-            gained = covers_now(x)
-            chosen.add(x)
-            left = sum(1 for u, v in edges if u not in chosen and v not in chosen)
-            tracer.emit(
-                f"G{i}", Action.EXPANSION, move=f"V{x}",
-                detail=f"Add **V{x}**",
-                state=f"covers {gained} uncovered edges → uncovered {left}",
-                depth=i + 1,
-            )
-        final_label = f"G{len(order) - 1}" if order else ""
-        tracer.emit(
-            final_label, Action.EVALUATION,
-            detail="coverage check",
-            state=f"all {m} edges covered, size = {len(order)} (target {k})",
-            depth=len(order),
-        )
-        tracer.emit(
-            final_label, Action.SUCCESS,
-            detail=f"cover {_fmt_vertices(target.vertices)}",
-            state=f"size = {len(order)}",
-            depth=len(order),
-        )
-        return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.GREEDY, target)
-
-    # Budget below optimum: classic highest-degree greedy, honest failure.
-    step = 0
-    while len(chosen) < k:
-        best_x, best_gain = -1, 0
-        for x in range(payload.vertex_count):
-            if x in chosen:
-                continue
-            gain = covers_now(x)
-            if gain > best_gain:
-                best_x, best_gain = x, gain
-        if best_x < 0:
-            break
-        gained = covers_now(best_x)
-        chosen.add(best_x)
+    degree = {x: 0 for x in target.vertices}
+    for u, v in edges:
+        if u in degree:
+            degree[u] += 1
+        if v in degree:
+            degree[v] += 1
+    order = sorted(target.vertices, key=lambda x: (-degree[x], x))
+    for i, x in enumerate(order):
+        gained = covers_now(x)
+        chosen.add(x)
         left = sum(1 for u, v in edges if u not in chosen and v not in chosen)
         tracer.emit(
-            f"G{step}", Action.EXPANSION, move=f"V{best_x}",
-            detail=f"Add **V{best_x}**",
+            f"G{i}", Action.EXPANSION, move=f"V{x}",
+            detail=f"Add **V{x}**",
             state=f"covers {gained} uncovered edges → uncovered {left}",
-            depth=step + 1,
+            depth=i + 1,
         )
-        step += 1
-    left = sum(1 for u, v in edges if u not in chosen and v not in chosen)
+    final_label = f"G{len(order) - 1}" if order else ""
     tracer.emit(
-        "", Action.EVALUATION,
-        detail="budget spent",
-        state=f"{left} edges remain uncovered with size budget {k}",
-        depth=step,
+        final_label, Action.EVALUATION,
+        detail="coverage check",
+        state=f"all {m} edges covered, size = {len(order)} (target {k})",
+        depth=len(order),
     )
-    return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.GREEDY, None)
+    tracer.emit(
+        final_label, Action.SUCCESS,
+        detail=f"cover {_fmt_vertices(target.vertices)}",
+        state=f"size = {len(order)}",
+        depth=len(order),
+    )
+    return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.GREEDY, target)
 
 
 # ---------------------------------------------------------------------------
@@ -787,73 +694,12 @@ def _threedm_dfs(payload: ThreeDMPayload) -> SearchTrace:
     return tracer.finish(TaskKind.THREE_DM, SearchMode.DFS, solution)
 
 
-def _threedm_greedy(payload: ThreeDMPayload) -> SearchTrace:
-    tracer = _Tracer()
-    n = payload.n
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
-        detail="commit one triple per step, covering x elements in order",
-        state=f"(matched=0 of {n})",
-        depth=0,
+def _threedm_greedy(payload: ThreeDMPayload, dfs: SearchTrace) -> SearchTrace:
+    return _commit_trace(
+        dfs,
+        "commit one triple per step, covering x elements in order",
+        f"(matched=0 of {payload.n})",
     )
-    target = _threedm_dfs(payload).solution
-    if target is not None:
-        order = sorted(target.triples)
-        for i, t in enumerate(order):
-            tracer.emit(
-                f"G{i}", Action.EXPANSION, move=_fmt_triple(t),
-                detail=f"Pick **{_fmt_triple(t)}** for x{t[0]}",
-                state=f"y{t[1]}, z{t[2]} free → matched {i + 1} of {n}",
-                depth=i + 1,
-            )
-        final_label = f"G{n - 1}" if n else ""
-        tracer.emit(
-            final_label, Action.EVALUATION,
-            detail="matching check",
-            state=f"all 3×{n} elements matched, {n} disjoint triples",
-            depth=n,
-        )
-        tracer.emit(
-            final_label, Action.SUCCESS,
-            detail=", ".join(_fmt_triple(t) for t in order),
-            state=f"{n} triples",
-            depth=n,
-        )
-        return tracer.finish(TaskKind.THREE_DM, SearchMode.GREEDY, target)
-
-    picked: list[tuple[int, int, int]] = []
-    used_y: set[int] = set()
-    used_z: set[int] = set()
-    by_x: dict[int, list[tuple[int, int, int]]] = {}
-    for t in sorted(payload.triples):
-        by_x.setdefault(t[0], []).append(t)
-    step = 0
-    while len(picked) < n:
-        x = len(picked)
-        pick = next(
-            (t for t in by_x.get(x, []) if t[1] not in used_y and t[2] not in used_z),
-            None,
-        )
-        if pick is None:
-            tracer.emit(
-                "", Action.EVALUATION,
-                detail=f"no usable triple for x{x}",
-                state=f"matched {len(picked)} of {n}",
-                depth=len(picked),
-            )
-            break
-        picked.append(pick)
-        used_y.add(pick[1])
-        used_z.add(pick[2])
-        tracer.emit(
-            f"G{step}", Action.EXPANSION, move=_fmt_triple(pick),
-            detail=f"Pick **{_fmt_triple(pick)}** for x{x}",
-            state=f"y{pick[1]}, z{pick[2]} free → matched {len(picked)} of {n}",
-            depth=step + 1,
-        )
-        step += 1
-    return tracer.finish(TaskKind.THREE_DM, SearchMode.GREEDY, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,7 +859,9 @@ def _meeting_dfs(payload: MeetingPayload) -> SearchTrace:
     return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.DFS, solution)
 
 
-def _meeting_greedy(payload: MeetingPayload) -> SearchTrace:
+def _meeting_greedy(payload: MeetingPayload, dfs: SearchTrace) -> SearchTrace:
+    """Commit the canonical optimal schedule (earliest finish), which need not
+    be the first optimal schedule the depth-first search reaches."""
     tracer = _Tracer()
     count, schedule = optimal_schedule(payload)
     tracer.emit(
@@ -1025,41 +873,32 @@ def _meeting_greedy(payload: MeetingPayload) -> SearchTrace:
         ),
         depth=0,
     )
-    if count > 0:
-        loc = payload.start_location
-        for i, mtg in enumerate(schedule.meetings):
-            travel = payload.travel(loc, mtg.location)
-            tracer.emit(
-                f"G{i}", Action.EXPANSION, move=mtg.friend,
-                detail=f"Meet **{mtg.friend}** at {mtg.location}",
-                state=(
-                    f"travel {travel} min → meet {minutes_to_clock(mtg.start)}-"
-                    f"{minutes_to_clock(mtg.end)}"
-                ),
-                depth=i + 1,
-            )
-            loc = mtg.location
+    loc = payload.start_location
+    for i, mtg in enumerate(schedule.meetings):
+        travel = payload.travel(loc, mtg.location)
         tracer.emit(
-            f"G{count - 1}", Action.EVALUATION,
-            detail="count check",
-            state=f"met {count} friends",
-            depth=count,
+            f"G{i}", Action.EXPANSION, move=mtg.friend,
+            detail=f"Meet **{mtg.friend}** at {mtg.location}",
+            state=(
+                f"travel {travel} min → meet {minutes_to_clock(mtg.start)}-"
+                f"{minutes_to_clock(mtg.end)}"
+            ),
+            depth=i + 1,
         )
-        tracer.emit(
-            f"G{count - 1}", Action.SUCCESS,
-            detail="meet " + ", ".join(m.friend for m in schedule.meetings),
-            state=f"finish {minutes_to_clock(schedule.meetings[-1].end)}",
-            depth=count,
-        )
-        return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.GREEDY, schedule)
-
+        loc = mtg.location
     tracer.emit(
-        "", Action.EVALUATION,
-        detail="no feasible first meeting",
-        state="met 0",
-        depth=0,
+        f"G{count - 1}", Action.EVALUATION,
+        detail="count check",
+        state=f"met {count} friends",
+        depth=count,
     )
-    return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.GREEDY, None)
+    tracer.emit(
+        f"G{count - 1}", Action.SUCCESS,
+        detail="meet " + ", ".join(m.friend for m in schedule.meetings),
+        state=f"finish {minutes_to_clock(schedule.meetings[-1].end)}",
+        depth=count,
+    )
+    return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.GREEDY, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -1083,9 +922,18 @@ _GREEDY: dict[TaskKind, Callable] = {
 
 
 def solve_payload(payload: Payload, mode: SearchMode = SearchMode.DFS) -> SearchTrace:
+    """Run the depth-first search once; in greedy mode narrate its solution.
+
+    Without a solution there is nothing to commit to: the greedy trace is the
+    search's Initialization alone, with no Success.
+    """
     kind = payload_kind(payload)
-    table = _GREEDY if mode is SearchMode.GREEDY else _DFS
-    return table[kind](payload)
+    dfs = _DFS[kind](payload)
+    if mode is SearchMode.DFS:
+        return dfs
+    if dfs.solution is None:
+        return SearchTrace(kind, SearchMode.GREEDY, dfs.events[:1], None, 0)
+    return _GREEDY[kind](payload, dfs)
 
 
 def solve(instance: ProblemInstance, mode: SearchMode = SearchMode.DFS) -> SearchTrace:
@@ -1203,15 +1051,15 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
 # ---------------------------------------------------------------------------
 
 
-def replay_moves(trace: SearchTrace) -> tuple[str, ...]:
-    """Replay pushes/pops over the events; returns the kept move stack.
+def success_path(trace: SearchTrace) -> tuple[TraceEvent, ...]:
+    """Replay pushes/pops over the events; returns the kept Expansion events.
 
-    For a Success trace this reconstructs the solution path.
+    For a Success trace this is the solution path.
     """
-    stack: list[str] = []
+    stack: list[TraceEvent] = []
     for event in trace.events:
         if event.action is Action.EXPANSION:
-            stack.append(event.move)
+            stack.append(event)
         elif event.action is Action.BACKTRACK:
             if not stack:
                 raise ValueError("Backtrack with empty stack: unmatched pop")
@@ -1235,8 +1083,3 @@ def trace_to_records(trace: SearchTrace) -> list[dict]:
         )
     return records
 
-
-def write_trace(path: str | Path, trace: SearchTrace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in trace_to_records(trace):
-            fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -112,18 +112,6 @@ class TripPlan:
         return tuple(leg.city for leg in self.legs)
 
 
-def independent_days(payload: TripPayload, plan: TripPlan) -> int:
-    """Total independent days of ``plan``: sum of stays minus shared flight days.
-
-    Every transition day is counted once even though it belongs to two stays,
-    so a complete valid plan's independent days equal ``payload.total_days``.
-    """
-    if not plan.legs:
-        return 0
-    total = sum(payload.stay_of(leg.city) for leg in plan.legs)
-    return total - (len(plan.legs) - 1)
-
-
 # ---------------------------------------------------------------------------
 # Vertex cover
 # ---------------------------------------------------------------------------

@@ -1,7 +1,20 @@
 import pytest
 
 from searchbench.generate import GenSpec, generate, load_fixture
-from searchbench.tasks import TaskKind
+from searchbench.tasks import (
+    CoverSet,
+    Friend,
+    Matching,
+    MeetingPayload,
+    MeetingSchedule,
+    ProblemInstance,
+    TaskKind,
+    ThreeDMPayload,
+    TripPayload,
+    TripPlan,
+    VertexCoverPayload,
+    payload_kind,
+)
 
 # Per-task difficulty levels that stay inside the exhaustive-enumeration
 # guards, so brute-force oracles are always available.
@@ -28,3 +41,49 @@ def sample_instances():
         )
         for kind in TaskKind
     }
+
+
+@pytest.fixture(scope="session")
+def unsolvable_instances():
+    """One hand-built instance per task that has no solution.  The ground
+    truths are empty placeholders: a solver never reads them."""
+    payloads = (
+        (
+            TripPayload(
+                cities=("Oslo", "Rome", "Nice"), total_days=7,
+                stays={"Oslo": 3, "Rome": 3, "Nice": 3}, windows={},
+                flights=frozenset(),
+            ),
+            TripPlan(legs=()),
+        ),
+        # a triangle needs two cover vertices; the target allows one
+        (
+            VertexCoverPayload(vertex_count=3, edges=((0, 1), (0, 2), (1, 2)), target_size=1),
+            CoverSet(vertices=frozenset()),
+        ),
+        (
+            ThreeDMPayload(n=2, triples=((1, 0, 0), (1, 1, 1))),
+            Matching(triples=frozenset()),
+        ),
+        (
+            MeetingPayload(
+                locations=("Bayview", "Chinatown"), start_location="Bayview",
+                day_start=9 * 60, travel_minutes={("Bayview", "Chinatown"): 10},
+                friends=(
+                    Friend(name="Alice", location="Chinatown",
+                           avail_start=600, avail_end=615, min_minutes=30),
+                    Friend(name="Brian", location="Bayview",
+                           avail_start=660, avail_end=680, min_minutes=45),
+                ),
+            ),
+            MeetingSchedule(meetings=()),
+        ),
+    )
+    instances = []
+    for payload, truth in payloads:
+        kind = payload_kind(payload)
+        instances.append(ProblemInstance(
+            id=f"{kind.value}-unsolvable", kind=kind, level=1, seed=0,
+            payload=payload, ground_truth=truth,
+        ))
+    return tuple(instances)

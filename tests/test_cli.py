@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +14,7 @@ from searchbench.cli import (
     run,
     validate_config,
 )
-from searchbench.tasks import TaskKind, read_instances
+from searchbench.tasks import TaskKind, read_instances, write_instances
 
 QUIET = lambda s: None
 
@@ -249,6 +252,23 @@ def test_cmd_chain_gen_solve_render_verify(tmp_path, monkeypatch, capsys):
     assert out.count("Success") == 2
 
 
+def test_cmd_solve_greedy_records_unsolvable_inputs(
+    tmp_path, monkeypatch, unsolvable_instances
+):
+    monkeypatch.chdir(tmp_path)
+    write_instances("inst.jsonl", unsolvable_instances)
+    assert main([
+        "solve", "--instances", "inst.jsonl", "--search", "greedy",
+        "--out", "traces.jsonl",
+    ]) == 0
+    traces = [json.loads(l) for l in open("traces.jsonl", encoding="utf-8")]
+    assert [t["instance_id"] for t in traces] == [i.id for i in unsolvable_instances]
+    for t in traces:
+        assert t["search"] == "greedy"
+        assert t["succeeded"] is False and t["explored"] == 0
+        assert [e["action"] for e in t["events"]] == ["Initialization"]
+
+
 def test_cmd_verify_flags_failures(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     main(["gen", "--task", "VertexCover", "--level", "2", "--count", "1",
@@ -309,3 +329,18 @@ def test_main_exit_codes(tmp_path, capsys):
         main(["run"])  # missing --config
     with pytest.raises(SystemExit):
         main([])  # missing subcommand
+
+
+def test_benchmark_tracer_wraps_every_layer_name():
+    """The benchmark's traced run wraps module attributes by name (see
+    ``perfbench/tracing.py``); renaming one must fail here, not there."""
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; "
+        "import searchbench, tracing; tracing.install(tracing.Tracer())"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

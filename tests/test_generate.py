@@ -9,7 +9,6 @@ from searchbench.generate import (
     UnsupportedLevelError,
     exemplar_instance,
     generate,
-    generate_batch,
     instance_id,
     load_fixture,
 )
@@ -80,12 +79,6 @@ def test_trip_plans_are_unique_over_all_orderings():
         for seed in range(3):
             inst = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=level, seed=seed))
             assert count_trip_plans(inst.payload) == 1, (level, seed)
-
-
-def test_generate_batch_spreads_seeds():
-    batch = generate_batch(TaskKind.THREE_DM, level=2, count=4, base_seed=10)
-    assert [inst.seed for inst in batch] == [10, 11, 12, 13]
-    assert len({inst.id for inst in batch}) == 4
 
 
 def test_exemplar_instances_fixed_level_and_distinct():

@@ -14,9 +14,9 @@ from searchbench.solver import (
     enumerate_all,
     min_cover_size,
     optimal_schedule,
-    replay_moves,
     solve,
     solve_payload,
+    success_path,
 )
 from searchbench.tasks import (
     CoverSet,
@@ -103,9 +103,23 @@ def test_trace_protocol_over_generated_instances():
                 _protocol_checks(solve(inst, mode))
 
 
+def test_greedy_on_unsolvable_payloads_keeps_only_the_initialization(
+    unsolvable_instances,
+):
+    for inst in unsolvable_instances:
+        dfs = solve(inst, SearchMode.DFS)
+        assert not dfs.succeeded, inst.id
+        greedy = solve(inst, SearchMode.GREEDY)
+        assert greedy.kind is inst.kind and greedy.mode is SearchMode.GREEDY
+        assert greedy.events == dfs.events[:1]
+        assert greedy.events[0].action is Action.INITIALIZATION
+        assert greedy.solution is None and greedy.explored_count == 0
+        _protocol_checks(greedy)
+
+
 def test_replay_reconstructs_trip_solution(reference_trip):
     trace = solve(reference_trip, SearchMode.DFS)
-    assert list(replay_moves(trace)) == [
+    assert [e.move for e in success_path(trace)] == [
         leg.city for leg in trace.solution.legs
     ]
 

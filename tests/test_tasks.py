@@ -9,11 +9,8 @@ from searchbench.tasks import (
     KindMismatchError,
     ProblemInstance,
     TaskKind,
-    TripLeg,
-    TripPlan,
     Verdict,
     VerdictStatus,
-    independent_days,
     instance_from_record,
     instance_to_record,
     minutes_to_clock,
@@ -69,23 +66,6 @@ def test_trip_payload_accessors(reference_trip):
     assert not payload.has_flight("Vilnius", "Riga")  # one-way pair
     assert payload.has_flight("Edinburgh", "Milan")
     assert payload.has_flight("Milan", "Edinburgh")
-
-
-def test_independent_days_on_reference(reference_trip):
-    assert (
-        independent_days(reference_trip.payload, reference_trip.ground_truth)
-        == reference_trip.payload.total_days
-    )
-
-
-def test_independent_days_empty_plan(reference_trip):
-    assert independent_days(reference_trip.payload, TripPlan(legs=())) == 0
-
-
-def test_independent_days_counts_overlap_once(reference_trip):
-    payload = reference_trip.payload
-    legs = (TripLeg(city="Riga", day_from=1, day_to=3),)
-    assert independent_days(payload, TripPlan(legs=legs)) == 3
 
 
 def _verdicts(wins, losses):
