@@ -77,29 +77,32 @@ def canonical_text(payload: Payload, solution: Solution) -> str:
                     f"for {leg.span} days."
                 )
         return "\n".join(lines)
+    rows = answer_lines(solution)
     if isinstance(solution, CoverSet):
-        body = ", ".join(f"V{v}" for v in sorted(solution.vertices))
-        return (
-            f"Here is a vertex cover of size {len(solution.vertices)}:\n\n"
-            f"Vertex cover: [{body}]"
-        )
+        return f"Here is a vertex cover of size {len(solution.vertices)}:\n\n{rows}"
     if isinstance(solution, Matching):
-        rows = "\n".join(
-            f"(x{x}, y{y}, z{z})" for x, y, z in sorted(solution.triples)
-        )
         return (
             f"Here is a perfect matching with {len(solution.triples)} disjoint "
             f"triples:\n\n{rows}"
         )
+    count = len(solution.meetings)
+    noun = "friend" if count == 1 else "friends"
+    return f"Here is the schedule to meet {count} {noun}:\n\n{rows}"
+
+
+def answer_lines(solution: CoverSet | Matching | MeetingSchedule) -> str:
+    """The answer rows of a cover, matching or schedule: the body of its
+    ``canonical_text`` and the output phase of its exemplars."""
+    if isinstance(solution, CoverSet):
+        return "Vertex cover: [" + ", ".join(f"V{v}" for v in sorted(solution.vertices)) + "]"
+    if isinstance(solution, Matching):
+        return "\n".join(f"(x{x}, y{y}, z{z})" for x, y, z in sorted(solution.triples))
     assert isinstance(solution, MeetingSchedule)
-    rows = "\n".join(
+    return "\n".join(
         f"Meet {m.friend} at {m.location} from {minutes_to_clock(m.start)} "
         f"to {minutes_to_clock(m.end)}."
         for m in solution.meetings
     )
-    count = len(solution.meetings)
-    noun = "friend" if count == 1 else "friends"
-    return f"Here is the schedule to meet {count} {noun}:\n\n{rows}"
 
 
 # ---------------------------------------------------------------------------

@@ -611,16 +611,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output file or directory")
-    common.add_argument("--cache", help="response cache path (JSONL)")
-    common.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    common.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="render prompts and estimate cost without backend calls",
-    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file or directory")
 
     parser = argparse.ArgumentParser(
         prog="searchbench",
@@ -630,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate instances")
+    p_gen = sub.add_parser("gen", parents=[out], help="generate instances")
     p_gen.add_argument(
         "--task",
         default="all",
@@ -638,9 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gen.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     p_gen.add_argument("--count", type=int, default=DEFAULT_COUNT)
+    p_gen.add_argument("--seed", type=int, default=None, help="base RNG seed")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="trace the exact solver")
+    p_solve = sub.add_parser("solve", parents=[out], help="trace the exact solver")
     p_solve.add_argument("--instances", required=True, help="instances JSONL")
     p_solve.add_argument(
         "--search", default=SearchMode.DFS.value,
@@ -648,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_render = sub.add_parser("render", parents=[common], help="write prompt texts")
+    p_render = sub.add_parser("render", parents=[out], help="write prompt texts")
     p_render.add_argument("--instances", required=True, help="instances JSONL")
     p_render.add_argument(
         "--mode", required=True, choices=[m.value for m in PromptMode]
@@ -657,10 +650,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="context token budget")
     p_render.set_defaults(func=_cmd_render)
 
-    p_run = sub.add_parser("run", parents=[common], help="full pipeline")
+    p_run = sub.add_parser("run", parents=[out], help="full pipeline")
+    p_run.add_argument("--config", required=True, help="JSON config file")
+    p_run.add_argument("--cache", help="response cache path (JSONL)")
+    p_run.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    p_run.add_argument("--dry-run", action="store_true",
+                       help="render prompts and estimate cost without backend calls")
     p_run.set_defaults(func=_cmd_run)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="judge answer texts")
+    p_verify = sub.add_parser("verify", help="judge answer texts")
     p_verify.add_argument("--instances", required=True, help="instances JSONL")
     p_verify.add_argument(
         "--answers", required=True,
@@ -668,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_report = sub.add_parser("report", parents=[common], help="re-emit reports")
+    p_report = sub.add_parser("report", parents=[out], help="re-emit reports")
     p_report.add_argument("--outcomes", required=True, help="outcomes JSONL")
     p_report.add_argument("--level", type=int, default=None,
                           help="difficulty level for table captions")
@@ -680,8 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "run" and not args.config:
-        parser.error("run requires --config")
     try:
         return args.func(args)
     except TaskError as err:

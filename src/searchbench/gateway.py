@@ -539,31 +539,42 @@ class ModelGateway:
         self._rng = rng or random.Random()
         self._sleeper = sleeper
         self._stats_lock = threading.Lock()
+        self._in_flight: dict[str, threading.Event] = {}
         self.hits = 0
         self.misses = 0
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         digest = canonical_digest(request)
-        cached = self.cache.get(digest)
-        if cached is not None:
+        while True:
             with self._stats_lock:
-                self.hits += 1
-            return cached
-        with self._stats_lock:
-            self.misses += 1
+                cached = self.cache.get(digest)
+                if cached is not None:
+                    self.hits += 1
+                    return cached
+                done = self._in_flight.get(digest)
+                if done is None:
+                    done = self._in_flight[digest] = threading.Event()
+                    self.misses += 1
+                    break
+            done.wait()  # a hit once the call in flight lands; a miss if it raised
 
         def attempt() -> BackendResponse:
             self.rate_limiter.wait()
             return self.backend.complete(request)
 
-        response = call_with_retries(
-            attempt,
-            attempts=self.attempts,
-            base_delay=self.base_delay,
-            rng=self._rng,
-            sleeper=self._sleeper,
-        )
-        self.cache.put(digest, request, response)
+        try:
+            response = call_with_retries(
+                attempt,
+                attempts=self.attempts,
+                base_delay=self.base_delay,
+                rng=self._rng,
+                sleeper=self._sleeper,
+            )
+            self.cache.put(digest, request, response)
+        finally:
+            with self._stats_lock:
+                del self._in_flight[digest]
+            done.set()
         return response
 
     @property

@@ -223,11 +223,8 @@ def _gen_cover(level: int, seed: int, max_regen: int):
         )
         if not edges:
             continue
-        optimum = min_cover_size(n, edges)
-        payload = VertexCoverPayload(vertex_count=n, edges=edges, target_size=optimum)
-        solution = solve_payload(payload, SearchMode.DFS).solution
-        if solution is not None:
-            return payload, solution
+        size, cover = min_cover_size(n, edges)
+        return VertexCoverPayload(vertex_count=n, edges=edges, target_size=size), cover
     raise RegenBudgetExhaustedError(
         f"no usable cover instance for level {level}, seed {seed} "
         f"within {max_regen} attempts"

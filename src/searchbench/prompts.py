@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
-from .answers import canonical_text
+from .answers import answer_lines, canonical_text
 from .generate import EXEMPLAR_LEVEL, exemplar_instance
 from .solver import Action, SearchMode, SearchTrace, solve
 from .tasks import (
@@ -644,19 +644,7 @@ def _output_format(payload: Payload, trace: SearchTrace) -> str:
             suffix = f"  ({w.label})" if w else ""
             lines.append(f"Day {leg.day_from}-{leg.day_to}  {leg.city}{suffix}")
         return "\n".join(lines)
-    if isinstance(payload, VertexCoverPayload):
-        inner = ", ".join(f"V{v}" for v in sorted(solution.vertices))  # type: ignore[union-attr]
-        return f"Vertex cover: [{inner}]"
-    if isinstance(payload, ThreeDMPayload):
-        return "\n".join(
-            f"(x{x}, y{y}, z{z})" for x, y, z in sorted(solution.triples)  # type: ignore[union-attr]
-        )
-    assert isinstance(payload, MeetingPayload)
-    return "\n".join(
-        f"Meet {m.friend} at {m.location} from {minutes_to_clock(m.start)} "
-        f"to {minutes_to_clock(m.end)}."
-        for m in solution.meetings  # type: ignore[union-attr]
-    )
+    return answer_lines(solution)  # type: ignore[arg-type]
 
 
 def _reasoning_sections(
@@ -943,15 +931,11 @@ def render_refine(previous: PromptBundle, previous_text: str) -> PromptBundle:
 
 
 def default_exemplars(
-    kind: TaskKind,
-    mode: PromptMode,
-    shots: int | None = None,
+    kind: TaskKind, mode: PromptMode
 ) -> list[tuple[ProblemInstance, SearchTrace]]:
     """Stock exemplars: fixed mid-difficulty instances from a reserved seed
     namespace, solved in the trace mode the prompt mode calls for."""
-    count = shots if shots is not None else (
-        DIRECT_SHOT_COUNT if mode is PromptMode.DIRECT else WORKED_SHOT_COUNT
-    )
+    count = DIRECT_SHOT_COUNT if mode is PromptMode.DIRECT else WORKED_SHOT_COUNT
     search = SearchMode.GREEDY if mode is PromptMode.COT else SearchMode.DFS
     out = []
     for index in range(count):

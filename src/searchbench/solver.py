@@ -511,33 +511,39 @@ def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
     return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.DFS, solution)
 
 
-def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> int:
-    """Exact minimum vertex cover size via iterative-deepening branch and bound."""
-    edges = sorted(edges)
+def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, CoverSet]:
+    """Exact minimum vertex cover size and cover, from one untraced pass.
 
-    def exists(budget: int, covered: set[int]) -> bool:
+    Branch and bound in ``_cover_dfs``'s order (first uncovered edge of the
+    sorted edges, endpoint u before v) keeps a child while its size plus the
+    matching bound is at most ``limit``, one less than the best cover so far.
+    ``limit`` stays at or above the optimum until an optimum cover is found, so
+    every node ``_cover_dfs`` visits at ``target_size = optimum`` is visited
+    first, in the same order: the cover returned is the one it finds.
+    """
+    edges = sorted(edges)
+    covered: set[int] = set()
+    best = CoverSet(vertices=frozenset(range(vertex_count)))
+    limit = vertex_count - 1
+
+    def descend() -> None:
+        nonlocal best, limit
         edge = next(
             ((u, v) for u, v in edges if u not in covered and v not in covered),
             None,
         )
         if edge is None:
-            return True
-        if budget == 0 or _matching_bound(edges, covered) > budget:
-            return False
-        u, v = edge
-        for x in (u, v):
+            best = CoverSet(vertices=frozenset(covered))
+            limit = len(covered) - 1
+            return
+        for x in edge:
             covered.add(x)
-            if exists(budget - 1, covered):
-                covered.discard(x)
-                return True
+            if len(covered) + _matching_bound(edges, covered) <= limit:
+                descend()
             covered.discard(x)
-        return False
 
-    lower = _matching_bound(edges, set())
-    for k in range(lower, vertex_count + 1):
-        if exists(k, set()):
-            return k
-    return vertex_count
+    descend()
+    return len(best.vertices), best
 
 
 def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:

@@ -331,6 +331,22 @@ def test_main_exit_codes(tmp_path, capsys):
         main([])  # missing subcommand
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--instances", "i.jsonl", "--answers", "a.jsonl", "--dry-run"],
+    ["verify", "--instances", "i.jsonl", "--answers", "a.jsonl", "--out", "x"],
+    ["gen", "--count", "1", "--cache", "c.jsonl"],
+    ["solve", "--instances", "i.jsonl", "--config", "c.json"],
+    ["render", "--instances", "i.jsonl", "--mode", "AoT", "--seed", "1"],
+    ["report", "--outcomes", "o.jsonl", "--dry-run"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_benchmark_tracer_wraps_every_layer_name():
     """The benchmark's traced run wraps module attributes by name (see
     ``perfbench/tracing.py``); renaming one must fail here, not there."""

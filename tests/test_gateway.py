@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import threading
 
 import pytest
 import requests
@@ -493,6 +494,70 @@ def test_gateway_retries_through_backend():
     # success is cached; a replay touches neither backend nor sleeper
     assert gateway.complete(_request()).text == "eventually"
     assert calls["n"] == 3
+
+
+def _start(fn):
+    thread = threading.Thread(target=fn, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_gateway_joins_a_request_already_in_flight():
+    entered, release = threading.Event(), threading.Event()
+
+    def script(request):
+        entered.set()
+        release.wait(5)
+        return "shared"
+
+    backend = MockBackend(script)
+    gateway = ModelGateway(backend)
+    replies = []
+    owner = _start(lambda: replies.append(gateway.complete(_request()).text))
+    assert entered.wait(5)
+    waiter = _start(lambda: replies.append(gateway.complete(_request()).text))
+    waiter.join(0.2)
+    assert waiter.is_alive()
+    release.set()
+    owner.join(5)
+    waiter.join(5)
+    assert replies == ["shared", "shared"]
+    assert len(backend.calls) == 1
+    assert gateway.cache_stats == {"hits": 1, "misses": 1, "entries": 1}
+
+
+def test_gateway_waiter_calls_again_when_the_call_in_flight_raises():
+    entered, release = threading.Event(), threading.Event()
+
+    def script(request):
+        if entered.is_set():
+            return "second"
+        entered.set()
+        release.wait(5)
+        raise MalformedProviderReply("first call fails")
+
+    backend = MockBackend(script)
+    gateway = ModelGateway(backend)
+    errors, replies = [], []
+
+    def owner_call():
+        try:
+            gateway.complete(_request())
+        except MalformedProviderReply as err:
+            errors.append(err)
+
+    owner = _start(owner_call)
+    assert entered.wait(5)
+    waiter = _start(lambda: replies.append(gateway.complete(_request()).text))
+    waiter.join(0.2)
+    assert waiter.is_alive()
+    release.set()
+    owner.join(5)
+    waiter.join(5)
+    assert not owner.is_alive() and not waiter.is_alive()
+    assert len(errors) == 1 and replies == ["second"]
+    assert len(backend.calls) == 2
+    assert gateway.cache_stats == {"hits": 0, "misses": 2, "entries": 1}
 
 
 def test_requests_and_responses_are_frozen():

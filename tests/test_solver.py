@@ -199,13 +199,14 @@ def _brute_min_cover(n, edges):
 def test_min_cover_size_matches_brute_force(graph):
     n, edges = graph
     expected = _brute_min_cover(n, edges)
-    assert min_cover_size(n, edges) == expected
-    payload = VertexCoverPayload(vertex_count=n, edges=edges, target_size=expected)
+    size, cover = min_cover_size(n, edges)
+    assert size == expected
+    assert len(cover.vertices) == size
+    assert all(u in cover.vertices or v in cover.vertices for u, v in edges)
+    payload = VertexCoverPayload(vertex_count=n, edges=edges, target_size=size)
     trace = solve_payload(payload, SearchMode.DFS)
     assert trace.succeeded
-    cover = set(trace.solution.vertices)
-    assert len(cover) == expected
-    assert all(u in cover or v in cover for u, v in edges)
+    assert cover.vertices == trace.solution.vertices
 
 
 @st.composite
