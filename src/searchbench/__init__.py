@@ -25,7 +25,6 @@ from .tasks import (
     Verdict,
     VerdictStatus,
     read_instances,
-    success_rate,
     write_instances,
 )
 from .generate import GenSpec, exemplar_instance, generate, load_fixture
@@ -101,7 +100,6 @@ __all__ = [
     "run",
     "solve",
     "statement_text",
-    "success_rate",
     "validate_config",
     "verify",
     "write_instances",

@@ -110,10 +110,6 @@ def answer_lines(solution: CoverSet | Matching | MeetingSchedule) -> str:
 # ---------------------------------------------------------------------------
 
 _DAY_RANGE = re.compile(r"Day\s*(\d+)\s*-\s*(\d+)\s*:?\s*(.*)", re.IGNORECASE)
-_TRIP_VERB = re.compile(
-    r"(?:arriving in|visit(?:ing)?|stay(?:ing)?(?: in)?|in)\s+"
-    r"([A-Z][A-Za-z'\-]*(?: [A-Z][A-Za-z'\-]*)*)",
-)
 _VERTEX_GROUP = re.compile(r"\[([^\[\]]*)\]")
 _VERTEX_TOKEN = re.compile(r"[Vv]?(\d+)")
 _VERTEX_LINE = re.compile(
@@ -149,7 +145,7 @@ def _match_vocab(raw: str, vocabulary: tuple[str, ...]) -> str | None:
     return best[2] if best else None
 
 
-def _parse_trip(text: str, payload: TripPayload | None) -> ParseReport:
+def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
     hits: list[tuple[int, int, str, str]] = []
     for line in text.splitlines():
         cleaned = _clean(line)
@@ -159,14 +155,7 @@ def _parse_trip(text: str, payload: TripPayload | None) -> ParseReport:
         if not m:
             continue
         day_from, day_to = int(m.group(1)), int(m.group(2))
-        tail = m.group(3)
-        if payload is not None:
-            city = _match_vocab(tail, payload.cities)
-        else:
-            vm = _TRIP_VERB.search(tail)
-            city = vm.group(1) if vm else None
-            if city and city.lower().endswith(" for"):
-                city = city[: -len(" for")]
+        city = _match_vocab(m.group(3), payload.cities)
         if city is None:
             continue
         hits.append((day_from, day_to, city, line.rstrip()))
@@ -237,7 +226,7 @@ def _to_minutes(hours: int, minutes: int, meridian: str | None) -> int:
     return hours * 60 + minutes
 
 
-def _parse_meeting(text: str, payload: MeetingPayload | None) -> ParseReport:
+def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
     lines = text.splitlines()
     hits: list[tuple[int, Meeting, str]] = []
     for idx, line in enumerate(lines):
@@ -248,17 +237,15 @@ def _parse_meeting(text: str, payload: MeetingPayload | None) -> ParseReport:
         location = (m.group(2) or "").strip().rstrip(".,")
         start = _to_minutes(int(m.group(3)), int(m.group(4)), m.group(5))
         end = _to_minutes(int(m.group(6)), int(m.group(7)), m.group(8))
-        if payload is not None:
-            snapped = _match_vocab(name, tuple(f.name for f in payload.friends))
-            if snapped:
-                name = snapped
-            friend = payload.friend_named(name)
-            loc_names = tuple(payload.locations)
-            snapped_loc = _match_vocab(location, loc_names) if location else None
-            if snapped_loc:
-                location = snapped_loc
-            elif not location and friend is not None:
-                location = friend.location
+        snapped = _match_vocab(name, tuple(f.name for f in payload.friends))
+        if snapped:
+            name = snapped
+        friend = payload.friend_named(name)
+        snapped_loc = _match_vocab(location, payload.locations) if location else None
+        if snapped_loc:
+            location = snapped_loc
+        elif not location and friend is not None:
+            location = friend.location
         hits.append(
             (idx, Meeting(friend=name, location=location, start=start, end=end), line.rstrip())
         )
@@ -278,23 +265,21 @@ def _parse_meeting(text: str, payload: MeetingPayload | None) -> ParseReport:
     )
 
 
-def parse_answer(
-    kind: TaskKind, text: str, payload: Payload | None = None
-) -> ParseReport:
-    """Extract a structured candidate from model text.
+def parse_answer(payload: Payload, text: str) -> ParseReport:
+    """Extract a structured candidate for ``payload``'s task from model text.
 
-    ``payload`` is optional but recommended: with it, city/name/location
-    tokens snap case-insensitively to the instance vocabulary.
+    City, name and location tokens snap case-insensitively to the payload's
+    vocabulary.
     """
-    if payload is not None and payload_kind(payload) is not kind:
-        raise KindMismatchError(f"payload is not a {kind.value} payload")
-    if kind is TaskKind.TRIP_PLANNING:
-        return _parse_trip(text, payload)  # type: ignore[arg-type]
-    if kind is TaskKind.VERTEX_COVER:
+    if isinstance(payload, TripPayload):
+        return _parse_trip(text, payload)
+    if isinstance(payload, VertexCoverPayload):
         return _parse_cover(text)
-    if kind is TaskKind.THREE_DM:
+    if isinstance(payload, ThreeDMPayload):
         return _parse_threedm(text)
-    return _parse_meeting(text, payload)  # type: ignore[arg-type]
+    if isinstance(payload, MeetingPayload):
+        return _parse_meeting(text, payload)
+    raise KindMismatchError(f"not a payload: {type(payload).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +438,7 @@ def verify(instance: ProblemInstance, candidate: Solution) -> Verdict:
 
 def evaluate(instance: ProblemInstance, text: str) -> tuple[ParseReport, Verdict]:
     """Parse model text, then verify; ParseFailure when nothing parseable."""
-    report = parse_answer(instance.kind, text, instance.payload)
+    report = parse_answer(instance.payload, text)
     if report.candidate is None:
         return report, Verdict(
             status=VerdictStatus.PARSE_FAILURE, reason=report.failure_reason

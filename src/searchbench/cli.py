@@ -37,7 +37,7 @@ from .gateway import (
     RateLimiter,
     ResponseCache,
 )
-from .generate import GenSpec, generate
+from .generate import MAX_LEVEL, MIN_LEVEL, GenSpec, generate
 from .prompts import (
     PromptBundle,
     PromptMode,
@@ -70,8 +70,6 @@ class ConfigError(TaskError):
 
 DEFAULT_LEVEL = 10
 DEFAULT_COUNT = 100
-DEFAULT_PARALLEL_N = 3
-DEFAULT_REFINE_ROUNDS = 1
 DEFAULT_CONCURRENCY = 4
 DEFAULT_MAX_TOKENS = 4096
 
@@ -85,23 +83,6 @@ _MODEL_KEYS = {
     "timeout_s",
     "requests_per_second",
     "script",
-}
-
-_CONFIG_KEYS = {
-    "tasks",
-    "levels",
-    "instance_count",
-    "seed",
-    "models",
-    "matrix",
-    "parallel_n",
-    "refine_rounds",
-    "thinking_budget",
-    "concurrency",
-    "cache_path",
-    "out_dir",
-    "max_tokens",
-    "token_budget",
 }
 
 _BACKEND_KINDS = ("oracle", "mock", "http")
@@ -141,6 +122,37 @@ def _reject_unknown(doc: Mapping, allowed: set[str], where: str) -> None:
             raise ConfigError(f"{where}{key}: unknown key")
 
 
+def _checked(doc: Mapping, key: str, default, ok: Callable[[object], bool],
+             want: str, where: str = ""):
+    """``doc[key]``, or ``default`` when absent; a ConfigError unless ``ok``."""
+    value = doc.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"{where}{key}: must be {want}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # not a bool, which is a subclass of int
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _reject_duplicates(where: str, items: Sequence, field: str = "") -> None:
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ConfigError(f"{where}[{i}]{field}: duplicate {item!r}")
+
+
 def _model_config(doc: Mapping, where: str) -> ModelConfig:
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{where}: expected an object")
@@ -153,9 +165,10 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
         raise ConfigError(f"{where}.backend: must be one of {_BACKEND_KINDS}")
     if backend == "http" and not doc.get("url"):
         raise ConfigError(f"{where}.url: required for http backends")
-    script = doc.get("script", ())
-    if script and not all(isinstance(s, str) for s in script):
-        raise ConfigError(f"{where}.script: must be a list of strings")
+    script = _checked(
+        doc, "script", [], lambda v: _is_list(v) and all(isinstance(s, str) for s in v),
+        "a list of strings", where + ".",
+    )
     return ModelConfig(
         name=name,
         backend=backend,
@@ -163,10 +176,30 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
         url=doc.get("url", ""),
         dialect=doc.get("dialect", "anthropic"),
         api_key_env=doc.get("api_key_env", "ANTHROPIC_API_KEY"),
-        timeout_s=float(doc.get("timeout_s", 120.0)),
-        requests_per_second=float(doc.get("requests_per_second", 0.0)),
+        timeout_s=float(_checked(
+            doc, "timeout_s", 120.0, lambda v: _is_number(v) and v > 0, "a number > 0",
+            where + ".",
+        )),
+        requests_per_second=float(_checked(
+            doc, "requests_per_second", 0.0, lambda v: _is_number(v) and v >= 0,
+            "a number >= 0", where + ".",
+        )),
         script=tuple(script),
     )
+
+
+#: key -> (default, check, what the check wants)
+_SCALAR_KEYS = {
+    "instance_count": (DEFAULT_COUNT, _is_count, "an integer >= 1"),
+    "seed": (0, _is_int, "an integer"),
+    "concurrency": (DEFAULT_CONCURRENCY, _is_count, "an integer >= 1"),
+    "cache_path": (None, lambda v: v is None or isinstance(v, str), "a string or null"),
+    "out_dir": ("out", lambda v: isinstance(v, str), "a string"),
+    "max_tokens": (DEFAULT_MAX_TOKENS, _is_count, "an integer >= 1"),
+    "token_budget": (None, lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
+}
+
+_CONFIG_KEYS = {"tasks", "levels", "models", "matrix", *_SCALAR_KEYS}
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
@@ -175,72 +208,59 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         raise ConfigError("config root: expected an object")
     _reject_unknown(doc, _CONFIG_KEYS, "")
 
+    tasks_doc = _checked(doc, "tasks", [k.value for k in TaskKind], _is_list, "a list")
     try:
-        tasks = tuple(TaskKind(t) for t in doc.get("tasks", [k.value for k in TaskKind]))
+        tasks = tuple(TaskKind(t) for t in tasks_doc)
     except ValueError as err:
         raise ConfigError(f"tasks: {err}") from err
     if not tasks:
         raise ConfigError("tasks: must name at least one task")
+    _reject_duplicates("tasks", tasks_doc)
 
-    levels = tuple(doc.get("levels", [DEFAULT_LEVEL]))
-    if not levels or not all(isinstance(l, int) and l > 0 for l in levels):
-        raise ConfigError("levels: must be a non-empty list of positive integers")
+    levels = tuple(_checked(
+        doc, "levels", [DEFAULT_LEVEL],
+        lambda v: _is_list(v) and v
+        and all(_is_int(l) and MIN_LEVEL <= l <= MAX_LEVEL for l in v),
+        f"a non-empty list of integers in [{MIN_LEVEL}, {MAX_LEVEL}]",
+    ))
+    _reject_duplicates("levels", levels)
 
-    count = doc.get("instance_count", DEFAULT_COUNT)
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError("instance_count: must be an integer >= 1")
-
-    models_doc = doc.get("models")
-    if not models_doc:
-        raise ConfigError("models: must configure at least one model")
     models = tuple(
-        _model_config(m, f"models[{i}]") for i, m in enumerate(models_doc)
+        _model_config(m, f"models[{i}]")
+        for i, m in enumerate(_checked(
+            doc, "models", None, lambda v: _is_list(v) and v, "a non-empty list of models"
+        ))
     )
-
-    thinking_budget = doc.get("thinking_budget")
-    if thinking_budget is not None and (
-        not isinstance(thinking_budget, int) or thinking_budget < 1
-    ):
-        raise ConfigError("thinking_budget: must be a positive integer or null")
+    _reject_duplicates("models", [m.name for m in models], ".name")
+    _reject_duplicates("models", [m.model for m in models], ".model")
 
     if "matrix" in doc:
         matrix = []
-        for i, pair in enumerate(doc["matrix"]):
+        for i, pair in enumerate(_checked(doc, "matrix", None, _is_list, "a list")):
             try:
                 mode_name, strategy_spec = pair
+                if not isinstance(strategy_spec, str):
+                    raise TypeError(f"strategy {strategy_spec!r} is not a string")
                 matrix.append(
                     (PromptMode(mode_name), ScalingStrategy.parse(strategy_spec))
                 )
-            except (ValueError, TaskError) as err:
+            except (TypeError, ValueError, TaskError) as err:
                 raise ConfigError(f"matrix[{i}]: {err}") from err
         matrix = tuple(matrix)
     else:
-        matrix = tuple(
-            default_matrix(
-                n=doc.get("parallel_n", DEFAULT_PARALLEL_N),
-                rounds=doc.get("refine_rounds", DEFAULT_REFINE_ROUNDS),
-                thinking_budget=thinking_budget,
-            )
-        )
+        matrix = tuple(default_matrix())
     if not matrix:
         raise ConfigError("matrix: must not be empty")
-
-    concurrency = doc.get("concurrency", DEFAULT_CONCURRENCY)
-    if not isinstance(concurrency, int) or concurrency < 1:
-        raise ConfigError("concurrency: must be an integer >= 1")
+    # Outcomes are stored under (mode, formatted strategy): "is" and "is:0"
+    # name one cell.
+    _reject_duplicates("matrix", [(mode.value, s.format()) for mode, s in matrix])
 
     return RunConfig(
         tasks=tasks,
         levels=levels,
-        instance_count=count,
-        seed=doc.get("seed", 0),
         models=models,
         matrix=matrix,
-        concurrency=concurrency,
-        cache_path=doc.get("cache_path"),
-        out_dir=doc.get("out_dir", "out"),
-        max_tokens=doc.get("max_tokens", DEFAULT_MAX_TOKENS),
-        token_budget=doc.get("token_budget"),
+        **{key: _checked(doc, key, *check) for key, check in _SCALAR_KEYS.items()},
     )
 
 

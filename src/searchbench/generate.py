@@ -77,6 +77,7 @@ ONE_WAY_FLIGHT_SHARE = 0.25
 THREEDM_TRIPLES_PER_ELEMENT = 3
 MEETING_DAY_START = 9 * 60
 MEETING_DAY_END = 22 * 60
+MAX_REGEN = 100  # attempts per instance before generation gives up
 
 CITY_POOL: tuple[str, ...] = (
     "Amsterdam", "Athens", "Barcelona", "Berlin", "Brussels", "Bucharest",
@@ -112,15 +113,12 @@ class GenSpec:
     kind: TaskKind
     level: int
     seed: int
-    max_regen: int = 100
 
     def __post_init__(self) -> None:
         if self.level not in DIFFICULTY_TABLE:
             raise UnsupportedLevelError(
                 f"level {self.level} outside [{MIN_LEVEL}, {MAX_LEVEL}]"
             )
-        if self.max_regen < 1:
-            raise ValueError("max_regen must be at least 1")
 
 
 def _subseed(seed: int, attempt: int, salt: str) -> int:
@@ -148,175 +146,163 @@ def _stay_composition(rng: random.Random, parts: int, total: int) -> list[int]:
     return stays
 
 
-def _gen_trip(level: int, seed: int, max_regen: int) -> tuple[TripPayload, TripPlan]:
+def _build_trip(level: int, rng: random.Random) -> tuple[TripPayload, TripPlan] | None:
     row = DIFFICULTY_TABLE[level]
     n = row["trip_cities"]
     total_days = row["trip_days"]
-    for attempt in range(max_regen):
-        rng = random.Random(_subseed(seed, attempt, "trip"))
-        cities = tuple(rng.sample(CITY_POOL, n))
-        stay_values = _stay_composition(rng, n, total_days + n - 1)
-        stays = dict(zip(cities, stay_values))
+    cities = tuple(rng.sample(CITY_POOL, n))
+    stay_values = _stay_composition(rng, n, total_days + n - 1)
+    stays = dict(zip(cities, stay_values))
 
-        order = list(cities)
-        rng.shuffle(order)
-        legs = {}
-        day = 1
-        for city in order:
-            end = day + stays[city] - 1
-            legs[city] = (day, end)
-            day = end
+    order = list(cities)
+    rng.shuffle(order)
+    legs = {}
+    day = 1
+    for city in order:
+        end = day + stays[city] - 1
+        legs[city] = (day, end)
+        day = end
 
-        windows: dict[str, TripWindow] = {}
-        pinnable = list(range(1, n))  # never pin the start city
-        if pinnable:
-            want = min(len(pinnable), rng.randint(2, 3))
-            chosen = sorted(rng.sample(pinnable, want))
-            labels = rng.sample(WINDOW_LABELS, want)
-            for label, pos in zip(labels, chosen):
-                city = order[pos]
-                start, end = legs[city]
-                windows[city] = TripWindow(start=start, end=end, label=label)
+    windows: dict[str, TripWindow] = {}
+    pinnable = list(range(1, n))  # never pin the start city
+    if pinnable:
+        want = min(len(pinnable), rng.randint(2, 3))
+        chosen = sorted(rng.sample(pinnable, want))
+        labels = rng.sample(WINDOW_LABELS, want)
+        for label, pos in zip(labels, chosen):
+            city = order[pos]
+            start, end = legs[city]
+            windows[city] = TripWindow(start=start, end=end, label=label)
 
-        flights: set[tuple[str, str]] = set()
-        for a, b in zip(order, order[1:]):
-            flights.add((a, b))
-            flights.add((b, a))
-        path_pairs = {frozenset(p) for p in zip(order, order[1:])}
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = cities[i], cities[j]
-                if frozenset((a, b)) in path_pairs:
-                    continue
-                if rng.random() >= DISTRACTOR_FLIGHT_DENSITY:
-                    continue
-                if rng.random() < ONE_WAY_FLIGHT_SHARE:
-                    flights.add((a, b) if rng.random() < 0.5 else (b, a))
-                else:
-                    flights.add((a, b))
-                    flights.add((b, a))
+    flights: set[tuple[str, str]] = set()
+    for a, b in zip(order, order[1:]):
+        flights.add((a, b))
+        flights.add((b, a))
+    path_pairs = {frozenset(p) for p in zip(order, order[1:])}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = cities[i], cities[j]
+            if frozenset((a, b)) in path_pairs:
+                continue
+            if rng.random() >= DISTRACTOR_FLIGHT_DENSITY:
+                continue
+            if rng.random() < ONE_WAY_FLIGHT_SHARE:
+                flights.add((a, b) if rng.random() < 0.5 else (b, a))
+            else:
+                flights.add((a, b))
+                flights.add((b, a))
 
-        payload = TripPayload(
-            cities=cities,
-            total_days=total_days,
-            stays=stays,
-            windows=windows,
-            flights=frozenset(flights),
-        )
-        if count_trip_plans(payload, limit=2) == 1:
-            return payload, TripPlan(legs=trip_legs_for_order(payload, order))
-    raise RegenBudgetExhaustedError(
-        f"no unique trip instance for level {level}, seed {seed} "
-        f"within {max_regen} attempts"
+    payload = TripPayload(
+        cities=cities,
+        total_days=total_days,
+        stays=stays,
+        windows=windows,
+        flights=frozenset(flights),
     )
+    if count_trip_plans(payload, limit=2) != 1:
+        return None
+    return payload, TripPlan(legs=trip_legs_for_order(payload, order))
 
 
-def _gen_cover(level: int, seed: int, max_regen: int):
+def _build_cover(level: int, rng: random.Random):
     n = DIFFICULTY_TABLE[level]["cover_vertices"]
-    for attempt in range(max_regen):
-        rng = random.Random(_subseed(seed, attempt, "cover"))
-        edges = tuple(
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < COVER_EDGE_DENSITY
-        )
-        if not edges:
-            continue
-        size, cover = min_cover_size(n, edges)
-        return VertexCoverPayload(vertex_count=n, edges=edges, target_size=size), cover
-    raise RegenBudgetExhaustedError(
-        f"no usable cover instance for level {level}, seed {seed} "
-        f"within {max_regen} attempts"
+    edges = tuple(
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if rng.random() < COVER_EDGE_DENSITY
     )
+    if not edges:
+        return None
+    size, cover = min_cover_size(n, edges)
+    return VertexCoverPayload(vertex_count=n, edges=edges, target_size=size), cover
 
 
-def _gen_threedm(level: int, seed: int, max_regen: int):
+def _build_threedm(level: int, rng: random.Random):
+    # The planted matching is always offered and the search is complete, so
+    # every candidate is solvable.
     n = DIFFICULTY_TABLE[level]["threedm_axis"]
     total = THREEDM_TRIPLES_PER_ELEMENT * n
-    for attempt in range(max_regen):
-        rng = random.Random(_subseed(seed, attempt, "threedm"))
-        perm_y = list(range(n))
-        perm_z = list(range(n))
-        rng.shuffle(perm_y)
-        rng.shuffle(perm_z)
-        triples = {(i, perm_y[i], perm_z[i]) for i in range(n)}
-        while len(triples) < total:
-            triples.add(
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            )
-        payload = ThreeDMPayload(n=n, triples=tuple(sorted(triples)))
-        solution = solve_payload(payload, SearchMode.DFS).solution
-        if solution is not None:
-            return payload, solution
-    raise RegenBudgetExhaustedError(
-        f"no solvable matching instance for level {level}, seed {seed} "
-        f"within {max_regen} attempts"
-    )
-
-
-def _gen_meeting(level: int, seed: int, max_regen: int):
-    n = DIFFICULTY_TABLE[level]["meeting_friends"]
-    for attempt in range(max_regen):
-        rng = random.Random(_subseed(seed, attempt, "meeting"))
-        locations = tuple(rng.sample(LOCATION_POOL, n + 1))
-        start_location = locations[0]
-        names = rng.sample(FRIEND_POOL, n)
-        spots = list(locations[1:])
-        rng.shuffle(spots)
-        friends = []
-        for name, spot in zip(names, spots):
-            w_start = rng.randrange(MEETING_DAY_START, 20 * 60 + 1, 15)
-            length = rng.randrange(45, 241, 15)
-            w_end = min(w_start + length, MEETING_DAY_END)
-            choices = [m for m in (15, 30, 45, 60) if m <= w_end - w_start]
-            friends.append(
-                Friend(
-                    name=name,
-                    location=spot,
-                    avail_start=w_start,
-                    avail_end=w_end,
-                    min_minutes=rng.choice(choices),
-                )
-            )
-        travel = {}
-        for i in range(len(locations)):
-            for j in range(i + 1, len(locations)):
-                a, b = sorted((locations[i], locations[j]))
-                travel[(a, b)] = rng.randrange(5, 31)
-        payload = MeetingPayload(
-            locations=locations,
-            start_location=start_location,
-            day_start=MEETING_DAY_START,
-            travel_minutes=travel,
-            friends=tuple(friends),
+    perm_y = list(range(n))
+    perm_z = list(range(n))
+    rng.shuffle(perm_y)
+    rng.shuffle(perm_z)
+    triples = {(i, perm_y[i], perm_z[i]) for i in range(n)}
+    while len(triples) < total:
+        triples.add(
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
         )
-        count, schedule = optimal_schedule(payload)
-        if count >= 1:
-            return payload, schedule
-    raise RegenBudgetExhaustedError(
-        f"no meetable instance for level {level}, seed {seed} "
-        f"within {max_regen} attempts"
+    payload = ThreeDMPayload(n=n, triples=tuple(sorted(triples)))
+    return payload, solve_payload(payload, SearchMode.DFS).solution
+
+
+def _build_meeting(level: int, rng: random.Random):
+    n = DIFFICULTY_TABLE[level]["meeting_friends"]
+    locations = tuple(rng.sample(LOCATION_POOL, n + 1))
+    start_location = locations[0]
+    names = rng.sample(FRIEND_POOL, n)
+    spots = list(locations[1:])
+    rng.shuffle(spots)
+    friends = []
+    for name, spot in zip(names, spots):
+        w_start = rng.randrange(MEETING_DAY_START, 20 * 60 + 1, 15)
+        length = rng.randrange(45, 241, 15)
+        w_end = min(w_start + length, MEETING_DAY_END)
+        choices = [m for m in (15, 30, 45, 60) if m <= w_end - w_start]
+        friends.append(
+            Friend(
+                name=name,
+                location=spot,
+                avail_start=w_start,
+                avail_end=w_end,
+                min_minutes=rng.choice(choices),
+            )
+        )
+    travel = {}
+    for i in range(len(locations)):
+        for j in range(i + 1, len(locations)):
+            a, b = sorted((locations[i], locations[j]))
+            travel[(a, b)] = rng.randrange(5, 31)
+    payload = MeetingPayload(
+        locations=locations,
+        start_location=start_location,
+        day_start=MEETING_DAY_START,
+        travel_minutes=travel,
+        friends=tuple(friends),
     )
+    count, schedule = optimal_schedule(payload)
+    if count < 1:
+        return None
+    return payload, schedule
 
 
-_GENERATORS = {
-    TaskKind.TRIP_PLANNING: _gen_trip,
-    TaskKind.VERTEX_COVER: _gen_cover,
-    TaskKind.THREE_DM: _gen_threedm,
-    TaskKind.MEETING_PLANNING: _gen_meeting,
+#: kind -> (sub-seed salt, builder).  A builder turns one attempt's RNG into
+#: (payload, ground truth), or None when the candidate must be regenerated.
+_BUILDERS = {
+    TaskKind.TRIP_PLANNING: ("trip", _build_trip),
+    TaskKind.VERTEX_COVER: ("cover", _build_cover),
+    TaskKind.THREE_DM: ("threedm", _build_threedm),
+    TaskKind.MEETING_PLANNING: ("meeting", _build_meeting),
 }
 
 
 def generate(spec: GenSpec) -> ProblemInstance:
-    payload, ground_truth = _GENERATORS[spec.kind](spec.level, spec.seed, spec.max_regen)
-    return ProblemInstance(
-        id=instance_id(spec.kind, spec.level, spec.seed),
-        kind=spec.kind,
-        level=spec.level,
-        seed=spec.seed,
-        payload=payload,
-        ground_truth=ground_truth,
+    salt, build = _BUILDERS[spec.kind]
+    for attempt in range(MAX_REGEN):
+        built = build(spec.level, random.Random(_subseed(spec.seed, attempt, salt)))
+        if built is not None:
+            payload, ground_truth = built
+            return ProblemInstance(
+                id=instance_id(spec.kind, spec.level, spec.seed),
+                kind=spec.kind,
+                level=spec.level,
+                seed=spec.seed,
+                payload=payload,
+                ground_truth=ground_truth,
+            )
+    raise RegenBudgetExhaustedError(
+        f"no usable {spec.kind.value} instance for level {spec.level}, "
+        f"seed {spec.seed} within {MAX_REGEN} attempts"
     )
 
 
@@ -328,9 +314,9 @@ def generate(spec: GenSpec) -> ProblemInstance:
 EXEMPLAR_LEVEL = 6
 
 
-def exemplar_instance(kind: TaskKind, index: int, level: int = EXEMPLAR_LEVEL) -> ProblemInstance:
+def exemplar_instance(kind: TaskKind, index: int) -> ProblemInstance:
     seed = _subseed(0, index, f"exemplar:{kind.value}")
-    return generate(GenSpec(kind=kind, level=level, seed=seed))
+    return generate(GenSpec(kind=kind, level=EXEMPLAR_LEVEL, seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Sequence
 
 from .answers import answer_lines, canonical_text
-from .generate import EXEMPLAR_LEVEL, exemplar_instance
+from .generate import exemplar_instance
 from .solver import Action, SearchMode, SearchTrace, solve
 from .tasks import (
     MeetingPayload,
@@ -71,7 +71,6 @@ class PromptBundle:
     mode: PromptMode
     system_text: str
     exemplar_ids: tuple[str, ...]
-    shot_count: int
     body: str
     target_id: str
     round_index: int = 0
@@ -479,12 +478,11 @@ class _Unit:
     step_count: int
     droppable: bool
     shared_prefix: int
-    position: int
 
 
 @dataclass
 class _Section:
-    """One root subtree of a DFS trace (or the whole trace when rootless)."""
+    """One root subtree of a trace (the whole trace when it has no roots)."""
 
     root: str
     units: list[_Unit]
@@ -536,7 +534,6 @@ def _units_for(
                 step_count=1,
                 droppable=True,
                 shared_prefix=_prefix_len(event.step_label, success_label or ""),
-                position=len(units),
             )
             group_root = event.step_label
             continue
@@ -546,7 +543,6 @@ def _units_for(
                 step_count=1 if is_step else 0,
                 droppable=event.action is Action.PRUNE,
                 shared_prefix=_prefix_len(event.step_label, success_label or ""),
-                position=len(units),
             )
         )
     if group is not None:  # unterminated group (trace ended inside it)
@@ -561,46 +557,34 @@ def _split_sections(
     success_label: str | None,
     fold_first_root: bool,
 ) -> list[_Section]:
-    if kind is not TaskKind.TRIP_PLANNING:
-        return [
-            _Section(
-                root="",
-                units=_units_for(kind, mode, events, success_label),
-                has_success=any(
-                    e.step_label == success_label and e.action is Action.EXPANSION
-                    for e in events
-                ),
-            )
-        ]
+    """Split a trace at its start-city roots (``S0`` events); a trace with no
+    roots is one section with root ``""``."""
     raw: list[tuple[str, list, str | None]] = []
-    current_root: str | None = None
+    root = ""
     bucket: list = []
     for event in events:
         if event.step_label == "S0":
-            if current_root is not None:
-                raw.append((current_root, bucket, None))
-            current_root = event.move
-            bucket = [event]
+            if bucket:
+                raw.append((root, bucket, None))
+            root, bucket = event.move, [event]
         elif event.action is Action.BACKTRACK and event.step_label == "":
-            if current_root is not None:
-                raw.append(
-                    (
-                        current_root,
-                        bucket,
-                        f"No child of the {current_root} root survives, so the "
-                        "algorithm back-tracks to choose a new start city.",
-                    )
+            raw.append(
+                (
+                    root,
+                    bucket,
+                    f"No child of the {root} root survives, so the "
+                    "algorithm back-tracks to choose a new start city.",
                 )
-            current_root = None
+            )
             bucket = []
         else:
             bucket.append(event)
-    if current_root is not None:
-        raw.append((current_root, bucket, None))
+    if bucket:
+        raw.append((root, bucket, None))
 
     sections: list[_Section] = []
     for i, (root, chunk, narrative) in enumerate(raw):
-        if i == 0 and fold_first_root and chunk and chunk[0].step_label == "S0":
+        if i == 0 and fold_first_root:
             chunk = chunk[1:]
         sections.append(
             _Section(
@@ -663,43 +647,25 @@ def _reasoning_sections(
         if e.action not in (Action.INITIALIZATION, Action.EVALUATION, Action.SUCCESS)
     ]
 
-    state_lines = "\n".join(_STATE_DEFINITIONS[kind])
-
-    if mode is PromptMode.COT:
-        init_line = f"Initial state: {init_event.state_summary} # {_init_comment(init_event.detail)}"
-        sections = [
-            _Section(
-                root="",
-                units=_units_for(kind, mode, core, success_label),
-                has_success=True,
-            )
-        ]
-    else:
-        fold = (
-            kind is TaskKind.TRIP_PLANNING
-            and bool(core)
-            and core[0].step_label == "S0"
-            and core[0].action is Action.EXPANSION
+    # A depth-first trip trace folds its first start city into the initial
+    # state; only depth-first trip traces have ``S0`` roots.
+    fold = bool(core) and core[0].step_label == "S0" and core[0].action is Action.EXPANSION
+    if fold:
+        root = core[0].move
+        assert isinstance(payload, TripPayload)
+        span = payload.stay_of(root)
+        init_line = (
+            f"Pick an initial state: (path=[{root}], UD={span}, start=1) "
+            f"# {root} spans Day 1-{span}"
         )
-        if fold:
-            root = core[0].move
-            assert isinstance(payload, TripPayload)
-            span = payload.stay_of(root)
-            init_line = (
-                f"Pick an initial state: (path=[{root}], UD={span}, start=1) "
-                f"# {root} spans Day 1-{span}"
-            )
-        else:
-            init_line = (
-                f"Pick an initial state: {init_event.state_summary} "
-                f"# {_init_comment(init_event.detail)}"
-            )
-        sections = _split_sections(kind, mode, core, success_label, fold)
+    else:
+        verb = "Initial state" if mode is PromptMode.COT else "Pick an initial state"
+        init_line = f"{verb}: {init_event.state_summary} # {_init_comment(init_event.detail)}"
 
     return (
-        state_lines,
+        "\n".join(_STATE_DEFINITIONS[kind]),
         init_line,
-        sections,
+        _split_sections(kind, mode, core, success_label, fold),
         success_event.detail,
         _output_format(payload, trace),
     )
@@ -870,10 +836,7 @@ def render(
                     for j, u in enumerate(s.units)
                     if u.droppable
                 ),
-                key=lambda ij: (
-                    sections[ij[0]].units[ij[1]].shared_prefix,
-                    sections[ij[0]].units[ij[1]].position,
-                ),
+                key=lambda ij: (sections[ij[0]].units[ij[1]].shared_prefix, ij[1]),
             )
             dropped_s: set[int] = set()
             dropped_u: set[tuple[int, int]] = set()
@@ -898,7 +861,6 @@ def render(
         mode=mode,
         system_text=TASK_DESCRIPTIONS[kind],
         exemplar_ids=tuple(ex.id for ex, _ in exemplars),
-        shot_count=len(exemplars),
         body=body,
         target_id=instance.id,
     )
@@ -939,7 +901,7 @@ def default_exemplars(
     search = SearchMode.GREEDY if mode is PromptMode.COT else SearchMode.DFS
     out = []
     for index in range(count):
-        ex = exemplar_instance(kind, index, EXEMPLAR_LEVEL)
+        ex = exemplar_instance(kind, index)
         out.append((ex, solve(ex, search)))
     return out
 

@@ -213,21 +213,13 @@ def execute(
     )
 
 
-def default_matrix(
-    n: int = 3, rounds: int = 1, thinking_budget: int | None = None
-) -> list[tuple[PromptMode, ScalingStrategy]]:
-    """The full ablation grid: every prompt mode under every strategy.
+def default_matrix() -> list[tuple[PromptMode, ScalingStrategy]]:
+    """The full ablation grid: every prompt mode under ws, ps:3, ss:1 and is.
 
     Ordered row-major like the result tables (strategy rows, mode columns).
     """
-    strategies = [
-        ScalingStrategy(ScalingKind.NO_SCALING),
-        ScalingStrategy(ScalingKind.PARALLEL, n=n),
-        ScalingStrategy(ScalingKind.SEQUENTIAL, rounds=rounds),
-        ScalingStrategy(ScalingKind.INTERNAL, thinking_budget=thinking_budget),
-    ]
     return [
-        (mode, strategy)
-        for strategy in strategies
+        (mode, ScalingStrategy.parse(spec))
+        for spec in ("ws", "ps:3", "ss:1", "is")
         for mode in (PromptMode.DIRECT, PromptMode.COT, PromptMode.AOT)
     ]

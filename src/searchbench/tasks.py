@@ -31,10 +31,6 @@ class UnknownCityError(TaskError):
     """A plan references a city the payload does not know about."""
 
 
-class EmptyInputError(TaskError):
-    """An aggregate was requested over zero items."""
-
-
 class KindMismatchError(TaskError):
     """A solution of one task kind was paired with a payload of another."""
 
@@ -293,18 +289,6 @@ class Verdict:
     @property
     def ok(self) -> bool:
         return self.status is VerdictStatus.SUCCESS
-
-
-def success_rate(verdicts: Iterable[Verdict]) -> float:
-    """Fraction of verdicts that are Success; raises EmptyInputError on none."""
-    total = 0
-    wins = 0
-    for v in verdicts:
-        total += 1
-        wins += 1 if v.ok else 0
-    if total == 0:
-        raise EmptyInputError("success_rate over zero verdicts")
-    return wins / total
 
 
 def minutes_to_clock(minutes: int) -> str:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from searchbench.generate import GenSpec, generate, load_fixture
@@ -15,6 +17,20 @@ from searchbench.tasks import (
     VertexCoverPayload,
     payload_kind,
 )
+
+TESTS_DIR = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """A test under ``tests/`` fails when it leaks a file handle or raises in
+    a finalizer."""
+    for item in items:
+        if TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(
+                pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+            )
+
 
 # Per-task difficulty levels that stay inside the exhaustive-enumeration
 # guards, so brute-force oracles are always available.

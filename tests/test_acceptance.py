@@ -201,7 +201,7 @@ def test_05_canonical_render_parse_round_trip():
         for i in range(125):
             inst = generate(GenSpec(kind=kind, level=levels[i % len(levels)], seed=i))
             text = canonical_text(inst.payload, inst.ground_truth)
-            report = parse_answer(kind, text, inst.payload)
+            report = parse_answer(inst.payload, text)
             if report.candidate != inst.ground_truth:
                 failures += 1
     assert failures == 0

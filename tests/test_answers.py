@@ -79,7 +79,7 @@ def test_round_trip_identity_sample():
         for seed in range(6):
             inst = generate(GenSpec(kind=kind, level=levels[seed % len(levels)], seed=seed))
             text = canonical_text(inst.payload, inst.ground_truth)
-            report = parse_answer(kind, text, inst.payload)
+            report = parse_answer(inst.payload, text)
             assert report.candidate == inst.ground_truth, (kind, seed)
 
 
@@ -95,7 +95,7 @@ def test_trip_parse_tolerates_markup_and_case(reference_trip):
         "Day 10-14: visit Vilnius for 5 days.\n"
         "Day 14-16: visit Brussels for 3 days.\n"
     )
-    report = parse_answer(TaskKind.TRIP_PLANNING, text, reference_trip.payload)
+    report = parse_answer(reference_trip.payload, text)
     assert report.candidate == reference_trip.ground_truth
 
 
@@ -106,8 +106,7 @@ def test_trip_parse_last_answer_wins(reference_trip):
     )
     right = canonical_text(reference_trip.payload, reference_trip.ground_truth)
     report = parse_answer(
-        TaskKind.TRIP_PLANNING, wrong + "\nWait, let me redo this.\n\n" + right,
-        reference_trip.payload,
+        reference_trip.payload, wrong + "\nWait, let me redo this.\n\n" + right
     )
     assert report.candidate == reference_trip.ground_truth
 
@@ -119,14 +118,14 @@ def test_cover_parse_variants():
     bracketed = "The answer is [" + ", ".join(f"V{i}" for i in ids) + "]"
     bare = "Vertices: " + ", ".join(str(i) for i in ids)
     for text in (bracketed, bare):
-        report = parse_answer(TaskKind.VERTEX_COVER, text, inst.payload)
+        report = parse_answer(inst.payload, text)
         assert report.candidate == want, text
 
 
 def test_threedm_parse_prefixed_triples():
     inst = generate(GenSpec(kind=TaskKind.THREE_DM, level=1, seed=2))
     lines = [f"(x{t[0]}, y{t[1]}, z{t[2]})" for t in sorted(inst.ground_truth.triples)]
-    report = parse_answer(TaskKind.THREE_DM, "\n".join(lines), inst.payload)
+    report = parse_answer(inst.payload, "\n".join(lines))
     assert report.candidate == inst.ground_truth
 
 
@@ -144,13 +143,13 @@ def test_meeting_parse_twelve_hour_clock():
         f"Meet {meeting.friend.upper()} at {meeting.location.lower()} "
         f"from {twelve(meeting.start)} to {twelve(meeting.end)}."
     )
-    report = parse_answer(TaskKind.MEETING_PLANNING, text, inst.payload)
+    report = parse_answer(inst.payload, text)
     assert report.candidate == inst.ground_truth
 
 
-def test_parse_failure_on_garbage():
-    for kind in TaskKind:
-        report = parse_answer(kind, "complete nonsense with no structure")
+def test_parse_failure_on_garbage(sample_instances):
+    for group in sample_instances.values():
+        report = parse_answer(group[0].payload, "complete nonsense with no structure")
         assert report.candidate is None
         assert report.failure_reason
 

@@ -17,6 +17,7 @@ from searchbench.cli import (
 from searchbench.tasks import TaskKind, read_instances, write_instances
 
 QUIET = lambda s: None
+ORACLE = {"name": "m", "backend": "oracle"}
 
 
 def _doc(tmp_path, **over):
@@ -53,19 +54,6 @@ def test_config_defaults():
     assert config.matrix[6][1].format() == "ss:1"
 
 
-def test_config_matrix_knobs():
-    config = config_from_dict(
-        {
-            "models": [{"name": "m", "backend": "oracle"}],
-            "parallel_n": 7,
-            "refine_rounds": 2,
-            "thinking_budget": 512,
-        }
-    )
-    specs = {s.format() for _, s in config.matrix}
-    assert specs == {"ws", "ps:7", "ss:2", "is:512"}
-
-
 @pytest.mark.parametrize(
     "doc, fragment",
     [
@@ -84,12 +72,59 @@ def test_config_matrix_knobs():
         ({"models": [{"name": "m", "backend": "oracle"}],
           "matrix": [["CoT", "ws"], ["CoT", "qq:9"]]}, "matrix[1]"),
         ({"models": [{"name": "m", "backend": "oracle"}], "matrix": []}, "matrix"),
+        # the default grid is set by ``matrix`` alone
+        ({"models": [ORACLE], "parallel_n": 3}, "parallel_n: unknown key"),
+        ({"models": [ORACLE], "refine_rounds": 1}, "refine_rounds: unknown key"),
+        ({"models": [ORACLE], "matrix": [["AoT", "ps:0"]]}, "matrix[0]"),
+        ({"models": [ORACLE], "matrix": [["AoT", "ss:0"]]}, "matrix[0]"),
+        # malformed values
+        ({"models": [ORACLE], "seed": "x"}, "seed"),
+        ({"models": [ORACLE], "out_dir": 5}, "out_dir"),
+        ({"models": [ORACLE], "cache_path": 5}, "cache_path"),
+        ({"models": [ORACLE], "token_budget": "abc"}, "token_budget"),
+        ({"models": [ORACLE], "token_budget": 0}, "token_budget"),
+        ({"models": [ORACLE], "max_tokens": -1}, "max_tokens"),
+        ({"models": [ORACLE], "levels": 5}, "levels"),
+        ({"models": [ORACLE], "levels": [11]}, "levels"),
+        ({"models": [ORACLE], "levels": [True]}, "levels"),
+        ({"models": [ORACLE], "tasks": 5}, "tasks"),
+        ({"models": 5}, "models"),
+        ({"models": [ORACLE], "matrix": 5}, "matrix"),
+        ({"models": [ORACLE], "matrix": [5]}, "matrix[0]"),
+        ({"models": [ORACLE], "instance_count": True}, "instance_count"),
+        ({"models": [ORACLE], "concurrency": True}, "concurrency"),
+        ({"models": [{**ORACLE, "timeout_s": "x"}]}, "models[0].timeout_s"),
+        ({"models": [{**ORACLE, "timeout_s": 0}]}, "models[0].timeout_s"),
+        ({"models": [{**ORACLE, "requests_per_second": -1}]},
+         "models[0].requests_per_second"),
+        ({"models": [{**ORACLE, "script": "abc"}]}, "models[0].script"),
+        # duplicates, which would collide in the outcome log or the cache
+        ({"models": [ORACLE], "tasks": ["ThreeDM", "ThreeDM"]}, "tasks[1]"),
+        ({"models": [ORACLE], "levels": [3, 4, 3]}, "levels[2]"),
+        ({"models": [ORACLE], "matrix": [["AoT", "is"], ["AoT", "is:0"]]}, "matrix[1]"),
+        ({"models": [ORACLE, {**ORACLE, "model": "other"}]}, "models[1].name"),
+        ({"models": [ORACLE, {**ORACLE, "name": "n", "model": "m"}]}, "models[1].model"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
     with pytest.raises(ConfigError) as info:
         config_from_dict(doc)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "doc, prefix",
+    [
+        ({"models": [ORACLE], "levels": 5}, "error: levels:"),
+        ({"models": [ORACLE], "timeout_s": 1}, "error: timeout_s: unknown key"),
+        ({"models": [{**ORACLE, "timeout_s": "x"}]}, "error: models[0].timeout_s:"),
+    ],
+)
+def test_run_with_bad_config_exits_2(tmp_path, capsys, doc, prefix):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_validate_config_file_errors(tmp_path):
@@ -229,7 +264,7 @@ def test_cmd_chain_gen_solve_render_verify(tmp_path, monkeypatch, capsys):
         "solve", "--instances", "inst.jsonl", "--search", "dfs",
         "--out", "traces.jsonl",
     ]) == 0
-    traces = [json.loads(l) for l in open("traces.jsonl", encoding="utf-8")]
+    traces = [json.loads(l) for l in Path("traces.jsonl").read_text(encoding="utf-8").splitlines()]
     assert len(traces) == 2 and all(t["succeeded"] for t in traces)
     assert all(t["events"][-1]["action"] == "Success" for t in traces)
 
@@ -261,7 +296,7 @@ def test_cmd_solve_greedy_records_unsolvable_inputs(
         "solve", "--instances", "inst.jsonl", "--search", "greedy",
         "--out", "traces.jsonl",
     ]) == 0
-    traces = [json.loads(l) for l in open("traces.jsonl", encoding="utf-8")]
+    traces = [json.loads(l) for l in Path("traces.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [t["instance_id"] for t in traces] == [i.id for i in unsolvable_instances]
     for t in traces:
         assert t["search"] == "greedy"

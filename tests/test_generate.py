@@ -1,10 +1,15 @@
+import importlib
+import random
+
 import pytest
 
 from searchbench.answers import verify
 from searchbench.generate import (
     DIFFICULTY_TABLE,
     EXEMPLAR_LEVEL,
+    MAX_REGEN,
     GenSpec,
+    RegenBudgetExhaustedError,
     UnknownFixtureError,
     UnsupportedLevelError,
     exemplar_instance,
@@ -16,6 +21,9 @@ from searchbench.solver import count_trip_plans
 from searchbench.tasks import TaskKind, VerdictStatus
 
 from conftest import ENUMERABLE_LEVELS
+
+# The package re-exports the function ``generate`` under the module's name.
+generate_module = importlib.import_module("searchbench.generate")
 
 
 def test_generate_is_deterministic():
@@ -109,3 +117,44 @@ def test_fixture_contents(reference_trip):
 def test_unknown_fixture_rejected():
     with pytest.raises(UnknownFixtureError):
         load_fixture("no-such-fixture")
+
+
+# ---------------------------------------------------------------------------
+# The regeneration loop
+# ---------------------------------------------------------------------------
+
+
+def test_generate_gives_up_after_max_regen_attempts(monkeypatch):
+    calls = []
+
+    def never(level, rng):
+        calls.append(level)
+        return None
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, ("threedm", never))
+    with pytest.raises(RegenBudgetExhaustedError) as info:
+        generate(GenSpec(kind=TaskKind.THREE_DM, level=4, seed=123))
+    assert len(calls) == MAX_REGEN
+    message = str(info.value)
+    assert "ThreeDM" in message and "level 4" in message and "seed 123" in message
+
+
+@pytest.mark.parametrize("failures", [1, 3])
+def test_generate_returns_the_first_accepted_attempt(monkeypatch, failures):
+    salt, build = generate_module._BUILDERS[TaskKind.VERTEX_COVER]
+    calls = 0
+
+    def flaky(level, rng):
+        nonlocal calls
+        calls += 1
+        return None if calls <= failures else build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.VERTEX_COVER, (salt, flaky))
+    inst = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=7))
+    assert calls == failures + 1
+
+    def attempt(k):
+        return build(3, random.Random(generate_module._subseed(7, k, salt)))
+
+    assert (inst.payload, inst.ground_truth) == attempt(failures)
+    assert inst.payload != attempt(0)[0]

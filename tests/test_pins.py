@@ -15,7 +15,7 @@ caches, so a failure here is a format change, not a test to update.
 import hashlib
 import json
 
-from searchbench.generate import EXEMPLAR_LEVEL, GenSpec, exemplar_instance, generate
+from searchbench.generate import GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
     PromptMode,
@@ -41,7 +41,7 @@ def _grid():
             for seed in GRID_SEEDS:
                 yield generate(GenSpec(kind=kind, level=level, seed=seed))
         for index in range(DIRECT_SHOT_COUNT):
-            yield exemplar_instance(kind, index, EXEMPLAR_LEVEL)
+            yield exemplar_instance(kind, index)
 
 
 def prompt_digests() -> dict[str, str]:

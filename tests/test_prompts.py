@@ -72,7 +72,6 @@ def test_direct_bundle_fields(reference_trip):
     exemplars = default_exemplars(reference_trip.kind, PromptMode.DIRECT)
     bundle = render(reference_trip, PromptMode.DIRECT, exemplars)
     assert bundle.mode is PromptMode.DIRECT
-    assert bundle.shot_count == 5
     assert bundle.round_index == 0
     assert bundle.target_id == reference_trip.id
     assert len(bundle.exemplar_ids) == 5
@@ -85,7 +84,7 @@ def test_direct_bundle_fields(reference_trip):
 def test_worked_modes_use_one_exemplar(reference_trip):
     for mode in (PromptMode.COT, PromptMode.AOT):
         bundle = render(reference_trip, mode, default_exemplars(reference_trip.kind, mode))
-        assert bundle.shot_count == 1
+        assert len(bundle.exemplar_ids) == 1
         assert bundle.body.count("### Target Question ###") == 1
         assert "Thinking Process:" in bundle.body
 
@@ -119,7 +118,7 @@ def test_exemplar_solution_parses_back():
         body = render(
             generate(GenSpec(kind=kind, level=3, seed=21)), PromptMode.COT, [(ex, trace)]
         ).body
-        report = parse_answer(kind, body.split("### Target Question ###")[0], ex.payload)
+        report = parse_answer(ex.payload, body.split("### Target Question ###")[0])
         assert report.candidate is not None
 
 
@@ -129,7 +128,7 @@ def test_exemplar_solution_parses_back():
 
 
 def test_wrong_trace_mode_rejected(reference_trip):
-    ex = exemplar_instance(reference_trip.kind, 0, EXEMPLAR_LEVEL)
+    ex = exemplar_instance(reference_trip.kind, 0)
     greedy, dfs = solve(ex, SearchMode.GREEDY), solve(ex, SearchMode.DFS)
     with pytest.raises(WrongTraceMode):
         render(reference_trip, PromptMode.COT, [(ex, dfs)])
@@ -138,7 +137,7 @@ def test_wrong_trace_mode_rejected(reference_trip):
 
 
 def test_unsuccessful_trace_rejected(reference_trip):
-    ex = exemplar_instance(reference_trip.kind, 0, EXEMPLAR_LEVEL)
+    ex = exemplar_instance(reference_trip.kind, 0)
     trace = solve(ex, SearchMode.DFS)
     failed = type(trace)(
         kind=trace.kind,

@@ -212,13 +212,13 @@ def test_every_strategy_succeeds_against_oracle(sample_instances):
 
 
 def test_default_matrix_shape():
-    grid = default_matrix(n=5, rounds=2, thinking_budget=1234)
+    grid = default_matrix()
     assert len(grid) == 12
     specs = [strategy.format() for _, strategy in grid]
     assert specs[0:3] == ["ws"] * 3
-    assert specs[3:6] == ["ps:5"] * 3
-    assert specs[6:9] == ["ss:2"] * 3
-    assert specs[9:12] == ["is:1234"] * 3
+    assert specs[3:6] == ["ps:3"] * 3
+    assert specs[6:9] == ["ss:1"] * 3
+    assert specs[9:12] == ["is"] * 3
     modes = [mode for mode, _ in grid]
     assert modes[0:3] == [PromptMode.DIRECT, PromptMode.COT, PromptMode.AOT]
     assert modes == modes[0:3] * 4

@@ -1,11 +1,8 @@
 import dataclasses
-import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from searchbench.tasks import (
-    EmptyInputError,
     KindMismatchError,
     ProblemInstance,
     TaskKind,
@@ -17,7 +14,6 @@ from searchbench.tasks import (
     payload_kind,
     read_instances,
     solution_kind,
-    success_rate,
     write_instances,
 )
 
@@ -66,33 +62,6 @@ def test_trip_payload_accessors(reference_trip):
     assert not payload.has_flight("Vilnius", "Riga")  # one-way pair
     assert payload.has_flight("Edinburgh", "Milan")
     assert payload.has_flight("Milan", "Edinburgh")
-
-
-def _verdicts(wins, losses):
-    return [Verdict(status=VerdictStatus.SUCCESS)] * wins + [
-        Verdict(status=VerdictStatus.WRONG_ANSWER)
-    ] * losses
-
-
-def test_success_rate_basic():
-    assert success_rate(_verdicts(21, 79)) == 0.21
-    assert success_rate(_verdicts(0, 100)) == 0.0
-    assert success_rate(_verdicts(40, 60)) == 0.40
-
-
-def test_success_rate_rejects_empty():
-    with pytest.raises(EmptyInputError):
-        success_rate([])
-
-
-@given(wins=st.integers(0, 50), losses=st.integers(0, 50), seed=st.integers(0, 10**6))
-def test_success_rate_permutation_invariant(wins, losses, seed):
-    if wins + losses == 0:
-        return
-    verdicts = _verdicts(wins, losses)
-    shuffled = verdicts[:]
-    random.Random(seed).shuffle(shuffled)
-    assert success_rate(shuffled) == success_rate(verdicts)
 
 
 def test_minutes_to_clock():
