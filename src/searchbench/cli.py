@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import __version__
 from .answers import evaluate
 from .gateway import (
+    DIALECTS,
     HttpBackend,
     MockBackend,
     ModelGateway,
@@ -46,7 +47,7 @@ from .prompts import (
     estimate_tokens,
     render,
 )
-from .reporting import RunReport, aggregate, emit
+from .reporting import ReportError, RunReport, aggregate, emit
 from .scaling import RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
@@ -169,6 +170,10 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
         doc, "script", [], lambda v: _is_list(v) and all(isinstance(s, str) for s in v),
         "a list of strings", where + ".",
     )
+    for key in ("model", "url", "api_key_env"):
+        _checked(doc, key, "", lambda v: isinstance(v, str), "a string", where + ".")
+    _checked(doc, "dialect", "anthropic", lambda v: v in sorted(DIALECTS),
+             f"one of {sorted(DIALECTS)}", where + ".")
     return ModelConfig(
         name=name,
         backend=backend,
@@ -251,9 +256,7 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         matrix = tuple(default_matrix())
     if not matrix:
         raise ConfigError("matrix: must not be empty")
-    # Outcomes are stored under (mode, formatted strategy): "is" and "is:0"
-    # name one cell.
-    _reject_duplicates("matrix", [(mode.value, s.format()) for mode, s in matrix])
+    _reject_duplicates("matrix", matrix)
 
     return RunConfig(
         tasks=tasks,
@@ -326,13 +329,14 @@ def build_backend(model: ModelConfig, instances: Sequence[ProblemInstance]):
     )
 
 
-def _outcome_record(model: str, outcome: RunOutcome) -> dict:
+def _outcome_record(outcome: RunOutcome) -> dict:
     return {
-        "model": model,
+        "model": outcome.model,
         "instance_id": outcome.instance_id,
         "task": outcome.task.value,
+        "level": outcome.level,
         "mode": outcome.mode.value,
-        "strategy": outcome.strategy,
+        "strategy": outcome.strategy.format(),
         "final": {
             "status": outcome.final.status.value,
             "reason": outcome.final.reason,
@@ -350,39 +354,46 @@ def _outcome_record(model: str, outcome: RunOutcome) -> dict:
     }
 
 
-def _outcome_from_record(record: dict) -> tuple[str, RunOutcome]:
-    final = Verdict(
-        status=VerdictStatus(record["final"]["status"]),
-        reason=record["final"].get("reason", ""),
-    )
-    outcome = RunOutcome(
-        instance_id=record["instance_id"],
-        task=TaskKind(record["task"]),
-        mode=PromptMode(record["mode"]),
-        strategy=record["strategy"],
+def _outcome_from_record(record) -> RunOutcome:
+    """Inverse of ``_outcome_record`` without the attempts; a ReportError
+    names the key that is missing or holds an unknown value."""
+
+    def get(key: str, convert: Callable, doc=record):
+        try:
+            return convert(doc[key])
+        except KeyError:
+            raise ReportError(f"missing key {key!r}") from None
+        except (TypeError, ValueError, TaskError) as err:
+            raise ReportError(f"{key}: {err}") from None
+
+    final = get("final", dict)
+    return RunOutcome(
+        instance_id=get("instance_id", str),
+        task=get("task", TaskKind),
+        level=get("level", int),
+        model=get("model", str),
+        mode=get("mode", PromptMode),
+        strategy=get("strategy", lambda v: ScalingStrategy.parse(str(v))),
         attempts=(),
-        final=final,
+        final=Verdict(get("status", VerdictStatus, final), final.get("reason", "")),
     )
-    return record["model"], outcome
 
 
-def _aggregate_models(
-    per_model: Mapping[str, list[RunOutcome]],
-    run_meta: Mapping[str, object],
-    expected_per_cell: int | None,
-) -> RunReport:
-    cells: list = []
-    incomplete: list[str] = []
-    for model in sorted(per_model):
-        part = aggregate(
-            per_model[model], model=model, expected_per_cell=expected_per_cell
-        )
-        cells.extend(part.cells)
-        incomplete.extend(part.incomplete)
-    cells.sort(key=lambda c: c.sort_key())
-    return RunReport(
-        cells=tuple(cells), run_meta=dict(run_meta), incomplete=tuple(incomplete)
-    )
+def read_outcomes(path: str | Path) -> list[RunOutcome]:
+    """A run's outcome log; a line that cannot be read is a ReportError
+    naming its line number."""
+    outcomes = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                outcomes.append(_outcome_from_record(json.loads(line)))
+            except json.JSONDecodeError as err:
+                raise ReportError(f"{path}:{number}: not JSON ({err})") from None
+            except ReportError as err:
+                raise ReportError(f"{path}:{number}: {err}") from None
+    return outcomes
 
 
 def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
@@ -418,50 +429,33 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     echo(f"executing {len(units)} cell-instance unit(s) "
          f"with concurrency {config.concurrency} ...")
 
-    def work(unit) -> tuple[str, RunOutcome]:
+    def work(unit) -> RunOutcome:
         model, instance, mode, strategy = unit
-        bundle = bundles[(instance.id, mode)]
-        try:
-            outcome = execute(
-                gateways[model.name],
-                instance,
-                bundle,
-                strategy,
-                model=model.model,
-                max_tokens=config.max_tokens,
-            )
-        except TaskError as err:
-            outcome = RunOutcome(
-                instance_id=instance.id,
-                task=instance.kind,
-                mode=mode,
-                strategy=strategy.format(),
-                attempts=(),
-                final=Verdict(status=VerdictStatus.BACKEND_ERROR, reason=str(err)),
-            )
-        return model.name, outcome
+        return execute(
+            gateways[model.name],
+            instance,
+            bundles[(instance.id, mode)],
+            strategy,
+            model=model.model,
+            max_tokens=config.max_tokens,
+            name=model.name,
+        )
 
-    per_model: dict[str, list[RunOutcome]] = {m.name: [] for m in config.models}
     with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        for model_name, outcome in pool.map(work, units):
-            per_model[model_name].append(outcome)
+        outcomes = list(pool.map(work, units))
 
-    log_path = out_dir / "outcomes.jsonl"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        for model_name in sorted(per_model):
-            for outcome in sorted(
-                per_model[model_name],
-                key=lambda o: (o.task.value, o.mode.value, o.strategy, o.instance_id),
-            ):
-                fh.write(json.dumps(_outcome_record(model_name, outcome),
-                                    sort_keys=True) + "\n")
+    with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
+        for outcome in sorted(outcomes, key=lambda o: (
+            o.model, o.task.value, o.level, o.mode.value, o.strategy.format(),
+            o.instance_id,
+        )):
+            fh.write(json.dumps(_outcome_record(outcome), sort_keys=True) + "\n")
 
     cache_stats = {
         name: gw.cache_stats for name, gw in sorted(gateways.items())
     }
     run_meta = {
         "version": __version__,
-        "level": config.levels[0] if len(config.levels) == 1 else "mixed",
         "config": {
             "tasks": [k.value for k in config.tasks],
             "levels": list(config.levels),
@@ -479,9 +473,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),
     }
-    report = _aggregate_models(
-        per_model, run_meta, expected_per_cell=config.instance_count
-    )
+    report = aggregate(outcomes, run_meta, expected_per_cell=config.instance_count)
     paths = emit(report, out_dir)
     echo(f"report written to {paths['report']}")
     return report
@@ -613,19 +605,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    per_model: dict[str, list[RunOutcome]] = {}
-    with open(args.outcomes, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            model, outcome = _outcome_from_record(json.loads(line))
-            per_model.setdefault(model, []).append(outcome)
-    run_meta: dict[str, object] = {}
-    if args.level is not None:
-        run_meta["level"] = args.level
-    report = _aggregate_models(per_model, run_meta, expected_per_cell=None)
-    paths = emit(report, args.out or "out")
+    paths = emit(aggregate(read_outcomes(args.outcomes)), args.out or "out")
     print(f"report written to {paths['report']}")
     return 0
 
@@ -688,8 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", parents=[out], help="re-emit reports")
     p_report.add_argument("--outcomes", required=True, help="outcomes JSONL")
-    p_report.add_argument("--level", type=int, default=None,
-                          help="difficulty level for table captions")
     p_report.set_defaults(func=_cmd_report)
 
     return parser

@@ -1,14 +1,14 @@
 """Aggregate run outcomes into ablation matrices and emit report files.
 
-One ``AblationCell`` is one (task, model, prompt mode, strategy) group:
-how many of its instances verified.  ``emit`` writes four artifacts into an
-output directory:
+One ``AblationCell`` is one (task, level, model, prompt mode, strategy)
+group: how many of its instances verified.  ``emit`` writes four artifacts
+into an output directory:
 
-* ``report.md``          -- one success-rate table per task, strategy rows
-  by prompt-mode columns, one row block per model.
+* ``report.md``          -- one success-rate table per (task, level),
+  strategy rows by prompt-mode columns, one row block per model.
 * ``cells.csv``          -- one row per cell, raw counts plus the ratio.
 * ``plotdata/<task>.csv`` -- per-task line-graph series over the twelve
-  mode-strategy configurations.
+  mode-strategy configurations, one series per (level, model).
 * ``run_meta.json``      -- config snapshot, seeds, cache statistics and
   timestamps.  Everything volatile lives here and only here, so the other
   three files are byte-identical when a run is replayed from cache.
@@ -75,6 +75,7 @@ class AblationCell:
     """One table cell: success count over instance count."""
 
     task: TaskKind
+    level: int
     model: str
     prompt_mode: PromptMode
     strategy: ScalingStrategy
@@ -104,6 +105,7 @@ class AblationCell:
     def sort_key(self) -> tuple:
         return (
             TASK_ORDER.index(self.task),
+            self.level,
             self.model,
             _STRATEGY_ORDER.index(self.strategy.kind),
             _MODE_ORDER.index(self.prompt_mode),
@@ -119,7 +121,6 @@ class RunReport:
 
 def aggregate(
     outcomes: Iterable[RunOutcome],
-    model: str,
     run_meta: Mapping[str, object] | None = None,
     expected_per_cell: int | None = None,
 ) -> RunReport:
@@ -128,32 +129,30 @@ def aggregate(
     ``expected_per_cell`` flags under-filled cells in ``incomplete``
     (reported, not fatal), so partial runs still produce a report.
     """
-    groups: dict[tuple, list[RunOutcome]] = {}
-    seen: set[tuple] = set()
+    groups: dict[tuple, dict[str, RunOutcome]] = {}
     for outcome in outcomes:
-        strategy = ScalingStrategy.parse(outcome.strategy)
-        key = (outcome.task, model, outcome.mode, strategy)
-        identity = (outcome.task, outcome.mode, outcome.strategy, outcome.instance_id)
-        if identity in seen:
-            raise ReportError(f"duplicate outcome for {identity}")
-        seen.add(identity)
-        groups.setdefault(key, []).append(outcome)
+        key = (outcome.task, outcome.level, outcome.model, outcome.mode, outcome.strategy)
+        group = groups.setdefault(key, {})
+        if outcome.instance_id in group:
+            raise ReportError(f"duplicate outcome for {key + (outcome.instance_id,)}")
+        group[outcome.instance_id] = outcome
 
     cells = []
     incomplete = []
-    for (task, model_name, mode, strategy), group in groups.items():
+    for (task, level, model, mode, strategy), group in groups.items():
         cell = AblationCell(
             task=task,
-            model=model_name,
+            level=level,
+            model=model,
             prompt_mode=mode,
             strategy=strategy,
-            successes=sum(1 for o in group if o.success),
+            successes=sum(1 for o in group.values() if o.success),
             total=len(group),
         )
         cells.append(cell)
         if expected_per_cell is not None and cell.total != expected_per_cell:
             incomplete.append(
-                f"{task.value}/{model_name}/{mode.value}/{strategy.format()}: "
+                f"{task.value}/L{level}/{model}/{mode.value}/{strategy.format()}: "
                 f"{cell.total} of {expected_per_cell} instances"
             )
     cells.sort(key=AblationCell.sort_key)
@@ -170,24 +169,19 @@ def aggregate(
 
 
 def render_report_md(report: RunReport) -> str:
-    """The human-readable tables; deterministic given the same cells."""
-    level = report.run_meta.get("level", 10)
+    """The human-readable tables, one per (task, level); deterministic
+    given the same cells."""
     lines = ["# Success-rate ablation", ""]
     if report.incomplete:
         lines.append("**Incomplete cells:**")
         lines.extend(f"- {note}" for note in report.incomplete)
         lines.append("")
 
-    by_task: dict[TaskKind, list[AblationCell]] = {}
-    for cell in report.cells:
-        by_task.setdefault(cell.task, []).append(cell)
+    tables: dict[tuple[TaskKind, int], list[AblationCell]] = {}
+    for cell in sorted(report.cells, key=AblationCell.sort_key):
+        tables.setdefault((cell.task, cell.level), []).append(cell)
 
-    table_no = 0
-    for task in TASK_ORDER:
-        cells = by_task.get(task)
-        if not cells:
-            continue
-        table_no += 1
+    for table_no, ((task, level), cells) in enumerate(tables.items(), 1):
         lines.append(
             f"## Table {table_no}: Performance on *{TASK_DISPLAY[task]}* "
             f"(Difficulty Level = {level})"
@@ -217,7 +211,8 @@ def render_report_md(report: RunReport) -> str:
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-CSV_COLUMNS = ("task", "model", "prompt_mode", "strategy", "successes", "total", "rate")
+CSV_COLUMNS = ("task", "level", "model", "prompt_mode", "strategy", "successes", "total",
+               "rate")
 
 
 def write_cells_csv(report: RunReport, path: Path) -> None:
@@ -228,6 +223,7 @@ def write_cells_csv(report: RunReport, path: Path) -> None:
             writer.writerow(
                 [
                     cell.task.value,
+                    cell.level,
                     cell.model,
                     cell.prompt_mode.value,
                     cell.strategy.format(),
@@ -245,6 +241,7 @@ def read_cells_csv(path: Path) -> list[AblationCell]:
         for row in csv.DictReader(fh):
             cell = AblationCell(
                 task=TaskKind(row["task"]),
+                level=int(row["level"]),
                 model=row["model"],
                 prompt_mode=PromptMode(row["prompt_mode"]),
                 strategy=ScalingStrategy.parse(row["strategy"]),
@@ -258,7 +255,8 @@ def read_cells_csv(path: Path) -> list[AblationCell]:
 
 
 def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
-    """Per-task series of (configuration, model, rate) in line-graph order."""
+    """Per-task series of (configuration, level, model, rate), one series
+    per (level, model), each in line-graph order."""
     directory.mkdir(parents=True, exist_ok=True)
     by_task: dict[TaskKind, list[AblationCell]] = {}
     for cell in report.cells:
@@ -270,12 +268,12 @@ def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
             continue
         path = directory / f"{task.value}.csv"
         order = {label: i for i, label in enumerate(PLOT_CONFIGURATIONS)}
-        rows = sorted(cells, key=lambda c: (order[c.configuration], c.model))
+        rows = sorted(cells, key=lambda c: (c.level, order[c.configuration], c.model))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["configuration", "model", "rate"])
+            writer.writerow(["configuration", "level", "model", "rate"])
             for cell in rows:
-                writer.writerow([cell.configuration, cell.model, repr(cell.rate)])
+                writer.writerow([cell.configuration, cell.level, cell.model, repr(cell.rate)])
         written.append(path)
     return written
 

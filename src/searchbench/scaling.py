@@ -81,7 +81,8 @@ class ScalingStrategy:
             if rounds < 1:
                 raise ScalingSpecError("ss needs at least one refinement round")
             return cls(kind, rounds=rounds)
-        return cls(kind, thinking_budget=arg)
+        # ``is:0`` sets no budget, so it is the same cell and request as ``is``.
+        return cls(kind, thinking_budget=arg or None)
 
     def format(self) -> str:
         if self.kind is ScalingKind.PARALLEL:
@@ -115,12 +116,15 @@ class Attempt:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Everything one cell of the ablation produced for one instance."""
+    """Everything one cell of the ablation produced for one instance; the
+    cell's key is ``(task, level, model, mode, strategy)``."""
 
     instance_id: str
     task: TaskKind
+    level: int
+    model: str
     mode: PromptMode
-    strategy: str
+    strategy: ScalingStrategy
     attempts: tuple[Attempt, ...]
     final: Verdict
 
@@ -156,8 +160,14 @@ def execute(
     strategy: ScalingStrategy,
     model: str,
     max_tokens: int = 4096,
+    name: str | None = None,
 ) -> RunOutcome:
-    """Run one strategy for one instance and judge every answer it produces."""
+    """Run one strategy for one instance and judge every answer it produces.
+
+    Requests carry the provider id ``model``; the outcome is filed under the
+    table name ``name`` (default ``model``).  A ``TaskError`` on the way
+    becomes a ``BackendError`` verdict with no attempts.
+    """
     attempts: list[Attempt] = []
 
     def call(
@@ -178,36 +188,41 @@ def execute(
         return attempt
 
     base_messages = (("user", bundle.body),)
-
-    if strategy.kind is ScalingKind.PARALLEL:
-        final = None
-        for i in range(strategy.n):
-            attempt = call(base_messages, round_index=0, sample_index=i)
-            if final is None and attempt.verdict.status is VerdictStatus.SUCCESS:
-                final = attempt.verdict
-        if final is None:
-            final = attempts[-1].verdict
-    elif strategy.kind is ScalingKind.SEQUENTIAL:
-        attempt = call(base_messages, round_index=0)
-        history = list(base_messages)
-        current_bundle = bundle
-        while (
-            attempt.verdict.status is not VerdictStatus.SUCCESS
-            and attempt.round_index < strategy.rounds
-        ):
-            history.append(("assistant", attempt.text))
-            current_bundle = render_refine(current_bundle, attempt.text)
-            history.append(("user", current_bundle.body))
-            attempt = call(tuple(history), round_index=current_bundle.round_index)
-        final = attempt.verdict
-    else:  # NO_SCALING and INTERNAL: a single call
-        final = call(base_messages, round_index=0).verdict
+    try:
+        if strategy.kind is ScalingKind.PARALLEL:
+            final = None
+            for i in range(strategy.n):
+                attempt = call(base_messages, round_index=0, sample_index=i)
+                if final is None and attempt.verdict.status is VerdictStatus.SUCCESS:
+                    final = attempt.verdict
+            if final is None:
+                final = attempts[-1].verdict
+        elif strategy.kind is ScalingKind.SEQUENTIAL:
+            attempt = call(base_messages, round_index=0)
+            history = list(base_messages)
+            current_bundle = bundle
+            while (
+                attempt.verdict.status is not VerdictStatus.SUCCESS
+                and attempt.round_index < strategy.rounds
+            ):
+                history.append(("assistant", attempt.text))
+                current_bundle = render_refine(current_bundle, attempt.text)
+                history.append(("user", current_bundle.body))
+                attempt = call(tuple(history), round_index=current_bundle.round_index)
+            final = attempt.verdict
+        else:  # NO_SCALING and INTERNAL: a single call
+            final = call(base_messages, round_index=0).verdict
+    except TaskError as err:
+        attempts.clear()
+        final = Verdict(VerdictStatus.BACKEND_ERROR, reason=str(err))
 
     return RunOutcome(
         instance_id=instance.id,
         task=instance.kind,
+        level=instance.level,
+        model=name or model,
         mode=bundle.mode,
-        strategy=strategy.format(),
+        strategy=strategy,
         attempts=tuple(attempts),
         final=final,
     )

@@ -19,8 +19,6 @@ from searchbench.generate import GenSpec, generate
 from searchbench.gateway import MockBackend, ModelGateway
 from searchbench.prompts import PromptMode, default_exemplars, render
 from searchbench.reporting import (
-    AblationCell,
-    RunReport,
     aggregate,
     read_cells_csv,
     render_report_md,
@@ -137,7 +135,7 @@ def test_04_fixed_verdict_sets_render_exact_cell_strings():
         },
     }
     modes = (PromptMode.DIRECT, PromptMode.COT, PromptMode.AOT)
-    per_model: dict[str, list[RunOutcome]] = {"model-a": [], "model-b": []}
+    outcomes: list[RunOutcome] = []
     for task, blocks in data.items():
         for model, rows in blocks.items():
             for spec, counts in rows.items():
@@ -148,22 +146,20 @@ def test_04_fixed_verdict_sets_render_exact_cell_strings():
                             if i < successes
                             else Verdict(VerdictStatus.WRONG_ANSWER, "off")
                         )
-                        per_model[model].append(
+                        outcomes.append(
                             RunOutcome(
                                 instance_id=f"{task.value}-L10-s{i}",
                                 task=task,
+                                level=10,
+                                model=model,
                                 mode=mode,
-                                strategy=spec,
+                                strategy=ScalingStrategy.parse(spec),
                                 attempts=(),
                                 final=verdict,
                             )
                         )
 
-    parts = [aggregate(per_model[m], model=m) for m in sorted(per_model)]
-    cells = tuple(
-        sorted((c for p in parts for c in p.cells), key=AblationCell.sort_key)
-    )
-    text = render_report_md(RunReport(cells=cells, run_meta={"level": 10}))
+    text = render_report_md(aggregate(outcomes))
 
     for required in (
         "21/100 = 21%", "31/100 = 31%",   # table 1

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from searchbench import __version__
 from searchbench.answers import canonical_text
 from searchbench.cli import (
     ConfigError,
@@ -104,6 +106,12 @@ def test_config_defaults():
         ({"models": [ORACLE], "matrix": [["AoT", "is"], ["AoT", "is:0"]]}, "matrix[1]"),
         ({"models": [ORACLE, {**ORACLE, "model": "other"}]}, "models[1].name"),
         ({"models": [ORACLE, {**ORACLE, "name": "n", "model": "m"}]}, "models[1].model"),
+        # the other keys of a model block are typed as well
+        ({"models": [{**ORACLE, "dialect": "foo"}]}, "models[0].dialect"),
+        ({"models": [{**ORACLE, "dialect": ["openai"]}]}, "models[0].dialect"),
+        ({"models": [{**ORACLE, "model": 5}]}, "models[0].model"),
+        ({"models": [{"name": "m", "backend": "http", "url": 5}]}, "models[0].url"),
+        ({"models": [{**ORACLE, "api_key_env": None}]}, "models[0].api_key_env"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
@@ -118,6 +126,7 @@ def test_config_rejects_bad_documents(doc, fragment):
         ({"models": [ORACLE], "levels": 5}, "error: levels:"),
         ({"models": [ORACLE], "timeout_s": 1}, "error: timeout_s: unknown key"),
         ({"models": [{**ORACLE, "timeout_s": "x"}]}, "error: models[0].timeout_s:"),
+        ({"models": [{**ORACLE, "dialect": "foo"}]}, "error: models[0].dialect:"),
     ],
 )
 def test_run_with_bad_config_exits_2(tmp_path, capsys, doc, prefix):
@@ -161,7 +170,7 @@ def test_run_oracle_end_to_end(tmp_path):
     assert (out / "plotdata" / "TripPlanning.csv").exists()
 
     meta = json.loads((out / "run_meta.json").read_text(encoding="utf-8"))
-    assert meta["level"] == 3
+    assert "level" not in meta and meta["config"]["levels"] == [3]
     assert meta["config"]["instance_count"] == 2
     assert "m-oracle" in meta["cache_stats"]
     assert meta["cache_stats"]["m-oracle"]["misses"] > 0
@@ -230,6 +239,35 @@ def test_run_merges_models_alphabetically(tmp_path):
     assert rates == {"alpha-oracle": 1.0, "zeta-mock": 0.0}
     text = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
     assert text.index("alpha-oracle") < text.index("zeta-mock")
+
+
+def test_run_keys_cells_by_level(tmp_path):
+    doc = _doc(tmp_path, levels=[3, 4], models=[
+        {"name": "m-oracle", "backend": "oracle", "model": "provider-id"},
+    ])
+    report = run(config_from_dict(doc), echo=QUIET)
+    assert [c.level for c in report.cells] == [3] * 4 + [4] * 4
+    assert all(c.label == "2/2 = 100%" and c.model == "m-oracle" for c in report.cells)
+    assert report.incomplete == ()
+
+    out = tmp_path / "out"
+    text = (out / "report.md").read_text(encoding="utf-8")
+    assert "Incomplete" not in text
+    assert "## Table 1: Performance on *Trip Planning* (Difficulty Level = 3)" in text
+    assert "## Table 2: Performance on *Trip Planning* (Difficulty Level = 4)" in text
+    assert text.count("## Table") == 2 and text.count("2/2 = 100%") == 8
+    records = [json.loads(l) for l in (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert sorted({(r["level"], r["instance_id"]) for r in records}) == [
+        (3, "TripPlanning-L3-s0"), (3, "TripPlanning-L3-s1"),
+        (4, "TripPlanning-L4-s0"), (4, "TripPlanning-L4-s1"),
+    ]
+    assert all(r["model"] == "m-oracle" for r in records)
+    plot = (out / "plotdata" / "TripPlanning.csv").read_text(encoding="utf-8").splitlines()
+    assert plot[0] == "configuration,level,model,rate"
+    assert [row.split(",")[1] for row in plot[1:]] == ["3"] * 4 + ["4"] * 4
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--out", str(rebuilt)]) == 0
+    assert (rebuilt / "report.md").read_text(encoding="utf-8") == text
 
 
 def test_dry_run_counts_without_backend_calls(tmp_path):
@@ -324,11 +362,38 @@ def test_cmd_run_and_report_round_trip(tmp_path, capsys):
     rebuilt = tmp_path / "rebuilt"
     assert main([
         "report", "--outcomes", str(tmp_path / "out" / "outcomes.jsonl"),
-        "--level", "3", "--out", str(rebuilt),
+        "--out", str(rebuilt),
     ]) == 0
-    original = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
-    rebuilt_text = (rebuilt / "report.md").read_text(encoding="utf-8")
-    assert rebuilt_text == original
+    for name in ("report.md", "cells.csv", "plotdata/TripPlanning.csv"):
+        original = (tmp_path / "out" / name).read_text(encoding="utf-8")
+        assert (rebuilt / name).read_text(encoding="utf-8") == original, name
+
+
+_RECORD = {
+    "attempts": [], "final": {"reason": "", "status": "Success"},
+    "instance_id": "TripPlanning-L3-s0", "level": 3, "mode": "CoT", "model": "m",
+    "strategy": "ws", "task": "TripPlanning",
+}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{not json", ":2: not JSON"),
+    (json.dumps({k: v for k, v in _RECORD.items() if k != "level"}), ":2: missing key 'level'"),
+    (json.dumps({**_RECORD, "final": {"status": "Maybe"}}), ":2: status: 'Maybe'"),
+    (json.dumps({**_RECORD, "strategy": "qq:1"}), ":2: strategy: bad strategy 'qq:1'"),
+    (json.dumps({**_RECORD, "level": "high"}), ":2: level:"),
+    ("[1, 2]", ":2: final:"),
+], ids=["bad-json", "no-level", "unknown-status", "unknown-strategy", "level-not-int",
+        "not-an-object"])
+def test_cmd_report_rejects_unreadable_records(tmp_path, capsys, line, message):
+    log = tmp_path / "outcomes.jsonl"
+    log.write_text(json.dumps({**_RECORD, "instance_id": "TripPlanning-L3-s1"}) + "\n"
+                   + line + "\n", encoding="utf-8")
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--outcomes", str(log), "--out", str(rebuilt)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}{message}"), err
+    assert not rebuilt.exists()
 
 
 def test_cmd_run_dry_run_flag(tmp_path, capsys):
@@ -373,6 +438,7 @@ def test_main_exit_codes(tmp_path, capsys):
     ["solve", "--instances", "i.jsonl", "--config", "c.json"],
     ["render", "--instances", "i.jsonl", "--mode", "AoT", "--seed", "1"],
     ["report", "--outcomes", "o.jsonl", "--dry-run"],
+    ["report", "--outcomes", "o.jsonl", "--level", "3"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -395,3 +461,13 @@ def test_benchmark_tracer_wraps_every_layer_name():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_python_dash_m_searchbench_runs_the_cli_without_warnings():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "searchbench", "--version"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, __version__, "")

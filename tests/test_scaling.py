@@ -3,11 +3,13 @@ import pytest
 from searchbench.answers import canonical_text
 from searchbench.gateway import MockBackend, ModelGateway, OracleBackend
 from searchbench.prompts import PromptMode, default_exemplars, render
+from searchbench.gateway import canonical_digest
 from searchbench.scaling import (
     TEMPERATURES,
     ScalingKind,
     ScalingSpecError,
     ScalingStrategy,
+    _request,
     default_matrix,
     execute,
 )
@@ -63,6 +65,18 @@ def test_format_round_trips():
     for spec in ("ws", "ps:3", "ps:7", "ss:1", "ss:2", "is", "is:8000"):
         assert ScalingStrategy.parse(spec).format() == spec
         assert ScalingStrategy.parse(ScalingStrategy.parse(spec).format()) == ScalingStrategy.parse(spec)
+    for spec in ("ps", "ss", "is:0", " IS:0 "):
+        strategy = ScalingStrategy.parse(spec)
+        assert ScalingStrategy.parse(strategy.format()) == strategy
+
+
+def test_is_0_is_the_is_cell_and_request(trip_cell):
+    _, bundle = trip_cell
+    zero, plain = ScalingStrategy.parse("is:0"), ScalingStrategy.parse("is")
+    assert zero == plain and zero.thinking_budget is None
+    messages = (("user", bundle.body),)
+    requests = [_request(bundle, "m", s, 4096, messages) for s in (zero, plain)]
+    assert canonical_digest(requests[0]) == canonical_digest(requests[1])
 
 
 def test_short_labels_and_temperatures():
@@ -94,7 +108,8 @@ def test_no_scaling_single_call(trip_cell):
     assert request.temperature == 0.0
     assert request.thinking is False
     assert request.messages == (("user", bundle.body),)
-    assert outcome.strategy == "ws"
+    assert outcome.strategy == ScalingStrategy.parse("ws")
+    assert (outcome.level, outcome.model) == (inst.level, "m")
     assert outcome.mode is PromptMode.COT
     assert outcome.instance_id == inst.id
 
@@ -109,7 +124,16 @@ def test_internal_scaling_sets_thinking(trip_cell):
     request = backend.calls[0]
     assert request.thinking is True
     assert request.thinking_budget == 9000
-    assert outcome.strategy == "is:9000"
+    assert outcome.strategy == ScalingStrategy.parse("is:9000")
+
+
+def test_outcome_is_filed_under_the_name_requests_under_the_model_id(trip_cell):
+    inst, bundle = trip_cell
+    backend = MockBackend([_right(inst)])
+    outcome = execute(ModelGateway(backend), inst, bundle, ScalingStrategy.parse("ws"),
+                      model="provider-id", name="table-name")
+    assert backend.calls[0].model == "provider-id"
+    assert outcome.model == "table-name"
 
 
 # ---------------------------------------------------------------------------
