@@ -6,7 +6,11 @@ Each digest changes only with a format change recorded in CHANGES.md:
   against one fixed target per task;
 * ``instance_to_record`` and ``trace_to_records`` of the depth-first and the
   greedy trace over a small grid that covers every task and includes the
-  exemplar instances the prompts embed.
+  exemplar instances the prompts embed;
+* both traces of hand-built unsolvable payloads.  The generator emits only
+  solvable instances, so these alone reach the failure paths: every child
+  pruned, a dead end below the root, Trip's root loop and Meeting's
+  zero-target exit.
 
 A prompt change alters every request digest and orphans existing response
 caches, so a failure here is a format change, not a test to update.
@@ -23,8 +27,8 @@ from searchbench.prompts import (
     default_exemplars,
     render,
 )
-from searchbench.solver import SearchMode, solve, trace_to_records
-from searchbench.tasks import TaskKind, instance_to_record
+from searchbench.solver import SearchMode, solve, solve_payload, trace_to_records
+from searchbench.tasks import TaskKind, ThreeDMPayload, instance_to_record
 
 GRID_LEVELS = (1, 3, 6, 8, 10)
 GRID_SEEDS = (0, 1)
@@ -65,6 +69,19 @@ def record_digests() -> dict[str, str]:
             }
         )
     return out
+
+
+# x2 has no candidate triple, so the search dies under A1 and again under A2.
+DEAD_END_BELOW_ROOT = ThreeDMPayload(n=3, triples=((0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 2, 2)))
+
+
+def unsolvable_digests(instances) -> dict[str, str]:
+    payloads = {inst.id: inst.payload for inst in instances}
+    payloads["ThreeDM-dead-end-below-root"] = DEAD_END_BELOW_ROOT
+    return {
+        key: _digest({mode.value: trace_to_records(solve_payload(p, mode)) for mode in SearchMode})
+        for key, p in payloads.items()
+    }
 
 
 PROMPT_DIGESTS: dict[str, str] = {
@@ -146,9 +163,22 @@ RECORD_DIGESTS: dict[str, str] = {
 }
 
 
+UNSOLVABLE_DIGESTS: dict[str, str] = {
+    "TripPlanning-unsolvable": "7884bb3653f107b0d6e42f5298863f469ea8792533598677be723386324bb5f4",
+    "VertexCover-unsolvable": "c307eb0e1b797cbbe44ddba9aa76ec627eed78bd694335d9c4f078d40de441f4",
+    "ThreeDM-unsolvable": "d435f5e6def51cc204955b3138d67f605c553b4ee67f6e27015879206fa7cc00",
+    "MeetingPlanning-unsolvable": "8d477ab3ba2d7d02fd68aacf1835c2d6b2174ac7d1f41408499743acc185a123",
+    "ThreeDM-dead-end-below-root": "9ecda70970c463dde2e81b7c18bd15207c606ff8ba20ee209400a4fd9e59c294",
+}
+
+
 def test_default_exemplar_prompts_are_pinned():
     assert prompt_digests() == PROMPT_DIGESTS
 
 
 def test_instance_and_trace_records_are_pinned():
     assert record_digests() == RECORD_DIGESTS
+
+
+def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
+    assert unsolvable_digests(unsolvable_instances) == UNSOLVABLE_DIGESTS
