@@ -14,7 +14,10 @@ Two trace modes exist for every task kind:
   the greedy trace is the search's Initialization alone, with no Success.
 
 All traces share one event protocol so renderers and tests can stay mostly
-task-agnostic:
+task-agnostic.  :func:`_search` is its one owner: each task's depth-first
+search supplies only its state, a goal test and a generator of tried
+transitions, and greedy narrators close through the same :func:`_close`.
+
 
 * the first event is always ``Initialization``;
 * ``Expansion`` marks a kept transition (a push onto the search stack),
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tasks import (
     CoverSet,
@@ -112,8 +115,10 @@ class SearchTrace:
 
 
 class _Tracer:
-    def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+    """Collects a trace's events, starting with its Initialization."""
+
+    def __init__(self, detail: str, state: str) -> None:
+        self.events = [TraceEvent("", Action.INITIALIZATION, detail=detail, state_summary=state)]
         self.explored = 0
 
     def emit(
@@ -128,26 +133,10 @@ class _Tracer:
     ) -> None:
         if action is Action.EXPANSION:
             self.explored += 1
-        self.events.append(
-            TraceEvent(
-                step_label=label,
-                action=action,
-                reason=reason,
-                move=move,
-                detail=detail,
-                state_summary=state,
-                depth=depth,
-            )
-        )
+        self.events.append(TraceEvent(label, action, reason, move, detail, state, depth))
 
     def finish(self, kind: TaskKind, mode: SearchMode, solution: Solution | None) -> SearchTrace:
-        return SearchTrace(
-            kind=kind,
-            mode=mode,
-            events=tuple(self.events),
-            solution=solution,
-            explored_count=self.explored,
-        )
+        return SearchTrace(kind, mode, tuple(self.events), solution, self.explored)
 
 
 def _commit_trace(dfs: SearchTrace, detail: str, state: str) -> SearchTrace:
@@ -185,6 +174,69 @@ def _child_label(parent: str, rel_depth: int, index: int) -> str:
     if rel_depth % 2 == 1:
         return f"{parent}{index}"
     return f"{parent}{_letters(index, 'abcdefghijklmnopqrstuvwxyz')}"
+
+
+class _Step(NamedTuple):
+    """One tried transition, as a task's ``children()`` generator yields it.
+
+    A step with a ``prune`` reason was rejected.  A kept step is applied to the
+    search state before it is yielded and undone when the generator resumes;
+    ``undo`` is the text of the Backtrack that pairs its Expansion.
+    ``at_parent`` marks a dead end reported under the parent's own label,
+    taking no child index.
+    """
+
+    move: str
+    detail: str
+    state: str
+    depth: int
+    prune: str = ""
+    undo: str = ""
+    at_parent: bool = False
+
+
+def _search(
+    tracer: _Tracer,
+    children: Callable[[], Iterator[_Step]],
+    goal: Callable[[str], Solution | None],
+    label: str = "",
+    rel_depth: int = 0,
+) -> Solution | None:
+    """Depth-first search that owns the trace protocol; returns the first solution.
+
+    ``goal(label)`` closes the trace and returns the solution once the current
+    state is complete, else None.  Otherwise each step of ``children()`` is
+    labelled, emitted as a Prune or an Expansion, and a kept one is searched
+    below and, when it fails, paired with its Backtrack.
+    """
+    found = goal(label)
+    if found is not None:
+        return found
+    index = 0
+    for step in children():
+        if step.at_parent:
+            child = label
+        else:
+            index += 1
+            child = _child_label(label, rel_depth, index)
+        if step.prune:
+            tracer.emit(child, Action.PRUNE, step.prune, step.move, step.detail, step.state, step.depth)
+            continue
+        tracer.emit(child, Action.EXPANSION, "", step.move, step.detail, step.state, step.depth)
+        found = _search(tracer, children, goal, child, rel_depth + 1)
+        if found is not None:
+            return found
+        tracer.emit(child, Action.BACKTRACK, detail=step.undo, depth=step.depth)
+    return None
+
+
+def _close(
+    tracer: _Tracer, label: str, depth: int, check: tuple[str, str], found: tuple[str, str]
+) -> None:
+    """Emit the Evaluation of a complete candidate and the Success that ends
+    the trace; ``check`` and ``found`` are their (detail, state) texts."""
+    tracer.emit(label, Action.EVALUATION, detail=check[0], state=check[1], depth=depth)
+    tracer.emit(label, Action.SUCCESS, detail=found[0], state=found[1], depth=depth)
 
 
 # ---------------------------------------------------------------------------
@@ -273,81 +325,57 @@ def _trip_try(
 
 
 def _trip_dfs(payload: TripPayload) -> SearchTrace:
-    tracer = _Tracer()
     cities = payload.cities
-    n = len(cities)
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail=(
             "state = (path, UD, start); try start cities in declaration order, "
             "children in name order"
         ),
         state="(path=[], UD=0, start=1)",
-        depth=0,
     )
-    solution: TripPlan | None = None
+    path: list[str] = []
+    ends: list[int] = []
 
-    def descend(path: list[str], end_day: int, parent_label: str, depth: int) -> bool:
-        nonlocal solution
-        if len(path) == n:
-            tracer.emit(
-                parent_label,
-                Action.EVALUATION,
-                detail="all cities placed",
-                state=f"UD = {end_day} (check)",
-                depth=depth - 1,
-            )
-            solution = TripPlan(legs=trip_legs_for_order(payload, path))
-            tracer.emit(
-                parent_label,
-                Action.SUCCESS,
-                detail=" → ".join(path),
-                state=f"UD = {end_day}",
-                depth=depth - 1,
-            )
-            return True
-        index = 0
+    def goal(label: str) -> TripPlan | None:
+        if len(path) < len(cities):
+            return None
+        _close(
+            tracer, label, len(path),
+            ("all cities placed", f"UD = {ends[-1]} (check)"),
+            (" → ".join(path), f"UD = {ends[-1]}"),
+        )
+        return TripPlan(legs=trip_legs_for_order(payload, path))
+
+    def children() -> Iterator[_Step]:
         for cand in sorted(cities):
             if cand == path[-1]:
                 continue
-            index += 1
-            label = _child_label(parent_label, depth - 2, index)
-            keep, reason, preview, new_end = _trip_try(payload, path, end_day, cand)
+            keep, reason, preview, new_end = _trip_try(payload, path, ends[-1], cand)
             transition = f"{path[-1]}→**{cand}**"
+            depth = len(path) + 1
             if not keep:
-                tracer.emit(
-                    label, Action.PRUNE, reason=reason, move=cand,
-                    detail=transition, state=preview, depth=depth,
-                )
+                yield _Step(cand, transition, preview, depth, prune=reason)
                 continue
-            tracer.emit(
-                label, Action.EXPANSION, move=cand, detail=transition,
-                state=f"{preview} → UD = {new_end}", depth=depth,
-            )
             path.append(cand)
-            if descend(path, new_end, label, depth + 1):
-                return True
-            path.pop()
-            tracer.emit(
-                label, Action.BACKTRACK,
-                detail=f"dead end under {cand}; backtrack", depth=depth,
+            ends.append(new_end)
+            yield _Step(
+                cand, transition, f"{preview} → UD = {new_end}", depth,
+                undo=f"dead end under {cand}; backtrack",
             )
-        return False
+            path.pop()
+            ends.pop()
 
+    solution: Solution | None = None
     for start in cities:
         keep, reason, preview, end = _trip_try(payload, [], 0, start)
+        action = Action.EXPANSION if keep else Action.PRUNE
+        tracer.emit("S0", action, reason, start, f"**Start {start}**", preview, 1)
         if not keep:
-            tracer.emit(
-                "S0", Action.PRUNE, reason=reason, move=start,
-                detail=f"**Start {start}**", state=preview, depth=1,
-            )
             continue
-        tracer.emit(
-            "S0", Action.EXPANSION, move=start,
-            detail=f"**Start {start}**", state=preview, depth=1,
-        )
-        if descend([start], end, "", 2):
+        path[:] = [start]
+        ends[:] = [end]
+        solution = _search(tracer, children, goal)
+        if solution is not None:
             break
         tracer.emit(
             "", Action.BACKTRACK,
@@ -421,94 +449,56 @@ def _matching_bound(edges: Sequence[tuple[int, int]], covered: set[int]) -> int:
 
 
 def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
-    tracer = _Tracer()
     k = payload.target_size
     edges = sorted(payload.edges)
     m = len(edges)
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail=(
             "state = (cover, uncovered edges); branch on the first uncovered "
             "edge, endpoints in id order"
         ),
         state=f"(cover=[], uncovered={m}, budget={k})",
-        depth=0,
     )
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    solution: CoverSet | None = None
+    chosen: set[int] = set()
 
-    def first_uncovered() -> tuple[int, int] | None:
-        for u, v in edges:
-            if u not in chosen_set and v not in chosen_set:
-                return (u, v)
-        return None
+    def uncovered() -> list[tuple[int, int]]:
+        return [(u, v) for u, v in edges if u not in chosen and v not in chosen]
 
-    def uncovered_count() -> int:
-        return sum(1 for u, v in edges if u not in chosen_set and v not in chosen_set)
+    def goal(label: str) -> CoverSet | None:
+        if uncovered():
+            return None
+        _close(
+            tracer, label, len(chosen),
+            ("coverage check", f"all {m} edges covered, size = {len(chosen)}"),
+            (f"cover {_fmt_vertices(chosen)}", f"size = {len(chosen)} (target {k})"),
+        )
+        return CoverSet(vertices=frozenset(chosen))
 
-    def descend(parent_label: str, rel_depth: int) -> bool:
-        nonlocal solution
-        edge = first_uncovered()
-        if edge is None:
-            tracer.emit(
-                parent_label, Action.EVALUATION,
-                detail="coverage check",
-                state=f"all {m} edges covered, size = {len(chosen)}",
-                depth=len(chosen),
-            )
-            solution = CoverSet(vertices=frozenset(chosen))
-            tracer.emit(
-                parent_label, Action.SUCCESS,
-                detail=f"cover {_fmt_vertices(chosen)}",
-                state=f"size = {len(chosen)} (target {k})",
-                depth=len(chosen),
-            )
-            return True
-        u, v = edge
-        for index, x in enumerate((u, v), start=1):
-            label = _child_label(parent_label, rel_depth, index)
+    def children() -> Iterator[_Step]:
+        u, v = uncovered()[0]
+        for x in (u, v):
             transition = f"Add **V{x}** (for edge V{u}-V{v})"
-            if len(chosen) + 1 > k:
-                tracer.emit(
-                    label, Action.PRUNE, reason="budget", move=f"V{x}",
-                    detail=transition,
-                    state=f"size budget {k} exhausted",
-                    depth=len(chosen) + 1,
+            depth = len(chosen) + 1
+            if depth > k:
+                yield _Step(f"V{x}", transition, f"size budget {k} exhausted", depth, prune="budget")
+                continue
+            chosen.add(x)
+            need = _matching_bound(edges, chosen)
+            if depth + need > k:
+                chosen.discard(x)
+                yield _Step(
+                    f"V{x}", transition, f"still needs ≥ {need} more vertices; budget {k}",
+                    depth, prune="budget",
                 )
                 continue
-            chosen.append(x)
-            chosen_set.add(x)
-            need = _matching_bound(edges, chosen_set)
-            if len(chosen) + need > k:
-                chosen.pop()
-                chosen_set.discard(x)
-                tracer.emit(
-                    label, Action.PRUNE, reason="budget", move=f"V{x}",
-                    detail=transition,
-                    state=f"still needs ≥ {need} more vertices; budget {k}",
-                    depth=len(chosen) + 1,
-                )
-                continue
-            tracer.emit(
-                label, Action.EXPANSION, move=f"V{x}", detail=transition,
-                state=f"cover size {len(chosen)}, uncovered edges {uncovered_count()}",
-                depth=len(chosen),
+            yield _Step(
+                f"V{x}", transition,
+                f"cover size {depth}, uncovered edges {len(uncovered())}", depth,
+                undo=f"dead end after adding V{x}; remove it",
             )
-            if descend(label, rel_depth + 1):
-                return True
-            chosen.pop()
-            chosen_set.discard(x)
-            tracer.emit(
-                label, Action.BACKTRACK,
-                detail=f"dead end after adding V{x}; remove it",
-                depth=len(chosen) + 1,
-            )
-        return False
+            chosen.discard(x)
 
-    descend("", 0)
-    return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.DFS, solution)
+    return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.DFS, _search(tracer, children, goal))
 
 
 def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, CoverSet]:
@@ -548,16 +538,12 @@ def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple
 
 def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
     """Commit the depth-first cover's vertices by falling degree, then id."""
-    tracer = _Tracer()
     edges = sorted(payload.edges)
     m = len(edges)
     k = payload.target_size
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail="state = (cover, uncovered edges); commit one vertex per step",
         state=f"(cover=[], uncovered={m}, budget={k})",
-        depth=0,
     )
     target = dfs.solution
     chosen: set[int] = set()
@@ -586,18 +572,10 @@ def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
             state=f"covers {gained} uncovered edges → uncovered {left}",
             depth=i + 1,
         )
-    final_label = f"G{len(order) - 1}" if order else ""
-    tracer.emit(
-        final_label, Action.EVALUATION,
-        detail="coverage check",
-        state=f"all {m} edges covered, size = {len(order)} (target {k})",
-        depth=len(order),
-    )
-    tracer.emit(
-        final_label, Action.SUCCESS,
-        detail=f"cover {_fmt_vertices(target.vertices)}",
-        state=f"size = {len(order)}",
-        depth=len(order),
+    _close(
+        tracer, f"G{len(order) - 1}" if order else "", len(order),
+        ("coverage check", f"all {m} edges covered, size = {len(order)} (target {k})"),
+        (f"cover {_fmt_vertices(target.vertices)}", f"size = {len(order)}"),
     )
     return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.GREEDY, target)
 
@@ -612,92 +590,61 @@ def _fmt_triple(t: tuple[int, int, int]) -> str:
 
 
 def _threedm_dfs(payload: ThreeDMPayload) -> SearchTrace:
-    tracer = _Tracer()
     n = payload.n
     by_x: dict[int, list[tuple[int, int, int]]] = {}
     for t in sorted(payload.triples):
         by_x.setdefault(t[0], []).append(t)
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail=(
             "state = (matched triples, free elements); always extend the "
             "smallest unmatched x, candidates in triple order"
         ),
         state=f"(matched=0 of {n})",
-        depth=0,
     )
     picked: list[tuple[int, int, int]] = []
     used_y: set[int] = set()
     used_z: set[int] = set()
-    solution: Matching | None = None
 
-    def descend(parent_label: str, rel_depth: int) -> bool:
-        nonlocal solution
-        if len(picked) == n:
-            tracer.emit(
-                parent_label, Action.EVALUATION,
-                detail="matching check",
-                state=f"all 3×{n} elements matched, {n} disjoint triples",
-                depth=n,
-            )
-            solution = Matching(triples=frozenset(picked))
-            tracer.emit(
-                parent_label, Action.SUCCESS,
-                detail=", ".join(_fmt_triple(t) for t in sorted(picked)),
-                state=f"{n} triples",
-                depth=n,
-            )
-            return True
+    def goal(label: str) -> Matching | None:
+        if len(picked) < n:
+            return None
+        _close(
+            tracer, label, n,
+            ("matching check", f"all 3×{n} elements matched, {n} disjoint triples"),
+            (", ".join(_fmt_triple(t) for t in sorted(picked)), f"{n} triples"),
+        )
+        return Matching(triples=frozenset(picked))
+
+    def children() -> Iterator[_Step]:
         x = len(picked)
+        depth = x + 1
         candidates = by_x.get(x, [])
         if not candidates:
-            tracer.emit(
-                parent_label, Action.PRUNE, reason="coverage",
-                detail=f"x{x} has no candidate triple",
-                state="dead end",
-                depth=len(picked) + 1,
+            yield _Step(
+                "", f"x{x} has no candidate triple", "dead end", depth,
+                prune="coverage", at_parent=True,
             )
-            return False
-        for index, t in enumerate(candidates, start=1):
-            label = _child_label(parent_label, rel_depth, index)
-            transition = f"Pick **{_fmt_triple(t)}** for x{x}"
+        for t in candidates:
+            move = _fmt_triple(t)
+            transition = f"Pick **{move}** for x{x}"
             if t[1] in used_y:
-                tracer.emit(
-                    label, Action.PRUNE, reason="visited", move=_fmt_triple(t),
-                    detail=transition, state=f"y{t[1]} already matched",
-                    depth=len(picked) + 1,
-                )
+                yield _Step(move, transition, f"y{t[1]} already matched", depth, prune="visited")
                 continue
             if t[2] in used_z:
-                tracer.emit(
-                    label, Action.PRUNE, reason="visited", move=_fmt_triple(t),
-                    detail=transition, state=f"z{t[2]} already matched",
-                    depth=len(picked) + 1,
-                )
+                yield _Step(move, transition, f"z{t[2]} already matched", depth, prune="visited")
                 continue
             picked.append(t)
             used_y.add(t[1])
             used_z.add(t[2])
-            tracer.emit(
-                label, Action.EXPANSION, move=_fmt_triple(t), detail=transition,
-                state=f"y{t[1]}, z{t[2]} free → matched {len(picked)} of {n}",
-                depth=len(picked),
+            yield _Step(
+                move, transition, f"y{t[1]}, z{t[2]} free → matched {depth} of {n}", depth,
+                undo=f"dead end after {move}; drop it",
             )
-            if descend(label, rel_depth + 1):
-                return True
             picked.pop()
             used_y.discard(t[1])
             used_z.discard(t[2])
-            tracer.emit(
-                label, Action.BACKTRACK,
-                detail=f"dead end after {_fmt_triple(t)}; drop it",
-                depth=len(picked) + 1,
-            )
-        return False
 
-    descend("", 0)
-    return tracer.finish(TaskKind.THREE_DM, SearchMode.DFS, solution)
+    return tracer.finish(TaskKind.THREE_DM, SearchMode.DFS, _search(tracer, children, goal))
 
 
 def _threedm_greedy(payload: ThreeDMPayload, dfs: SearchTrace) -> SearchTrace:
@@ -758,126 +705,92 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
 
 def _meeting_dfs(payload: MeetingPayload) -> SearchTrace:
     target_count, _ = optimal_schedule(payload)
-    tracer = _Tracer()
     friends = sorted(payload.friends, key=lambda f: f.name)
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail="state = (location, clock, met set); try friends in name order",
         state=(
             f"(at {payload.start_location}, {minutes_to_clock(payload.day_start)}, "
             f"met 0; best reachable = {target_count})"
         ),
-        depth=0,
     )
     if target_count == 0:
-        tracer.emit(
-            "", Action.EVALUATION,
-            detail="no friend can be met at all",
-            state="met 0",
-            depth=0,
-        )
+        tracer.emit("", Action.EVALUATION, detail="no friend can be met at all", state="met 0")
         return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.DFS, None)
 
     sched: list[Meeting] = []
     met: set[str] = set()
-    solution: MeetingSchedule | None = None
 
-    def optimistic_from(time: int) -> int:
-        return len(sched) + sum(
-            1
-            for f in friends
-            if f.name not in met and max(time, f.avail_start) + f.min_minutes <= f.avail_end
+    def goal(label: str) -> MeetingSchedule | None:
+        if len(sched) < target_count:
+            return None
+        _close(
+            tracer, label, len(sched),
+            ("count check", f"met {target_count} friends — the optimum"),
+            ("meet " + ", ".join(m.friend for m in sched), f"finish {minutes_to_clock(sched[-1].end)}"),
         )
+        return MeetingSchedule(meetings=tuple(sched))
 
-    def descend(loc: str, time: int, parent_label: str, rel_depth: int) -> bool:
-        nonlocal solution
-        if len(sched) == target_count:
-            tracer.emit(
-                parent_label, Action.EVALUATION,
-                detail="count check",
-                state=f"met {target_count} friends — the optimum",
-                depth=len(sched),
-            )
-            solution = MeetingSchedule(meetings=tuple(sched))
-            tracer.emit(
-                parent_label, Action.SUCCESS,
-                detail="meet " + ", ".join(m.friend for m in sched),
-                state=f"finish {minutes_to_clock(sched[-1].end)}",
-                depth=len(sched),
-            )
-            return True
-        index = 0
+    def children() -> Iterator[_Step]:
+        loc, time = (
+            (sched[-1].location, sched[-1].end) if sched
+            else (payload.start_location, payload.day_start)
+        )
+        depth = len(sched) + 1
         for f in friends:
             if f.name in met:
                 continue
-            index += 1
-            label = _child_label(parent_label, rel_depth, index)
             transition = f"Meet **{f.name}** at {f.location}"
             travel = payload.travel(loc, f.location)
             arrive = time + travel
             start = max(arrive, f.avail_start)
             end = start + f.min_minutes
             if end > f.avail_end:
-                tracer.emit(
-                    label, Action.PRUNE, reason="window", move=f.name,
-                    detail=transition,
-                    state=(
+                yield _Step(
+                    f.name, transition,
+                    (
                         f"arrive {minutes_to_clock(arrive)}; window closes "
                         f"{minutes_to_clock(f.avail_end)}, needs {f.min_minutes} min"
                     ),
-                    depth=len(sched) + 1,
+                    depth, prune="window",
+                )
+                continue
+            met.add(f.name)
+            reachable = depth + sum(
+                1
+                for g in friends
+                if g.name not in met and max(end, g.avail_start) + g.min_minutes <= g.avail_end
+            )
+            if reachable < target_count:
+                met.discard(f.name)
+                yield _Step(
+                    f.name, transition,
+                    f"at most {reachable} friends reachable this way; need {target_count}",
+                    depth, prune="budget",
                 )
                 continue
             sched.append(Meeting(friend=f.name, location=f.location, start=start, end=end))
-            met.add(f.name)
-            reachable = optimistic_from(end)
-            if reachable < target_count:
-                sched.pop()
-                met.discard(f.name)
-                tracer.emit(
-                    label, Action.PRUNE, reason="budget", move=f.name,
-                    detail=transition,
-                    state=f"at most {reachable} friends reachable this way; need {target_count}",
-                    depth=len(sched) + 1,
-                )
-                continue
-            tracer.emit(
-                label, Action.EXPANSION, move=f.name, detail=transition,
-                state=(
-                    f"travel {travel} min → meet {minutes_to_clock(start)}-"
-                    f"{minutes_to_clock(end)}"
-                ),
-                depth=len(sched),
+            yield _Step(
+                f.name, transition,
+                f"travel {travel} min → meet {minutes_to_clock(start)}-{minutes_to_clock(end)}",
+                depth, undo=f"dead end after meeting {f.name}; undo it",
             )
-            if descend(f.location, end, label, rel_depth + 1):
-                return True
             sched.pop()
             met.discard(f.name)
-            tracer.emit(
-                label, Action.BACKTRACK,
-                detail=f"dead end after meeting {f.name}; undo it",
-                depth=len(sched) + 1,
-            )
-        return False
 
-    descend(payload.start_location, payload.day_start, "", 0)
-    return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.DFS, solution)
+    return tracer.finish(
+        TaskKind.MEETING_PLANNING, SearchMode.DFS, _search(tracer, children, goal)
+    )
 
 
 def _meeting_greedy(payload: MeetingPayload, dfs: SearchTrace) -> SearchTrace:
     """Commit the canonical optimal schedule (earliest finish), which need not
     be the first optimal schedule the depth-first search reaches."""
-    tracer = _Tracer()
     count, schedule = optimal_schedule(payload)
-    tracer.emit(
-        "",
-        Action.INITIALIZATION,
+    tracer = _Tracer(
         detail="commit one meeting per step",
         state=(
             f"(at {payload.start_location}, {minutes_to_clock(payload.day_start)}, met 0)"
         ),
-        depth=0,
     )
     loc = payload.start_location
     for i, mtg in enumerate(schedule.meetings):
@@ -892,17 +805,13 @@ def _meeting_greedy(payload: MeetingPayload, dfs: SearchTrace) -> SearchTrace:
             depth=i + 1,
         )
         loc = mtg.location
-    tracer.emit(
-        f"G{count - 1}", Action.EVALUATION,
-        detail="count check",
-        state=f"met {count} friends",
-        depth=count,
-    )
-    tracer.emit(
-        f"G{count - 1}", Action.SUCCESS,
-        detail="meet " + ", ".join(m.friend for m in schedule.meetings),
-        state=f"finish {minutes_to_clock(schedule.meetings[-1].end)}",
-        depth=count,
+    _close(
+        tracer, f"G{count - 1}", count,
+        ("count check", f"met {count} friends"),
+        (
+            "meet " + ", ".join(m.friend for m in schedule.meetings),
+            f"finish {minutes_to_clock(schedule.meetings[-1].end)}",
+        ),
     )
     return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.GREEDY, schedule)
 
