@@ -57,6 +57,7 @@ from .tasks import (
     Verdict,
     VerdictStatus,
     read_instances,
+    read_jsonl,
     write_instances,
 )
 
@@ -256,7 +257,10 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         matrix = tuple(default_matrix())
     if not matrix:
         raise ConfigError("matrix: must not be empty")
-    _reject_duplicates("matrix", matrix)
+    # report tables and plotdata label a cell by its mode and strategy kind
+    _reject_duplicates(
+        "matrix", [(mode.value, s.kind.value) for mode, s in matrix], " (mode, strategy kind)"
+    )
 
     return RunConfig(
         tasks=tasks,
@@ -361,8 +365,6 @@ def _outcome_from_record(record) -> RunOutcome:
     def get(key: str, convert: Callable, doc=record):
         try:
             return convert(doc[key])
-        except KeyError:
-            raise ReportError(f"missing key {key!r}") from None
         except (TypeError, ValueError, TaskError) as err:
             raise ReportError(f"{key}: {err}") from None
 
@@ -380,20 +382,8 @@ def _outcome_from_record(record) -> RunOutcome:
 
 
 def read_outcomes(path: str | Path) -> list[RunOutcome]:
-    """A run's outcome log; a line that cannot be read is a ReportError
-    naming its line number."""
-    outcomes = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                outcomes.append(_outcome_from_record(json.loads(line)))
-            except json.JSONDecodeError as err:
-                raise ReportError(f"{path}:{number}: not JSON ({err})") from None
-            except ReportError as err:
-                raise ReportError(f"{path}:{number}: {err}") from None
-    return outcomes
+    """A run's outcome log; see ``read_jsonl`` for the errors it raises."""
+    return read_jsonl(path, _outcome_from_record)
 
 
 def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
@@ -535,9 +525,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     mode = SearchMode(args.search)
     out = Path(args.out or "traces.jsonl")
+    instances = read_instances(args.instances)
     written = 0
     with open(out, "w", encoding="utf-8") as fh:
-        for instance in read_instances(args.instances):
+        for instance in instances:
             trace = solve(instance, mode)
             record = {
                 "instance_id": instance.id,
@@ -554,9 +545,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     mode = PromptMode(args.mode)
+    bundles = render_bundles(read_instances(args.instances), [mode], args.budget)
     out_dir = Path(args.out or "prompts")
     out_dir.mkdir(parents=True, exist_ok=True)
-    bundles = render_bundles(read_instances(args.instances), [mode], args.budget)
     for (instance_id, _), bundle in bundles.items():
         path = out_dir / f"{instance_id}.{mode.value}.txt"
         path.write_text(bundle_text(bundle), encoding="utf-8")
@@ -584,23 +575,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instances = {inst.id: inst for inst in read_instances(args.instances)}
+    answers = read_jsonl(args.answers, lambda r: (str(r["instance_id"]), str(r["text"])))
     failures = 0
-    with open(args.answers, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            instance = instances.get(record["instance_id"])
-            if instance is None:
-                print(f"{record['instance_id']}: unknown instance")
-                failures += 1
-                continue
-            _, verdict = evaluate(instance, record["text"])
-            tail = f" ({verdict.reason})" if verdict.reason else ""
-            print(f"{instance.id}: {verdict.status.value}{tail}")
-            if verdict.status is not VerdictStatus.SUCCESS:
-                failures += 1
+    for instance_id, text in answers:
+        instance = instances.get(instance_id)
+        if instance is None:
+            print(f"{instance_id}: unknown instance")
+            failures += 1
+            continue
+        _, verdict = evaluate(instance, text)
+        tail = f" ({verdict.reason})" if verdict.reason else ""
+        print(f"{instance.id}: {verdict.status.value}{tail}")
+        if verdict.status is not VerdictStatus.SUCCESS:
+            failures += 1
     return 1 if failures else 0
 
 

@@ -20,11 +20,17 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class TaskError(Exception):
     """Base class for domain-level errors."""
+
+
+class InputFileError(TaskError):
+    """An input file cannot be opened, or one of its lines cannot be read."""
 
 
 class UnknownCityError(TaskError):
@@ -455,9 +461,31 @@ def write_instances(path: str | Path, instances: Iterable[ProblemInstance]) -> i
     return count
 
 
-def read_instances(path: str | Path) -> Iterator[ProblemInstance]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield instance_from_record(json.loads(line))
+def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
+    """``convert`` applied to each non-blank JSON line of ``path``.
+
+    A file that cannot be opened, or a line that is not JSON or that
+    ``convert`` rejects with a missing key or a bad value, is an
+    InputFileError naming ``path:line``.
+    """
+    out = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(convert(json.loads(line)))
+                except json.JSONDecodeError as err:
+                    raise InputFileError(f"{path}:{number}: not JSON ({err})") from None
+                except KeyError as err:
+                    raise InputFileError(f"{path}:{number}: missing key {err}") from None
+                except (TypeError, ValueError, TaskError) as err:
+                    raise InputFileError(f"{path}:{number}: {err}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputFileError(f"cannot read {path}: {err}") from None
+    return out
+
+
+def read_instances(path: str | Path) -> list[ProblemInstance]:
+    return read_jsonl(path, instance_from_record)

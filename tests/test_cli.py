@@ -8,6 +8,7 @@ import pytest
 
 from searchbench import __version__
 from searchbench.answers import canonical_text
+from searchbench.generate import GenSpec, generate
 from searchbench.cli import (
     ConfigError,
     config_from_dict,
@@ -104,6 +105,10 @@ def test_config_defaults():
         ({"models": [ORACLE], "tasks": ["ThreeDM", "ThreeDM"]}, "tasks[1]"),
         ({"models": [ORACLE], "levels": [3, 4, 3]}, "levels[2]"),
         ({"models": [ORACLE], "matrix": [["AoT", "is"], ["AoT", "is:0"]]}, "matrix[1]"),
+        # two strategies of one kind under one mode would share a report row
+        ({"models": [ORACLE],
+          "matrix": [["CoT", "ps:2"], ["CoT", "ps:3"], ["AoT", "is"], ["AoT", "is:64"]]},
+         "matrix[1]"),
         ({"models": [ORACLE, {**ORACLE, "model": "other"}]}, "models[1].name"),
         ({"models": [ORACLE, {**ORACLE, "name": "n", "model": "m"}]}, "models[1].model"),
         # the other keys of a model block are typed as well
@@ -394,6 +399,50 @@ def test_cmd_report_rejects_unreadable_records(tmp_path, capsys, line, message):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {log}{message}"), err
     assert not rebuilt.exists()
+
+
+def _write_unreadable(path, problem, record):
+    if problem == "bad-json":
+        path.write_text("{not json\n", encoding="utf-8")
+    elif problem == "missing-key":
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("solve", "--instances", "payload"),
+    ("render", "--instances", "payload"),
+    ("verify", "--answers", "instance_id"),
+    ("report", "--outcomes", "task"),
+])
+@pytest.mark.parametrize("problem", ["missing-file", "bad-json", "missing-key"])
+def test_unreadable_input_files_exit_2_naming_path_line_and_key(
+    tmp_path, capsys, command, flag, key, problem
+):
+    instances = tmp_path / "inst.jsonl"
+    write_instances(instances, [generate(GenSpec(kind=TaskKind.THREE_DM, level=1, seed=0))])
+    valid = {
+        "--instances": json.loads(instances.read_text(encoding="utf-8")),
+        "--answers": {"instance_id": "ThreeDM-L1-s0", "text": ""},
+        "--outcomes": _RECORD,
+    }[flag]
+    record = {k: v for k, v in valid.items() if k != key}
+    bad = _write_unreadable(tmp_path / "bad.jsonl", problem, record)
+    out = tmp_path / "out"
+    argv = [command, flag, str(bad), "--out", str(out)]
+    if command == "render":
+        argv += ["--mode", "AoT"]
+    if command == "verify":
+        argv = [command, "--instances", str(instances), flag, str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    expected = {
+        "missing-file": f"error: cannot read {bad}: ",
+        "bad-json": f"error: {bad}:1: not JSON",
+        "missing-key": f"error: {bad}:1: missing key '{key}'",
+    }[problem]
+    assert err.startswith(expected), err
+    assert not out.exists()
 
 
 def test_cmd_run_dry_run_flag(tmp_path, capsys):
