@@ -526,7 +526,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     mode = SearchMode(args.search)
     out = Path(args.out or "traces.jsonl")
     instances = read_instances(args.instances)
-    written = 0
     with open(out, "w", encoding="utf-8") as fh:
         for instance in instances:
             trace = solve(instance, mode)
@@ -538,8 +537,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 "events": trace_to_records(trace),
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-            written += 1
-    print(f"wrote {written} trace(s) to {out}")
+    print(f"wrote {len(instances)} trace(s) to {out}")
     return 0
 
 

@@ -17,7 +17,7 @@ All traces share one event protocol so renderers and tests can stay mostly
 task-agnostic.  :func:`_search` is its one owner: each task's depth-first
 search supplies only its state, a goal test and a generator of tried
 transitions, and greedy narrators close through the same :func:`_close`.
-
+The protocol:
 
 * the first event is always ``Initialization``;
 * ``Expansion`` marks a kept transition (a push onto the search stack),

@@ -105,10 +105,6 @@ def test_config_defaults():
         ({"models": [ORACLE], "tasks": ["ThreeDM", "ThreeDM"]}, "tasks[1]"),
         ({"models": [ORACLE], "levels": [3, 4, 3]}, "levels[2]"),
         ({"models": [ORACLE], "matrix": [["AoT", "is"], ["AoT", "is:0"]]}, "matrix[1]"),
-        # two strategies of one kind under one mode would share a report row
-        ({"models": [ORACLE],
-          "matrix": [["CoT", "ps:2"], ["CoT", "ps:3"], ["AoT", "is"], ["AoT", "is:64"]]},
-         "matrix[1]"),
         ({"models": [ORACLE, {**ORACLE, "model": "other"}]}, "models[1].name"),
         ({"models": [ORACLE, {**ORACLE, "name": "n", "model": "m"}]}, "models[1].model"),
         # the other keys of a model block are typed as well
@@ -117,6 +113,10 @@ def test_config_defaults():
         ({"models": [{**ORACLE, "model": 5}]}, "models[0].model"),
         ({"models": [{"name": "m", "backend": "http", "url": 5}]}, "models[0].url"),
         ({"models": [{**ORACLE, "api_key_env": None}]}, "models[0].api_key_env"),
+        # two strategies of one kind under one mode would share a report row
+        ({"models": [ORACLE],
+          "matrix": [["CoT", "ps:2"], ["CoT", "ps:3"], ["AoT", "is"], ["AoT", "is:64"]]},
+         "matrix[1]"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
