@@ -4,6 +4,9 @@ Each digest changes only with a format change recorded in CHANGES.md:
 
 * the 12 default-exemplar prompts (4 tasks x Direct/CoT/AoT), each rendered
   against one fixed target per task;
+* the same AoT prompts under a ladder of token budgets, from full size down
+  through every elision step to ``ContextBudgetExceeded``, and the CoT
+  prompts at their all-or-nothing budget boundary;
 * ``instance_to_record`` and ``trace_to_records`` of the depth-first and the
   greedy trace over a small grid that covers every task and includes the
   exemplar instances the prompts embed;
@@ -22,9 +25,11 @@ import json
 from searchbench.generate import GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
+    ContextBudgetExceeded,
     PromptMode,
     bundle_text,
     default_exemplars,
+    estimate_tokens,
     render,
 )
 from searchbench.solver import SearchMode, solve, solve_payload, trace_to_records
@@ -55,6 +60,45 @@ def prompt_digests() -> dict[str, str]:
         for mode in PromptMode:
             bundle = render(target, mode, default_exemplars(kind, mode))
             out[f"{kind.value}.{mode.value}"] = _digest(bundle_text(bundle))
+    return out
+
+
+BUDGET_LADDER_RUNGS = 40
+
+
+def _budgeted(target, mode, exemplars, budget: int) -> str:
+    try:
+        return _digest(bundle_text(render(target, mode, exemplars, token_budget=budget)))
+    except ContextBudgetExceeded:
+        return "ContextBudgetExceeded"
+
+
+def budget_digests() -> dict[str, str]:
+    """Per task: the AoT prompt at every elision step (each body's own size and
+    one token below it) plus evenly spaced budgets down past the smallest
+    body; the CoT prompt at its full size and one token below."""
+    out = {}
+    for kind in TaskKind:
+        target = generate(GenSpec(kind=kind, level=3, seed=0))
+        aot = default_exemplars(kind, PromptMode.AOT)
+        body = render(target, PromptMode.AOT, aot).body
+        budgets = set()
+        while body is not None:
+            size = estimate_tokens(body)
+            budgets.update((size, size - 1))
+            try:
+                body = render(target, PromptMode.AOT, aot, token_budget=size - 1).body
+            except ContextBudgetExceeded:
+                body = None
+        top, bottom = max(budgets), min(budgets) - 1
+        budgets.update(range(top, bottom, -max(1, (top - bottom) // BUDGET_LADDER_RUNGS)))
+        ladder = [[b, _budgeted(target, PromptMode.AOT, aot, b)] for b in sorted(budgets)]
+        out[f"{kind.value}.AoT"] = _digest(ladder)
+
+        cot = default_exemplars(kind, PromptMode.COT)
+        size = estimate_tokens(render(target, PromptMode.COT, cot).body)
+        boundary = [[b, _budgeted(target, PromptMode.COT, cot, b)] for b in (size, size - 1)]
+        out[f"{kind.value}.CoT"] = _digest(boundary)
     return out
 
 
@@ -97,6 +141,17 @@ PROMPT_DIGESTS: dict[str, str] = {
     "MeetingPlanning.Direct": "a109ccfacbb00aceb035e1e5fcdbc7795fdbc21dd352a3cf8d805647b2ebaa2a",
     "MeetingPlanning.CoT": "b25cf90bf09d62274faf96e5916ff54bcfa4f9b3cb8f594faff499773e66d83e",
     "MeetingPlanning.AoT": "554cf8fb702d9c86ea22edad244a0505c21dd4ff92ce050153c2afc81ccf33da",
+}
+
+BUDGET_DIGESTS: dict[str, str] = {
+    "VertexCover.AoT": "928ae54db1ffbb40ce67c7d38c648f7ac66d18e2c110bdeeb7b548fdf90a2f6f",
+    "VertexCover.CoT": "9b4e5a72201ce11e86d639900dca54b9dc2da62a0e46e181ef6d854d9ea29268",
+    "ThreeDM.AoT": "20f1464d7190e18cb74ce9d0f4ab46db63a9755c71ae2420e7eb89f950a02e0b",
+    "ThreeDM.CoT": "267bb77f9629af6e560f8afc57a85bf1372c613655e857c880b71f7a647cc18f",
+    "TripPlanning.AoT": "58986f144a28749f13c4fe0df08238f5642c303dde0acfeac83f72bb00940932",
+    "TripPlanning.CoT": "14bc64c5f4a1d322f2c075c1cab4f41d4ca9fbc04f97d7209c9c21b5f5716853",
+    "MeetingPlanning.AoT": "4c2939b5cb02f8f08078a01ae5ebf11001ff3d7faad5a618ea724dee2168a709",
+    "MeetingPlanning.CoT": "b44c110fd55b3723ec11b8c2d79e78e24fd80999b5222e462947dfbaabaa7782",
 }
 
 RECORD_DIGESTS: dict[str, str] = {
@@ -174,6 +229,10 @@ UNSOLVABLE_DIGESTS: dict[str, str] = {
 
 def test_default_exemplar_prompts_are_pinned():
     assert prompt_digests() == PROMPT_DIGESTS
+
+
+def test_budgeted_prompts_are_pinned():
+    assert budget_digests() == BUDGET_DIGESTS
 
 
 def test_instance_and_trace_records_are_pinned():
