@@ -31,8 +31,6 @@ from .tasks import (
     VerdictStatus,
     VertexCoverPayload,
     minutes_to_clock,
-    payload_kind,
-    solution_kind,
 )
 
 
@@ -49,10 +47,9 @@ class ParseReport:
 
 
 def canonical_text(payload: Payload, solution: Solution) -> str:
-    kind = payload_kind(payload)
-    if solution_kind(solution) is not kind:
+    if solution.kind is not payload.kind:
         raise KindMismatchError(
-            f"solution kind {solution_kind(solution)} does not fit payload kind {kind}"
+            f"solution kind {solution.kind} does not fit payload kind {payload.kind}"
         )
     if isinstance(solution, TripPlan):
         assert isinstance(payload, TripPayload)
@@ -190,26 +187,29 @@ def _parse_cover(text: str) -> ParseReport:
     return ParseReport(CoverSet(vertices=frozenset(vertices)), (raw,))
 
 
+def _last_run(lines: list[str], hits: list[tuple]) -> list[tuple]:
+    """Last answer wins: the final run of ``hits`` (each led by its line index
+    into ``lines``) separated only by blank lines."""
+    start = len(hits) - 1
+    while start > 0 and not any(
+        line.strip() for line in lines[hits[start - 1][0] + 1 : hits[start][0]]
+    ):
+        start -= 1
+    return hits[start:]
+
+
 def _parse_threedm(text: str) -> ParseReport:
     lines = text.splitlines()
-    blocks: list[list[tuple[int, list, str]]] = []
-    previous_index = None
+    hits: list[tuple[int, list, str]] = []
     for idx, line in enumerate(lines):
         triples = [
             (int(x), int(y), int(z)) for x, y, z in _TRIPLE.findall(line)
         ]
-        if not triples:
-            continue
-        adjacent = previous_index is not None and all(
-            not lines[j].strip() for j in range(previous_index + 1, idx)
-        )
-        if not adjacent:
-            blocks.append([])
-        blocks[-1].append((idx, triples, line.rstrip()))
-        previous_index = idx
-    if not blocks:
+        if triples:
+            hits.append((idx, triples, line.rstrip()))
+    if not hits:
         return ParseReport(None, (), "no (x, y, z) triples found")
-    block = blocks[-1]
+    block = _last_run(lines, hits)
     triples = frozenset(t for _, ts, _ in block for t in ts)
     return ParseReport(
         Matching(triples=triples), tuple(raw for _, _, raw in block)
@@ -251,14 +251,7 @@ def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
         )
     if not hits:
         return ParseReport(None, (), "no meeting lines found")
-    # Last answer wins: keep the final run of meeting lines separated only by blanks.
-    block = [hits[-1]]
-    for prev, cur in zip(reversed(hits[:-1]), reversed(hits)):
-        between = lines[prev[0] + 1 : cur[0]]
-        if all(not b.strip() for b in between):
-            block.insert(0, prev)
-        else:
-            break
+    block = _last_run(lines, hits)
     return ParseReport(
         MeetingSchedule(meetings=tuple(m for _, m, _ in block)),
         tuple(raw for _, _, raw in block),
@@ -422,9 +415,9 @@ def _verify_meeting(
 
 def verify(instance: ProblemInstance, candidate: Solution) -> Verdict:
     """Score a structured candidate; Success only for a fully correct answer."""
-    if solution_kind(candidate) is not instance.kind:
+    if candidate.kind is not instance.kind:
         raise KindMismatchError(
-            f"candidate kind {solution_kind(candidate).value} does not match "
+            f"candidate kind {candidate.kind.value} does not match "
             f"instance kind {instance.kind.value}"
         )
     if instance.kind is TaskKind.TRIP_PLANNING:

@@ -48,7 +48,7 @@ from .prompts import (
     render,
 )
 from .reporting import ReportError, RunReport, aggregate, emit
-from .scaling import RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
+from .scaling import RunOutcome, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
     ProblemInstance,
@@ -480,15 +480,8 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
         for bundle in bundles.values()
     )
 
-    calls_per_strategy = {
-        ScalingKind.NO_SCALING: lambda s: 1,
-        ScalingKind.PARALLEL: lambda s: s.n,
-        ScalingKind.SEQUENTIAL: lambda s: s.rounds + 1,
-        ScalingKind.INTERNAL: lambda s: 1,
-    }
     calls = sum(
-        calls_per_strategy[strategy.kind](strategy)
-        for _, strategy in config.matrix
+        strategy.max_calls for _, strategy in config.matrix
     ) * len(instances) * len(config.models)
 
     plan = {

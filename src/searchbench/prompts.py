@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .answers import answer_lines, canonical_text
 from .generate import exemplar_instance
-from .solver import Action, SearchMode, SearchTrace, solve
+from .solver import Action, SearchMode, SearchTrace, _letters, solve, success_path
 from .tasks import (
     MeetingPayload,
     Payload,
@@ -34,7 +34,6 @@ from .tasks import (
     TripPayload,
     VertexCoverPayload,
     minutes_to_clock,
-    payload_kind,
 )
 
 
@@ -507,11 +506,12 @@ def _units_for(
     kind: TaskKind,
     mode: PromptMode,
     events: list,
-    success_label: str | None,
+    success_label: str,
+    on_path: set[str],
 ) -> list[_Unit]:
-    on_path: set[str] = {"S0"}
-    if success_label:
-        on_path.update(success_label[:i] for i in range(1, len(success_label) + 1))
+    """Step blocks grouped into units: an Expansion off the accepting path
+    (``on_path`` holds its labels) opens a droppable unit that runs to its
+    own Backtrack; every other event is a unit of its own."""
     units: list[_Unit] = []
     group: _Unit | None = None
     group_root = ""
@@ -533,7 +533,7 @@ def _units_for(
                 blocks=[block],
                 step_count=1,
                 droppable=True,
-                shared_prefix=_prefix_len(event.step_label, success_label or ""),
+                shared_prefix=_prefix_len(event.step_label, success_label),
             )
             group_root = event.step_label
             continue
@@ -542,7 +542,7 @@ def _units_for(
                 blocks=[block],
                 step_count=1 if is_step else 0,
                 droppable=event.action is Action.PRUNE,
-                shared_prefix=_prefix_len(event.step_label, success_label or ""),
+                shared_prefix=_prefix_len(event.step_label, success_label),
             )
         )
     if group is not None:  # unterminated group (trace ended inside it)
@@ -554,7 +554,8 @@ def _split_sections(
     kind: TaskKind,
     mode: PromptMode,
     events: list,
-    success_label: str | None,
+    success_label: str,
+    on_path: set[str],
     fold_first_root: bool,
 ) -> list[_Section]:
     """Split a trace at its start-city roots (``S0`` events); a trace with no
@@ -589,7 +590,7 @@ def _split_sections(
         sections.append(
             _Section(
                 root=root,
-                units=_units_for(kind, mode, chunk, success_label),
+                units=_units_for(kind, mode, chunk, success_label, on_path),
                 has_success=any(
                     e.step_label == success_label and e.action is Action.EXPANSION
                     for e in chunk
@@ -601,11 +602,6 @@ def _split_sections(
 
 
 def _section_title(index: int, section: _Section) -> str:
-    letter = ""
-    i = index + 1
-    while i > 0:
-        i, rem = divmod(i - 1, 26)
-        letter = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[rem] + letter
     step_blocks = [
         b for u in section.units for b in u.blocks if b.startswith("Step:")
     ]
@@ -615,7 +611,7 @@ def _section_title(index: int, section: _Section) -> str:
         qualifier = "subtree (cut in one shot)"
     else:
         qualifier = "subtree (exhausted)"
-    return f"3-{letter}. {section.root}-rooted {qualifier}"
+    return f"3-{_letters(index + 1)}. {section.root}-rooted {qualifier}"
 
 
 def _output_format(payload: Payload, trace: SearchTrace) -> str:
@@ -637,7 +633,7 @@ def _reasoning_sections(
     mode: PromptMode,
 ) -> tuple[str, str, list[_Section], str, str]:
     """The five phase bodies: state defs, init line, search sections, path, output."""
-    kind = payload_kind(payload)
+    kind = payload.kind
     init_event = trace.events[0]
     success_event = trace.events[-1]
     success_label = success_event.step_label
@@ -665,7 +661,9 @@ def _reasoning_sections(
     return (
         "\n".join(_STATE_DEFINITIONS[kind]),
         init_line,
-        _split_sections(kind, mode, core, success_label, fold),
+        _split_sections(
+            kind, mode, core, success_label, {e.step_label for e in success_path(trace)}, fold
+        ),
         success_event.detail,
         _output_format(payload, trace),
     )
@@ -675,22 +673,23 @@ def _assemble_search_phase(
     kind: TaskKind,
     mode: PromptMode,
     sections: list[_Section],
-    dropped_sections: set[int],
-    dropped_units: set[tuple[int, int]],
+    dropped: set,
 ) -> str:
+    """Phase 3 without the ``dropped`` items: section indices ``i`` and unit
+    indices ``(i, j)``, each replaced by a count of the steps it held."""
     blocks: list[str] = [f"3. {SEARCH_PHASE_TITLES[mode]}"]
     named = kind is TaskKind.TRIP_PLANNING and mode is PromptMode.AOT
     for i, section in enumerate(sections):
         if named:
             blocks.append(_section_title(i, section))
-        if i in dropped_sections:
+        if i in dropped:
             blocks.append(
                 f"(… {section.step_count} steps under the {section.root} root omitted …)"
             )
         else:
             omitted = 0
             for j, unit in enumerate(section.units):
-                if (i, j) in dropped_units:
+                if (i, j) in dropped:
                     omitted += unit.step_count
                     continue
                 if omitted:
@@ -806,29 +805,26 @@ def render(
         prefix, sections, suffix = _exemplar_block(ex, trace, mode)
         target = f"\n\nQuestion:\n\n### Target Question ###\n{statement_text(instance.payload)}"
 
-        def assemble(dropped_sections: set[int], dropped_units: set[tuple[int, int]]) -> str:
-            phase3 = _assemble_search_phase(
-                kind, mode, sections, dropped_sections, dropped_units
-            )
-            return (
-                f"{THINKING_HEADERS[mode]}\n\n{prefix}{phase3}{suffix}{target}"
-            )
+        def assemble(dropped: set) -> str:
+            phase3 = _assemble_search_phase(kind, mode, sections, dropped)
+            return f"{THINKING_HEADERS[mode]}\n\n{prefix}{phase3}{suffix}{target}"
 
-        body = assemble(set(), set())
+        body = assemble(set())
         if token_budget is not None and estimate_tokens(body) > token_budget:
             if mode is PromptMode.COT:
                 raise ContextBudgetExceeded(
                     f"greedy body is ≈{estimate_tokens(body)} tokens; "
                     f"budget {token_budget} (a greedy trace has no prunable steps)"
                 )
+            # Far sections go first, farthest from the accepting one first;
+            # then the accepting section's units, least shared prefix first.
             success_index = next(
                 (i for i, s in enumerate(sections) if s.has_success), 0
             )
-            section_order = sorted(
+            drop_order: list = sorted(
                 (i for i, s in enumerate(sections) if not s.has_success),
                 key=lambda i: (-abs(i - success_index), i),
-            )
-            unit_order = sorted(
+            ) + sorted(
                 (
                     (i, j)
                     for i, s in enumerate(sections)
@@ -838,19 +834,12 @@ def render(
                 ),
                 key=lambda ij: (sections[ij[0]].units[ij[1]].shared_prefix, ij[1]),
             )
-            dropped_s: set[int] = set()
-            dropped_u: set[tuple[int, int]] = set()
-            for i in section_order:
-                dropped_s.add(i)
-                body = assemble(dropped_s, dropped_u)
+            dropped: set = set()
+            for item in drop_order:
+                dropped.add(item)
+                body = assemble(dropped)
                 if estimate_tokens(body) <= token_budget:
                     break
-            if estimate_tokens(body) > token_budget:
-                for ij in unit_order:
-                    dropped_u.add(ij)
-                    body = assemble(dropped_s, dropped_u)
-                    if estimate_tokens(body) <= token_budget:
-                        break
             if estimate_tokens(body) > token_budget:
                 raise ContextBudgetExceeded(
                     f"body is ≈{estimate_tokens(body)} tokens after eliding "

@@ -97,6 +97,15 @@ class ScalingStrategy:
         return self.format()
 
     @property
+    def max_calls(self) -> int:
+        """How many backend calls one unit of this strategy can make."""
+        if self.kind is ScalingKind.PARALLEL:
+            return self.n
+        if self.kind is ScalingKind.SEQUENTIAL:
+            return self.rounds + 1
+        return 1
+
+    @property
     def short_label(self) -> str:
         """Two-letter tag used in plot-data column names (WS/PS/SS/IS)."""
         return self.kind.value.upper()

@@ -7,16 +7,19 @@ Two trace modes exist for every task kind:
   outcome.
 * ``greedy`` -- a straight-line commit trace that narrates the solution of
   one depth-first search, with local evaluation commentary and no prune or
-  backtrack.  Trip and matching commits are the search's own success path;
-  cover commits the same vertices by falling degree; meeting commits the
-  canonical optimal schedule (:func:`optimal_schedule`), which the search
-  may not reach first.  On unsolvable inputs there is nothing to narrate:
-  the greedy trace is the search's Initialization alone, with no Success.
+  backtrack.  Trip and matching commits are the search's own success path,
+  closed by the search's own Evaluation and Success texts; cover commits the
+  same vertices by falling degree; meeting commits the canonical optimal
+  schedule (:func:`optimal_schedule`), which the search may not reach
+  first.  On unsolvable inputs there is nothing to narrate: the greedy trace
+  is the search's Initialization alone, with no Success.
 
 All traces share one event protocol so renderers and tests can stay mostly
-task-agnostic.  :func:`_search` is its one owner: each task's depth-first
-search supplies only its state, a goal test and a generator of tried
-transitions, and greedy narrators close through the same :func:`_close`.
+task-agnostic.  :func:`_search` is its one owner for depth-first traces:
+each task's search supplies only its state, a goal test and a generator of
+tried transitions.  :func:`_narrate` is the one greedy narrator: each task
+supplies only its commit rows and closing texts.  Both close through
+:func:`_close`.
 The protocol:
 
 * the first event is always ``Initialization``;
@@ -31,12 +34,14 @@ The protocol:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+import string
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .tasks import (
     CoverSet,
+    Friend,
     Matching,
     Meeting,
     MeetingPayload,
@@ -52,7 +57,6 @@ from .tasks import (
     TripPlan,
     VertexCoverPayload,
     minutes_to_clock,
-    payload_kind,
 )
 
 
@@ -139,21 +143,7 @@ class _Tracer:
         return SearchTrace(kind, mode, tuple(self.events), solution, self.explored)
 
 
-def _commit_trace(dfs: SearchTrace, detail: str, state: str) -> SearchTrace:
-    """Greedy narration of a successful depth-first trace: its success path
-    replayed as straight-line commits ``G0 .. G{n-1}``, closed by the search's
-    own Evaluation and Success relabelled onto the last commit."""
-    path = success_path(dfs)
-    last = f"G{len(path) - 1}" if path else ""
-    events = (
-        (TraceEvent("", Action.INITIALIZATION, detail=detail, state_summary=state),)
-        + tuple(replace(e, step_label=f"G{i}") for i, e in enumerate(path))
-        + tuple(replace(e, step_label=last) for e in dfs.events[-2:])
-    )
-    return SearchTrace(dfs.kind, SearchMode.GREEDY, events, dfs.solution, len(path))
-
-
-def _letters(index: int, alphabet: str) -> str:
+def _letters(index: int, alphabet: str = string.ascii_uppercase) -> str:
     """1-based index to letters: 1->A, 26->Z, 27->AA ..."""
     out = ""
     while index > 0:
@@ -170,10 +160,10 @@ def _child_label(parent: str, rel_depth: int, index: int) -> str:
     C / C4 / C4c / C4c4 / C4c4a family of labels.
     """
     if rel_depth == 0:
-        return _letters(index, "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        return _letters(index)
     if rel_depth % 2 == 1:
         return f"{parent}{index}"
-    return f"{parent}{_letters(index, 'abcdefghijklmnopqrstuvwxyz')}"
+    return f"{parent}{_letters(index, string.ascii_lowercase)}"
 
 
 class _Step(NamedTuple):
@@ -237,6 +227,37 @@ def _close(
     the trace; ``check`` and ``found`` are their (detail, state) texts."""
     tracer.emit(label, Action.EVALUATION, detail=check[0], state=check[1], depth=depth)
     tracer.emit(label, Action.SUCCESS, detail=found[0], state=found[1], depth=depth)
+
+
+def _narrate(
+    kind: TaskKind,
+    init: tuple[str, str],
+    commits: Sequence[tuple[str, str, str]],
+    check: tuple[str, str],
+    found: tuple[str, str],
+    solution: Solution,
+) -> SearchTrace:
+    """The greedy trace: ``commits`` (move, detail, state) as straight-line
+    Expansions ``G0 .. G{n-1}``, closed on the last one; ``init``, ``check``
+    and ``found`` are the (detail, state) texts of the Initialization, the
+    Evaluation and the Success."""
+    tracer = _Tracer(*init)
+    for i, (move, detail, state) in enumerate(commits):
+        tracer.emit(f"G{i}", Action.EXPANSION, move=move, detail=detail, state=state, depth=i + 1)
+    _close(tracer, f"G{len(commits) - 1}" if commits else "", len(commits), check, found)
+    return tracer.finish(kind, SearchMode.GREEDY, solution)
+
+
+def _narrate_path(dfs: SearchTrace, init: tuple[str, str]) -> SearchTrace:
+    """Narrate a successful depth-first trace's own success path, closed by
+    its own Evaluation and Success texts."""
+    *_, check, found = dfs.events
+    return _narrate(
+        dfs.kind, init,
+        [(e.move, e.detail, e.state_summary) for e in success_path(dfs)],
+        (check.detail, check.state_summary), (found.detail, found.state_summary),
+        dfs.solution,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +409,8 @@ def _trip_dfs(payload: TripPayload) -> SearchTrace:
 def _trip_greedy(payload: TripPayload, dfs: SearchTrace) -> SearchTrace:
     first = dfs.solution.cities[0]
     d0 = payload.stay_of(first)
-    return _commit_trace(
-        dfs, f"{first} spans Day 1-{d0}", f"(path=[{first}], UD={d0}, start=1)"
+    return _narrate_path(
+        dfs, (f"{first} spans Day 1-{d0}", f"(path=[{first}], UD={d0}, start=1)")
     )
 
 
@@ -541,10 +562,6 @@ def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
     edges = sorted(payload.edges)
     m = len(edges)
     k = payload.target_size
-    tracer = _Tracer(
-        detail="state = (cover, uncovered edges); commit one vertex per step",
-        state=f"(cover=[], uncovered={m}, budget={k})",
-    )
     target = dfs.solution
     chosen: set[int] = set()
 
@@ -562,22 +579,25 @@ def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
         if v in degree:
             degree[v] += 1
     order = sorted(target.vertices, key=lambda x: (-degree[x], x))
-    for i, x in enumerate(order):
+    commits = []
+    for x in order:
         gained = covers_now(x)
         chosen.add(x)
         left = sum(1 for u, v in edges if u not in chosen and v not in chosen)
-        tracer.emit(
-            f"G{i}", Action.EXPANSION, move=f"V{x}",
-            detail=f"Add **V{x}**",
-            state=f"covers {gained} uncovered edges → uncovered {left}",
-            depth=i + 1,
+        commits.append(
+            (f"V{x}", f"Add **V{x}**", f"covers {gained} uncovered edges → uncovered {left}")
         )
-    _close(
-        tracer, f"G{len(order) - 1}" if order else "", len(order),
+    return _narrate(
+        TaskKind.VERTEX_COVER,
+        (
+            "state = (cover, uncovered edges); commit one vertex per step",
+            f"(cover=[], uncovered={m}, budget={k})",
+        ),
+        commits,
         ("coverage check", f"all {m} edges covered, size = {len(order)} (target {k})"),
         (f"cover {_fmt_vertices(target.vertices)}", f"size = {len(order)}"),
+        target,
     )
-    return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.GREEDY, target)
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +668,25 @@ def _threedm_dfs(payload: ThreeDMPayload) -> SearchTrace:
 
 
 def _threedm_greedy(payload: ThreeDMPayload, dfs: SearchTrace) -> SearchTrace:
-    return _commit_trace(
+    return _narrate_path(
         dfs,
-        "commit one triple per step, covering x elements in order",
-        f"(matched=0 of {payload.n})",
+        ("commit one triple per step, covering x elements in order", f"(matched=0 of {payload.n})"),
     )
 
 
 # ---------------------------------------------------------------------------
 # Meeting planning
 # ---------------------------------------------------------------------------
+
+
+def _meetable(friends: Sequence[Friend], met: set[str], time: int) -> int:
+    """How many friends not in ``met`` could still be met from ``time`` on,
+    travel aside: a bound on the meetings a schedule can still add."""
+    return sum(
+        1
+        for f in friends
+        if f.name not in met and max(time, f.avail_start) + f.min_minutes <= f.avail_end
+    )
 
 
 def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
@@ -678,12 +707,7 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
         if best_key is None or key < best_key:
             best_key = key
             best_sched = tuple(sched)
-        optimistic = len(sched) + sum(
-            1
-            for f in friends
-            if f.name not in met and max(time, f.avail_start) + f.min_minutes <= f.avail_end
-        )
-        if best_key is not None and optimistic < -best_key[0]:
+        if best_key is not None and len(sched) + _meetable(friends, met, time) < -best_key[0]:
             return
         for f in friends:
             if f.name in met:
@@ -755,11 +779,7 @@ def _meeting_dfs(payload: MeetingPayload) -> SearchTrace:
                 )
                 continue
             met.add(f.name)
-            reachable = depth + sum(
-                1
-                for g in friends
-                if g.name not in met and max(end, g.avail_start) + g.min_minutes <= g.avail_end
-            )
+            reachable = depth + _meetable(friends, met, end)
             if reachable < target_count:
                 met.discard(f.name)
                 yield _Step(
@@ -786,34 +806,31 @@ def _meeting_greedy(payload: MeetingPayload, dfs: SearchTrace) -> SearchTrace:
     """Commit the canonical optimal schedule (earliest finish), which need not
     be the first optimal schedule the depth-first search reaches."""
     count, schedule = optimal_schedule(payload)
-    tracer = _Tracer(
-        detail="commit one meeting per step",
-        state=(
-            f"(at {payload.start_location}, {minutes_to_clock(payload.day_start)}, met 0)"
-        ),
-    )
+    commits = []
     loc = payload.start_location
-    for i, mtg in enumerate(schedule.meetings):
+    for mtg in schedule.meetings:
         travel = payload.travel(loc, mtg.location)
-        tracer.emit(
-            f"G{i}", Action.EXPANSION, move=mtg.friend,
-            detail=f"Meet **{mtg.friend}** at {mtg.location}",
-            state=(
-                f"travel {travel} min → meet {minutes_to_clock(mtg.start)}-"
-                f"{minutes_to_clock(mtg.end)}"
-            ),
-            depth=i + 1,
-        )
+        commits.append((
+            mtg.friend,
+            f"Meet **{mtg.friend}** at {mtg.location}",
+            f"travel {travel} min → meet "
+            f"{minutes_to_clock(mtg.start)}-{minutes_to_clock(mtg.end)}",
+        ))
         loc = mtg.location
-    _close(
-        tracer, f"G{count - 1}", count,
+    return _narrate(
+        TaskKind.MEETING_PLANNING,
+        (
+            "commit one meeting per step",
+            f"(at {payload.start_location}, {minutes_to_clock(payload.day_start)}, met 0)",
+        ),
+        commits,
         ("count check", f"met {count} friends"),
         (
             "meet " + ", ".join(m.friend for m in schedule.meetings),
             f"finish {minutes_to_clock(schedule.meetings[-1].end)}",
         ),
+        schedule,
     )
-    return tracer.finish(TaskKind.MEETING_PLANNING, SearchMode.GREEDY, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +859,7 @@ def solve_payload(payload: Payload, mode: SearchMode = SearchMode.DFS) -> Search
     Without a solution there is nothing to commit to: the greedy trace is the
     search's Initialization alone, with no Success.
     """
-    kind = payload_kind(payload)
+    kind = payload.kind
     dfs = _DFS[kind](payload)
     if mode is SearchMode.DFS:
         return dfs
@@ -856,11 +873,11 @@ def solve(instance: ProblemInstance, mode: SearchMode = SearchMode.DFS) -> Searc
     return solve_payload(instance.payload, mode)
 
 
-_ENUM_GUARDS = {
-    TaskKind.TRIP_PLANNING: ("cities", 8),
-    TaskKind.VERTEX_COVER: ("vertices", 16),
-    TaskKind.THREE_DM: ("element axis size", 6),
-    TaskKind.MEETING_PLANNING: ("friends", 7),
+_ENUM_GUARDS: dict[TaskKind, tuple[str, Callable[..., int], int]] = {
+    TaskKind.TRIP_PLANNING: ("cities", lambda p: len(p.cities), 8),
+    TaskKind.VERTEX_COVER: ("vertices", lambda p: p.vertex_count, 16),
+    TaskKind.THREE_DM: ("elements per axis", lambda p: p.n, 6),
+    TaskKind.MEETING_PLANNING: ("friends", lambda p: len(p.friends), 7),
 }
 
 
@@ -873,15 +890,13 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
     beyond the per-task size guards.
     """
     payload = instance.payload if isinstance(instance, ProblemInstance) else instance
-    kind = payload_kind(payload)
+    kind = payload.kind
+    noun, size, limit = _ENUM_GUARDS[kind]
+    if size(payload) > limit:
+        raise TooLargeError(f"{size(payload)} {noun} exceeds the enumeration guard of {limit}")
 
     if kind is TaskKind.TRIP_PLANNING:
         assert isinstance(payload, TripPayload)
-        if len(payload.cities) > _ENUM_GUARDS[kind][1]:
-            raise TooLargeError(
-                f"{len(payload.cities)} cities exceeds the enumeration guard "
-                f"of {_ENUM_GUARDS[kind][1]}"
-            )
         plans = []
         for order in itertools.permutations(payload.cities):
             if check_trip_order(payload, order):
@@ -891,10 +906,6 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
     if kind is TaskKind.VERTEX_COVER:
         assert isinstance(payload, VertexCoverPayload)
         n = payload.vertex_count
-        if n > _ENUM_GUARDS[kind][1]:
-            raise TooLargeError(
-                f"{n} vertices exceeds the enumeration guard of {_ENUM_GUARDS[kind][1]}"
-            )
         for size in range(0, n + 1):
             covers = [
                 CoverSet(vertices=frozenset(combo))
@@ -908,10 +919,6 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
     if kind is TaskKind.THREE_DM:
         assert isinstance(payload, ThreeDMPayload)
         n = payload.n
-        if n > _ENUM_GUARDS[kind][1]:
-            raise TooLargeError(
-                f"axis size {n} exceeds the enumeration guard of {_ENUM_GUARDS[kind][1]}"
-            )
         by_x: dict[int, list[tuple[int, int, int]]] = {}
         for t in sorted(payload.triples):
             by_x.setdefault(t[0], []).append(t)
@@ -932,11 +939,6 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
         return matchings
 
     assert isinstance(payload, MeetingPayload)
-    if len(payload.friends) > _ENUM_GUARDS[kind][1]:
-        raise TooLargeError(
-            f"{len(payload.friends)} friends exceeds the enumeration guard "
-            f"of {_ENUM_GUARDS[kind][1]}"
-        )
     friends = sorted(payload.friends, key=lambda f: f.name)
     schedules: list[tuple[Meeting, ...]] = []
 

@@ -11,7 +11,8 @@ exactly checkable answers:
                          availability windows.
 
 Everything here is an immutable value object; solvers, generators, renderers and
-verifiers live in sibling modules and only consume these types.
+verifiers live in sibling modules and only consume these types.  Every payload
+and solution class names its task in the class attribute ``kind``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, TypeVar, Union
+from typing import Any, Callable, ClassVar, Iterable, Mapping, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -75,6 +76,7 @@ class TripPayload:
     *directed* pairs; a bidirectional route simply appears twice.
     """
 
+    kind: ClassVar[TaskKind] = TaskKind.TRIP_PLANNING
     cities: tuple[str, ...]
     total_days: int
     stays: Mapping[str, int]
@@ -107,6 +109,7 @@ class TripLeg:
 
 @dataclass(frozen=True)
 class TripPlan:
+    kind: ClassVar[TaskKind] = TaskKind.TRIP_PLANNING
     legs: tuple[TripLeg, ...]
 
     @property
@@ -123,6 +126,7 @@ class TripPlan:
 class VertexCoverPayload:
     """An undirected graph plus the target cover size (the known optimum)."""
 
+    kind: ClassVar[TaskKind] = TaskKind.VERTEX_COVER
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     target_size: int
@@ -137,6 +141,7 @@ class VertexCoverPayload:
 
 @dataclass(frozen=True)
 class CoverSet:
+    kind: ClassVar[TaskKind] = TaskKind.VERTEX_COVER
     vertices: frozenset[int]
 
 
@@ -149,6 +154,7 @@ class CoverSet:
 class ThreeDMPayload:
     """Triples over three disjoint axes x/y/z, each axis of size ``n``."""
 
+    kind: ClassVar[TaskKind] = TaskKind.THREE_DM
     n: int
     triples: tuple[tuple[int, int, int], ...]
 
@@ -160,6 +166,7 @@ class ThreeDMPayload:
 
 @dataclass(frozen=True)
 class Matching:
+    kind: ClassVar[TaskKind] = TaskKind.THREE_DM
     triples: frozenset[tuple[int, int, int]]
 
 
@@ -186,6 +193,7 @@ class MeetingPayload:
     location pair.
     """
 
+    kind: ClassVar[TaskKind] = TaskKind.MEETING_PLANNING
     locations: tuple[str, ...]
     start_location: str
     day_start: int
@@ -219,39 +227,12 @@ class Meeting:
 
 @dataclass(frozen=True)
 class MeetingSchedule:
+    kind: ClassVar[TaskKind] = TaskKind.MEETING_PLANNING
     meetings: tuple[Meeting, ...]
 
 
 Payload = Union[TripPayload, VertexCoverPayload, ThreeDMPayload, MeetingPayload]
 Solution = Union[TripPlan, CoverSet, Matching, MeetingSchedule]
-
-_PAYLOAD_KINDS: tuple[tuple[type, TaskKind], ...] = (
-    (TripPayload, TaskKind.TRIP_PLANNING),
-    (VertexCoverPayload, TaskKind.VERTEX_COVER),
-    (ThreeDMPayload, TaskKind.THREE_DM),
-    (MeetingPayload, TaskKind.MEETING_PLANNING),
-)
-
-_SOLUTION_KINDS: tuple[tuple[type, TaskKind], ...] = (
-    (TripPlan, TaskKind.TRIP_PLANNING),
-    (CoverSet, TaskKind.VERTEX_COVER),
-    (Matching, TaskKind.THREE_DM),
-    (MeetingSchedule, TaskKind.MEETING_PLANNING),
-)
-
-
-def payload_kind(payload: Payload) -> TaskKind:
-    for cls, kind in _PAYLOAD_KINDS:
-        if isinstance(payload, cls):
-            return kind
-    raise KindMismatchError(f"not a payload: {type(payload).__name__}")
-
-
-def solution_kind(solution: Solution) -> TaskKind:
-    for cls, kind in _SOLUTION_KINDS:
-        if isinstance(solution, cls):
-            return kind
-    raise KindMismatchError(f"not a solution: {type(solution).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +250,10 @@ class ProblemInstance:
     ground_truth: Solution
 
     def __post_init__(self) -> None:
-        if payload_kind(self.payload) is not self.kind:
-            raise KindMismatchError(
-                f"payload kind {payload_kind(self.payload)} != {self.kind}"
-            )
-        if solution_kind(self.ground_truth) is not self.kind:
-            raise KindMismatchError(
-                f"ground truth kind {solution_kind(self.ground_truth)} != {self.kind}"
-            )
+        if self.payload.kind is not self.kind:
+            raise KindMismatchError(f"payload kind {self.payload.kind} != {self.kind}")
+        if self.ground_truth.kind is not self.kind:
+            raise KindMismatchError(f"ground truth kind {self.ground_truth.kind} != {self.kind}")
 
 
 class VerdictStatus(str, Enum):

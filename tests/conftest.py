@@ -15,7 +15,6 @@ from searchbench.tasks import (
     TripPayload,
     TripPlan,
     VertexCoverPayload,
-    payload_kind,
 )
 
 TESTS_DIR = Path(__file__).parent
@@ -97,7 +96,7 @@ def unsolvable_instances():
     )
     instances = []
     for payload, truth in payloads:
-        kind = payload_kind(payload)
+        kind = payload.kind
         instances.append(ProblemInstance(
             id=f"{kind.value}-unsolvable", kind=kind, level=1, seed=0,
             payload=payload, ground_truth=truth,

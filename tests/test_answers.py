@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from searchbench.answers import (
+    answer_lines,
     canonical_text,
     evaluate,
     parse_answer,
@@ -109,6 +110,22 @@ def test_trip_parse_last_answer_wins(reference_trip):
         reference_trip.payload, wrong + "\nWait, let me redo this.\n\n" + right
     )
     assert report.candidate == reference_trip.ground_truth
+
+
+@pytest.mark.parametrize("kind", [TaskKind.THREE_DM, TaskKind.MEETING_PLANNING])
+def test_block_parse_last_answer_wins(kind):
+    inst = generate(GenSpec(kind=kind, level=6, seed=0))
+    rows = answer_lines(inst.ground_truth).splitlines()
+    earlier = answer_lines(generate(GenSpec(kind=kind, level=6, seed=1)).ground_truth)
+    assert len(rows) >= 2 and earlier.splitlines() != rows
+    half = len(rows) // 2
+    text = (
+        earlier + "\nWait, let me redo this.\n"
+        + "\n".join(rows[:half]) + "\n\n" + "\n".join(rows[half:]) + "\n"
+    )
+    report = parse_answer(inst.payload, text)
+    assert report.candidate == inst.ground_truth
+    assert report.matched_lines == tuple(rows)
 
 
 def test_cover_parse_variants():

@@ -289,6 +289,20 @@ def test_dry_run_counts_without_backend_calls(tmp_path):
     assert not (tmp_path / "cache.jsonl").exists()
 
 
+def test_dry_run_call_bound_is_what_a_failing_run_spends(tmp_path):
+    doc = _doc(tmp_path, models=[{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}])
+    doc.pop("matrix")
+    config = config_from_dict(doc)
+    plan = dry_run(config, echo=QUIET)
+    run(config, echo=QUIET)
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert records and all(r["final"]["status"] != "Success" for r in records)
+    assert sum(len(r["attempts"]) for r in records) == plan["max_backend_calls"]
+
+
 # ---------------------------------------------------------------------------
 # Command-line entry points
 # ---------------------------------------------------------------------------

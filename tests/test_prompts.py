@@ -18,8 +18,8 @@ from searchbench.prompts import (
     render_refine,
     statement_text,
 )
-from searchbench.solver import SearchMode, solve
-from searchbench.tasks import TaskKind
+from searchbench.solver import SearchMode, solve, solve_payload
+from searchbench.tasks import ProblemInstance, TaskKind, ThreeDMPayload
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 
@@ -210,6 +210,35 @@ def test_cot_budget_all_or_nothing(reference_trip):
     assert render(reference_trip, PromptMode.COT, exemplars, token_budget=need).body == full.body
     with pytest.raises(ContextBudgetExceeded):
         render(reference_trip, PromptMode.COT, exemplars, token_budget=need - 1)
+
+
+# x1 has ten candidate triples, so the accepting label is A10a3 and A1 is the
+# root of a dead subtree whose label is a prefix of A10.
+TEN_CHILDREN = ThreeDMPayload(n=4, triples=(
+    (0, 2, 2), (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3), (1, 1, 3), (1, 2, 2), (1, 2, 3),
+    (1, 3, 0), (1, 3, 2), (1, 3, 3), (2, 0, 0), (2, 2, 3), (3, 0, 1), (3, 1, 0), (3, 1, 1),
+))
+
+
+def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
+    trace = solve_payload(TEN_CHILDREN, SearchMode.DFS)
+    assert trace.events[-1].step_label == "A10a3"
+    exemplar = ProblemInstance(
+        id="ThreeDM-ten-children", kind=TaskKind.THREE_DM, level=0, seed=0,
+        payload=TEN_CHILDREN, ground_truth=trace.solution,
+    )
+    target = generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5))
+    body = render(target, PromptMode.AOT, [(exemplar, trace)]).body
+    while True:  # shrink the budget to the smallest body that still fits
+        try:
+            body = render(
+                target, PromptMode.AOT, [(exemplar, trace)],
+                token_budget=estimate_tokens(body) - 1,
+            ).body
+        except ContextBudgetExceeded:
+            break
+    assert "Step: A1\n" not in body
+    assert "Step: A10\n" in body and "Step: A10a3\n" in body
 
 
 # ---------------------------------------------------------------------------

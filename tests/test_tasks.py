@@ -11,9 +11,7 @@ from searchbench.tasks import (
     instance_from_record,
     instance_to_record,
     minutes_to_clock,
-    payload_kind,
     read_instances,
-    solution_kind,
     write_instances,
 )
 
@@ -26,8 +24,8 @@ def test_task_kind_values_round_trip():
 def test_payload_and_solution_kinds_agree(sample_instances):
     for kind, instances in sample_instances.items():
         for inst in instances:
-            assert payload_kind(inst.payload) is kind
-            assert solution_kind(inst.ground_truth) is kind
+            assert inst.payload.kind is kind
+            assert inst.ground_truth.kind is kind
             assert inst.kind is kind
 
 
