@@ -152,6 +152,8 @@ class ResponseCache:
     Writes are serialized through one lock; reads go against the in-memory
     snapshot without locking.  Corrupt lines (e.g. from a killed process) are
     skipped on load so a damaged cache degrades to misses, never to errors.
+    A torn last line is ended before the first append, so it cannot swallow
+    the next entry.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -159,9 +161,11 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, BackendResponse] = {}
         self.skipped_lines = 0
+        self._torn = False  # the file ends inside a line
         if self._path is not None and self._path.exists():
             with open(self._path, "r", encoding="utf-8") as fh:
                 for line in fh:
+                    self._torn = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
@@ -190,8 +194,10 @@ class ResponseCache:
                 return
             if self._path is not None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
+                line = json.dumps(record, sort_keys=True) + "\n"
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+                    fh.write("\n" + line if self._torn else line)
+                self._torn = False
             self._entries[digest] = response
 
 

@@ -13,17 +13,24 @@ The exemplar reasoning section always has the same five numbered phases
 and every search step is rendered with the same four fields (Step /
 Transition tried / preview & test / Outcome).  Formats are fixed: rendering
 is a pure function of the instance, mode and exemplars.
+
+A token budget elides only the AoT search phase, never the accepting path.
+The search stops at its first solution, so the accepting root section is the
+last one: earlier root sections go first, in trace order; then the accepting
+section's pruned steps and dead subtrees, shallowest first and in trace order
+within a depth.  Direct and CoT bodies have nothing to elide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import groupby
 from typing import Sequence
 
 from .answers import answer_lines, canonical_text
 from .generate import exemplar_instance
-from .solver import Action, SearchMode, SearchTrace, _letters, solve, success_path
+from .solver import Action, SearchMode, SearchTrace, TraceEvent, _letters, solve, success_path
 from .tasks import (
     MeetingPayload,
     Payload,
@@ -428,33 +435,7 @@ def _constraints(payload: Payload) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _init_comment(detail: str) -> str:
-    return detail.split("; ")[-1]
-
-
-def _step_block(kind: TaskKind, label: str, transition: str, preview: str, outcome: str) -> str:
-    return (
-        f"Step: {label}\n"
-        f"Transition tried: {transition}\n"
-        f"{PREVIEW_HEADERS[kind]} {preview}\n"
-        f"Outcome: {outcome}"
-    )
-
-
-def _transition_text(kind: TaskKind, mode: PromptMode, event) -> str:
-    # The depth-first exemplar elides the parent on deep transitions; the
-    # greedy exemplar names it at every step.
-    if (
-        mode is PromptMode.AOT
-        and kind is TaskKind.TRIP_PLANNING
-        and event.depth >= 3
-        and "→" in event.detail
-    ):
-        return "…→" + event.detail.split("→", 1)[1]
-    return event.detail
-
-
-def _event_block(kind: TaskKind, mode: PromptMode, event, success_label: str | None) -> str:
+def _event_block(kind: TaskKind, mode: PromptMode, event: TraceEvent, success_label: str) -> str:
     if event.action is Action.BACKTRACK:
         return f"Backtrack: {event.detail}"
     if event.action is Action.PRUNE:
@@ -463,186 +444,143 @@ def _event_block(kind: TaskKind, mode: PromptMode, event, success_label: str | N
         outcome = "**Success**"
     else:
         outcome = "keep"
-    return _step_block(
-        kind, event.step_label, _transition_text(kind, mode, event),
-        event.state_summary, outcome,
+    transition = event.detail
+    # The depth-first exemplar elides the parent on deep trip transitions;
+    # the greedy exemplar names it at every step.
+    if (
+        mode is PromptMode.AOT
+        and kind is TaskKind.TRIP_PLANNING
+        and event.depth >= 3
+        and "→" in transition
+    ):
+        transition = "…→" + transition.split("→", 1)[1]
+    return (
+        f"Step: {event.step_label}\n"
+        f"Transition tried: {transition}\n"
+        f"{PREVIEW_HEADERS[kind]} {event.state_summary}\n"
+        f"Outcome: {outcome}"
     )
 
 
 @dataclass
-class _Unit:
-    """A droppable run of step blocks inside the accepting section."""
-
-    blocks: list[str]
-    step_count: int
-    droppable: bool
-    shared_prefix: int
-
-
-@dataclass
 class _Section:
-    """One root subtree of a trace (the whole trace when it has no roots)."""
+    """One root subtree of a trace (the whole trace when it has no roots).
+
+    Each unit is ``(blocks, step count, depth)``; depth is None for a unit
+    that is never elided.
+    """
 
     root: str
-    units: list[_Unit]
-    has_success: bool
+    units: list[tuple[list[str], int, int | None]] = field(default_factory=list)
+    expanded: bool = False
     narrative: str | None = None
 
     @property
     def step_count(self) -> int:
-        return sum(u.step_count for u in self.units)
+        return sum(steps for _, steps, _ in self.units)
 
 
-def _prefix_len(a: str, b: str) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
-def _units_for(
+def _sections(
     kind: TaskKind,
     mode: PromptMode,
-    events: list,
-    success_label: str,
-    on_path: set[str],
-) -> list[_Unit]:
-    """Step blocks grouped into units: an Expansion off the accepting path
-    (``on_path`` holds its labels) opens a droppable unit that runs to its
-    own Backtrack; every other event is a unit of its own."""
-    units: list[_Unit] = []
-    group: _Unit | None = None
-    group_root = ""
-    for event in events:
-        block = _event_block(kind, mode, event, success_label)
-        is_step = event.action is not Action.BACKTRACK
-        if group is not None:
-            group.blocks.append(block)
-            group.step_count += 1 if is_step else 0
-            if event.action is Action.BACKTRACK and event.step_label == group_root:
-                units.append(group)
-                group = None
-            continue
-        if (
-            event.action is Action.EXPANSION
-            and event.step_label not in on_path
-        ):
-            group = _Unit(
-                blocks=[block],
-                step_count=1,
-                droppable=True,
-                shared_prefix=_prefix_len(event.step_label, success_label),
-            )
-            group_root = event.step_label
-            continue
-        units.append(
-            _Unit(
-                blocks=[block],
-                step_count=1 if is_step else 0,
-                droppable=event.action is Action.PRUNE,
-                shared_prefix=_prefix_len(event.step_label, success_label),
-            )
-        )
-    if group is not None:  # unterminated group (trace ended inside it)
-        units.append(group)
-    return units
-
-
-def _split_sections(
-    kind: TaskKind,
-    mode: PromptMode,
-    events: list,
+    events: Sequence[TraceEvent],
     success_label: str,
     on_path: set[str],
     fold_first_root: bool,
 ) -> list[_Section]:
-    """Split a trace at its start-city roots (``S0`` events); a trace with no
-    roots is one section with root ``""``."""
-    raw: list[tuple[str, list, str | None]] = []
-    root = ""
-    bucket: list = []
+    """Phase 3 in one pass over the search events.
+
+    The trace is split at its start-city roots (``S0`` events); a trace with
+    no roots is one section with root ``""``.  An Expansion off the accepting
+    path (``on_path`` holds its labels) opens a unit that runs to the
+    Backtrack that pairs it; every other event is a unit of its own, and of
+    those only Prunes are ever elided.
+    """
+    sections: list[_Section] = []
+    closing = None  # the label whose Backtrack closes the open unit
     for event in events:
         if event.step_label == "S0":
-            if bucket:
-                raw.append((root, bucket, None))
-            root, bucket = event.move, [event]
-        elif event.action is Action.BACKTRACK and event.step_label == "":
-            raw.append(
-                (
-                    root,
-                    bucket,
-                    f"No child of the {root} root survives, so the "
-                    "algorithm back-tracks to choose a new start city.",
-                )
+            sections.append(_Section(event.move))
+            if fold_first_root and len(sections) == 1:
+                continue
+        elif not sections:
+            sections.append(_Section(""))
+        section = sections[-1]
+        if event.action is Action.BACKTRACK and event.step_label == "":
+            section.narrative = (
+                f"No child of the {section.root} root survives, so the "
+                "algorithm back-tracks to choose a new start city."
             )
-            bucket = []
-        else:
-            bucket.append(event)
-    if bucket:
-        raw.append((root, bucket, None))
-
-    sections: list[_Section] = []
-    for i, (root, chunk, narrative) in enumerate(raw):
-        if i == 0 and fold_first_root:
-            chunk = chunk[1:]
-        sections.append(
-            _Section(
-                root=root,
-                units=_units_for(kind, mode, chunk, success_label, on_path),
-                has_success=any(
-                    e.step_label == success_label and e.action is Action.EXPANSION
-                    for e in chunk
-                ),
-                narrative=narrative,
-            )
+            continue
+        section.expanded |= event.action is Action.EXPANSION
+        block = _event_block(kind, mode, event, success_label)
+        step = int(event.action is not Action.BACKTRACK)
+        if closing is not None:
+            blocks, steps, depth = section.units[-1]
+            blocks.append(block)
+            section.units[-1] = (blocks, steps + step, depth)
+            if event.action is Action.BACKTRACK and event.step_label == closing:
+                closing = None
+            continue
+        elidable = event.action is Action.PRUNE or (
+            event.action is Action.EXPANSION and event.step_label not in on_path
         )
+        if elidable and event.action is Action.EXPANSION:
+            closing = event.step_label
+        section.units.append(([block], step, event.depth if elidable else None))
     return sections
 
 
-def _section_title(index: int, section: _Section) -> str:
-    step_blocks = [
-        b for u in section.units for b in u.blocks if b.startswith("Step:")
-    ]
-    if section.has_success:
+def _section_title(index: int, section: _Section, accepting: bool) -> str:
+    if accepting:
         qualifier = "search (full trace)"
-    elif step_blocks and all("Outcome: **Prune" in b for b in step_blocks):
+    elif section.step_count and not section.expanded:
         qualifier = "subtree (cut in one shot)"
     else:
         qualifier = "subtree (exhausted)"
     return f"3-{_letters(index + 1)}. {section.root}-rooted {qualifier}"
 
 
-def _output_format(payload: Payload, trace: SearchTrace) -> str:
-    solution = trace.solution
-    assert solution is not None
-    if isinstance(payload, TripPayload):
-        lines = []
-        for leg in solution.legs:  # type: ignore[union-attr]
-            w = payload.window_of(leg.city)
-            suffix = f"  ({w.label})" if w else ""
-            lines.append(f"Day {leg.day_from}-{leg.day_to}  {leg.city}{suffix}")
-        return "\n".join(lines)
-    return answer_lines(solution)  # type: ignore[arg-type]
+def _search_phase(
+    kind: TaskKind,
+    mode: PromptMode,
+    sections: list[_Section],
+    dropped: set,
+) -> str:
+    """Phase 3 without the ``dropped`` items: section indices ``i`` and unit
+    indices ``(i, j)``, each run of them replaced by a count of its steps."""
+    blocks: list[str] = [f"3. {SEARCH_PHASE_TITLES[mode]}"]
+    named = kind is TaskKind.TRIP_PLANNING and mode is PromptMode.AOT
+    for i, section in enumerate(sections):
+        if named:
+            blocks.append(_section_title(i, section, i == len(sections) - 1))
+        if i in dropped:
+            blocks.append(
+                f"(… {section.step_count} steps under the {section.root} root omitted …)"
+            )
+        else:
+            runs = groupby(enumerate(section.units), key=lambda ju: (i, ju[0]) in dropped)
+            for omitted, run in runs:
+                units = [unit for _, unit in run]
+                if omitted:
+                    blocks.append(f"(… {sum(steps for _, steps, _ in units)} steps omitted …)")
+                else:
+                    blocks.extend(b for unit_blocks, _, _ in units for b in unit_blocks)
+        if section.narrative:
+            blocks.append(section.narrative)
+    return "\n\n".join(blocks)
 
 
-def _reasoning_sections(
-    payload: Payload,
+def _exemplar(
+    instance: ProblemInstance,
     trace: SearchTrace,
     mode: PromptMode,
-) -> tuple[str, str, list[_Section], str, str]:
-    """The five phase bodies: state defs, init line, search sections, path, output."""
-    kind = payload.kind
-    init_event = trace.events[0]
-    success_event = trace.events[-1]
-    success_label = success_event.step_label
-    core = [
-        e
-        for e in trace.events[1:]
-        if e.action not in (Action.INITIALIZATION, Action.EVALUATION, Action.SUCCESS)
-    ]
-
+) -> tuple[str, list[_Section], str]:
+    """The worked exemplar as (text before phase 3, phase 3's sections,
+    text after it); phase 3 is assembled separately so elision can
+    re-assemble it.  A successful trace ends in its Evaluation and Success."""
+    payload = instance.payload
+    init, *core, _, found = trace.events
     # A depth-first trip trace folds its first start city into the initial
     # state; only depth-first trip traces have ``S0`` roots.
     fold = bool(core) and core[0].step_label == "S0" and core[0].action is Action.EXPANSION
@@ -656,73 +594,32 @@ def _reasoning_sections(
         )
     else:
         verb = "Initial state" if mode is PromptMode.COT else "Pick an initial state"
-        init_line = f"{verb}: {init_event.state_summary} # {_init_comment(init_event.detail)}"
-
-    return (
-        "\n".join(_STATE_DEFINITIONS[kind]),
-        init_line,
-        _split_sections(
-            kind, mode, core, success_label, {e.step_label for e in success_path(trace)}, fold
-        ),
-        success_event.detail,
-        _output_format(payload, trace),
+        init_line = f"{verb}: {init.state_summary} # {init.detail.split('; ')[-1]}"
+    sections = _sections(
+        payload.kind, mode, core, found.step_label,
+        {e.step_label for e in success_path(trace)}, fold,
     )
 
-
-def _assemble_search_phase(
-    kind: TaskKind,
-    mode: PromptMode,
-    sections: list[_Section],
-    dropped: set,
-) -> str:
-    """Phase 3 without the ``dropped`` items: section indices ``i`` and unit
-    indices ``(i, j)``, each replaced by a count of the steps it held."""
-    blocks: list[str] = [f"3. {SEARCH_PHASE_TITLES[mode]}"]
-    named = kind is TaskKind.TRIP_PLANNING and mode is PromptMode.AOT
-    for i, section in enumerate(sections):
-        if named:
-            blocks.append(_section_title(i, section))
-        if i in dropped:
-            blocks.append(
-                f"(… {section.step_count} steps under the {section.root} root omitted …)"
-            )
-        else:
-            omitted = 0
-            for j, unit in enumerate(section.units):
-                if (i, j) in dropped:
-                    omitted += unit.step_count
-                    continue
-                if omitted:
-                    blocks.append(f"(… {omitted} steps omitted …)")
-                    omitted = 0
-                blocks.extend(unit.blocks)
-            if omitted:
-                blocks.append(f"(… {omitted} steps omitted …)")
-        if section.narrative:
-            blocks.append(section.narrative)
-    return "\n\n".join(blocks)
-
-
-def _exemplar_block(
-    instance: ProblemInstance,
-    trace: SearchTrace,
-    mode: PromptMode,
-) -> tuple[str, list[_Section], str]:
-    """Everything of the worked exemplar except phase 3, which is assembled
-    separately so truncation can re-assemble it."""
-    state_lines, init_line, sections, path_line, output_block = _reasoning_sections(
-        instance.payload, trace, mode
-    )
+    if isinstance(payload, TripPayload):
+        lines = []
+        for leg in trace.solution.legs:  # type: ignore[union-attr]
+            w = payload.window_of(leg.city)
+            suffix = f"  ({w.label})" if w else ""
+            lines.append(f"Day {leg.day_from}-{leg.day_to}  {leg.city}{suffix}")
+        output = "\n".join(lines)
+    else:
+        output = answer_lines(trace.solution)  # type: ignore[arg-type]
+    state_lines = "\n".join(_STATE_DEFINITIONS[payload.kind])
     prefix = (
-        f"### Objective ###\n\n{_objective(instance.payload)}\n\n"
-        f"### Constraints ###\n\n{_constraints(instance.payload)}\n\n"
+        f"### Objective ###\n\n{_objective(payload)}\n\n"
+        f"### Constraints ###\n\n{_constraints(payload)}\n\n"
         "### Solution Thinking Process ###\n\n"
         f"1. State definition\n{state_lines}\n\n"
         f"2. Initialization\n{init_line}\n\n"
     )
     suffix = (
-        f"\n\n4. Unique solution path found\n{path_line}\n\n"
-        f"5. Output Format\n{output_block}"
+        f"\n\n4. Unique solution path found\n{found.detail}\n\n"
+        f"5. Output Format\n{output}"
     )
     return prefix, sections, suffix
 
@@ -786,65 +683,49 @@ def render(
     ``exemplars`` pairs worked instances with their traces: any number of
     successful traces for Direct, exactly one greedy trace for CoT, exactly
     one depth-first trace for AoT.  When ``token_budget`` is given and the
-    body estimate exceeds it, pruned subtrees are elided farthest from the
-    accepting path first; the accepting path itself is never cut, and
-    ContextBudgetExceeded is raised if even the fully elided body is too big.
+    body estimate exceeds it, AoT elides earlier root sections first, in
+    trace order, then the accepting section's pruned steps and dead subtrees,
+    shallowest first and in trace order within a depth; the accepting path
+    itself is never cut.  ContextBudgetExceeded is raised if even the fully
+    elided body is too big.
     """
     _validate(instance, mode, exemplars)
     kind = instance.kind
 
+    drop_order: list = []
     if mode is PromptMode.DIRECT:
         body = _direct_body(instance, exemplars)
-        if token_budget is not None and estimate_tokens(body) > token_budget:
-            raise ContextBudgetExceeded(
-                f"direct body is ≈{estimate_tokens(body)} tokens; "
-                f"budget {token_budget} (nothing can be elided in Direct mode)"
-            )
     else:
         ex, trace = exemplars[0]
-        prefix, sections, suffix = _exemplar_block(ex, trace, mode)
-        target = f"\n\nQuestion:\n\n### Target Question ###\n{statement_text(instance.payload)}"
+        prefix, sections, suffix = _exemplar(ex, trace, mode)
+        suffix += f"\n\nQuestion:\n\n### Target Question ###\n{statement_text(instance.payload)}"
 
         def assemble(dropped: set) -> str:
-            phase3 = _assemble_search_phase(kind, mode, sections, dropped)
-            return f"{THINKING_HEADERS[mode]}\n\n{prefix}{phase3}{suffix}{target}"
+            phase3 = _search_phase(kind, mode, sections, dropped)
+            return f"{THINKING_HEADERS[mode]}\n\n{prefix}{phase3}{suffix}"
 
         body = assemble(set())
-        if token_budget is not None and estimate_tokens(body) > token_budget:
-            if mode is PromptMode.COT:
-                raise ContextBudgetExceeded(
-                    f"greedy body is ≈{estimate_tokens(body)} tokens; "
-                    f"budget {token_budget} (a greedy trace has no prunable steps)"
-                )
-            # Far sections go first, farthest from the accepting one first;
-            # then the accepting section's units, least shared prefix first.
-            success_index = next(
-                (i for i, s in enumerate(sections) if s.has_success), 0
-            )
-            drop_order: list = sorted(
-                (i for i, s in enumerate(sections) if not s.has_success),
-                key=lambda i: (-abs(i - success_index), i),
-            ) + sorted(
-                (
-                    (i, j)
-                    for i, s in enumerate(sections)
-                    if s.has_success
-                    for j, u in enumerate(s.units)
-                    if u.droppable
-                ),
-                key=lambda ij: (sections[ij[0]].units[ij[1]].shared_prefix, ij[1]),
-            )
-            dropped: set = set()
-            for item in drop_order:
-                dropped.add(item)
-                body = assemble(dropped)
-                if estimate_tokens(body) <= token_budget:
-                    break
-            if estimate_tokens(body) > token_budget:
-                raise ContextBudgetExceeded(
-                    f"body is ≈{estimate_tokens(body)} tokens after eliding "
-                    f"every prunable subtree; budget {token_budget}"
-                )
+        # The search stops at its first solution, so the accepting section is
+        # the last: earlier sections go first, then the accepting section's
+        # elidable units, shallowest first.  A greedy trace has none.
+        last = len(sections) - 1
+        elidable = sorted(
+            (depth, j)
+            for j, (_, _, depth) in enumerate(sections[last].units if sections else [])
+            if depth is not None
+        )
+        drop_order = [*range(last), *((last, j) for _, j in elidable)]
+    dropped: set = set()
+    for item in drop_order:
+        if token_budget is None or estimate_tokens(body) <= token_budget:
+            break
+        dropped.add(item)
+        body = assemble(dropped)
+    if token_budget is not None and estimate_tokens(body) > token_budget:
+        raise ContextBudgetExceeded(
+            f"{mode.value} body is ≈{estimate_tokens(body)} tokens after eliding "
+            f"every elidable step; budget {token_budget}"
+        )
 
     return PromptBundle(
         mode=mode,

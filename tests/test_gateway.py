@@ -170,6 +170,39 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert reloaded.get(canonical_digest(other)).text == "also good"
 
 
+def test_cache_ends_a_torn_last_line_before_appending(tmp_path):
+    path = tmp_path / "replies.jsonl"
+    first = _request()
+    ResponseCache(path).put(canonical_digest(first), first, BackendResponse(text="one"))
+    whole = path.read_bytes()
+    with path.open("a", encoding="utf-8") as fh:  # a run killed mid-write
+        fh.write('{"digest": "torn", "model"')
+
+    resumed = ResponseCache(path)
+    second = _request(model="m-2")
+    resumed.put(canonical_digest(second), second, BackendResponse(text="two"))
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 1
+    assert reloaded.get(canonical_digest(first)).text == "one"
+    assert reloaded.get(canonical_digest(second)).text == "two"
+
+    path.write_bytes(whole)  # a complete file gains no blank line
+    third = _request(model="m-3")
+    ResponseCache(path).put(canonical_digest(third), third, BackendResponse(text="three"))
+    assert path.read_bytes().startswith(whole)
+    assert path.read_bytes().count(b"\n") == whole.count(b"\n") + 1
+
+
+def test_cache_warm_replay_leaves_a_complete_file_unchanged(tmp_path):
+    path = tmp_path / "replies.jsonl"
+    request = _request()
+    ResponseCache(path).put(canonical_digest(request), request, BackendResponse(text="one"))
+    whole = path.read_bytes()
+    replay = ResponseCache(path)
+    replay.put(canonical_digest(request), request, BackendResponse(text="one"))
+    assert path.read_bytes() == whole
+
+
 def test_cache_in_memory_without_path():
     cache = ResponseCache()
     request = _request()

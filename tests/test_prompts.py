@@ -220,14 +220,18 @@ TEN_CHILDREN = ThreeDMPayload(n=4, triples=(
 ))
 
 
-def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
+def _ten_children_prompt():
     trace = solve_payload(TEN_CHILDREN, SearchMode.DFS)
     assert trace.events[-1].step_label == "A10a3"
     exemplar = ProblemInstance(
         id="ThreeDM-ten-children", kind=TaskKind.THREE_DM, level=0, seed=0,
         payload=TEN_CHILDREN, ground_truth=trace.solution,
     )
-    target = generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5))
+    return generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5)), exemplar, trace
+
+
+def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
+    target, exemplar, trace = _ten_children_prompt()
     body = render(target, PromptMode.AOT, [(exemplar, trace)]).body
     while True:  # shrink the budget to the smallest body that still fits
         try:
@@ -239,6 +243,39 @@ def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
             break
     assert "Step: A1\n" not in body
     assert "Step: A10\n" in body and "Step: A10a3\n" in body
+
+
+def test_aot_elision_order_is_depth_then_trace_order():
+    # The dead subtrees A1..A9 hang at one depth, so they go in trace order:
+    # A1 first, although its label shares two characters with A10a3.
+    target, exemplar, trace = _ten_children_prompt()
+    dead = [f"A{i}" for i in range(1, 10)]
+    elided: dict[str, int] = {}  # label -> body tokens once it is gone
+    budget = estimate_tokens(render(target, PromptMode.AOT, [(exemplar, trace)]).body)
+    while True:  # one token at a time, down to the smallest body that fits
+        try:
+            body = render(target, PromptMode.AOT, [(exemplar, trace)], token_budget=budget).body
+        except ContextBudgetExceeded:
+            break
+        for label in dead:
+            if f"Step: {label}\n" not in body:
+                elided.setdefault(label, estimate_tokens(body))
+        budget -= 1
+    assert list(elided) == dead
+    assert elided["A1"] == 1319
+    assert budget + 1 == estimate_tokens(body) == 582
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_one_city_trip_section_is_the_accepting_search(seed):
+    exemplar = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=1, seed=seed))
+    (city,) = exemplar.payload.cities
+    target = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=2, seed=seed))
+    body = render(
+        target, PromptMode.AOT, [(exemplar, solve(exemplar, SearchMode.DFS))]
+    ).body
+    assert f"\n\n3-A. {city}-rooted search (full trace)\n\n4. " in body
+    assert "subtree" not in body
 
 
 # ---------------------------------------------------------------------------
