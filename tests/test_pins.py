@@ -10,6 +10,10 @@ Each digest changes only with a format change recorded in CHANGES.md:
 * ``instance_to_record`` and ``trace_to_records`` of the depth-first and the
   greedy trace over a small grid that covers every task and includes the
   exemplar instances the prompts embed;
+* the instances of the two tasks whose generator asks an exact search for its
+  ground truth (VertexCover's optimum cover, TripPlanning's plan uniqueness),
+  one digest per level over seeds 0-29: a wrong answer changes which
+  regeneration attempt is accepted, which two seeds per level would rarely show;
 * both traces of hand-built unsolvable payloads.  The generator emits only
   solvable instances, so these alone reach the failure paths: every child
   pruned, a dead end below the root, Trip's root loop and Meeting's
@@ -22,7 +26,7 @@ caches, so a failure here is a format change, not a test to update.
 import hashlib
 import json
 
-from searchbench.generate import GenSpec, exemplar_instance, generate
+from searchbench.generate import MAX_LEVEL, MIN_LEVEL, GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
     ContextBudgetExceeded,
@@ -37,6 +41,8 @@ from searchbench.tasks import TaskKind, ThreeDMPayload, instance_to_record
 
 GRID_LEVELS = (1, 3, 6, 8, 10)
 GRID_SEEDS = (0, 1)
+GROUND_TRUTH_KINDS = (TaskKind.VERTEX_COVER, TaskKind.TRIP_PLANNING)
+GROUND_TRUTH_SEEDS = range(30)
 
 
 def _digest(obj) -> str:
@@ -113,6 +119,19 @@ def record_digests() -> dict[str, str]:
             }
         )
     return out
+
+
+def instance_digests() -> dict[str, str]:
+    return {
+        f"{kind.value}-L{level}": _digest(
+            [
+                instance_to_record(generate(GenSpec(kind=kind, level=level, seed=seed)))
+                for seed in GROUND_TRUTH_SEEDS
+            ]
+        )
+        for kind in GROUND_TRUTH_KINDS
+        for level in range(MIN_LEVEL, MAX_LEVEL + 1)
+    }
 
 
 # x2 has no candidate triple, so the search dies under A1 and again under A2.
@@ -217,6 +236,29 @@ RECORD_DIGESTS: dict[str, str] = {
     "MeetingPlanning-L6-s7801095620611994934": "adf32491146ca4b658e39c3acc034013fe41f25facaf62ca257126567a844ea1",
 }
 
+INSTANCE_DIGESTS: dict[str, str] = {
+    "VertexCover-L1": "1e173c408463554082eed82bfe488b3dd7b7872e67c2b7d7785068419f28b3c5",
+    "VertexCover-L2": "9d2fca51af647e3154465b70356742f531c8cd5b934e310a893fda95d319efb4",
+    "VertexCover-L3": "47568d5eb1a20e9325322da211fdda6f5fff111722bbf97454368d3a13f8feab",
+    "VertexCover-L4": "c3fb6b288e0827de431ae26f1aca7fcd015e1ee8ac2ca745c6d730427aed8399",
+    "VertexCover-L5": "c86ec803235732fe36eef3af47c05f42bc6f895c1fc4f3b76215f2cd44a4e529",
+    "VertexCover-L6": "77b0b5ca843e0b22a0b0a1fdcce0be907e56ac6a0fe32bc1131cf9ca9fb5f846",
+    "VertexCover-L7": "03602c2f5d49100f299f57060bc668ae406a5f845a83b509549cbf054df07700",
+    "VertexCover-L8": "1ac2262576e9f5efb8b8ae13339cd4ddc056c9ff739f0c1f9c03f6de56cc1b45",
+    "VertexCover-L9": "66b7f2765a5874f9c975eb82e512932fc2a29fd045fd916cfa41098150116880",
+    "VertexCover-L10": "76c1769298f665c1f9af6d00ccdae3438d95be8b58d501a0affa41604bfb231d",
+    "TripPlanning-L1": "3e47505a53a28f68bdda7b5defe36cc682b6faa61a3e1dc282dc51552e9e7843",
+    "TripPlanning-L2": "6f4dac389d839fac8eb48532d7f1fcafed95545ec85c6029379b48af0be6256e",
+    "TripPlanning-L3": "f5a957a90cda5c876f38b81b6542bc50d3bca7072392119e98ca9616c479fca0",
+    "TripPlanning-L4": "012d1f1cfdaa1ae90f8bc54317fa176623df5f4428b865ed4f3a5a7f4bb4de30",
+    "TripPlanning-L5": "2f42f6a221681db85acadce0b15419bebcefed68ebc2b574acb911b7c4bb9fab",
+    "TripPlanning-L6": "91d27e748665f7e09524dc3d03ebceb51841355cbc069d424a24c9998e3709cf",
+    "TripPlanning-L7": "359075b78cbe0b662c787668fb60f2118b3d3d393233d9417d09e52fe207ce76",
+    "TripPlanning-L8": "4f4113cb44251cef8073beab38f2c1597593099157679a934a700a25e0e836e4",
+    "TripPlanning-L9": "fc12e03e75330fc9fc1868350f64b360016ac6f8498a83110c445c9ab1dee4ee",
+    "TripPlanning-L10": "cbb774698ce6ef30883a43954b7a9a83e7fdc81325357178b960efaae56e66d9",
+}
+
 
 UNSOLVABLE_DIGESTS: dict[str, str] = {
     "TripPlanning-unsolvable": "7884bb3653f107b0d6e42f5298863f469ea8792533598677be723386324bb5f4",
@@ -237,6 +279,10 @@ def test_budgeted_prompts_are_pinned():
 
 def test_instance_and_trace_records_are_pinned():
     assert record_digests() == RECORD_DIGESTS
+
+
+def test_ground_truth_instances_are_pinned():
+    assert instance_digests() == INSTANCE_DIGESTS
 
 
 def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
