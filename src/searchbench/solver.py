@@ -415,35 +415,50 @@ def _trip_greedy(payload: TripPayload, dfs: SearchTrace) -> SearchTrace:
 
 
 def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
-    """Count valid plans with a pruned exact search, stopping at ``limit``.
+    """``min(number of valid plans, limit)``; a return of 1 proves uniqueness.
 
-    Complete (it only prunes provably-dead branches), so a return of 1 proves
-    uniqueness; used by the generator where full enumeration would be wasteful.
+    The visited set fixes the calendar (a leg ends on day ``1 + Σ(stay − 1)``
+    over the cities placed so far), so the final day is checked once and the
+    search is memoised over (visited, last city).  A city is added under
+    ``_trip_try``'s remaining tests, which prune only dead branches: a flight
+    from the last city, its own window, and no unvisited window starting
+    before its leg ends.
     """
-    found = 0
+    cities = payload.cities
+    spans = [payload.stay_of(c) - 1 for c in cities]
+    if 1 + sum(spans) != payload.total_days:
+        return 0
+    full = (1 << len(cities)) - 1
+    flights = [
+        sum(1 << j for j, b in enumerate(cities) if payload.has_flight(a, b)) for a in cities
+    ]
+    window = [payload.window_of(c) for c in cities]
+    windowed = [(j, w) for j, w in enumerate(window) if w]
+    memo: dict[tuple[int, int], int] = {}
 
-    def descend(path: list[str], end_day: int) -> bool:
-        nonlocal found
-        if len(path) == len(payload.cities):
-            found += 1
-            return found >= limit
-        for cand in sorted(payload.cities):
-            if path and cand == path[-1]:
+    def count(visited: int, last: int, start: int) -> int:
+        if visited == full:
+            return 1
+        key = (visited, last)
+        if key in memo:
+            return memo[key]
+        total = 0
+        options = full & ~visited & (flights[last] if visited else full)
+        while options and total < limit:
+            bit = options & -options
+            options ^= bit
+            i = bit.bit_length() - 1
+            end = start + spans[i]
+            own = window[i]
+            if own and not (start <= own.start and own.end <= end):
                 continue
-            keep, _, _, new_end = _trip_try(payload, path, end_day, cand)
-            if not keep:
+            if any(end > w.start for j, w in windowed if j != i and not visited >> j & 1):
                 continue
-            path.append(cand)
-            if descend(path, new_end):
-                return True
-            path.pop()
-        return False
+            total += count(visited | bit, i, end)
+        memo[key] = total = min(total, limit)
+        return total
 
-    for start in payload.cities:
-        keep, _, _, end = _trip_try(payload, [], 0, start)
-        if keep and descend([start], end):
-            break
-    return found
+    return count(0, -1, 1) if cities else 0
 
 
 # ---------------------------------------------------------------------------
@@ -522,39 +537,62 @@ def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
     return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.DFS, _search(tracer, children, goal))
 
 
-def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, CoverSet]:
-    """Exact minimum vertex cover size and cover, from one untraced pass.
+def _mis(adj: Sequence[int], cand: int) -> int:
+    """Size of a maximum independent set of the subgraph induced on ``cand``.
 
-    Branch and bound in ``_cover_dfs``'s order (first uncovered edge of the
-    sorted edges, endpoint u before v) keeps a child while its size plus the
-    matching bound is at most ``limit``, one less than the best cover so far.
-    ``limit`` stays at or above the optimum until an optimum cover is found, so
-    every node ``_cover_dfs`` visits at ``target_size = optimum`` is visited
-    first, in the same order: the cover returned is the one it finds.
+    Vertex sets are int bitmasks and ``adj[v]`` is the neighbour mask of v.  A
+    vertex with at most one neighbour left lies in some maximum set, so it is
+    taken outright; otherwise the search branches on a vertex of highest
+    degree, leaving it out or taking it and dropping its neighbours.
     """
-    edges = sorted(edges)
-    covered: set[int] = set()
-    best = CoverSet(vertices=frozenset(range(vertex_count)))
-    limit = vertex_count - 1
+    size = 0
+    while cand:
+        pick, most = 0, -1
+        rest = cand
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            degree = (adj[bit.bit_length() - 1] & cand).bit_count()
+            if degree <= 1:
+                pick, most = bit, degree
+                break
+            if degree > most:
+                pick, most = bit, degree
+        cand &= ~pick
+        if_taken = cand & ~adj[pick.bit_length() - 1]
+        if most > 1:
+            return size + max(_mis(adj, cand), 1 + _mis(adj, if_taken))
+        size += 1
+        cand = if_taken
+    return size
 
-    def descend() -> None:
-        nonlocal best, limit
-        edge = next(
-            ((u, v) for u, v in edges if u not in covered and v not in covered),
-            None,
-        )
-        if edge is None:
-            best = CoverSet(vertices=frozenset(covered))
-            limit = len(covered) - 1
-            return
-        for x in edge:
-            covered.add(x)
-            if len(covered) + _matching_bound(edges, covered) <= limit:
-                descend()
-            covered.discard(x)
 
-    descend()
-    return len(best.vertices), best
+def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, CoverSet]:
+    """Exact minimum vertex cover size ``n − MIS``, and the cover ``_cover_dfs``
+    finds at that ``target_size``.
+
+    The cover comes from one walk over the sorted edges, in ``_cover_dfs``'s
+    branching order: at each uncovered edge (u, v) it adds u if a cover of
+    optimum size still contains the cover so far plus u, that is if the
+    vertices outside them still hold an independent set of size MIS, and v
+    otherwise.  Branching reaches every cover containing the current one, and
+    the traced bound prunes only subtrees with no cover of optimum size, so
+    the traced search's first leaf is the one this walk reaches.
+    """
+    adj = [0] * vertex_count
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << vertex_count) - 1
+    mis = _mis(adj, full)
+    cover = 0
+    for u, v in sorted(edges):
+        if not (cover >> u | cover >> v) & 1:
+            with_u = cover | 1 << u
+            cover = with_u if _mis(adj, full & ~with_u) == mis else cover | 1 << v
+    return vertex_count - mis, CoverSet(
+        vertices=frozenset(x for x in range(vertex_count) if cover >> x & 1)
+    )
 
 
 def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:

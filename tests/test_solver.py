@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -17,6 +18,7 @@ from searchbench.solver import (
     solve,
     solve_payload,
     success_path,
+    trip_legs_for_order,
 )
 from searchbench.tasks import (
     CoverSet,
@@ -24,6 +26,7 @@ from searchbench.tasks import (
     TaskKind,
     ThreeDMPayload,
     TripPayload,
+    TripWindow,
     VertexCoverPayload,
 )
 
@@ -179,9 +182,9 @@ def test_enumeration_guards():
 
 @st.composite
 def _graphs(draw):
-    n = draw(st.integers(4, 8))
+    n = draw(st.integers(4, 12))
     possible = list(itertools.combinations(range(n), 2))
-    edges = tuple(sorted(draw(st.sets(st.sampled_from(possible), min_size=1, max_size=12))))
+    edges = tuple(sorted(draw(st.sets(st.sampled_from(possible), min_size=1, max_size=36))))
     return n, edges
 
 
@@ -207,6 +210,19 @@ def test_min_cover_size_matches_brute_force(graph):
     trace = solve_payload(payload, SearchMode.DFS)
     assert trace.succeeded
     assert cover.vertices == trace.solution.vertices
+
+
+@pytest.mark.parametrize("level", [7, 8, 9, 10])
+def test_generated_cover_target_is_the_traced_optimum(level):
+    # Past the brute-force guard: the traced search, which shares no code
+    # with min_cover_size, finds no cover one below the target and finds the
+    # ground-truth cover at it.
+    for seed in range(4):
+        inst = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=level, seed=seed))
+        payload = inst.payload
+        below = dataclasses.replace(payload, target_size=payload.target_size - 1)
+        assert not solve_payload(below, SearchMode.DFS).succeeded, seed
+        assert solve_payload(payload, SearchMode.DFS).solution == inst.ground_truth, seed
 
 
 @st.composite
@@ -260,6 +276,43 @@ def _trip_payloads(draw):
     return TripPayload(
         cities=cities, total_days=total, stays=stays, windows={}, flights=flights
     )
+
+
+@st.composite
+def _windowed_trip_payloads(draw):
+    # Windows sit in (or shift from) the legs of a drawn order, and that
+    # order's flights are usually offered one way, so many draws have plans
+    # that the windows cut down.  The calendar always closes.
+    pool = ("Avila", "Bergen", "Cadiz", "Delft", "Evora", "Fulda")
+    count = draw(st.integers(2, 6))
+    cities = pool[:count]
+    stays = {c: draw(st.integers(2, 4)) for c in cities}
+    total = sum(stays.values()) - (count - 1)
+    order = draw(st.permutations(cities))
+    legs = trip_legs_for_order(TripPayload(cities, total, stays, {}, frozenset()), order)
+    windows = {}
+    for leg in legs:
+        if draw(st.booleans()):
+            shift = draw(st.integers(-2, 2))
+            start = draw(st.integers(leg.day_from, leg.day_to))
+            end = draw(st.integers(start, leg.day_to))
+            start, end = max(1, start + shift), min(total, end + shift)
+            windows[leg.city] = TripWindow(start, max(start, end), f"event in {leg.city}")
+    pairs = list(itertools.permutations(cities, 2))
+    flights = set(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    if draw(st.integers(0, 3)):
+        flights.update(zip(order, order[1:]))
+    return TripPayload(
+        cities=cities, total_days=total, stays=stays, windows=windows, flights=frozenset(flights)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windowed_trip_payloads())
+def test_trip_count_with_windows_matches_enumeration(payload):
+    plans = len(enumerate_all(payload))
+    for limit in (1, 2, 10**6):
+        assert count_trip_plans(payload, limit) == min(plans, limit)
 
 
 @settings(max_examples=40, deadline=None)
