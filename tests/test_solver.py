@@ -299,7 +299,7 @@ def _windowed_trip_payloads(draw):
             start, end = max(1, start + shift), min(total, end + shift)
             windows[leg.city] = TripWindow(start, max(start, end), f"event in {leg.city}")
     pairs = list(itertools.permutations(cities, 2))
-    flights = set(draw(st.sets(st.sampled_from(pairs), max_size=len(pairs))))
+    flights = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)))
     if draw(st.integers(0, 3)):
         flights.update(zip(order, order[1:]))
     return TripPayload(
