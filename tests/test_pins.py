@@ -10,10 +10,16 @@ Each digest changes only with a format change recorded in CHANGES.md:
 * ``instance_to_record`` and ``trace_to_records`` of the depth-first and the
   greedy trace over a small grid that covers every task and includes the
   exemplar instances the prompts embed;
-* the instances of the two tasks whose generator asks an exact search for its
-  ground truth (VertexCover's optimum cover, TripPlanning's plan uniqueness),
-  one digest per level over seeds 0-29: a wrong answer changes which
-  regeneration attempt is accepted, which two seeds per level would rarely show;
+* the instances of every task, whose generator asks an exact search for its
+  ground truth (VertexCover's optimum cover, TripPlanning's plan uniqueness,
+  MeetingPlanning's optimal schedule, ThreeDM's depth-first matching), one
+  digest per level over seeds 0-29: a wrong answer changes which regeneration
+  attempt is accepted or which truth is kept, which two seeds per level would
+  rarely show;
+* the ``(status, reason)`` verdicts of ``evaluate`` on a seeded corpus of
+  mutated canonical answers for every task at levels 1, 6 and 10: a dropped
+  row, two swapped rows, a changed case, a vocabulary name glued to letters,
+  markdown wrapping and the answer restated twice;
 * both traces of hand-built unsolvable payloads.  The generator emits only
   solvable instances, so these alone reach the failure paths: every child
   pruned, a dead end below the root, Trip's root loop and Meeting's
@@ -25,7 +31,10 @@ caches, so a failure here is a format change, not a test to update.
 
 import hashlib
 import json
+import random
+import re
 
+from searchbench.answers import canonical_text, evaluate
 from searchbench.generate import MAX_LEVEL, MIN_LEVEL, GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
@@ -37,11 +46,22 @@ from searchbench.prompts import (
     render,
 )
 from searchbench.solver import SearchMode, solve, solve_payload, trace_to_records
-from searchbench.tasks import TaskKind, ThreeDMPayload, instance_to_record
+from searchbench.tasks import (
+    MeetingPayload,
+    TaskKind,
+    ThreeDMPayload,
+    TripPayload,
+    instance_to_record,
+)
 
 GRID_LEVELS = (1, 3, 6, 8, 10)
 GRID_SEEDS = (0, 1)
-GROUND_TRUTH_KINDS = (TaskKind.VERTEX_COVER, TaskKind.TRIP_PLANNING)
+GROUND_TRUTH_KINDS = (
+    TaskKind.VERTEX_COVER,
+    TaskKind.TRIP_PLANNING,
+    TaskKind.MEETING_PLANNING,
+    TaskKind.THREE_DM,
+)
 GROUND_TRUTH_SEEDS = range(30)
 
 
@@ -132,6 +152,118 @@ def instance_digests() -> dict[str, str]:
         for kind in GROUND_TRUTH_KINDS
         for level in range(MIN_LEVEL, MAX_LEVEL + 1)
     }
+
+
+
+VERDICT_LEVELS = (1, 6, 10)
+VERDICT_SEEDS = range(5)
+VERDICT_DRAWS = 3
+
+
+def _vocabulary(payload) -> list[str]:
+    """The names an answer must snap back to: cities, or friends and places."""
+    if isinstance(payload, TripPayload):
+        return list(payload.cities)
+    if isinstance(payload, MeetingPayload):
+        return [f.name for f in payload.friends] + list(payload.locations)
+    return []
+
+
+def _split_rows(text: str) -> tuple[str, list[str], str]:
+    """(head, rows, tail) of a canonical answer; a cover's rows are the
+    items of its one bracketed list."""
+    head, _, body = text.partition("\n\n")
+    if body.startswith("Vertex cover: ["):
+        return head + "\n\nVertex cover: [", body[len("Vertex cover: ["):-1].split(", "), "]"
+    return head + "\n\n", body.split("\n"), ""
+
+
+def _drop_row(rng, text, vocab):
+    head, rows, tail = _split_rows(text)
+    del rows[rng.randrange(len(rows))]
+    return head + ("\n" if not tail else ", ").join(rows) + tail
+
+
+def _swap_rows(rng, text, vocab):
+    head, rows, tail = _split_rows(text)
+    if len(rows) > 1:
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i], rows[j] = rows[j], rows[i]
+    return head + ("\n" if not tail else ", ").join(rows) + tail
+
+
+def _change_case(rng, text, vocab):
+    change = rng.choice((str.upper, str.lower, str.swapcase, str.title))
+    lines = text.split("\n")
+    if rng.random() < 0.5:
+        return change(text)
+    i = rng.randrange(len(lines))
+    lines[i] = change(lines[i])
+    return "\n".join(lines)
+
+
+def _glue_name(rng, text, vocab):
+    present = [name for name in vocab or ("V", "x") if name in text]
+    name = rng.choice(present)
+    starts = [m.start() for m in re.finditer(re.escape(name), text)]
+    at = rng.choice(starts)
+    glue = "".join(rng.choice("abcxyzq") for _ in range(rng.randint(1, 2)))
+    if rng.random() < 0.5:
+        return text[:at] + glue + text[at:]
+    end = at + len(name)
+    return text[:end] + glue + text[end:]
+
+
+def _markdown(rng, text, vocab):
+    style = rng.randrange(4)
+    if style == 0:
+        return "```\n" + text + "\n```"
+    lines = text.split("\n")
+    if style == 1:
+        return "\n".join(f"- {line}" if line else line for line in lines)
+    if style == 2:
+        return "\n".join(f"**{line}**" if line else line for line in lines)
+    return "\n".join(f"| {line} |" if line else line for line in lines)
+
+
+def _restate(rng, text, vocab):
+    first = rng.choice((text, _drop_row(rng, text, vocab), _swap_rows(rng, text, vocab)))
+    second = rng.choice((text, _drop_row(rng, text, vocab)))
+    return first + "\n\nLet me restate the final answer.\n\n" + second
+
+
+MUTATIONS = (
+    ("drop-row", _drop_row),
+    ("swap-rows", _swap_rows),
+    ("case", _change_case),
+    ("glue-name", _glue_name),
+    ("markdown", _markdown),
+    ("restate", _restate),
+)
+
+
+def verdict_digests() -> dict[str, str]:
+    """Per task: every ``(status, reason)`` of ``evaluate`` on the canonical
+    answer and on ``VERDICT_DRAWS`` seeded draws of each mutation."""
+    out = {}
+    for kind in TaskKind:
+        rows = []
+        for level in VERDICT_LEVELS:
+            for seed in VERDICT_SEEDS:
+                inst = generate(GenSpec(kind=kind, level=level, seed=seed))
+                text = canonical_text(inst.payload, inst.ground_truth)
+                vocab = _vocabulary(inst.payload)
+                rng = random.Random(f"{inst.id}-verdicts")
+                cases = [("canonical", text)] + [
+                    (name, mutate(rng, text, vocab))
+                    for name, mutate in MUTATIONS
+                    for _ in range(VERDICT_DRAWS)
+                ]
+                for name, answer in cases:
+                    _, verdict = evaluate(inst, answer)
+                    rows.append([inst.id, name, verdict.status.value, verdict.reason])
+        out[kind.value] = _digest(rows)
+    return out
 
 
 # x2 has no candidate triple, so the search dies under A1 and again under A2.
@@ -257,6 +389,34 @@ INSTANCE_DIGESTS: dict[str, str] = {
     "TripPlanning-L8": "4f4113cb44251cef8073beab38f2c1597593099157679a934a700a25e0e836e4",
     "TripPlanning-L9": "fc12e03e75330fc9fc1868350f64b360016ac6f8498a83110c445c9ab1dee4ee",
     "TripPlanning-L10": "cbb774698ce6ef30883a43954b7a9a83e7fdc81325357178b960efaae56e66d9",
+    "MeetingPlanning-L1": "c088e6d84d81278f6a40cd19e1e1ae496371f3b11f7fdb42f7f19b9ca9d9481d",
+    "MeetingPlanning-L2": "ad9da8e9420ba3241cd7ce54a51042d2ea23e698e21f3d10bc49c3e4a455160b",
+    "MeetingPlanning-L3": "ecd0c18926699a4919e09b59c58b29e222812896f94727983558f6861ebe7077",
+    "MeetingPlanning-L4": "7d7038576ac2775f949cbc9d714940535fd69c12fe88afdfb97fd7971daac655",
+    "MeetingPlanning-L5": "6cbf296c95ff3649c4f790bcb6b110b6c3bed6684b8ed45a40c951a53178cddd",
+    "MeetingPlanning-L6": "23ed51c811103e072d850811c75502773308f77da1907f3fbd9fca2f676c679f",
+    "MeetingPlanning-L7": "788c2cd03aac855d3cae4ac3cdd856c0e2aff2bfaba3dc7b20191a93ffbdff3f",
+    "MeetingPlanning-L8": "679fe6cda0c2a0000b3b42c085bdc94c90eda3bf8027fe93df34fe483766503e",
+    "MeetingPlanning-L9": "740da1076ffccf5289fce645993494db521bb25a530a93151a4070ccede3e989",
+    "MeetingPlanning-L10": "6f997b31caafa776fd58a9bec77a7c010c2681e4779a4010a81fabdddbba702c",
+    "ThreeDM-L1": "a37cac1c59a0ba321c1c2202ba8ae805883d78ba95cbaf7ceac1954ed889634d",
+    "ThreeDM-L2": "6ba7b3335370cf261b1c47c30c4b006081a894b238b46de413239b9bdf9a4217",
+    "ThreeDM-L3": "7f4923768ba8721444ba5b50e43fd53dd9bd7ff9d5265eaa5610da5abb729968",
+    "ThreeDM-L4": "a243c71cadcc4edaeb7607bd24901ae4ee94d1ec7c9c0c10ddb29cfe104cfbb3",
+    "ThreeDM-L5": "13944e9cfd77c7eecad561cf493d17decd4f8cda0d9956f0403f875b5c576e93",
+    "ThreeDM-L6": "8ace1ee248af30e6e3d5584f4125c55a42a9235cb340a67641c3b7881d570126",
+    "ThreeDM-L7": "00b46f195371b273f0baff74321303897b5ec5e7dabda60250ab02dca3140dd0",
+    "ThreeDM-L8": "42424b77503a74a65e4ab5e5f6c6353897fc5d7102524e1174b0b3e70d2937a2",
+    "ThreeDM-L9": "5ea597612bebd381f6ed5b969fb421096a6d31d465640450efae94b4ef23287c",
+    "ThreeDM-L10": "08c4fc06df9c46e75876027422920c2fe197034103c4b168218b1de6db5b99e7",
+}
+
+
+VERDICT_DIGESTS: dict[str, str] = {
+    "VertexCover": "7cf0845ccd3216008fc9846e428924fb76fa60e13a7df67300782667e9effae6",
+    "ThreeDM": "b417df4490176882965c8fa38dfebb34f5133f0a70598bc7318186aea4a5da0c",
+    "TripPlanning": "fc0dfb633d46a116a8c88cd185916bbef4879ee6475177e258b8313756f2e89e",
+    "MeetingPlanning": "cc187e56b45cb021a4c131f9b3114fdbc91703bef09d9b4d11f7f69ae178db0d",
 }
 
 
@@ -283,6 +443,10 @@ def test_instance_and_trace_records_are_pinned():
 
 def test_ground_truth_instances_are_pinned():
     assert instance_digests() == INSTANCE_DIGESTS
+
+
+def test_evaluate_verdicts_are_pinned():
+    assert verdict_digests() == VERDICT_DIGESTS
 
 
 def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
