@@ -10,6 +10,7 @@ parse + verify into a single verdict.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .tasks import (
@@ -124,21 +125,29 @@ _MEETING = re.compile(
 )
 
 
+_ASCII_LETTERS = frozenset(string.ascii_lowercase)
+
+
 def _clean(line: str) -> str:
     return line.replace("**", "").strip()
 
 
 def _match_vocab(raw: str, vocabulary: tuple[str, ...]) -> str | None:
-    """Earliest (then longest) case-insensitive vocabulary hit inside ``raw``."""
+    """Earliest, then longest, then smallest vocabulary name found inside
+    ``raw`` case-insensitively with no ASCII letter glued to either side."""
     low = raw.lower()
     best: tuple[int, int, str] | None = None
     for name in vocabulary:
-        pattern = re.escape(name.lower())
-        m = re.search(rf"(?<![a-z]){pattern}(?![a-z])", low)
-        if m:
-            key = (m.start(), -len(name), name)
-            if best is None or key < best:
-                best = key
+        needle = name.lower()
+        at = low.find(needle)
+        while at >= 0:
+            end = at + len(needle)
+            if low[at - 1 : at] not in _ASCII_LETTERS and low[end : end + 1] not in _ASCII_LETTERS:
+                key = (at, -len(name), name)
+                if best is None or key < best:
+                    best = key
+                break
+            at = low.find(needle, at + 1)
     return best[2] if best else None
 
 
@@ -228,6 +237,7 @@ def _to_minutes(hours: int, minutes: int, meridian: str | None) -> int:
 
 def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
     lines = text.splitlines()
+    names = tuple(f.name for f in payload.friends)
     hits: list[tuple[int, Meeting, str]] = []
     for idx, line in enumerate(lines):
         m = _MEETING.search(_clean(line))
@@ -237,7 +247,7 @@ def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
         location = (m.group(2) or "").strip().rstrip(".,")
         start = _to_minutes(int(m.group(3)), int(m.group(4)), m.group(5))
         end = _to_minutes(int(m.group(6)), int(m.group(7)), m.group(8))
-        snapped = _match_vocab(name, tuple(f.name for f in payload.friends))
+        snapped = _match_vocab(name, names)
         if snapped:
             name = snapped
         friend = payload.friend_named(name)
@@ -262,16 +272,20 @@ def parse_answer(payload: Payload, text: str) -> ParseReport:
     """Extract a structured candidate for ``payload``'s task from model text.
 
     City, name and location tokens snap case-insensitively to the payload's
-    vocabulary.
+    vocabulary.  A number too long for ``int`` to read (over 4,300 digits by
+    default) fails the parse.
     """
-    if isinstance(payload, TripPayload):
-        return _parse_trip(text, payload)
-    if isinstance(payload, VertexCoverPayload):
-        return _parse_cover(text)
-    if isinstance(payload, ThreeDMPayload):
-        return _parse_threedm(text)
-    if isinstance(payload, MeetingPayload):
-        return _parse_meeting(text, payload)
+    try:
+        if isinstance(payload, TripPayload):
+            return _parse_trip(text, payload)
+        if isinstance(payload, VertexCoverPayload):
+            return _parse_cover(text)
+        if isinstance(payload, ThreeDMPayload):
+            return _parse_threedm(text)
+        if isinstance(payload, MeetingPayload):
+            return _parse_meeting(text, payload)
+    except ValueError:  # the parsers' only ValueError is int() refusing a digit run
+        return ParseReport(None, (), "a number in the answer has too many digits to read")
     raise KindMismatchError(f"not a payload: {type(payload).__name__}")
 
 

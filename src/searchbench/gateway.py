@@ -73,7 +73,9 @@ class BackendRequest:
 
     ``messages`` alternates (role, content) pairs, roles "user"/"assistant".
     ``sample_index`` distinguishes otherwise-identical requests so parallel
-    samples get distinct cache entries.
+    samples get distinct cache entries.  ``digest`` is the request's
+    ``canonical_digest``, computed once at construction: the cache key and
+    the attempt's ``request_digest``.
     """
 
     model: str
@@ -84,6 +86,10 @@ class BackendRequest:
     thinking: bool = False
     thinking_budget: int | None = None
     sample_index: int = 0
+    digest: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", canonical_digest(self))
 
 
 @dataclass(frozen=True)
@@ -550,7 +556,7 @@ class ModelGateway:
         self.misses = 0
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        digest = canonical_digest(request)
+        digest = request.digest
         while True:
             with self._stats_lock:
                 cached = self.cache.get(digest)

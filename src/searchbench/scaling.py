@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .answers import evaluate
-from .gateway import BackendRequest, ModelGateway, canonical_digest
+from .gateway import BackendRequest, ModelGateway
+from .gateway import canonical_digest  # noqa: F401 - perfbench/tracing.py wraps this name
 from .prompts import PromptBundle, PromptMode, render_refine
 from .tasks import ProblemInstance, TaskError, TaskKind, Verdict, VerdictStatus
 
@@ -188,7 +189,7 @@ def execute(
         attempt = Attempt(
             round_index=round_index,
             sample_index=sample_index,
-            request_digest=canonical_digest(request),
+            request_digest=request.digest,
             text=response.text,
             thinking_text=response.thinking_text,
             verdict=verdict,

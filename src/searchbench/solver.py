@@ -765,8 +765,10 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     return len(best_sched), MeetingSchedule(meetings=best_sched)
 
 
-def _meeting_dfs(payload: MeetingPayload) -> SearchTrace:
-    target_count, _ = optimal_schedule(payload)
+def _meeting_dfs(
+    payload: MeetingPayload, optimum: tuple[int, MeetingSchedule] | None = None
+) -> SearchTrace:
+    target_count, _ = optimum or optimal_schedule(payload)
     friends = sorted(payload.friends, key=lambda f: f.name)
     tracer = _Tracer(
         detail="state = (location, clock, met set); try friends in name order",
@@ -840,10 +842,14 @@ def _meeting_dfs(payload: MeetingPayload) -> SearchTrace:
     )
 
 
-def _meeting_greedy(payload: MeetingPayload, dfs: SearchTrace) -> SearchTrace:
+def _meeting_greedy(payload: MeetingPayload) -> SearchTrace:
     """Commit the canonical optimal schedule (earliest finish), which need not
-    be the first optimal schedule the depth-first search reaches."""
-    count, schedule = optimal_schedule(payload)
+    be the first optimal schedule the depth-first search reaches.  The one
+    ``optimal_schedule`` call is the whole solve: no search runs."""
+    optimum = optimal_schedule(payload)
+    count, schedule = optimum
+    if count == 0:
+        return _no_commits(_meeting_dfs(payload, optimum))
     commits = []
     loc = payload.start_location
     for mtg in schedule.meetings:
@@ -887,22 +893,29 @@ _GREEDY: dict[TaskKind, Callable] = {
     TaskKind.TRIP_PLANNING: _trip_greedy,
     TaskKind.VERTEX_COVER: _cover_greedy,
     TaskKind.THREE_DM: _threedm_greedy,
-    TaskKind.MEETING_PLANNING: _meeting_greedy,
 }
+
+
+def _no_commits(dfs: SearchTrace) -> SearchTrace:
+    """Without a solution there is nothing to commit to: the greedy trace is the
+    search's Initialization alone, with no Success."""
+    return SearchTrace(dfs.kind, SearchMode.GREEDY, dfs.events[:1], None, 0)
 
 
 def solve_payload(payload: Payload, mode: SearchMode = SearchMode.DFS) -> SearchTrace:
     """Run the depth-first search once; in greedy mode narrate its solution.
 
-    Without a solution there is nothing to commit to: the greedy trace is the
-    search's Initialization alone, with no Success.
+    MeetingPlanning's greedy trace commits the exact optimum instead, so it
+    runs no search.
     """
     kind = payload.kind
+    if mode is SearchMode.GREEDY and kind is TaskKind.MEETING_PLANNING:
+        return _meeting_greedy(payload)
     dfs = _DFS[kind](payload)
     if mode is SearchMode.DFS:
         return dfs
     if dfs.solution is None:
-        return SearchTrace(kind, SearchMode.GREEDY, dfs.events[:1], None, 0)
+        return _no_commits(dfs)
     return _GREEDY[kind](payload, dfs)
 
 

@@ -1,8 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from searchbench.answers import (
+    _match_vocab,
     answer_lines,
     canonical_text,
     evaluate,
@@ -286,3 +289,93 @@ def test_evaluate_wrong_but_valid_looking_plan(reference_trip):
         VerdictStatus.WRONG_ANSWER,
     )
     assert not verdict.ok
+
+
+def test_evaluate_reads_an_overlong_number_as_a_parse_failure(sample_instances):
+    digits = "7" * 5000
+    texts = {
+        TaskKind.TRIP_PLANNING: f"Day 1-{digits}: Visit Rome",
+        TaskKind.VERTEX_COVER: f"Vertex cover: [V{digits}, V1]",
+        TaskKind.THREE_DM: f"(x{digits}, y0, z0)",
+    }
+    for kind, text in texts.items():
+        _, verdict = evaluate(sample_instances[kind][0], text)
+        assert verdict.status is VerdictStatus.PARSE_FAILURE
+        assert "too many digits" in verdict.reason
+
+
+# ---------------------------------------------------------------------------
+# Vocabulary snapping against the regex matcher it replaced
+# ---------------------------------------------------------------------------
+
+
+def _regex_match_vocab(raw, vocabulary):
+    """The former matcher: one lookaround regex per name over the lower-cased
+    text; earliest start, then longest name, then smallest name."""
+    low = raw.lower()
+    best = None
+    for name in vocabulary:
+        pattern = re.escape(name.lower())
+        m = re.search(rf"(?<![a-z]){pattern}(?![a-z])", low)
+        if m:
+            key = (m.start(), -len(name), name)
+            if best is None or key < best:
+                best = key
+    return best[2] if best else None
+
+
+# Names that collide once lower-cased, are prefixes of each other, are empty,
+# or change length when lower-cased (İ lowers to two code points).
+_NAMES = st.one_of(
+    st.sampled_from([
+        "", "Rome", "ROME", "rome", "Rom", "Romeo", "Ro", "San Jose", "San", "Jose",
+        "İstanbul", "istanbul", "İ", "i", "ß", "SS", "ss", "Ōslo", "ōslo", "Oslo",
+        "St. Ives", "x1", "a-b",
+    ]),
+    st.text(alphabet="abAB İıßŌō-.", max_size=4),
+)
+_BOUNDARIES = st.sampled_from(["`", "{", "-", ".", " ", "0", "7", "@", "[", "_", "a", "Z", "é", "İ"])
+
+
+@st.composite
+def _vocab_and_text(draw):
+    vocabulary = tuple(draw(st.lists(_NAMES, max_size=6)))
+    names = st.sampled_from(vocabulary or ("",))
+    pieces = st.one_of(_BOUNDARIES, names, names.map(str.upper), names.map(str.swapcase))
+    return vocabulary, "".join(draw(st.lists(pieces, max_size=12)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_vocab_and_text())
+@example((("Rome", "ROME", "rome"), "xrome rome"))
+@example((("San", "San Jose"), "`san jose{"))
+@example((("İstanbul", "istanbul"), "İstanbul"))
+@example((("i", "İ"), "İ"))  # ties on the name's length, not its lower-cased length
+@example((("", "ß"), "ß-"))
+def test_scan_matcher_equals_the_regex_matcher(case):
+    vocabulary, text = case
+    assert _match_vocab(text, vocabulary) == _regex_match_vocab(text, vocabulary)
+
+
+# ---------------------------------------------------------------------------
+# evaluate never raises
+# ---------------------------------------------------------------------------
+
+
+_FRAGMENTS = st.sampled_from([
+    "Day ", "-", ":", "**", " ", "\n", "\n\n", "Fly from ", " to ", "Visit ", "Arriving in ",
+    "Vertex cover: [", "]", "[", "V", ", ", "(x", "y", "z", ")", "(", "Meet ", " at ",
+    " from ", "AM", "PM", "12", "0", "99", "9:30", "23:59", "–", "until",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_evaluate_returns_a_verdict_for_any_text(sample_instances, data):
+    instances = [inst for group in sample_instances.values() for inst in group]
+    inst = data.draw(st.sampled_from(instances))
+    rows = canonical_text(inst.payload, inst.ground_truth).splitlines()
+    piece = st.one_of(_FRAGMENTS, st.sampled_from(rows), st.text(max_size=6))
+    report, verdict = evaluate(inst, "".join(data.draw(st.lists(piece, max_size=25))))
+    assert verdict.status in VerdictStatus
+    assert (report.candidate is None) == (verdict.status is VerdictStatus.PARSE_FAILURE)

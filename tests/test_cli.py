@@ -8,6 +8,7 @@ import pytest
 
 from searchbench import __version__
 from searchbench.answers import canonical_text
+from searchbench.gateway import ModelGateway
 from searchbench.generate import GenSpec, generate
 from searchbench.cli import (
     ConfigError,
@@ -524,6 +525,25 @@ def test_benchmark_tracer_wraps_every_layer_name():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_run_goes_through_a_positional_complete_wrapper(tmp_path, monkeypatch):
+    """The benchmark stamps the first request by replacing
+    ``ModelGateway.complete`` with a ``(self, request)`` wrapper (see
+    ``perfbench/child.py``); a run must pass every request through it."""
+    seen = []
+    complete = ModelGateway.complete
+
+    def stamp_first(self, request):
+        seen.append(request.digest)
+        return complete(self, request)
+
+    monkeypatch.setattr(ModelGateway, "complete", stamp_first)
+    report = run(config_from_dict(_doc(tmp_path)), echo=QUIET)
+    assert all(c.successes == c.total == 2 for c in report.cells)
+    lines = (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+    attempts = [a["digest"] for line in lines for a in json.loads(line)["attempts"]]
+    assert sorted(attempts) == sorted(seen)
 
 
 def test_python_dash_m_searchbench_runs_the_cli_without_warnings():

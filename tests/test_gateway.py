@@ -117,6 +117,24 @@ def test_digest_changes_with_every_field(change):
     assert canonical_digest(_request(**change)) != canonical_digest(_request())
 
 
+def test_request_carries_its_digest_outside_equality_hash_and_repr():
+    request = _request()
+    assert request.digest == canonical_digest(request)
+    twin = _request()
+    object.__setattr__(twin, "digest", "not a digest")
+    assert twin == request and hash(twin) == hash(request)
+    assert "digest" not in repr(request)
+    with pytest.raises(TypeError):
+        BackendRequest(model="m", system_text="", messages=(), digest="x")
+
+
+def test_replaced_request_gets_a_fresh_digest():
+    request = _request()
+    sample = dataclasses.replace(request, sample_index=1)
+    assert sample.digest == canonical_digest(sample) != request.digest
+    assert dataclasses.replace(request).digest == request.digest
+
+
 # ---------------------------------------------------------------------------
 # Response cache
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
+import json
+
 import pytest
 
 from searchbench.answers import canonical_text
-from searchbench.gateway import MockBackend, ModelGateway, OracleBackend
+from searchbench.gateway import (
+    MockBackend,
+    ModelGateway,
+    OracleBackend,
+    ResponseCache,
+    canonical_digest,
+)
 from searchbench.prompts import PromptMode, default_exemplars, render
-from searchbench.gateway import canonical_digest
 from searchbench.scaling import (
     TEMPERATURES,
     ScalingKind,
@@ -217,6 +224,29 @@ def test_sequential_temperature_and_thinking_off(trip_cell):
     backend = MockBackend(["wrong"])
     execute(ModelGateway(backend), inst, bundle, ScalingStrategy.parse("ss:1"), model="m")
     assert all(r.temperature == 0.0 and not r.thinking for r in backend.calls)
+
+
+# ---------------------------------------------------------------------------
+# Request digests
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, calls", [("ws", 1), ("ps:3", 3), ("ss:1", 2), ("is:4096", 1)])
+def test_attempt_digest_is_the_request_digest_and_the_cache_key(trip_cell, tmp_path, spec, calls):
+    inst, bundle = trip_cell
+    # A wrong first answer makes ``ss:1`` send its refinement turn too.
+    backend = MockBackend(["wrong", _right(inst)])
+    path = tmp_path / "cache.jsonl"
+    outcome = execute(
+        ModelGateway(backend, ResponseCache(path)), inst, bundle,
+        ScalingStrategy.parse(spec), model="m",
+    )
+    assert len(backend.calls) == calls
+    assert all(r.digest == canonical_digest(r) for r in backend.calls)
+    digests = [a.request_digest for a in outcome.attempts]
+    assert digests == [r.digest for r in backend.calls]
+    written = [json.loads(line)["digest"] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert written == digests
 
 
 # ---------------------------------------------------------------------------

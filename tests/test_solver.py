@@ -334,3 +334,22 @@ def test_optimal_schedule_matches_enumeration():
         assert best_count == len(best.meetings)
         assert {len(s.meetings) for s in everything} == {best_count}
         assert best in everything
+
+
+@pytest.mark.parametrize("mode", list(SearchMode))
+def test_meeting_solve_computes_the_optimum_once(monkeypatch, mode, unsolvable_instances):
+    from searchbench import solver
+
+    calls = []
+
+    def counted(payload):
+        calls.append(payload)
+        return optimal_schedule(payload)
+
+    monkeypatch.setattr(solver, "optimal_schedule", counted)
+    unsolvable = next(i for i in unsolvable_instances if i.kind is TaskKind.MEETING_PLANNING)
+    for inst in (generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=6, seed=0)), unsolvable):
+        calls.clear()
+        trace = solve(inst, mode)
+        assert len(calls) == 1, (inst.id, mode)
+        assert trace.succeeded is (inst is not unsolvable)
