@@ -132,13 +132,20 @@ def _clean(line: str) -> str:
     return line.replace("**", "").strip()
 
 
-def _match_vocab(raw: str, vocabulary: tuple[str, ...]) -> str | None:
+def _lowered(vocabulary: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(name.lower() for name in vocabulary)
+
+
+def _match_vocab(
+    raw: str, vocabulary: tuple[str, ...], lowered: tuple[str, ...] | None = None
+) -> str | None:
     """Earliest, then longest, then smallest vocabulary name found inside
-    ``raw`` case-insensitively with no ASCII letter glued to either side."""
+    ``raw`` case-insensitively with no ASCII letter glued to either side.
+    ``lowered`` is ``_lowered(vocabulary)``, so a caller matching many lines
+    against one vocabulary lower-cases it once."""
     low = raw.lower()
     best: tuple[int, int, str] | None = None
-    for name in vocabulary:
-        needle = name.lower()
+    for name, needle in zip(vocabulary, lowered or _lowered(vocabulary)):
         at = low.find(needle)
         while at >= 0:
             end = at + len(needle)
@@ -153,6 +160,7 @@ def _match_vocab(raw: str, vocabulary: tuple[str, ...]) -> str | None:
 
 def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
     hits: list[tuple[int, int, str, str]] = []
+    cities = _lowered(payload.cities)
     for line in text.splitlines():
         cleaned = _clean(line)
         if not cleaned or "fly from" in cleaned.lower():
@@ -161,7 +169,7 @@ def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
         if not m:
             continue
         day_from, day_to = int(m.group(1)), int(m.group(2))
-        city = _match_vocab(m.group(3), payload.cities)
+        city = _match_vocab(m.group(3), payload.cities, cities)
         if city is None:
             continue
         hits.append((day_from, day_to, city, line.rstrip()))
@@ -238,6 +246,9 @@ def _to_minutes(hours: int, minutes: int, meridian: str | None) -> int:
 def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
     lines = text.splitlines()
     names = tuple(f.name for f in payload.friends)
+    names_low = _lowered(names)
+    locations = _lowered(payload.locations)
+    friends = payload.friends_by_name()
     hits: list[tuple[int, Meeting, str]] = []
     for idx, line in enumerate(lines):
         m = _MEETING.search(_clean(line))
@@ -247,11 +258,11 @@ def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
         location = (m.group(2) or "").strip().rstrip(".,")
         start = _to_minutes(int(m.group(3)), int(m.group(4)), m.group(5))
         end = _to_minutes(int(m.group(6)), int(m.group(7)), m.group(8))
-        snapped = _match_vocab(name, names)
+        snapped = _match_vocab(name, names, names_low)
         if snapped:
             name = snapped
-        friend = payload.friend_named(name)
-        snapped_loc = _match_vocab(location, payload.locations) if location else None
+        friend = friends.get(name.lower())
+        snapped_loc = _match_vocab(location, payload.locations, locations) if location else None
         if snapped_loc:
             location = snapped_loc
         elif not location and friend is not None:
@@ -383,9 +394,10 @@ def _verify_threedm(payload: ThreeDMPayload, candidate: Matching) -> Verdict:
 def _verify_meeting(
     payload: MeetingPayload, truth: MeetingSchedule, candidate: MeetingSchedule
 ) -> Verdict:
+    friends = payload.friends_by_name()
     seen: set[str] = set()
     for mtg in candidate.meetings:
-        friend = payload.friend_named(mtg.friend)
+        friend = friends.get(mtg.friend.lower())
         if friend is None:
             return _bad(f"unknown friend: {mtg.friend}")
         if friend.name in seen:
@@ -409,8 +421,7 @@ def _verify_meeting(
     loc = payload.start_location
     time = payload.day_start
     for mtg in candidate.meetings:
-        friend = payload.friend_named(mtg.friend)
-        assert friend is not None
+        friend = friends[mtg.friend.lower()]
         arrive = time + payload.travel(loc, friend.location)
         if mtg.start < arrive:
             return _bad(

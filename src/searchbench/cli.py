@@ -416,8 +416,12 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         for instance in instances
         for mode, strategy in config.matrix
     ]
+    # Oracle and mock answers are CPU work in this process, so worker threads
+    # would overlap nothing and only hand the interpreter lock back and forth.
+    pooled = any(model.backend == "http" for model in config.models)
     echo(f"executing {len(units)} cell-instance unit(s) "
-         f"with concurrency {config.concurrency} ...")
+         + (f"with concurrency {config.concurrency} ..." if pooled
+            else "on the calling thread ..."))
 
     def work(unit) -> RunOutcome:
         model, instance, mode, strategy = unit
@@ -431,8 +435,11 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             name=model.name,
         )
 
-    with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-        outcomes = list(pool.map(work, units))
+    if pooled:
+        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
+            outcomes = list(pool.map(work, units))
+    else:
+        outcomes = [work(unit) for unit in units]
 
     with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
         for outcome in sorted(outcomes, key=lambda o: (

@@ -209,12 +209,13 @@ class MeetingPayload:
         except KeyError:
             raise UnknownCityError(f"no travel time between {a!r} and {b!r}") from None
 
-    def friend_named(self, name: str) -> Friend | None:
-        lowered = name.lower()
+    def friends_by_name(self) -> dict[str, Friend]:
+        """Each friend under their lower-cased name; the first listed wins
+        when two names lower-case alike."""
+        by_name: dict[str, Friend] = {}
         for f in self.friends:
-            if f.name.lower() == lowered:
-                return f
-        return None
+            by_name.setdefault(f.name.lower(), f)
+        return by_name
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from searchbench import __version__
+from searchbench import __version__, cli
 from searchbench.answers import canonical_text
 from searchbench.gateway import ModelGateway
 from searchbench.generate import GenSpec, generate
@@ -207,9 +208,9 @@ def test_run_replays_from_cache_bit_identically(tmp_path):
     assert stats["misses"] == 0 and stats["hits"] > 0
 
 
-def test_run_isolates_backend_failures(tmp_path, monkeypatch):
+def _unreachable_http_doc(tmp_path, monkeypatch):
     monkeypatch.delenv("NO_SUCH_KEY_EVER", raising=False)
-    doc = _doc(
+    return _doc(
         tmp_path,
         models=[
             {
@@ -220,7 +221,10 @@ def test_run_isolates_backend_failures(tmp_path, monkeypatch):
             }
         ],
     )
-    report = run(config_from_dict(doc), echo=QUIET)
+
+
+def test_run_isolates_backend_failures(tmp_path, monkeypatch):
+    report = run(config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch)), echo=QUIET)
     assert all(c.successes == 0 and c.total == 2 for c in report.cells)
     records = [
         json.loads(l)
@@ -228,6 +232,53 @@ def test_run_isolates_backend_failures(tmp_path, monkeypatch):
     ]
     assert all(r["final"]["status"] == "BackendError" for r in records)
     assert all("NO_SUCH_KEY_EVER" in r["final"]["reason"] for r in records)
+
+
+def _record_execute_threads(monkeypatch) -> list[int]:
+    threads = []
+    execute = cli.execute
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "execute", recording)
+    return threads
+
+
+@pytest.mark.parametrize("models", [
+    [{"name": "m-oracle", "backend": "oracle"}],
+    [{"name": "m-mock", "backend": "mock"}, {"name": "m-oracle", "backend": "oracle"}],
+])
+def test_in_process_models_execute_on_the_calling_thread(tmp_path, monkeypatch, models):
+    threads = _record_execute_threads(monkeypatch)
+    said = []
+    run(config_from_dict(_doc(tmp_path, models=models, concurrency=4)), echo=said.append)
+    assert threads == [threading.get_ident()] * (8 * len(models))
+    assert said[1].endswith("unit(s) on the calling thread ...")
+
+
+def test_http_models_execute_on_the_worker_pool(tmp_path, monkeypatch):
+    threads = _record_execute_threads(monkeypatch)
+    config = config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch))
+    said = []
+    run(config, echo=said.append)
+    assert len(threads) == 8
+    assert threading.get_ident() not in threads
+    assert len(set(threads)) <= config.concurrency == 2
+    assert said[1].endswith("unit(s) with concurrency 2 ...")
+
+
+def test_cold_in_process_runs_write_the_same_cache_bytes(tmp_path):
+    caches = []
+    for name in ("one", "two"):
+        cache = tmp_path / f"{name}.jsonl"
+        run(config_from_dict(_doc(
+            tmp_path, tasks=[k.value for k in TaskKind], instance_count=3, concurrency=4,
+            out_dir=str(tmp_path / name), cache_path=str(cache),
+        )), echo=QUIET)
+        caches.append(cache.read_bytes())
+    assert caches[0] == caches[1]
 
 
 def test_run_merges_models_alphabetically(tmp_path):
