@@ -34,7 +34,9 @@ The protocol:
 from __future__ import annotations
 
 import itertools
+import math
 import string
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -429,11 +431,16 @@ def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
     if 1 + sum(spans) != payload.total_days:
         return 0
     full = (1 << len(cities)) - 1
-    flights = [
-        sum(1 << j for j, b in enumerate(cities) if payload.has_flight(a, b)) for a in cities
-    ]
+    bits: dict[str, int] = {}
+    for j, c in enumerate(cities):
+        bits[c] = bits.get(c, 0) | 1 << j
+    reach: dict[str, int] = {}
+    for a, b in payload.flights:
+        if b in bits:
+            reach[a] = reach.get(a, 0) | bits[b]
+    flights = [reach.get(a, 0) for a in cities]
     window = [payload.window_of(c) for c in cities]
-    windowed = [(j, w) for j, w in enumerate(window) if w]
+    windowed = [(j, w.start) for j, w in enumerate(window) if w]
     memo: dict[tuple[int, int], int] = {}
 
     def count(visited: int, last: int, start: int) -> int:
@@ -442,6 +449,16 @@ def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
         key = (visited, last)
         if key in memo:
             return memo[key]
+        # The two earliest window starts still pending: a city may not end
+        # its leg after any pending window other than its own begins.
+        first = second = math.inf
+        first_j = -1
+        for j, opens in windowed:
+            if not visited >> j & 1:
+                if opens < first:
+                    first, second, first_j = opens, first, j
+                elif opens < second:
+                    second = opens
         total = 0
         options = full & ~visited & (flights[last] if visited else full)
         while options and total < limit:
@@ -452,7 +469,7 @@ def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
             own = window[i]
             if own and not (start <= own.start and own.end <= end):
                 continue
-            if any(end > w.start for j, w in windowed if j != i and not visited >> j & 1):
+            if end > (second if i == first_j else first):
                 continue
             total += count(visited | bit, i, end)
         memo[key] = total = min(total, limit)
@@ -705,6 +722,37 @@ def _threedm_dfs(payload: ThreeDMPayload) -> SearchTrace:
     return tracer.finish(TaskKind.THREE_DM, SearchMode.DFS, _search(tracer, children, goal))
 
 
+def matching_witness(payload: ThreeDMPayload) -> Matching | None:
+    """The matching ``_threedm_dfs`` finds, or None, without building a trace.
+
+    The same depth-first search over the sorted triples, smallest unmatched x
+    first, with the used y and z elements as int bitmasks.  Each element gets
+    its bit in order of first sight, so any value a set could hold has one.
+    """
+    n = payload.n
+    bits: dict[int, int] = {}
+    by_x: dict[int, list[tuple[tuple[int, int, int], int, int]]] = {}
+    for t in sorted(payload.triples):
+        y = bits.setdefault(t[1], 1 << len(bits))
+        z = bits.setdefault(t[2], 1 << len(bits))
+        by_x.setdefault(t[0], []).append((t, y, z))
+    picked: list[tuple[int, int, int]] = []
+
+    def extend(x: int, used_y: int, used_z: int) -> bool:
+        if x >= n:
+            return True
+        for t, y, z in by_x.get(x, ()):
+            if used_y & y or used_z & z:
+                continue
+            picked.append(t)
+            if extend(x + 1, used_y | y, used_z | z):
+                return True
+            picked.pop()
+        return False
+
+    return Matching(triples=frozenset(picked)) if extend(0, 0, 0) else None
+
+
 def _threedm_greedy(payload: ThreeDMPayload, dfs: SearchTrace) -> SearchTrace:
     return _narrate_path(
         dfs,
@@ -727,42 +775,100 @@ def _meetable(friends: Sequence[Friend], met: set[str], time: int) -> int:
     )
 
 
+def _known_travel(payload: MeetingPayload, a: str, b: str) -> int | None:
+    """``payload.travel(a, b)``, or None where that would raise."""
+    return 0 if a == b else payload.travel_minutes.get((a, b) if a <= b else (b, a))
+
+
 def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     """Exact maximum-friends schedule.
 
     Meetings run at minimum duration from the earliest feasible start.  Among
     maximum-count schedules the canonical one finishes earliest, with remaining
     ties broken by the lexicographically smallest friend-name sequence.
+
+    A branch-and-bound over friends in name order, on ints: friend indices, a
+    ``met`` bitmask (meeting a friend marks every friend of that name) and a
+    travel matrix with rows for the start and each friend's location.  Friend
+    k can still be met from clock ``t`` only if ``t <= deadline[k]``, its
+    window end less its minimum minutes and its shortest travel in, so the
+    unmet friends alive at ``t`` bound the meetings a schedule can add.  A
+    node is cut when that bound cannot beat the best count, or can only tie
+    it while already finishing later, since a finish only grows along a path.
+
+    A payload with a missing travel pair, or whose clock can run backwards
+    (a negative travel plus minimum minutes), keeps the travel-blind bound,
+    no tie cut and every unmet friend tried, so the search reads exactly the
+    pairs a plain search with that bound reads and raises
+    ``UnknownCityError`` at the same one.
     """
     friends = sorted(payload.friends, key=lambda f: f.name)
-    best_key: tuple[int, int, tuple[str, ...]] | None = None
-    best_sched: tuple[Meeting, ...] = ()
+    n = len(friends)
+    places = [payload.start_location] + [f.location for f in friends]
+    travel = [[_known_travel(payload, a, f.location) for f in friends] for a in places]
+    fast = all(t is not None for row in travel for t in row)
+    if fast:
+        # shortest travel into each friend, from the start or another friend
+        into = [min(row[k] for p, row in enumerate(travel) if p != k + 1) for k in range(n)]
+        fast = all(into[k] + f.min_minutes >= 0 for k, f in enumerate(friends))
+    ranks = {name: i for i, name in enumerate(sorted({f.name for f in friends}))}
+    rank = [ranks[f.name] for f in friends]
+    group = [sum(1 << j for j, g in enumerate(friends) if g.name == f.name) for f in friends]
+    due = sorted(
+        (f.avail_end - f.min_minutes - (into[k] if fast else 0), k)
+        for k, f in enumerate(friends)
+        if f.avail_start + f.min_minutes <= f.avail_end
+    )
+    deadlines = [d for d, _ in due]
+    alive = [0] * (len(due) + 1)
+    for i in range(len(due) - 1, -1, -1):
+        alive[i] = alive[i + 1] | 1 << due[i][1]
+    opens = [f.avail_start for f in friends]
+    closes = [f.avail_end for f in friends]
+    lasts = [f.min_minutes for f in friends]
+    everyone = (1 << n) - 1
 
-    def rec(loc: str, time: int, met: set[str], sched: list[Meeting]) -> None:
-        nonlocal best_key, best_sched
-        finish = sched[-1].end if sched else payload.day_start
-        key = (-len(sched), finish, tuple(m.friend for m in sched))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_sched = tuple(sched)
-        if best_key is not None and len(sched) + _meetable(friends, met, time) < -best_key[0]:
+    path: list[int] = []
+    starts: list[int] = []
+    # (count, finish, friend-name ranks, path, starts) of the best schedule
+    best: list = [0, payload.day_start, (), (), ()]
+
+    def visit(p: int, time: int, met: int) -> None:
+        depth = len(path)
+        if depth > best[0] or depth == best[0] and (
+            time < best[1] or time == best[1] and tuple(rank[k] for k in path) < best[2]
+        ):
+            best[:] = depth, time, tuple(rank[k] for k in path), tuple(path), tuple(starts)
+        live = alive[bisect_left(deadlines, time)] & ~met
+        reach = depth + live.bit_count()
+        if reach < best[0] or fast and reach == best[0] and time > best[1]:
             return
-        for f in friends:
-            if f.name in met:
+        todo = live if fast else everyone & ~met
+        row = travel[p]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            k = bit.bit_length() - 1
+            if row[k] is None:
+                payload.travel(places[p], places[k + 1])
+            start = time + row[k]
+            if start < opens[k]:
+                start = opens[k]
+            end = start + lasts[k]
+            if end > closes[k]:
                 continue
-            arrive = time + payload.travel(loc, f.location)
-            start = max(arrive, f.avail_start)
-            end = start + f.min_minutes
-            if end > f.avail_end:
-                continue
-            sched.append(Meeting(friend=f.name, location=f.location, start=start, end=end))
-            met.add(f.name)
-            rec(f.location, end, met, sched)
-            met.discard(f.name)
-            sched.pop()
+            path.append(k)
+            starts.append(start)
+            visit(k + 1, end, met | group[k])
+            path.pop()
+            starts.pop()
 
-    rec(payload.start_location, payload.day_start, set(), [])
-    return len(best_sched), MeetingSchedule(meetings=best_sched)
+    visit(0, payload.day_start, 0)
+    meetings = tuple(
+        Meeting(friend=friends[k].name, location=friends[k].location, start=s, end=s + lasts[k])
+        for k, s in zip(best[3], best[4])
+    )
+    return len(meetings), MeetingSchedule(meetings=meetings)
 
 
 def _meeting_dfs(

@@ -40,6 +40,9 @@ ENUMERABLE_LEVELS = {
     TaskKind.MEETING_PLANNING: (1, 2, 3, 4, 5),
 }
 
+# x2 has no candidate triple, so the search dies under A1 and again under A2.
+DEAD_END_BELOW_ROOT = ThreeDMPayload(n=3, triples=((0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 2, 2)))
+
 
 @pytest.fixture(scope="session")
 def reference_trip():

@@ -49,10 +49,11 @@ from searchbench.solver import SearchMode, solve, solve_payload, trace_to_record
 from searchbench.tasks import (
     MeetingPayload,
     TaskKind,
-    ThreeDMPayload,
     TripPayload,
     instance_to_record,
 )
+
+from conftest import DEAD_END_BELOW_ROOT
 
 GRID_LEVELS = (1, 3, 6, 8, 10)
 GRID_SEEDS = (0, 1)
@@ -264,10 +265,6 @@ def verdict_digests() -> dict[str, str]:
                     rows.append([inst.id, name, verdict.status.value, verdict.reason])
         out[kind.value] = _digest(rows)
     return out
-
-
-# x2 has no candidate triple, so the search dies under A1 and again under A2.
-DEAD_END_BELOW_ROOT = ThreeDMPayload(n=3, triples=((0, 0, 0), (0, 1, 1), (1, 1, 1), (1, 2, 2)))
 
 
 def unsolvable_digests(instances) -> dict[str, str]:

@@ -13,6 +13,7 @@ from searchbench.solver import (
     TooLargeError,
     count_trip_plans,
     enumerate_all,
+    matching_witness,
     min_cover_size,
     optimal_schedule,
     solve,
@@ -22,15 +23,18 @@ from searchbench.solver import (
 )
 from searchbench.tasks import (
     CoverSet,
+    Friend,
     Matching,
+    MeetingPayload,
     TaskKind,
     ThreeDMPayload,
     TripPayload,
     TripWindow,
+    UnknownCityError,
     VertexCoverPayload,
 )
 
-from conftest import ENUMERABLE_LEVELS
+from conftest import DEAD_END_BELOW_ROOT, ENUMERABLE_LEVELS
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +330,146 @@ def test_trip_search_matches_enumeration(payload):
     assert count_trip_plans(payload, limit=10**6) == len(plans)
 
 
+def _meeting(friends, travel, start="Bayview", day_start=540):
+    """A hand-built MeetingPayload: ``friends`` as (name, location, open,
+    close, minutes) rows, ``travel`` as {(a, b): minutes}."""
+    locations = tuple(dict.fromkeys([start] + [f[1] for f in friends]))
+    return MeetingPayload(
+        locations=locations, start_location=start, day_start=day_start,
+        travel_minutes={tuple(sorted(pair)): t for pair, t in travel.items()},
+        friends=tuple(Friend(*f) for f in friends),
+    )
+
+
+# (payload, the canonical schedule as (friend, start, end) rows)
+_MEETING_CASES = {
+    # Alice and Brian cannot both be met and finish alike: name order picks.
+    "equal-finish tie": (
+        _meeting(
+            [("Brian", "Chinatown", 600, 640, 30), ("Alice", "Presidio", 600, 640, 30)],
+            {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
+             ("Chinatown", "Presidio"): 20},
+        ),
+        (("Alice", 600, 630),),
+    ),
+    # Brian ends before Alice, but both wait for Carol's window to open, so
+    # the two pairs finish alike and name order picks Alice.
+    "wait absorbs an earlier finish": (
+        _meeting(
+            [("Alice", "Chinatown", 600, 660, 60), ("Brian", "Presidio", 600, 640, 30),
+             ("Carol", "Nob Hill", 720, 780, 30)],
+            {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
+             ("Bayview", "Nob Hill"): 10, ("Chinatown", "Presidio"): 30,
+             ("Chinatown", "Nob Hill"): 10, ("Nob Hill", "Presidio"): 10},
+        ),
+        (("Alice", 600, 660), ("Carol", 720, 750)),
+    ),
+    # Carol's window is shorter than her minimum; Brian's fits after Alice's.
+    "window shorter than min_minutes": (
+        _meeting(
+            [("Carol", "Nob Hill", 540, 580, 45), ("Brian", "Presidio", 600, 700, 30),
+             ("Alice", "Chinatown", 550, 590, 30)],
+            {("Bayview", "Chinatown"): 5, ("Bayview", "Presidio"): 5,
+             ("Bayview", "Nob Hill"): 5, ("Chinatown", "Presidio"): 5,
+             ("Chinatown", "Nob Hill"): 5, ("Nob Hill", "Presidio"): 5},
+        ),
+        (("Alice", 550, 580), ("Brian", 600, 630)),
+    ),
+    "zero-friend optimum": (
+        _meeting(
+            [("Alice", "Chinatown", 600, 615, 30), ("Brian", "Bayview", 500, 560, 30)],
+            {("Bayview", "Chinatown"): 10},
+        ),
+        (),
+    ),
+    "no friends": (_meeting([], {}), ()),
+}
+
+
 def test_optimal_schedule_matches_enumeration():
-    for seed in range(6):
-        inst = generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=4, seed=200 + seed))
-        best_count, best = optimal_schedule(inst.payload)
-        everything = enumerate_all(inst)
+    """The optimum is the earliest-finishing maximum-count schedule, then the
+    smallest friend-name sequence, over every schedule enumerated."""
+    payloads = [
+        generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=4, seed=200 + seed)).payload
+        for seed in range(6)
+    ]
+    for name, (payload, expected) in _MEETING_CASES.items():
+        _, best = optimal_schedule(payload)
+        assert tuple((m.friend, m.start, m.end) for m in best.meetings) == expected, name
+        payloads.append(payload)
+    for payload in payloads:
+        best_count, best = optimal_schedule(payload)
+        everything = enumerate_all(payload)
         assert best_count == len(best.meetings)
         assert {len(s.meetings) for s in everything} == {best_count}
-        assert best in everything
+        assert best == min(everything, key=lambda s: (
+            s.meetings[-1].end if s.meetings else payload.day_start,
+            tuple(m.friend for m in s.meetings),
+        ))
+
+
+def test_optimal_schedule_raises_only_on_a_travel_pair_it_reads():
+    pairs = {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
+             ("Bayview", "Nob Hill"): 10}
+    alice = ("Alice", "Chinatown", 600, 700, 30)
+    # After Alice no clock lets Brian be met, yet a search tries him and
+    # reads the missing Chinatown-Presidio pair.
+    brian = ("Brian", "Presidio", 540, 600, 30)
+    with pytest.raises(UnknownCityError, match="'Chinatown' and 'Presidio'"):
+        optimal_schedule(_meeting([alice, brian], pairs))
+    with pytest.raises(UnknownCityError, match="'Bayview' and 'Presidio'"):
+        optimal_schedule(_meeting([brian], {}))
+    # No friend can be met at Presidio or Nob Hill, so the search never
+    # stands at either: their pair is never read.
+    never = [("Brian", "Presidio", 600, 610, 30), ("Carol", "Nob Hill", 600, 610, 30)]
+    payload = _meeting([alice, *never], {**pairs, ("Chinatown", "Presidio"): 5,
+                                         ("Chinatown", "Nob Hill"): 5})
+    count, best = optimal_schedule(payload)
+    assert (count, [m.friend for m in best.meetings]) == (1, ["Alice"])
+    assert best in enumerate_all(payload)
+
+
+def test_friends_sharing_a_name_are_met_once():
+    # Two friends named Alice at two places: meeting either one meets "Alice".
+    payload = _meeting(
+        [("Alice", "Presidio", 600, 700, 30), ("Brian", "Nob Hill", 600, 800, 30),
+         ("Alice", "Chinatown", 700, 800, 30)],
+        {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
+         ("Bayview", "Nob Hill"): 10, ("Chinatown", "Presidio"): 10,
+         ("Chinatown", "Nob Hill"): 10, ("Nob Hill", "Presidio"): 10},
+    )
+    count, best = optimal_schedule(payload)
+    assert count == 2
+    assert [(m.friend, m.location) for m in best.meetings] == [
+        ("Alice", "Presidio"), ("Brian", "Nob Hill"),
+    ]
+    assert best in enumerate_all(payload)
+
+
+def test_matching_witness_is_the_traced_matching(unsolvable_instances):
+    payloads = [
+        generate(GenSpec(kind=TaskKind.THREE_DM, level=level, seed=seed)).payload
+        for level in range(1, 11)
+        for seed in range(30)
+    ]
+    payloads.append(DEAD_END_BELOW_ROOT)
+    payloads += [i.payload for i in unsolvable_instances if i.kind is TaskKind.THREE_DM]
+    for payload in payloads:
+        assert matching_witness(payload) == solve_payload(payload, SearchMode.DFS).solution
+
+
+def test_matching_witness_takes_any_element_value():
+    """Triples the payload's own check would reject still search as sets do:
+    a negative or out-of-range y or z is one more element."""
+    payload = ThreeDMPayload(n=2, triples=())
+    object.__setattr__(payload, "triples", (
+        (-1, 0, 0), (0, -1, -1), (0, 5, 5), (1, -1, 0), (1, 0, 1), (1, 5, 7),
+    ))
+    traced = solve_payload(payload, SearchMode.DFS).solution
+    assert traced == Matching(triples=frozenset({(0, -1, -1), (1, 0, 1)}))
+    assert matching_witness(payload) == traced
+    object.__setattr__(payload, "triples", ((0, -1, -1), (1, -1, 0)))
+    assert matching_witness(payload) is None is solve_payload(payload, SearchMode.DFS).solution
 
 
 @pytest.mark.parametrize("mode", list(SearchMode))
