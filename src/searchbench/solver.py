@@ -57,6 +57,7 @@ from .tasks import (
     TripLeg,
     TripPayload,
     TripPlan,
+    UnknownCityError,
     VertexCoverPayload,
     minutes_to_clock,
 )
@@ -776,8 +777,11 @@ def _meetable(friends: Sequence[Friend], met: set[str], time: int) -> int:
 
 
 def _known_travel(payload: MeetingPayload, a: str, b: str) -> int | None:
-    """``payload.travel(a, b)``, or None where that would raise."""
-    return 0 if a == b else payload.travel_minutes.get((a, b) if a <= b else (b, a))
+    """``payload.travel(a, b)``, or None where that raises."""
+    try:
+        return payload.travel(a, b)
+    except UnknownCityError:
+        return None
 
 
 def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
@@ -850,7 +854,7 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
             todo ^= bit
             k = bit.bit_length() - 1
             if row[k] is None:
-                payload.travel(places[p], places[k + 1])
+                payload.travel(places[p], places[k + 1])  # raises UnknownCityError
             start = time + row[k]
             if start < opens[k]:
                 start = opens[k]
