@@ -144,8 +144,14 @@ def _match_vocab(
     ``lowered`` is ``_lowered(vocabulary)``, so a caller matching many lines
     against one vocabulary lower-cases it once."""
     low = raw.lower()
+    lowered = lowered or _lowered(vocabulary)
+    if low.isascii() and lowered.count(low) == 1:
+        # The one name spelled ``low`` is found at 0 and is as long as ``low``
+        # (only the Kelvin sign lower-cases into ASCII, one letter to one),
+        # so no other name can beat it.
+        return vocabulary[lowered.index(low)]
     best: tuple[int, int, str] | None = None
-    for name, needle in zip(vocabulary, lowered or _lowered(vocabulary)):
+    for name, needle in zip(vocabulary, lowered):
         at = low.find(needle)
         while at >= 0:
             end = at + len(needle)
@@ -168,8 +174,9 @@ def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
         m = _DAY_RANGE.search(cleaned)
         if not m:
             continue
-        day_from, day_to = int(m.group(1)), int(m.group(2))
-        city = _match_vocab(m.group(3), payload.cities, cities)
+        day_from, day_to, rest = m.groups()
+        day_from, day_to = int(day_from), int(day_to)
+        city = _match_vocab(rest, payload.cities, cities)
         if city is None:
             continue
         hits.append((day_from, day_to, city, line.rstrip()))
@@ -254,10 +261,10 @@ def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
         m = _MEETING.search(_clean(line))
         if not m:
             continue
-        name = m.group(1)
-        location = (m.group(2) or "").strip().rstrip(".,")
-        start = _to_minutes(int(m.group(3)), int(m.group(4)), m.group(5))
-        end = _to_minutes(int(m.group(6)), int(m.group(7)), m.group(8))
+        name, location, h1, m1, meridian1, h2, m2, meridian2 = m.groups()
+        location = (location or "").strip().rstrip(".,")
+        start = _to_minutes(int(h1), int(m1), meridian1)
+        end = _to_minutes(int(h2), int(m2), meridian2)
         snapped = _match_vocab(name, names, names_low)
         if snapped:
             name = snapped
@@ -377,12 +384,13 @@ def _verify_cover(payload: VertexCoverPayload, candidate: CoverSet) -> Verdict:
 
 def _verify_threedm(payload: ThreeDMPayload, candidate: Matching) -> Verdict:
     offered = set(payload.triples)
-    for t in sorted(candidate.triples):
+    ordered = sorted(candidate.triples)
+    for t in ordered:
         if t not in offered:
             return _bad(f"triple not offered: (x{t[0]}, y{t[1]}, z{t[2]})")
     for axis, axis_name in ((0, "x"), (1, "y"), (2, "z")):
         used: set[int] = set()
-        for t in sorted(candidate.triples):
+        for t in ordered:
             if t[axis] in used:
                 return _bad(f"element {axis_name}{t[axis]} used twice")
             used.add(t[axis])

@@ -17,6 +17,7 @@ Backends implement one method, ``complete(request) -> BackendResponse``:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -25,13 +26,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .answers import canonical_text
 from .prompts import statement_text
 from .tasks import ProblemInstance, TaskError
+
+if TYPE_CHECKING:
+    import requests
 
 
 class GatewayError(TaskError):
@@ -104,19 +106,40 @@ class BackendResponse:
 
 
 def canonical_digest(request: BackendRequest) -> str:
-    """Stable content digest of a request (sha256 of its sorted JSON form)."""
-    doc = {
-        "model": request.model,
-        "system": request.system_text,
-        "messages": [list(m) for m in request.messages],
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-        "thinking": request.thinking,
-        "thinking_budget": request.thinking_budget,
-        "sample_index": request.sample_index,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """Stable content digest of a request (sha256 of its sorted JSON form).
+
+    That form begins ``{"max_tokens":M,"messages":[...]``, nearly all of its
+    bytes, and every other key sorts after those two.  So the head is hashed
+    once per ``(max_tokens, messages)`` and each request adds its own tail to
+    a copy: the units of one (instance, mode) share one head.
+    """
+    tail = json.dumps(
+        {
+            "model": request.model,
+            "system": request.system_text,
+            "temperature": request.temperature,
+            "thinking": request.thinking,
+            "thinking_budget": request.thinking_budget,
+            "sample_index": request.sample_index,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    state = _head_state(request.max_tokens, request.messages).copy()
+    state.update(b"," + tail[1:].encode("utf-8"))
+    return state.hexdigest()
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 1 and True are equal keys, not equal JSON
+def _head_state(max_tokens: int, messages: tuple[tuple[str, str], ...]) -> hashlib._Hash:
+    """sha256 state after ``{"max_tokens":M,"messages":[...]``, the sorted
+    JSON form of a request up to, not including, its ``,"model"`` key."""
+    head = json.dumps(
+        {"max_tokens": max_tokens, "messages": [list(m) for m in messages]},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(head[:-1].encode("utf-8"))
 
 
 def _response_to_json(response: BackendResponse) -> dict:
@@ -405,9 +428,13 @@ class HttpBackend:
         self.dialect = DIALECTS[dialect]()
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
+        import requests  # loaded only once an http model is built; in-process runs skip it
+
         self._session = session or requests.Session()
 
     def complete(self, request: BackendRequest) -> BackendResponse:
+        import requests  # loaded by ``__init__``; this only binds the name
+
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")

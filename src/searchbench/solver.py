@@ -800,9 +800,8 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     node is cut when that bound cannot beat the best count, or can only tie
     it while already finishing later, since a finish only grows along a path.
 
-    A payload with a missing travel pair, or whose clock can run backwards
-    (a negative travel plus minimum minutes), keeps the travel-blind bound,
-    no tie cut and every unmet friend tried, so the search reads exactly the
+    A payload with a missing travel pair keeps the travel-blind bound, no
+    tie cut and every unmet friend tried, so the search reads exactly the
     pairs a plain search with that bound reads and raises
     ``UnknownCityError`` at the same one.
     """
@@ -814,7 +813,6 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     if fast:
         # shortest travel into each friend, from the start or another friend
         into = [min(row[k] for p, row in enumerate(travel) if p != k + 1) for k in range(n)]
-        fast = all(into[k] + f.min_minutes >= 0 for k, f in enumerate(friends))
     ranks = {name: i for i, name in enumerate(sorted({f.name for f in friends}))}
     rank = [ranks[f.name] for f in friends]
     group = [sum(1 << j for j, g in enumerate(friends) if g.name == f.name) for f in friends]

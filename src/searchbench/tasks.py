@@ -200,6 +200,15 @@ class MeetingPayload:
     travel_minutes: Mapping[tuple[str, str], int]
     friends: tuple[Friend, ...]
 
+    def __post_init__(self) -> None:
+        # The exact solvers' bounds assume the clock never runs backwards.
+        for (a, b), minutes in self.travel_minutes.items():
+            if minutes < 0:
+                raise ValueError(f"negative travel time between {a!r} and {b!r}: {minutes}")
+        for f in self.friends:
+            if f.min_minutes < 0:
+                raise ValueError(f"negative min_minutes for {f.name!r}: {f.min_minutes}")
+
     def travel(self, a: str, b: str) -> int:
         if a == b:
             return 0

@@ -357,6 +357,39 @@ def test_scan_matcher_equals_the_regex_matcher(case):
     assert _match_vocab(text, vocabulary) == _regex_match_vocab(text, vocabulary)
 
 
+# Names that share a prefix, differ only in case, or hold the Kelvin sign
+# (which lower-cases to ASCII "k") or İ (which lower-cases to two code points).
+_EXACT_NAMES = st.sampled_from([
+    "San", "San Francisco", "San Jose", "Sa", "Rome", "ROME", "rome", "RoMe", "Kelvin",
+    "\u212aelvin", "KELVIN", "İstanbul", "istanbul", "İ", "i", "I", "ı", "Oslo", "Ōslo",
+    "ß", "SS", "St. Ives", "a-b", "",
+])
+
+
+@st.composite
+def _vocab_and_a_name_in_it(draw):
+    vocabulary = tuple(draw(st.lists(_EXACT_NAMES, min_size=1, max_size=8)))
+    name = draw(st.sampled_from(vocabulary))
+    spell = draw(st.sampled_from([str, str.lower, str.upper, str.swapcase, str.title]))
+    return vocabulary, spell(name)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_vocab_and_a_name_in_it())
+@example((("San", "San Francisco"), "san francisco"))
+@example((("San Francisco", "San"), "SAN"))
+@example((("Rome", "ROME", "rome"), "rOME"))
+@example((("Kelvin", "\u212aelvin", "KELVIN"), "kelvin"))
+@example((("\u212aelvin",), "\u212aELVIN"))
+@example((("İstanbul", "istanbul"), "ISTANBUL"))
+@example((("i", "İ", "I"), "i"))
+def test_an_exact_name_snaps_as_the_full_scan_does(case):
+    """Text that lower-cases to a vocabulary entry returns before the scan;
+    the regex matcher stands in for the scan it skips."""
+    vocabulary, text = case
+    assert _match_vocab(text, vocabulary) == _regex_match_vocab(text, vocabulary)
+
+
 # ---------------------------------------------------------------------------
 # evaluate never raises
 # ---------------------------------------------------------------------------

@@ -578,6 +578,27 @@ def test_benchmark_tracer_wraps_every_layer_name():
     assert done.returncode == 0, done.stderr
 
 
+def test_in_process_runs_never_load_requests(tmp_path):
+    """``requests`` is imported only once an ``http`` model is built, so an
+    oracle run's process never pays for loading it."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_doc(tmp_path)), encoding="utf-8")
+    script = (
+        "import sys; sys.path[:0] = sys.argv[2:]; "
+        "import searchbench; "
+        "code = searchbench.cli.main(['run', '--config', sys.argv[1]]); "
+        "print(code, 'requests' in sys.modules)"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "report.md").exists()
+
+
 def test_run_goes_through_a_positional_complete_wrapper(tmp_path, monkeypatch):
     """The benchmark stamps the first request by replacing
     ``ModelGateway.complete`` with a ``(self, request)`` wrapper (see

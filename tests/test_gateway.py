@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import random
 import threading
 
 import pytest
 import requests
+from hypothesis import example, given, settings, strategies as st
 
 from searchbench.gateway import (
     DEFAULT_THINKING_BUDGET,
@@ -133,6 +135,78 @@ def test_replaced_request_gets_a_fresh_digest():
     sample = dataclasses.replace(request, sample_index=1)
     assert sample.digest == canonical_digest(sample) != request.digest
     assert dataclasses.replace(request).digest == request.digest
+
+
+def _reference_digest(request: BackendRequest) -> str:
+    """The cache-key contract: sha256 of the request's sorted compact JSON."""
+    doc = {
+        "model": request.model,
+        "system": request.system_text,
+        "messages": [list(m) for m in request.messages],
+        "temperature": request.temperature,
+        "max_tokens": request.max_tokens,
+        "thinking": request.thinking,
+        "thinking_budget": request.thinking_budget,
+        "sample_index": request.sample_index,
+    }
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# Characters JSON escapes or that need care: controls, quotes, backslashes,
+# line separators, non-BMP characters and lone surrogates.
+_AWKWARD = st.sampled_from(
+    ["\x00", "\x1f", "\x7f", '"', "\\", "/", "\n", "\u2028", "é", "\U0001F600",
+     "\ud800", "\udfff", "{", ","]
+)
+_TEXT = st.lists(
+    st.one_of(_AWKWARD, st.text(st.characters(exclude_categories=()), max_size=8)),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def _request_runs(draw):
+    """Requests in the order a unit sends them: several tails per head, and
+    ``ss``-style histories that grow by an (assistant, user) pair a round."""
+    requests_ = []
+    for _ in range(draw(st.integers(1, 4))):
+        history = [("user", draw(_TEXT))]
+        for _ in range(draw(st.integers(0, 2))):
+            history += [("assistant", draw(_TEXT)), ("user", draw(_TEXT))]
+        max_tokens = draw(st.sampled_from([1, 128, 4096, 10**9]))
+        for _ in range(draw(st.integers(1, 3))):
+            requests_.append(BackendRequest(
+                model=draw(_TEXT),
+                system_text=draw(_TEXT),
+                messages=tuple(history),
+                temperature=draw(st.one_of(
+                    st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False))),
+                max_tokens=max_tokens,
+                thinking=draw(st.booleans()),
+                thinking_budget=draw(st.sampled_from([None, 0, 1024, 16000])),
+                sample_index=draw(st.integers(0, 5)),
+            ))
+    return requests_
+
+
+@settings(max_examples=200, deadline=None)
+@given(_request_runs())
+@example([_request(messages=()), _request(messages=(), model="m-2")])
+@example([_request(temperature=0), _request(temperature=0.0), _request(temperature=-0.0)])
+def test_digest_is_sha256_of_the_sorted_json_request(requests_):
+    for request in requests_:
+        assert request.digest == canonical_digest(request) == _reference_digest(request)
+
+
+def test_digest_holds_across_more_heads_than_are_kept():
+    """Heads are kept for a few requests only; revisiting one that was
+    dropped, or reusing one with a new tail, still gives the contract."""
+    heads = [(("user", f"body {i}"),) for i in range(40)]
+    order = list(range(40)) + [0, 39, 5, 5, 17, 0] + list(range(39, -1, -3))
+    for turn, i in enumerate(order):
+        request = _request(messages=heads[i], sample_index=turn % 3, model=f"m-{turn % 2}")
+        assert request.digest == _reference_digest(request)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +442,10 @@ def test_openai_payload_and_parse():
 def test_http_backend_rejects_unknown_dialect():
     with pytest.raises(ValueError):
         HttpBackend("http://x", dialect="grpc")
+
+
+def test_http_backend_without_a_session_builds_a_requests_session():
+    assert isinstance(HttpBackend("http://x")._session, requests.Session)
 
 
 def test_http_backend_requires_api_key(monkeypatch):

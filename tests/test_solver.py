@@ -408,6 +408,40 @@ def test_optimal_schedule_matches_enumeration():
         ))
 
 
+@st.composite
+def _meeting_payloads(draw):
+    """Up to five friends with distinct names, so every schedule has its own
+    name sequence; zero travel and zero minimum minutes are drawn often."""
+    places = ["Bayview", "Chinatown", "Presidio", "Nob Hill"]
+    names = draw(st.lists(st.sampled_from(["Alice", "Brian", "Carol", "Dana", "Eve"]),
+                          max_size=5, unique=True))
+    friends = []
+    for name in names:
+        opens = draw(st.integers(540, 700))
+        friends.append((name, draw(st.sampled_from(places)), opens,
+                        draw(st.integers(opens, 760)), draw(st.sampled_from([0, 0, 15, 30, 45]))))
+    travel = {pair: draw(st.sampled_from([0, 0, 5, 10, 30]))
+              for pair in itertools.combinations(places, 2)}
+    return _meeting(friends, travel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_meeting_payloads())
+def test_meeting_searches_reach_the_enumerated_optimum(payload):
+    best_count, best = optimal_schedule(payload)
+    everything = enumerate_all(payload)
+    assert {len(s.meetings) for s in everything} == {best_count}
+    assert best == min(everything, key=lambda s: (
+        s.meetings[-1].end if s.meetings else payload.day_start,
+        tuple(m.friend for m in s.meetings),
+    ))
+    trace = solve_payload(payload, SearchMode.DFS)
+    if best_count:
+        assert len(trace.solution.meetings) == best_count
+    else:
+        assert trace.solution is None
+
+
 def test_optimal_schedule_raises_only_on_a_travel_pair_it_reads():
     pairs = {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
              ("Bayview", "Nob Hill"): 10}

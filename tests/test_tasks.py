@@ -1,9 +1,15 @@
 import dataclasses
+import json
+import re
 
 import pytest
 
+from searchbench.generate import GenSpec, generate
 from searchbench.tasks import (
+    Friend,
+    InputFileError,
     KindMismatchError,
+    MeetingPayload,
     ProblemInstance,
     TaskKind,
     Verdict,
@@ -85,6 +91,35 @@ def test_jsonl_file_round_trip(tmp_path, sample_instances):
     flat = [inst for group in sample_instances.values() for inst in group]
     assert write_instances(path, flat) == len(flat)
     assert list(read_instances(path)) == flat
+
+
+def _meeting_with(travel: int, min_minutes: int) -> MeetingPayload:
+    return MeetingPayload(
+        locations=("Bayview", "Chinatown"), start_location="Bayview", day_start=540,
+        travel_minutes={("Bayview", "Chinatown"): travel},
+        friends=(Friend("Alice", "Chinatown", 600, 700, min_minutes),),
+    )
+
+
+def test_meeting_payload_rejects_negative_minutes():
+    assert _meeting_with(travel=0, min_minutes=0).travel("Bayview", "Chinatown") == 0
+    with pytest.raises(ValueError, match="negative travel time between 'Bayview' and 'Chinatown'"):
+        _meeting_with(travel=-1, min_minutes=30)
+    with pytest.raises(ValueError, match="negative min_minutes for 'Alice'"):
+        _meeting_with(travel=10, min_minutes=-1)
+
+
+@pytest.mark.parametrize("field", ["travel", "min_minutes"])
+def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
+    record = instance_to_record(generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=2, seed=0)))
+    if field == "travel":
+        record["payload"]["travel_minutes"][0][2] = -5
+    else:
+        record["payload"]["friends"][0]["min_minutes"] = -5
+    path = tmp_path / "instances.jsonl"
+    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: negative {field}"):
+        read_instances(path)
 
 
 def test_verdict_ok_flag():
