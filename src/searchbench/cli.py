@@ -423,6 +423,10 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
          + (f"with concurrency {config.concurrency} ..." if pooled
             else "on the calling thread ..."))
 
+    # evaluate is pure, so each instance's distinct answer texts are judged
+    # once; pooled workers share a map, and a race only judges a text twice
+    verdicts: dict[str, dict[str, Verdict]] = {instance.id: {} for instance in instances}
+
     def work(unit) -> RunOutcome:
         model, instance, mode, strategy = unit
         return execute(
@@ -433,6 +437,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             model=model.model,
             max_tokens=config.max_tokens,
             name=model.name,
+            verdicts=verdicts[instance.id],
         )
 
     if pooled:

@@ -171,21 +171,30 @@ def execute(
     model: str,
     max_tokens: int = 4096,
     name: str | None = None,
+    verdicts: dict[str, Verdict] | None = None,
 ) -> RunOutcome:
     """Run one strategy for one instance and judge every answer it produces.
 
     Requests carry the provider id ``model``; the outcome is filed under the
     table name ``name`` (default ``model``).  A ``TaskError`` on the way
     becomes a ``BackendError`` verdict with no attempts.
+
+    ``verdicts`` maps answer texts already judged against ``instance`` to
+    their verdicts; ``evaluate`` runs only on a text it lacks, and adds it.
+    Pass one map per instance to judge each distinct text once per run.
     """
     attempts: list[Attempt] = []
+    if verdicts is None:
+        verdicts = {}
 
     def call(
         messages: tuple[tuple[str, str], ...], round_index: int, sample_index: int = 0
     ) -> Attempt:
         request = _request(bundle, model, strategy, max_tokens, messages, sample_index)
         response = gateway.complete(request)
-        _, verdict = evaluate(instance, response.text)
+        verdict = verdicts.get(response.text)
+        if verdict is None:
+            verdict = verdicts[response.text] = evaluate(instance, response.text)[1]
         attempt = Attempt(
             round_index=round_index,
             sample_index=sample_index,

@@ -475,4 +475,15 @@ def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
 
 
 def read_instances(path: str | Path) -> list[ProblemInstance]:
-    return read_jsonl(path, instance_from_record)
+    """An instance file; a repeated instance id is an InputFileError naming
+    the line of its second occurrence (bundles and verdicts are keyed by id)."""
+    seen: set[str] = set()
+
+    def convert(record) -> ProblemInstance:
+        instance = instance_from_record(record)
+        if instance.id in seen:
+            raise InputFileError(f"repeated instance id {instance.id!r}")
+        seen.add(instance.id)
+        return instance
+
+    return read_jsonl(path, convert)

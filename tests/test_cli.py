@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from searchbench import __version__, cli
+from searchbench import __version__, cli, scaling
 from searchbench.answers import canonical_text
 from searchbench.gateway import ModelGateway
 from searchbench.generate import GenSpec, generate
@@ -223,6 +225,11 @@ def _unreachable_http_doc(tmp_path, monkeypatch):
     )
 
 
+def _records(tmp_path) -> list[dict]:
+    lines = (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines]
+
+
 def test_run_isolates_backend_failures(tmp_path, monkeypatch):
     report = run(config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch)), echo=QUIET)
     assert all(c.successes == 0 and c.total == 2 for c in report.cells)
@@ -267,6 +274,54 @@ def test_http_models_execute_on_the_worker_pool(tmp_path, monkeypatch):
     assert threading.get_ident() not in threads
     assert len(set(threads)) <= config.concurrency == 2
     assert said[1].endswith("unit(s) with concurrency 2 ...")
+
+
+def test_pooled_runs_write_pinned_outcome_bytes(tmp_path, monkeypatch):
+    """An unreachable ``http`` model puts the run on the worker pool, so the
+    oracle's units share each instance's verdicts across threads."""
+    doc = _unreachable_http_doc(tmp_path, monkeypatch)
+    doc["models"].append({"name": "m-oracle", "backend": "oracle"})
+    doc["tasks"] = ["TripPlanning", "VertexCover"]
+    run(config_from_dict(doc), echo=QUIET)
+    outcomes = (tmp_path / "out" / "outcomes.jsonl").read_bytes()
+    assert hashlib.sha256(outcomes).hexdigest() == (
+        "1ff54efee46e682126ca7328f9cd2d3f1eae370d7f91f88800fc1630544a20f1"
+    )
+
+
+def test_an_oracle_run_judges_each_instance_once(tmp_path, monkeypatch):
+    """The oracle gives all 18 requests of an instance one answer text, and
+    ``evaluate`` is pure, so the default 12-cell matrix judges it once."""
+    judged = []
+    evaluate = scaling.evaluate
+
+    def counting(instance, text):
+        judged.append(instance.id)
+        return evaluate(instance, text)
+
+    monkeypatch.setattr(scaling, "evaluate", counting)
+    doc = _doc(tmp_path, tasks=[k.value for k in TaskKind])
+    del doc["matrix"]
+    report = run(config_from_dict(doc), echo=QUIET)
+    assert len(report.cells) == 4 * 12
+    assert all(c.successes == c.total == 2 for c in report.cells)
+    assert sorted(judged) == sorted({o["instance_id"] for o in _records(tmp_path)})
+    assert len(judged) == 8
+
+
+def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
+    """The verdicts of a run are kept per instance: one cover text is right
+    for the first instance and wrong for the second."""
+    first, second = (generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=s))
+                     for s in (0, 1))
+    text = canonical_text(first.payload, first.ground_truth)
+    doc = _doc(tmp_path, tasks=["VertexCover"], cache_path=None,
+               models=[{"name": "m-mock", "backend": "mock", "script": [text]}])
+    run(config_from_dict(doc), echo=QUIET)
+    finals = {}
+    for record in _records(tmp_path):
+        finals.setdefault(record["instance_id"], set()).add(record["final"]["status"])
+    assert finals == {first.id: {"Success"}, second.id: {"ConstraintViolation"}}
 
 
 def test_cold_in_process_runs_write_the_same_cache_bytes(tmp_path):
@@ -423,6 +478,29 @@ def test_cmd_verify_flags_failures(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 1
     out = capsys.readouterr().out
     assert "ParseFailure" in out and "unknown instance" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--mode", "CoT", "--out", "prompts"],
+    ["verify", "--answers", "answers.jsonl"],
+])
+def test_repeated_instance_ids_exit_2_naming_the_second_line(tmp_path, monkeypatch, capsys, argv):
+    """VertexCover L3 seeds 5 and 6, the second under the first's id."""
+    monkeypatch.chdir(tmp_path)
+    first, second = (generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=s))
+                     for s in (5, 6))
+    write_instances("inst.jsonl", [first, dataclasses.replace(second, id=first.id)])
+    text = canonical_text(first.payload, first.ground_truth)
+    Path("answers.jsonl").write_text(
+        json.dumps({"instance_id": first.id, "text": text}) + "\n", encoding="utf-8"
+    )
+    assert main(argv + ["--instances", "inst.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: inst.jsonl:2: repeated instance id '{first.id}'\n"
+    )
+    assert not Path("prompts").exists()
 
 
 def test_cmd_run_and_report_round_trip(tmp_path, capsys):

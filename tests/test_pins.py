@@ -23,7 +23,11 @@ Each digest changes only with a format change recorded in CHANGES.md:
 * both traces of hand-built unsolvable payloads.  The generator emits only
   solvable instances, so these alone reach the failure paths: every child
   pruned, a dead end below the root, Trip's root loop and Meeting's
-  zero-target exit.
+  zero-target exit;
+* ``outcomes.jsonl`` and ``cells.csv`` of a scripted ``mock`` run over every
+  task whose answers reach every verdict status, an ``ss:1`` refinement
+  that turns a wrong answer right and a ``ps:3`` unit of three distinct
+  samples, with answer texts repeated inside and across instances.
 
 A prompt change alters every request digest and orphans existing response
 caches, so a failure here is a format change, not a test to update.
@@ -35,6 +39,7 @@ import random
 import re
 
 from searchbench.answers import canonical_text, evaluate
+from searchbench.cli import config_from_dict, generate_instances, run
 from searchbench.generate import MAX_LEVEL, MIN_LEVEL, GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
@@ -50,6 +55,7 @@ from searchbench.tasks import (
     MeetingPayload,
     TaskKind,
     TripPayload,
+    VerdictStatus,
     instance_to_record,
 )
 
@@ -276,6 +282,55 @@ def unsolvable_digests(instances) -> dict[str, str]:
     }
 
 
+NO_ANSWER = "I could not find an answer."
+
+
+def _wrong_and_broken(inst) -> tuple[str, str]:
+    """Two parseable answers: one that verifies as wrong (a constraint
+    violation for TripPlanning, whose valid plan is unique) and one that
+    breaks a constraint."""
+    right = canonical_text(inst.payload, inst.ground_truth)
+    lines = right.splitlines()
+    if inst.kind is TaskKind.VERTEX_COVER:
+        every = ", ".join(f"V{v}" for v in range(inst.payload.vertex_count))
+        return f"Vertex cover: [{every}]", "Vertex cover: [V0, V99]"
+    if inst.kind is TaskKind.THREE_DM:
+        return "\n".join(lines[:-1]), right + "\n(x99, y99, z99)"
+    if inst.kind is TaskKind.TRIP_PLANNING:
+        return right.replace("Day 1-", "Day 2-", 1), "\n".join(lines[:-2])
+    return "\n".join(lines[:-1]), right + "\nMeet Zed at Nowhere from 9:00 to 10:00."
+
+
+def scripted_run_digests(tmp_path) -> dict[str, str]:
+    """Per instance, in matrix order: ``ws`` answers wrong; ``ps:3`` samples
+    no answer, a broken answer and the right one; ``ss:1`` answers wrong,
+    then right after refinement; ``is`` gives no answer."""
+    doc = {
+        "tasks": [k.value for k in TaskKind],
+        "levels": [4],
+        "instance_count": 1,
+        "models": [{"name": "m-mock", "backend": "mock"}],
+        "matrix": [["Direct", "ws"], ["CoT", "ps:3"], ["AoT", "ss:1"], ["AoT", "is"]],
+        "out_dir": str(tmp_path),
+    }
+    script = []
+    for inst in generate_instances(config_from_dict(doc)):
+        right = canonical_text(inst.payload, inst.ground_truth)
+        wrong, broken = _wrong_and_broken(inst)
+        script += [wrong, NO_ANSWER, broken, right, wrong, right, NO_ANSWER]
+    doc["models"][0]["script"] = script
+    run(config_from_dict(doc), echo=lambda _: None)
+    outcomes = (tmp_path / "outcomes.jsonl").read_text(encoding="utf-8")
+    statuses = {
+        attempt["status"]
+        for line in outcomes.splitlines()
+        for attempt in json.loads(line)["attempts"]
+    }
+    assert statuses == {s.value for s in VerdictStatus} - {"BackendError"}
+    return {name: _digest((tmp_path / name).read_text(encoding="utf-8"))
+            for name in ("outcomes.jsonl", "cells.csv")}
+
+
 PROMPT_DIGESTS: dict[str, str] = {
     "VertexCover.Direct": "a2797eba2ca42e7b47ced388edb0a99198e8db66fbe393b2aa00b4544bea70b6",
     "VertexCover.CoT": "d8add8aad74bf19b027c0d6b9a9f7d49da7975f9642a4c516d4e4191b75682aa",
@@ -426,6 +481,12 @@ UNSOLVABLE_DIGESTS: dict[str, str] = {
 }
 
 
+SCRIPTED_RUN_DIGESTS: dict[str, str] = {
+    "outcomes.jsonl": "4cb1f14ede5bf52baa7126df67b58ba4b02c58339ef004534347fa7fb4d3f25b",
+    "cells.csv": "6471dde685e8d87dc4e1b88f55f3d59e3b22372adf172bf8c709237bb07001c7",
+}
+
+
 def test_default_exemplar_prompts_are_pinned():
     assert prompt_digests() == PROMPT_DIGESTS
 
@@ -448,3 +509,7 @@ def test_evaluate_verdicts_are_pinned():
 
 def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
     assert unsolvable_digests(unsolvable_instances) == UNSOLVABLE_DIGESTS
+
+
+def test_scripted_run_outcomes_are_pinned(tmp_path):
+    assert scripted_run_digests(tmp_path) == SCRIPTED_RUN_DIGESTS

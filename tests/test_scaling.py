@@ -1,8 +1,11 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from searchbench.answers import canonical_text
+from searchbench import scaling
+from searchbench.answers import canonical_text, evaluate
 from searchbench.gateway import (
     MockBackend,
     ModelGateway,
@@ -286,3 +289,76 @@ def test_outcome_final_matches_verdict_status(trip_cell):
     )
     assert outcome.final.status is VerdictStatus.PARSE_FAILURE
     assert not outcome.success
+
+
+# ---------------------------------------------------------------------------
+# Each distinct answer text is judged once
+# ---------------------------------------------------------------------------
+
+
+def _count_evaluate(monkeypatch) -> list[str]:
+    texts = []
+    evaluate = scaling.evaluate
+
+    def counting(instance, text):
+        texts.append(text)
+        return evaluate(instance, text)
+
+    monkeypatch.setattr(scaling, "evaluate", counting)
+    return texts
+
+
+def test_execute_without_a_map_judges_each_distinct_text_once(trip_cell, monkeypatch):
+    inst, bundle = trip_cell
+    texts = _count_evaluate(monkeypatch)
+    gateway = ModelGateway(MockBackend(["nope", _right(inst), "nope"]))
+    outcome = execute(gateway, inst, bundle, ScalingStrategy.parse("ps:3"), model="m")
+    assert [a.verdict.status for a in outcome.attempts] == [
+        VerdictStatus.PARSE_FAILURE, VerdictStatus.SUCCESS, VerdictStatus.PARSE_FAILURE,
+    ]
+    assert texts == ["nope", _right(inst)]
+    # with no map, the next call judges its texts afresh
+    gateway = ModelGateway(MockBackend([_right(inst)]))
+    execute(gateway, inst, bundle, ScalingStrategy.parse("ws"), model="m")
+    assert texts == ["nope", _right(inst), _right(inst)]
+
+
+def test_execute_reads_and_fills_the_map_it_is_given(trip_cell, monkeypatch):
+    inst, bundle = trip_cell
+    texts = _count_evaluate(monkeypatch)
+    verdicts = {}
+    for spec in ("ws", "is"):
+        gateway = ModelGateway(MockBackend([_right(inst)]))
+        outcome = execute(gateway, inst, bundle, ScalingStrategy.parse(spec), model="m",
+                          verdicts=verdicts)
+        assert outcome.success
+    assert texts == [_right(inst)]
+    assert verdicts == {_right(inst): outcome.final}
+
+
+def test_workers_sharing_a_map_keep_every_verdict(trip_cell):
+    """Pooled units of one instance share its map; with threads switching
+    often, a race may judge a text twice but never files a wrong verdict."""
+    inst, bundle = trip_cell
+    texts = ["nope", _right(inst), _right(inst).replace("Day 1-", "Day 2-", 1)]
+    expected = {text: evaluate(inst, text)[1] for text in texts}
+    assert len(set(expected.values())) == 3
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            verdicts = {}
+
+            def unit(_):
+                gateway = ModelGateway(MockBackend(texts))
+                return execute(gateway, inst, bundle, ScalingStrategy.parse("ps:3"),
+                               model="m", verdicts=verdicts)
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                outcomes = list(pool.map(unit, range(8), timeout=60))
+            for outcome in outcomes:
+                assert [a.verdict for a in outcome.attempts] == [expected[t] for t in texts]
+            assert verdicts == expected
+    finally:
+        sys.setswitchinterval(switch)
