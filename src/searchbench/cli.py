@@ -42,6 +42,7 @@ from .generate import MAX_LEVEL, MIN_LEVEL, GenSpec, generate
 from .prompts import (
     PromptBundle,
     PromptMode,
+    Shots,
     bundle_text,
     default_exemplars,
     estimate_tokens,
@@ -304,18 +305,19 @@ def render_bundles(
     modes: Iterable[PromptMode],
     token_budget: int | None,
 ) -> dict[tuple[str, PromptMode], PromptBundle]:
-    """Render every (instance, mode) prompt, building each (task, mode)
-    exemplar set once; bundles are keyed by (instance id, mode)."""
+    """Render every (instance, mode) prompt, in ``modes`` order within each
+    instance, building each (task, mode) exemplar half once; bundles are
+    keyed by (instance id, mode)."""
     modes = tuple(modes)
-    exemplars: dict[tuple[TaskKind, PromptMode], list] = {}
+    shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
     bundles = {}
     for instance in instances:
         for mode in modes:
             key = (instance.kind, mode)
-            if key not in exemplars:
-                exemplars[key] = default_exemplars(instance.kind, mode)
+            if key not in shots:
+                shots[key] = Shots(mode, default_exemplars(instance.kind, mode))
             bundles[(instance.id, mode)] = render(
-                instance, mode, exemplars[key], token_budget=token_budget
+                instance, mode, shots[key], token_budget=token_budget
             )
     return bundles
 
@@ -407,7 +409,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         )
 
     bundles = render_bundles(
-        instances, {mode for mode, _ in config.matrix}, config.token_budget
+        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
     )
 
     units = [
@@ -485,7 +487,7 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
     """Render everything and estimate cost without touching any backend."""
     instances = generate_instances(config)
     bundles = render_bundles(
-        instances, {mode for mode, _ in config.matrix}, config.token_budget
+        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
     )
     prompt_tokens = sum(
         estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)

@@ -520,21 +520,23 @@ TARGET_MARKER = "### Target Question ###"
 class OracleBackend:
     """Answers any rendered prompt with the registered instance's exact solution.
 
-    Instances are looked up by the statement text that follows the target
+    Answers are looked up by the statement text that follows the target
     marker in the first user message, so the oracle exercises the same
     prompt → answer → verify path as a real model — with a guaranteed
-    correct answer.
+    correct answer.  Each answer text is built once, at registration.
     """
 
     def __init__(self, instances: Sequence[ProblemInstance] = ()) -> None:
-        self._by_statement: dict[str, ProblemInstance] = {}
+        self._answers: dict[str, str] = {}
         self.calls = 0
         self._lock = threading.Lock()
         for inst in instances:
             self.register(inst)
 
     def register(self, instance: ProblemInstance) -> None:
-        self._by_statement[statement_text(instance.payload)] = instance
+        self._answers[statement_text(instance.payload)] = canonical_text(
+            instance.payload, instance.ground_truth
+        )
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         with self._lock:
@@ -545,10 +547,9 @@ class OracleBackend:
         if TARGET_MARKER not in first_user:
             raise MalformedProviderReply("prompt has no target-question marker")
         statement = first_user.split(TARGET_MARKER, 1)[1].strip()
-        instance = self._by_statement.get(statement)
-        if instance is None:
+        text = self._answers.get(statement)
+        if text is None:
             raise MalformedProviderReply("target statement not registered with oracle")
-        text = canonical_text(instance.payload, instance.ground_truth)
         return BackendResponse(text=text, completion_tokens=len(text) // 4)
 
 

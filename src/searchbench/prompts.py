@@ -12,7 +12,9 @@ The exemplar reasoning section always has the same five numbered phases
 (State definition / Initialization / Search / Solution path / Output Format),
 and every search step is rendered with the same four fields (Step /
 Transition tried / preview & test / Outcome).  Formats are fixed: rendering
-is a pure function of the instance, mode and exemplars.
+is a pure function of the instance, mode and exemplars.  Every body is a
+target-independent exemplar half, ending in the target marker, followed by
+the target's statement; ``Shots`` renders that half once per (task, mode).
 
 A token budget elides only the AoT search phase, never the accepting path.
 The search stops at its first solution, so the accepting root section is the
@@ -629,82 +631,53 @@ def _exemplar(
 # ---------------------------------------------------------------------------
 
 
-def _validate(
-    instance: ProblemInstance,
-    mode: PromptMode,
-    exemplars: Sequence[tuple[ProblemInstance, SearchTrace]],
-) -> None:
-    if mode is PromptMode.DIRECT:
-        if not exemplars:
-            raise PromptError("Direct mode needs at least one exemplar")
-    elif len(exemplars) != WORKED_SHOT_COUNT:
-        raise PromptError(f"{mode.value} mode uses exactly one worked exemplar")
-    for ex, trace in exemplars:
-        if ex.kind is not instance.kind:
-            raise PromptError(
-                f"exemplar {ex.id} is {ex.kind.value}, target is {instance.kind.value}"
-            )
-        if ex.id == instance.id:
-            raise ExemplarTargetOverlap(f"{ex.id} is both target and exemplar")
-        if trace.kind is not ex.kind:
-            raise PromptError(f"trace kind {trace.kind.value} does not match {ex.id}")
-        if mode is PromptMode.COT and trace.mode is not SearchMode.GREEDY:
-            raise WrongTraceMode("CoT requires a greedy trace")
-        if mode is PromptMode.AOT and trace.mode is not SearchMode.DFS:
-            raise WrongTraceMode("AoT requires a depth-first trace")
-        if not trace.succeeded:
-            raise TraceNotSuccessful(f"exemplar trace for {ex.id} found no solution")
+_TARGET_HEADER = "Question:\n\n### Target Question ###\n"
 
 
-def _direct_body(
-    instance: ProblemInstance,
-    exemplars: Sequence[tuple[ProblemInstance, SearchTrace]],
-) -> str:
-    parts = [f"{len(exemplars)}-Shot In-Context Examples:"]
-    for i, (ex, trace) in enumerate(exemplars, start=1):
-        assert trace.solution is not None
-        parts.append(f"### Task{i} ###\n{statement_text(ex.payload)}")
-        parts.append(
-            f"### Solution{i} ###\n{canonical_text(ex.payload, trace.solution)}"
-        )
-    parts.append("Question:")
-    parts.append(f"### Target Question ###\n{statement_text(instance.payload)}")
-    return "\n\n".join(parts)
+class Shots:
+    """The target-independent half of every prompt body of one (task, mode):
+    the exemplar text up to and including the target marker.
 
-
-def render(
-    instance: ProblemInstance,
-    mode: PromptMode,
-    exemplars: Sequence[tuple[ProblemInstance, SearchTrace]],
-    token_budget: int | None = None,
-) -> PromptBundle:
-    """Render the full prompt for ``instance``.
-
-    ``exemplars`` pairs worked instances with their traces: any number of
-    successful traces for Direct, exactly one greedy trace for CoT, exactly
-    one depth-first trace for AoT.  When ``token_budget`` is given and the
-    body estimate exceeds it, AoT elides earlier root sections first, in
-    trace order, then the accepting section's pruned steps and dead subtrees,
-    shallowest first and in trace order within a depth; the accepting path
-    itself is never cut.  ContextBudgetExceeded is raised if even the fully
-    elided body is too big.
+    ``head(k)`` is the half with the first ``k`` items of ``drop_order``
+    elided; each is assembled the first time a target needs it, so one
+    ``Shots`` serves every target of its task and mode.  Only AoT has
+    anything to drop.
     """
-    _validate(instance, mode, exemplars)
-    kind = instance.kind
 
-    drop_order: list = []
-    if mode is PromptMode.DIRECT:
-        body = _direct_body(instance, exemplars)
-    else:
+    def __init__(
+        self,
+        mode: PromptMode,
+        exemplars: Sequence[tuple[ProblemInstance, SearchTrace]],
+    ) -> None:
+        if mode is PromptMode.DIRECT:
+            if not exemplars:
+                raise PromptError("Direct mode needs at least one exemplar")
+        elif len(exemplars) != WORKED_SHOT_COUNT:
+            raise PromptError(f"{mode.value} mode uses exactly one worked exemplar")
+        for ex, trace in exemplars:
+            if trace.kind is not ex.kind:
+                raise PromptError(f"trace kind {trace.kind.value} does not match {ex.id}")
+            if mode is PromptMode.COT and trace.mode is not SearchMode.GREEDY:
+                raise WrongTraceMode("CoT requires a greedy trace")
+            if mode is PromptMode.AOT and trace.mode is not SearchMode.DFS:
+                raise WrongTraceMode("AoT requires a depth-first trace")
+            if not trace.succeeded:
+                raise TraceNotSuccessful(f"exemplar trace for {ex.id} found no solution")
+        self.mode = mode
+        self.exemplars = tuple(exemplars)
+        self.drop_order: list = []
+        if mode is PromptMode.DIRECT:
+            parts = [f"{len(exemplars)}-Shot In-Context Examples:"]
+            for i, (ex, trace) in enumerate(exemplars, start=1):
+                parts.append(f"### Task{i} ###\n{statement_text(ex.payload)}")
+                parts.append(
+                    f"### Solution{i} ###\n{canonical_text(ex.payload, trace.solution)}"
+                )
+            self._heads = {0: "\n\n".join(parts) + "\n\n" + _TARGET_HEADER}
+            return
         ex, trace = exemplars[0]
-        prefix, sections, suffix = _exemplar(ex, trace, mode)
-        suffix += f"\n\nQuestion:\n\n### Target Question ###\n{statement_text(instance.payload)}"
-
-        def assemble(dropped: set) -> str:
-            phase3 = _search_phase(kind, mode, sections, dropped)
-            return f"{THINKING_HEADERS[mode]}\n\n{prefix}{phase3}{suffix}"
-
-        body = assemble(set())
+        self._prefix, sections, suffix = _exemplar(ex, trace, mode)
+        self._sections, self._suffix = sections, f"{suffix}\n\n{_TARGET_HEADER}"
         # The search stops at its first solution, so the accepting section is
         # the last: earlier sections go first, then the accepting section's
         # elidable units, shallowest first.  A greedy trace has none.
@@ -714,23 +687,62 @@ def render(
             for j, (_, _, depth) in enumerate(sections[last].units if sections else [])
             if depth is not None
         )
-        drop_order = [*range(last), *((last, j) for _, j in elidable)]
-    dropped: set = set()
-    for item in drop_order:
+        self.drop_order = [*range(last), *((last, j) for _, j in elidable)]
+        self._heads = {}
+
+    def head(self, k: int) -> str:
+        head = self._heads.get(k)
+        if head is None:
+            kind = self.exemplars[0][0].kind
+            phase3 = _search_phase(kind, self.mode, self._sections, set(self.drop_order[:k]))
+            head = self._heads.setdefault(
+                k, f"{THINKING_HEADERS[self.mode]}\n\n{self._prefix}{phase3}{self._suffix}"
+            )
+        return head
+
+
+def render(
+    instance: ProblemInstance,
+    mode: PromptMode,
+    exemplars: Shots | Sequence[tuple[ProblemInstance, SearchTrace]],
+    token_budget: int | None = None,
+) -> PromptBundle:
+    """Render the full prompt for ``instance``.
+
+    ``exemplars`` pairs worked instances with their traces: any number of
+    successful traces for Direct, exactly one greedy trace for CoT, exactly
+    one depth-first trace for AoT; a ``Shots`` built from them for ``mode``
+    shares its rendered half across targets.  When ``token_budget`` is given
+    and the body estimate exceeds it, AoT elides earlier root sections first,
+    in trace order, then the accepting section's pruned steps and dead
+    subtrees, shallowest first and in trace order within a depth; the
+    accepting path itself is never cut.  ContextBudgetExceeded is raised if
+    even the fully elided body is too big.
+    """
+    shots = exemplars if isinstance(exemplars, Shots) else Shots(mode, exemplars)
+    if shots.mode is not mode:
+        raise PromptError(f"{shots.mode.value} exemplars cannot render a {mode.value} prompt")
+    for ex, _ in shots.exemplars:
+        if ex.kind is not instance.kind:
+            raise PromptError(
+                f"exemplar {ex.id} is {ex.kind.value}, target is {instance.kind.value}"
+            )
+        if ex.id == instance.id:
+            raise ExemplarTargetOverlap(f"{ex.id} is both target and exemplar")
+    statement = statement_text(instance.payload)
+    for k in range(len(shots.drop_order) + 1):
+        body = shots.head(k) + statement
         if token_budget is None or estimate_tokens(body) <= token_budget:
             break
-        dropped.add(item)
-        body = assemble(dropped)
-    if token_budget is not None and estimate_tokens(body) > token_budget:
+    else:
         raise ContextBudgetExceeded(
-            f"{mode.value} body is ≈{estimate_tokens(body)} tokens after eliding "
-            f"every elidable step; budget {token_budget}"
+            f"{mode.value} body for {instance.id} is ≈{estimate_tokens(body)} tokens "
+            f"after eliding every elidable step; budget {token_budget}"
         )
-
     return PromptBundle(
         mode=mode,
-        system_text=TASK_DESCRIPTIONS[kind],
-        exemplar_ids=tuple(ex.id for ex, _ in exemplars),
+        system_text=TASK_DESCRIPTIONS[instance.kind],
+        exemplar_ids=tuple(ex.id for ex, _ in shots.exemplars),
         body=body,
         target_id=instance.id,
     )

@@ -27,7 +27,9 @@ Each digest changes only with a format change recorded in CHANGES.md:
 * ``outcomes.jsonl`` and ``cells.csv`` of a scripted ``mock`` run over every
   task whose answers reach every verdict status, an ``ss:1`` refinement
   that turns a wrong answer right and a ``ps:3`` unit of three distinct
-  samples, with answer texts repeated inside and across instances.
+  samples, with answer texts repeated inside and across instances;
+* every bundle ``render_bundles`` builds for one target per task at levels
+  1, 3 and 10, with and without a token budget.
 
 A prompt change alters every request digest and orphans existing response
 caches, so a failure here is a format change, not a test to update.
@@ -38,6 +40,7 @@ import json
 import random
 import re
 
+from searchbench import cli
 from searchbench.answers import canonical_text, evaluate
 from searchbench.cli import config_from_dict, generate_instances, run
 from searchbench.generate import MAX_LEVEL, MIN_LEVEL, GenSpec, exemplar_instance, generate
@@ -331,6 +334,53 @@ def scripted_run_digests(tmp_path) -> dict[str, str]:
             for name in ("outcomes.jsonl", "cells.csv")}
 
 
+BUNDLE_BUDGET = 1700
+
+
+def bundle_digests(monkeypatch) -> dict[str, str]:
+    """Per (task, mode): the bundle texts ``render_bundles`` builds for one
+    target per task at levels 1, 3 and 10, all modes unbudgeted, then CoT and
+    AoT under a budget every CoT body fits and that elides the AoT bodies by
+    different amounts or not at all.  Every exemplar set must come through
+    ``cli.default_exemplars`` and every bundle through ``cli.render``, the
+    names the benchmark's tracer wraps: one call per (task, mode) and one per
+    (instance, mode)."""
+    exemplar_calls, bundles = [], []
+    default_exemplars, render = cli.default_exemplars, cli.render
+
+    def counted_exemplars(kind, mode):
+        exemplar_calls.append((kind, mode))
+        return default_exemplars(kind, mode)
+
+    def kept_render(*args, **kwargs):
+        bundles.append(render(*args, **kwargs))
+        return bundles[-1]
+
+    monkeypatch.setattr(cli, "default_exemplars", counted_exemplars)
+    monkeypatch.setattr(cli, "render", kept_render)
+    doc = {
+        "tasks": [k.value for k in TaskKind],
+        "levels": [1, 3, 10],
+        "instance_count": 1,
+        "models": [{"name": "m-oracle", "backend": "oracle"}],
+    }
+    instances = generate_instances(config_from_dict(doc))
+    out: dict[str, list] = {}
+    for budget, modes in ((None, list(PromptMode)), (BUNDLE_BUDGET, [PromptMode.COT, PromptMode.AOT])):
+        exemplar_calls.clear()
+        bundles.clear()
+        cli.render_bundles(instances, modes, budget)
+        assert exemplar_calls == [(kind, mode) for kind in TaskKind for mode in modes]
+        assert [(b.target_id, b.mode) for b in bundles] == [
+            (inst.id, mode) for inst in instances for mode in modes
+        ]
+        for bundle in bundles:
+            kind = bundle.target_id.split("-", 1)[0]
+            key = f"{kind}.{bundle.mode.value}" + (f"@{budget}" if budget else "")
+            out.setdefault(key, []).append(_digest(bundle_text(bundle)))
+    return {key: _digest(texts) for key, texts in out.items()}
+
+
 PROMPT_DIGESTS: dict[str, str] = {
     "VertexCover.Direct": "a2797eba2ca42e7b47ced388edb0a99198e8db66fbe393b2aa00b4544bea70b6",
     "VertexCover.CoT": "d8add8aad74bf19b027c0d6b9a9f7d49da7975f9642a4c516d4e4191b75682aa",
@@ -487,6 +537,30 @@ SCRIPTED_RUN_DIGESTS: dict[str, str] = {
 }
 
 
+BUNDLE_DIGESTS: dict[str, str] = {
+    "VertexCover.Direct": "3e734ce853a7315798d576ddc4441ac904c10433c6c37e3c18311bc308f93fab",
+    "VertexCover.CoT": "1327e9e4af3996f000e4e9a015cbbf4c2cdc6492e3e629756f54667256b183c0",
+    "VertexCover.AoT": "235c6c8c93202f726b51f02119dcafd947eff63d97181313255ae9ae274268a5",
+    "ThreeDM.Direct": "b7cfdfcdc2c3ca8afab1bd5d241f030e0b3a5ef1392d8ae96796eb6cefaa66f8",
+    "ThreeDM.CoT": "50065b790ff61d0f689eff8437709cd9a4e573d4423a80c00c315d77909e1d62",
+    "ThreeDM.AoT": "8cf17bcaab52f7bb9a5b7748b2dde210c40a1c41e69cd61effe65a3943cbe7be",
+    "TripPlanning.Direct": "5226d7acc3acd2211789fd6f739b945e50b426ed16ab36c36ddbc038328b4bef",
+    "TripPlanning.CoT": "aa6e6bb297812abc8cfe071ca8a18235352653007e5af40f6af4bcf6d8d88514",
+    "TripPlanning.AoT": "a3005e741fde3b20ef7685b7589dfbff1ba469de524b7c73468643eae8178cf7",
+    "MeetingPlanning.Direct": "dd326afb216dee7c334c8477654539ddc09e98d0c7da52df34abf219b1afffd2",
+    "MeetingPlanning.CoT": "3de0b6f6011b091f2476eb2eacbf7e60d1c3e4eb8681d0fc94ffc60e64605292",
+    "MeetingPlanning.AoT": "725aee38eaef74bb4cf9fb9145eeec6810e780c7619eb5436f63eb467eb4bd10",
+    "VertexCover.CoT@1700": "1327e9e4af3996f000e4e9a015cbbf4c2cdc6492e3e629756f54667256b183c0",
+    "VertexCover.AoT@1700": "d4730e0c8599eb441e4f6c2c95e7c6e4fe2e8b1e0818fcb140a4533a1dd5a949",
+    "ThreeDM.CoT@1700": "50065b790ff61d0f689eff8437709cd9a4e573d4423a80c00c315d77909e1d62",
+    "ThreeDM.AoT@1700": "795cf7a23f21fade430a7ee60aeb88107f511d7e3cc5510e98a3b887587050e4",
+    "TripPlanning.CoT@1700": "aa6e6bb297812abc8cfe071ca8a18235352653007e5af40f6af4bcf6d8d88514",
+    "TripPlanning.AoT@1700": "a3005e741fde3b20ef7685b7589dfbff1ba469de524b7c73468643eae8178cf7",
+    "MeetingPlanning.CoT@1700": "3de0b6f6011b091f2476eb2eacbf7e60d1c3e4eb8681d0fc94ffc60e64605292",
+    "MeetingPlanning.AoT@1700": "5eebdb5c5d7e256d01d84be724c595fdc59960c784600e22b803cf9503449f3b",
+}
+
+
 def test_default_exemplar_prompts_are_pinned():
     assert prompt_digests() == PROMPT_DIGESTS
 
@@ -513,3 +587,7 @@ def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
 
 def test_scripted_run_outcomes_are_pinned(tmp_path):
     assert scripted_run_digests(tmp_path) == SCRIPTED_RUN_DIGESTS
+
+
+def test_render_bundles_calls_and_bytes_are_pinned(monkeypatch):
+    assert bundle_digests(monkeypatch) == BUNDLE_DIGESTS
