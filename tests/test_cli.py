@@ -704,3 +704,26 @@ def test_python_dash_m_searchbench_runs_the_cli_without_warnings():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, __version__, "")
+
+
+def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
+    """Modes render in matrix order, so the first body over budget, and the
+    error naming it, do not depend on the interpreter's hash seed."""
+    config = tmp_path / "config.json"
+    doc = _doc(tmp_path, tasks=["MeetingPlanning"], levels=[10], token_budget=1300)
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    errors = []
+    for hash_seed in ("1", "3"):
+        done = subprocess.run(
+            [sys.executable, "-m", "searchbench", "run", "--config", str(config)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+        )
+        assert done.returncode == 2
+        errors.append(done.stderr)
+    assert errors == [
+        "error: Direct body for MeetingPlanning-L10-s0 is ≈3370 tokens after eliding "
+        "every elidable step; budget 1300\n"
+    ] * 2

@@ -28,6 +28,7 @@ from searchbench.gateway import (
     call_with_retries,
     canonical_digest,
 )
+from searchbench.answers import canonical_text
 from searchbench.prompts import PromptMode, default_exemplars, render, render_refine
 from searchbench.tasks import TaskKind
 
@@ -551,6 +552,25 @@ def test_oracle_answers_rendered_prompts(sample_instances):
     reply = oracle.complete(request)
     assert "Here is" in reply.text
     assert oracle.calls == 1
+
+
+def test_oracle_builds_each_answer_once(sample_instances, monkeypatch):
+    built = []
+
+    def counted(payload, solution):
+        built.append(solution)
+        return canonical_text(payload, solution)
+
+    monkeypatch.setattr("searchbench.gateway.canonical_text", counted)
+    instances = _flat(sample_instances)
+    oracle = OracleBackend(instances)
+    assert len(built) == len(instances)
+    for inst in instances:
+        bundle = render(inst, PromptMode.AOT, default_exemplars(inst.kind, PromptMode.AOT))
+        for _ in range(3):
+            reply = oracle.complete(_request(messages=(("user", bundle.body),)))
+            assert reply.text == canonical_text(inst.payload, inst.ground_truth)
+    assert len(built) == len(instances)
 
 
 def test_oracle_reads_first_user_message_in_refine_history(sample_instances):

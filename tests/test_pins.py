@@ -366,7 +366,8 @@ def bundle_digests(monkeypatch) -> dict[str, str]:
     }
     instances = generate_instances(config_from_dict(doc))
     out: dict[str, list] = {}
-    for budget, modes in ((None, list(PromptMode)), (BUNDLE_BUDGET, [PromptMode.COT, PromptMode.AOT])):
+    budgeted = [PromptMode.COT, PromptMode.AOT]
+    for budget, modes in ((None, list(PromptMode)), (BUNDLE_BUDGET, budgeted)):
         exemplar_calls.clear()
         bundles.clear()
         cli.render_bundles(instances, modes, budget)

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from searchbench.prompts import (
     ExemplarTargetOverlap,
     PromptError,
     PromptMode,
+    Shots,
     TraceNotSuccessful,
     WrongTraceMode,
     bundle_text,
@@ -166,6 +168,9 @@ def test_kind_and_count_mismatches_rejected(reference_trip):
     two = default_exemplars(reference_trip.kind, PromptMode.AOT) * 2
     with pytest.raises(PromptError):
         render(reference_trip, PromptMode.AOT, two)
+    aot = Shots(PromptMode.AOT, default_exemplars(reference_trip.kind, PromptMode.AOT))
+    with pytest.raises(PromptError):
+        render(reference_trip, PromptMode.COT, aot)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +215,38 @@ def test_cot_budget_all_or_nothing(reference_trip):
     assert render(reference_trip, PromptMode.COT, exemplars, token_budget=need).body == full.body
     with pytest.raises(ContextBudgetExceeded):
         render(reference_trip, PromptMode.COT, exemplars, token_budget=need - 1)
+
+
+def _outcome(target, mode, exemplars, budget):
+    try:
+        return render(target, mode, exemplars, token_budget=budget)
+    except ContextBudgetExceeded as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_a_shared_half_renders_what_a_fresh_one_does(kind):
+    """One ``Shots`` per mode serves targets of different statement lengths
+    in shuffled order, so a target may need fewer drops than the one before
+    it; every body, or budget error, must match a render from a plain
+    exemplar list.  Budgets: each AoT elision step's size and one token
+    below it, the CoT size and one below, the Direct size, and none."""
+    targets = [generate(GenSpec(kind=kind, level=level, seed=0)) for level in (1, 3, 10)]
+    cases = []
+    for mode in PromptMode:
+        exemplars = default_exemplars(kind, mode)
+        for target in targets:
+            budgets, outcome = {None}, render(target, mode, exemplars)
+            while not isinstance(outcome, str):
+                size = estimate_tokens(outcome.body)
+                budgets.update((size, size - 1))
+                outcome = _outcome(target, mode, exemplars, size - 1)
+            cases += [(mode, exemplars, target, budget) for budget in budgets]
+    random.Random(0).shuffle(cases)
+    shared = {mode: Shots(mode, default_exemplars(kind, mode)) for mode in PromptMode}
+    for mode, exemplars, target, budget in cases:
+        fresh = _outcome(target, mode, exemplars, budget)
+        assert _outcome(target, mode, shared[mode], budget) == fresh
 
 
 # x1 has ten candidate triples, so the accepting label is A10a3 and A1 is the
