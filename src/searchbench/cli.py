@@ -73,20 +73,6 @@ class ConfigError(TaskError):
 
 DEFAULT_LEVEL = 10
 DEFAULT_COUNT = 100
-DEFAULT_CONCURRENCY = 4
-DEFAULT_MAX_TOKENS = 4096
-
-_MODEL_KEYS = {
-    "name",
-    "backend",
-    "model",
-    "url",
-    "dialect",
-    "api_key_env",
-    "timeout_s",
-    "requests_per_second",
-    "script",
-}
 
 _BACKEND_KINDS = ("oracle", "mock", "http")
 
@@ -94,8 +80,8 @@ _BACKEND_KINDS = ("oracle", "mock", "http")
 @dataclass(frozen=True)
 class ModelConfig:
     name: str
-    backend: str
     model: str
+    backend: str = "http"
     url: str = ""
     dialect: str = "anthropic"
     api_key_env: str = "ANTHROPIC_API_KEY"
@@ -108,18 +94,28 @@ class ModelConfig:
 class RunConfig:
     tasks: tuple[TaskKind, ...]
     levels: tuple[int, ...]
-    instance_count: int
-    seed: int
     models: tuple[ModelConfig, ...]
     matrix: tuple[tuple[PromptMode, ScalingStrategy], ...]
-    concurrency: int = DEFAULT_CONCURRENCY
+    instance_count: int = DEFAULT_COUNT
+    seed: int = 0
+    concurrency: int = 4
     cache_path: str | None = None
     out_dir: str = "out"
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    max_tokens: int = 4096
     token_budget: int | None = None
 
 
-def _reject_unknown(doc: Mapping, allowed: set[str], where: str) -> None:
+def _defaults(cls) -> dict:
+    """Each field of the dataclass ``cls`` mapped to its default, or to
+    ``dataclasses.MISSING``; a config block accepts exactly these keys."""
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+_MODEL_DEFAULTS = _defaults(ModelConfig)
+_RUN_DEFAULTS = _defaults(RunConfig)
+
+
+def _reject_unknown(doc: Mapping, allowed: Mapping, where: str) -> None:
     for key in doc:
         if key not in allowed:
             raise ConfigError(f"{where}{key}: unknown key")
@@ -146,6 +142,10 @@ def _is_number(value) -> bool:
     return type(value) in (int, float)
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 def _is_list(value) -> bool:
     return isinstance(value, list)
 
@@ -156,64 +156,61 @@ def _reject_duplicates(where: str, items: Sequence, field: str = "") -> None:
             raise ConfigError(f"{where}[{i}]{field}: duplicate {item!r}")
 
 
+#: model key -> (check, what the check wants); ``name`` is checked on its own
+_MODEL_CHECKS = {
+    "backend": (lambda v: v in _BACKEND_KINDS, f"one of {_BACKEND_KINDS}"),
+    # the default is the tuple the field holds; JSON gives lists
+    "script": (lambda v: isinstance(v, (list, tuple)) and all(_is_str(s) for s in v),
+               "a list of strings"),
+    "model": (_is_str, "a string"),
+    "url": (_is_str, "a string"),
+    "api_key_env": (_is_str, "a string"),
+    # a str first: ``in`` raises TypeError on an unhashable value
+    "dialect": (lambda v: _is_str(v) and v in DIALECTS, f"one of {sorted(DIALECTS)}"),
+    "timeout_s": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    "requests_per_second": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+}
+
+
 def _model_config(doc: Mapping, where: str) -> ModelConfig:
+    """A model block; ``model`` defaults to ``name``, every other key to its
+    ``ModelConfig`` default."""
     if not isinstance(doc, Mapping):
         raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(doc, _MODEL_KEYS, where + ".")
+    _reject_unknown(doc, _MODEL_DEFAULTS, where + ".")
     name = doc.get("name")
     if not name or not isinstance(name, str):
         raise ConfigError(f"{where}.name: required string")
-    backend = doc.get("backend", "http")
-    if backend not in _BACKEND_KINDS:
-        raise ConfigError(f"{where}.backend: must be one of {_BACKEND_KINDS}")
-    if backend == "http" and not doc.get("url"):
+    defaults = dict(_MODEL_DEFAULTS, model=name)
+    values = {key: _checked(doc, key, defaults[key], *check, where + ".")
+              for key, check in _MODEL_CHECKS.items()}
+    if values["backend"] == "http" and not values["url"]:
         raise ConfigError(f"{where}.url: required for http backends")
-    script = _checked(
-        doc, "script", [], lambda v: _is_list(v) and all(isinstance(s, str) for s in v),
-        "a list of strings", where + ".",
+    values.update(
+        timeout_s=float(values["timeout_s"]),
+        requests_per_second=float(values["requests_per_second"]),
+        script=tuple(values["script"]),
     )
-    for key in ("model", "url", "api_key_env"):
-        _checked(doc, key, "", lambda v: isinstance(v, str), "a string", where + ".")
-    _checked(doc, "dialect", "anthropic", lambda v: v in sorted(DIALECTS),
-             f"one of {sorted(DIALECTS)}", where + ".")
-    return ModelConfig(
-        name=name,
-        backend=backend,
-        model=doc.get("model", name),
-        url=doc.get("url", ""),
-        dialect=doc.get("dialect", "anthropic"),
-        api_key_env=doc.get("api_key_env", "ANTHROPIC_API_KEY"),
-        timeout_s=float(_checked(
-            doc, "timeout_s", 120.0, lambda v: _is_number(v) and v > 0, "a number > 0",
-            where + ".",
-        )),
-        requests_per_second=float(_checked(
-            doc, "requests_per_second", 0.0, lambda v: _is_number(v) and v >= 0,
-            "a number >= 0", where + ".",
-        )),
-        script=tuple(script),
-    )
+    return ModelConfig(name=name, **values)
 
 
-#: key -> (default, check, what the check wants)
+#: scalar key -> (check, what the check wants); defaults are ``RunConfig``'s
 _SCALAR_KEYS = {
-    "instance_count": (DEFAULT_COUNT, _is_count, "an integer >= 1"),
-    "seed": (0, _is_int, "an integer"),
-    "concurrency": (DEFAULT_CONCURRENCY, _is_count, "an integer >= 1"),
-    "cache_path": (None, lambda v: v is None or isinstance(v, str), "a string or null"),
-    "out_dir": ("out", lambda v: isinstance(v, str), "a string"),
-    "max_tokens": (DEFAULT_MAX_TOKENS, _is_count, "an integer >= 1"),
-    "token_budget": (None, lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
+    "instance_count": (_is_count, "an integer >= 1"),
+    "seed": (_is_int, "an integer"),
+    "concurrency": (_is_count, "an integer >= 1"),
+    "cache_path": (lambda v: v is None or _is_str(v), "a string or null"),
+    "out_dir": (_is_str, "a string"),
+    "max_tokens": (_is_count, "an integer >= 1"),
+    "token_budget": (lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
 }
-
-_CONFIG_KEYS = {"tasks", "levels", "models", "matrix", *_SCALAR_KEYS}
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
     """Validate a parsed config document; unknown keys are errors."""
     if not isinstance(doc, Mapping):
         raise ConfigError("config root: expected an object")
-    _reject_unknown(doc, _CONFIG_KEYS, "")
+    _reject_unknown(doc, _RUN_DEFAULTS, "")
 
     tasks_doc = _checked(doc, "tasks", [k.value for k in TaskKind], _is_list, "a list")
     try:
@@ -268,7 +265,8 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         levels=levels,
         models=models,
         matrix=matrix,
-        **{key: _checked(doc, key, *check) for key, check in _SCALAR_KEYS.items()},
+        **{key: _checked(doc, key, _RUN_DEFAULTS[key], *check)
+           for key, check in _SCALAR_KEYS.items()},
     )
 
 

@@ -57,7 +57,6 @@ from .tasks import (
     TripLeg,
     TripPayload,
     TripPlan,
-    UnknownCityError,
     VertexCoverPayload,
     minutes_to_clock,
 )
@@ -727,16 +726,12 @@ def matching_witness(payload: ThreeDMPayload) -> Matching | None:
     """The matching ``_threedm_dfs`` finds, or None, without building a trace.
 
     The same depth-first search over the sorted triples, smallest unmatched x
-    first, with the used y and z elements as int bitmasks.  Each element gets
-    its bit in order of first sight, so any value a set could hold has one.
+    first, with the used y and z elements as int bitmasks.
     """
     n = payload.n
-    bits: dict[int, int] = {}
     by_x: dict[int, list[tuple[tuple[int, int, int], int, int]]] = {}
     for t in sorted(payload.triples):
-        y = bits.setdefault(t[1], 1 << len(bits))
-        z = bits.setdefault(t[2], 1 << len(bits))
-        by_x.setdefault(t[0], []).append((t, y, z))
+        by_x.setdefault(t[0], []).append((t, 1 << t[1], 1 << t[2]))
     picked: list[tuple[int, int, int]] = []
 
     def extend(x: int, used_y: int, used_z: int) -> bool:
@@ -776,14 +771,6 @@ def _meetable(friends: Sequence[Friend], met: set[str], time: int) -> int:
     )
 
 
-def _known_travel(payload: MeetingPayload, a: str, b: str) -> int | None:
-    """``payload.travel(a, b)``, or None where that raises."""
-    try:
-        return payload.travel(a, b)
-    except UnknownCityError:
-        return None
-
-
 def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     """Exact maximum-friends schedule.
 
@@ -799,25 +786,18 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     unmet friends alive at ``t`` bound the meetings a schedule can add.  A
     node is cut when that bound cannot beat the best count, or can only tie
     it while already finishing later, since a finish only grows along a path.
-
-    A payload with a missing travel pair keeps the travel-blind bound, no
-    tie cut and every unmet friend tried, so the search reads exactly the
-    pairs a plain search with that bound reads and raises
-    ``UnknownCityError`` at the same one.
     """
     friends = sorted(payload.friends, key=lambda f: f.name)
     n = len(friends)
     places = [payload.start_location] + [f.location for f in friends]
-    travel = [[_known_travel(payload, a, f.location) for f in friends] for a in places]
-    fast = all(t is not None for row in travel for t in row)
-    if fast:
-        # shortest travel into each friend, from the start or another friend
-        into = [min(row[k] for p, row in enumerate(travel) if p != k + 1) for k in range(n)]
+    travel = [[payload.travel(a, f.location) for f in friends] for a in places]
+    # shortest travel into each friend, from the start or another friend
+    into = [min(row[k] for p, row in enumerate(travel) if p != k + 1) for k in range(n)]
     ranks = {name: i for i, name in enumerate(sorted({f.name for f in friends}))}
     rank = [ranks[f.name] for f in friends]
     group = [sum(1 << j for j, g in enumerate(friends) if g.name == f.name) for f in friends]
     due = sorted(
-        (f.avail_end - f.min_minutes - (into[k] if fast else 0), k)
+        (f.avail_end - f.min_minutes - into[k], k)
         for k, f in enumerate(friends)
         if f.avail_start + f.min_minutes <= f.avail_end
     )
@@ -828,7 +808,6 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     opens = [f.avail_start for f in friends]
     closes = [f.avail_end for f in friends]
     lasts = [f.min_minutes for f in friends]
-    everyone = (1 << n) - 1
 
     path: list[int] = []
     starts: list[int] = []
@@ -843,16 +822,13 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
             best[:] = depth, time, tuple(rank[k] for k in path), tuple(path), tuple(starts)
         live = alive[bisect_left(deadlines, time)] & ~met
         reach = depth + live.bit_count()
-        if reach < best[0] or fast and reach == best[0] and time > best[1]:
+        if reach < best[0] or reach == best[0] and time > best[1]:
             return
-        todo = live if fast else everyone & ~met
         row = travel[p]
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
+        while live:
+            bit = live & -live
+            live ^= bit
             k = bit.bit_length() - 1
-            if row[k] is None:
-                payload.travel(places[p], places[k + 1])  # raises UnknownCityError
             start = time + row[k]
             if start < opens[k]:
                 start = opens[k]

@@ -190,7 +190,7 @@ class MeetingPayload:
 
     Times are minutes of day in [0, 1439].  The tour begins at ``day_start``
     at ``start_location``; travel times are symmetric and given per unordered
-    location pair.
+    location pair, for every pair of places the start and the friends name.
     """
 
     kind: ClassVar[TaskKind] = TaskKind.MEETING_PLANNING
@@ -208,6 +208,11 @@ class MeetingPayload:
         for f in self.friends:
             if f.min_minutes < 0:
                 raise ValueError(f"negative min_minutes for {f.name!r}: {f.min_minutes}")
+        places = sorted({self.start_location, *(f.location for f in self.friends)})
+        for i, a in enumerate(places):
+            for b in places[i + 1:]:
+                if (a, b) not in self.travel_minutes:
+                    raise ValueError(f"no travel time between {a!r} and {b!r}")
 
     def travel(self, a: str, b: str) -> int:
         if a == b:

@@ -15,6 +15,7 @@ from searchbench.gateway import ModelGateway
 from searchbench.generate import GenSpec, generate
 from searchbench.cli import (
     ConfigError,
+    ModelConfig,
     config_from_dict,
     dry_run,
     main,
@@ -59,6 +60,22 @@ def test_config_defaults():
     assert len(config.matrix) == 12
     assert config.matrix[3][1].format() == "ps:3"
     assert config.matrix[6][1].format() == "ss:1"
+    (model,) = config.models
+    assert (model.name, model.model, model.backend) == ("m", "m", "oracle")
+    for field in dataclasses.fields(ModelConfig):
+        if field.name not in ("name", "model", "backend"):
+            assert getattr(model, field.name) == field.default, field.name
+
+
+def test_a_model_block_takes_exactly_the_model_config_fields():
+    (model,) = config_from_dict({"models": [ORACLE]}).models
+    full = {f.name: getattr(model, f.name) for f in dataclasses.fields(ModelConfig)}
+    full["script"] = ["x"]
+    assert config_from_dict({"models": [full]}).models == (
+        dataclasses.replace(model, script=("x",)),
+    )
+    with pytest.raises(ConfigError, match=r"^models\[0\]\.pulse: unknown key"):
+        config_from_dict({"models": [{**full, "pulse": 1}]})
 
 
 @pytest.mark.parametrize(

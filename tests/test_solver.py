@@ -24,13 +24,11 @@ from searchbench.solver import (
 from searchbench.tasks import (
     CoverSet,
     Friend,
-    Matching,
     MeetingPayload,
     TaskKind,
     ThreeDMPayload,
     TripPayload,
     TripWindow,
-    UnknownCityError,
     VertexCoverPayload,
 )
 
@@ -442,27 +440,6 @@ def test_meeting_searches_reach_the_enumerated_optimum(payload):
         assert trace.solution is None
 
 
-def test_optimal_schedule_raises_only_on_a_travel_pair_it_reads():
-    pairs = {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
-             ("Bayview", "Nob Hill"): 10}
-    alice = ("Alice", "Chinatown", 600, 700, 30)
-    # After Alice no clock lets Brian be met, yet a search tries him and
-    # reads the missing Chinatown-Presidio pair.
-    brian = ("Brian", "Presidio", 540, 600, 30)
-    with pytest.raises(UnknownCityError, match="'Chinatown' and 'Presidio'"):
-        optimal_schedule(_meeting([alice, brian], pairs))
-    with pytest.raises(UnknownCityError, match="'Bayview' and 'Presidio'"):
-        optimal_schedule(_meeting([brian], {}))
-    # No friend can be met at Presidio or Nob Hill, so the search never
-    # stands at either: their pair is never read.
-    never = [("Brian", "Presidio", 600, 610, 30), ("Carol", "Nob Hill", 600, 610, 30)]
-    payload = _meeting([alice, *never], {**pairs, ("Chinatown", "Presidio"): 5,
-                                         ("Chinatown", "Nob Hill"): 5})
-    count, best = optimal_schedule(payload)
-    assert (count, [m.friend for m in best.meetings]) == (1, ["Alice"])
-    assert best in enumerate_all(payload)
-
-
 def test_friends_sharing_a_name_are_met_once():
     # Two friends named Alice at two places: meeting either one meets "Alice".
     payload = _meeting(
@@ -490,20 +467,6 @@ def test_matching_witness_is_the_traced_matching(unsolvable_instances):
     payloads += [i.payload for i in unsolvable_instances if i.kind is TaskKind.THREE_DM]
     for payload in payloads:
         assert matching_witness(payload) == solve_payload(payload, SearchMode.DFS).solution
-
-
-def test_matching_witness_takes_any_element_value():
-    """Triples the payload's own check would reject still search as sets do:
-    a negative or out-of-range y or z is one more element."""
-    payload = ThreeDMPayload(n=2, triples=())
-    object.__setattr__(payload, "triples", (
-        (-1, 0, 0), (0, -1, -1), (0, 5, 5), (1, -1, 0), (1, 0, 1), (1, 5, 7),
-    ))
-    traced = solve_payload(payload, SearchMode.DFS).solution
-    assert traced == Matching(triples=frozenset({(0, -1, -1), (1, 0, 1)}))
-    assert matching_witness(payload) == traced
-    object.__setattr__(payload, "triples", ((0, -1, -1), (1, -1, 0)))
-    assert matching_witness(payload) is None is solve_payload(payload, SearchMode.DFS).solution
 
 
 @pytest.mark.parametrize("mode", list(SearchMode))

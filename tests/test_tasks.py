@@ -107,18 +107,30 @@ def test_meeting_payload_rejects_negative_minutes():
         _meeting_with(travel=-1, min_minutes=30)
     with pytest.raises(ValueError, match="negative min_minutes for 'Alice'"):
         _meeting_with(travel=10, min_minutes=-1)
+    # every pair of places the start and the friends name needs a time
+    with pytest.raises(ValueError, match="no travel time between 'Bayview' and 'Presidio'"):
+        MeetingPayload(
+            locations=("Bayview", "Chinatown", "Presidio"), start_location="Bayview",
+            day_start=540, travel_minutes={("Bayview", "Chinatown"): 10,
+                                           ("Chinatown", "Presidio"): 10},
+            friends=(Friend("Alice", "Chinatown", 600, 700, 30),
+                     Friend("Brian", "Presidio", 600, 700, 30)),
+        )
 
 
-@pytest.mark.parametrize("field", ["travel", "min_minutes"])
+@pytest.mark.parametrize("field", ["travel", "min_minutes", "missing pair"])
 def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
     record = instance_to_record(generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=2, seed=0)))
     if field == "travel":
         record["payload"]["travel_minutes"][0][2] = -5
-    else:
+    elif field == "min_minutes":
         record["payload"]["friends"][0]["min_minutes"] = -5
+    else:
+        del record["payload"]["travel_minutes"][0]
+    message = "no travel time between" if field == "missing pair" else f"negative {field}"
     path = tmp_path / "instances.jsonl"
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
-    with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: negative {field}"):
+    with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {message}"):
         read_instances(path)
 
 
