@@ -24,10 +24,13 @@ Each digest changes only with a format change recorded in CHANGES.md:
   solvable instances, so these alone reach the failure paths: every child
   pruned, a dead end below the root, Trip's root loop and Meeting's
   zero-target exit;
-* ``outcomes.jsonl`` and ``cells.csv`` of a scripted ``mock`` run over every
-  task whose answers reach every verdict status, an ``ss:1`` refinement
-  that turns a wrong answer right and a ``ps:3`` unit of three distinct
-  samples, with answer texts repeated inside and across instances;
+* ``outcomes.jsonl``, ``cells.csv`` and ``cache.jsonl`` of a scripted
+  ``mock`` run over every task whose answers reach every verdict status, an
+  ``ss:1`` refinement that turns a wrong answer right and a ``ps:3`` unit of
+  three distinct samples, with answer texts repeated inside and across
+  instances;
+* ``cache.jsonl`` of an ``oracle`` run of every task over the default
+  matrix, the response cache a cold run appends line by line;
 * every bundle ``render_bundles`` builds for one target per task at levels
   1, 3 and 10, with and without a token budget.
 
@@ -315,6 +318,7 @@ def scripted_run_digests(tmp_path) -> dict[str, str]:
         "models": [{"name": "m-mock", "backend": "mock"}],
         "matrix": [["Direct", "ws"], ["CoT", "ps:3"], ["AoT", "ss:1"], ["AoT", "is"]],
         "out_dir": str(tmp_path),
+        "cache_path": str(tmp_path / "cache.jsonl"),
     }
     script = []
     for inst in generate_instances(config_from_dict(doc)):
@@ -331,7 +335,22 @@ def scripted_run_digests(tmp_path) -> dict[str, str]:
     }
     assert statuses == {s.value for s in VerdictStatus} - {"BackendError"}
     return {name: _digest((tmp_path / name).read_text(encoding="utf-8"))
-            for name in ("outcomes.jsonl", "cells.csv")}
+            for name in ("outcomes.jsonl", "cells.csv", "cache.jsonl")}
+
+
+def oracle_cache_digest(tmp_path) -> str:
+    """The cache file of an oracle run of every task on the calling thread,
+    so its lines are appended in unit order."""
+    cache = tmp_path / "cache.jsonl"
+    run(config_from_dict({
+        "tasks": [k.value for k in TaskKind],
+        "levels": [3],
+        "instance_count": 2,
+        "models": [{"name": "m-oracle", "backend": "oracle"}],
+        "out_dir": str(tmp_path),
+        "cache_path": str(cache),
+    }), echo=lambda _: None)
+    return _digest(cache.read_text(encoding="utf-8"))
 
 
 BUNDLE_BUDGET = 1700
@@ -535,7 +554,11 @@ UNSOLVABLE_DIGESTS: dict[str, str] = {
 SCRIPTED_RUN_DIGESTS: dict[str, str] = {
     "outcomes.jsonl": "4cb1f14ede5bf52baa7126df67b58ba4b02c58339ef004534347fa7fb4d3f25b",
     "cells.csv": "6471dde685e8d87dc4e1b88f55f3d59e3b22372adf172bf8c709237bb07001c7",
+    "cache.jsonl": "ba4e45d203c4c9b632c347a60060d3bbd0ce405c0ac571e257ec6f2cee4db610",
 }
+
+
+ORACLE_CACHE_DIGEST = "36268c69d7bc2a703caa394f59eea23b1f0011d76395f3e45da33d797db3f44d"
 
 
 BUNDLE_DIGESTS: dict[str, str] = {
@@ -588,6 +611,10 @@ def test_unsolvable_trace_records_are_pinned(unsolvable_instances):
 
 def test_scripted_run_outcomes_are_pinned(tmp_path):
     assert scripted_run_digests(tmp_path) == SCRIPTED_RUN_DIGESTS
+
+
+def test_oracle_run_cache_is_pinned(tmp_path):
+    assert oracle_cache_digest(tmp_path) == ORACLE_CACHE_DIGEST
 
 
 def test_render_bundles_calls_and_bytes_are_pinned(monkeypatch):
