@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .answers import canonical_text
-from .prompts import statement_text
 from .tasks import ProblemInstance, TaskError
 
 if TYPE_CHECKING:
@@ -179,10 +178,12 @@ class ResponseCache:
     """Append-only JSONL cache keyed by request digest.
 
     Writes are serialized through one lock; reads go against the in-memory
-    snapshot without locking.  Corrupt lines (e.g. from a killed process) are
-    skipped on load so a damaged cache degrades to misses, never to errors.
-    A torn last line is ended before the first append, so it cannot swallow
-    the next entry.
+    snapshot without locking.  Each response is one line, appended with a
+    single write to a file opened for appending, so a killed run loses at
+    most the line it was writing.  Corrupt lines (not UTF-8, not JSON, or
+    not a record) are skipped on load so a damaged cache degrades to misses,
+    never to errors.  A torn last line is ended before the first append, so
+    it cannot swallow the next entry.
     """
 
     def __init__(self, path: str | Path | None = None) -> None:
@@ -191,19 +192,20 @@ class ResponseCache:
         self._entries: dict[str, BackendResponse] = {}
         self.skipped_lines = 0
         self._torn = False  # the file ends inside a line
+        self._dir_made = False  # the file's directory exists
         if self._path is not None and self._path.exists():
-            with open(self._path, "r", encoding="utf-8") as fh:
+            with open(self._path, "rb") as fh:
                 for line in fh:
-                    self._torn = not line.endswith("\n")
+                    self._torn = not line.endswith(b"\n")
                     line = line.strip()
                     if not line:
                         continue
                     try:
-                        record = json.loads(line)
+                        record = json.loads(line.decode("utf-8"))
                         self._entries[record["digest"]] = _response_from_json(
                             record["response"]
                         )
-                    except (json.JSONDecodeError, KeyError, TypeError):
+                    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                         self.skipped_lines += 1
 
     def __len__(self) -> int:
@@ -222,12 +224,23 @@ class ResponseCache:
             if digest in self._entries:
                 return
             if self._path is not None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
                 line = json.dumps(record, sort_keys=True) + "\n"
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write("\n" + line if self._torn else line)
+                self._append(("\n" + line if self._torn else line).encode("utf-8"))
                 self._torn = False
             self._entries[digest] = response
+
+    def _append(self, data: bytes) -> None:
+        """Write ``data`` at the end of the file; called under the lock."""
+        if not self._dir_made:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
+        fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +547,7 @@ class OracleBackend:
             self.register(inst)
 
     def register(self, instance: ProblemInstance) -> None:
-        self._answers[statement_text(instance.payload)] = canonical_text(
+        self._answers[instance.statement] = canonical_text(
             instance.payload, instance.ground_truth
         )
 
@@ -579,24 +592,24 @@ class ModelGateway:
         self._rng = rng or random.Random()
         self._sleeper = sleeper
         self._stats_lock = threading.Lock()
-        self._in_flight: dict[str, threading.Event] = {}
+        self._landed = threading.Condition(self._stats_lock)  # a call in flight ended
+        self._in_flight: set[str] = set()
         self.hits = 0
         self.misses = 0
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         digest = request.digest
-        while True:
-            with self._stats_lock:
+        with self._stats_lock:
+            while True:
                 cached = self.cache.get(digest)
                 if cached is not None:
                     self.hits += 1
                     return cached
-                done = self._in_flight.get(digest)
-                if done is None:
-                    done = self._in_flight[digest] = threading.Event()
-                    self.misses += 1
+                if digest not in self._in_flight:
                     break
-            done.wait()  # a hit once the call in flight lands; a miss if it raised
+                self._landed.wait()  # a hit once the call in flight lands; a miss if it raised
+            self._in_flight.add(digest)
+            self.misses += 1
 
         def attempt() -> BackendResponse:
             self.rate_limiter.wait()
@@ -613,8 +626,8 @@ class ModelGateway:
             self.cache.put(digest, request, response)
         finally:
             with self._stats_lock:
-                del self._in_flight[digest]
-            done.set()
+                self._in_flight.remove(digest)
+                self._landed.notify_all()
         return response
 
     @property

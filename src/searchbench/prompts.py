@@ -729,9 +729,8 @@ def render(
             )
         if ex.id == instance.id:
             raise ExemplarTargetOverlap(f"{ex.id} is both target and exemplar")
-    statement = statement_text(instance.payload)
     for k in range(len(shots.drop_order) + 1):
-        body = shots.head(k) + statement
+        body = shots.head(k) + instance.statement
         if token_budget is None or estimate_tokens(body) <= token_budget:
             break
     else:

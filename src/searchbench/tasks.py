@@ -17,6 +17,7 @@ and solution class names its task in the class attribute ``kind``.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -270,6 +271,14 @@ class ProblemInstance:
         if self.ground_truth.kind is not self.kind:
             raise KindMismatchError(f"ground truth kind {self.ground_truth.kind} != {self.kind}")
 
+    @functools.cached_property
+    def statement(self) -> str:
+        """``prompts.statement_text`` of the payload, built on first use: a
+        run renders it into every mode's prompt and the oracle keys on it."""
+        from .prompts import statement_text  # prompts imports this module
+
+        return statement_text(self.payload)
+
 
 class VerdictStatus(str, Enum):
     SUCCESS = "Success"
@@ -370,7 +379,7 @@ def _payload_from_json(kind: TaskKind, data: dict) -> Payload:
             locations=tuple(data["locations"]),
             start_location=data["start_location"],
             day_start=data["day_start"],
-            travel_minutes={(a, b): t for a, b, t in data["travel_minutes"]},
+            travel_minutes=_travel_from_json(data["travel_minutes"]),
             friends=tuple(
                 Friend(
                     name=f["name"],
@@ -383,6 +392,18 @@ def _payload_from_json(kind: TaskKind, data: dict) -> Payload:
             ),
         )
     raise KindMismatchError(f"unknown kind: {kind}")
+
+
+def _travel_from_json(rows) -> dict[tuple[str, str], int]:
+    """Travel times keyed by sorted place pair, as ``MeetingPayload.travel``
+    looks them up; a pair given twice, in either order, is a ValueError."""
+    travel: dict[tuple[str, str], int] = {}
+    for a, b, minutes in rows:
+        key = (a, b) if a <= b else (b, a)
+        if key in travel:
+            raise ValueError(f"travel time between {a!r} and {b!r} given twice")
+        travel[key] = minutes
+    return travel
 
 
 def _solution_to_json(solution: Solution) -> dict:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from searchbench import __version__, cli, scaling
+from searchbench import __version__, cli, prompts, scaling
 from searchbench.answers import canonical_text
 from searchbench.gateway import ModelGateway
 from searchbench.generate import GenSpec, generate
@@ -326,6 +326,34 @@ def test_an_oracle_run_judges_each_instance_once(tmp_path, monkeypatch):
     assert len(judged) == 8
 
 
+def test_an_oracle_run_builds_each_target_statement_once(tmp_path, monkeypatch):
+    """Every mode's prompt and the oracle's answer key share one statement
+    text per target instance."""
+    built = []
+    statement_text = prompts.statement_text
+
+    def counting(payload):
+        built.append(payload)
+        return statement_text(payload)
+
+    monkeypatch.setattr(prompts, "statement_text", counting)
+    generated = []
+    generate_instances = cli.generate_instances
+
+    def kept(config):
+        generated.extend(generate_instances(config))
+        return generated
+
+    monkeypatch.setattr(cli, "generate_instances", kept)
+    doc = _doc(tmp_path, tasks=[k.value for k in TaskKind])
+    del doc["matrix"]
+    report = run(config_from_dict(doc), echo=QUIET)
+    assert all(c.successes == c.total == 2 for c in report.cells)
+    assert len(generated) == 8
+    targets = [p for p in built if any(p is inst.payload for inst in generated)]
+    assert sorted(map(id, targets)) == sorted(id(inst.payload) for inst in generated)
+
+
 def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
     """The verdicts of a run are kept per instance: one cover text is right
     for the first instance and wrong for the second."""
@@ -466,6 +494,30 @@ def test_cmd_chain_gen_solve_render_verify(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 0
     out = capsys.readouterr().out
     assert out.count("Success") == 2
+
+
+def test_cmd_solve_reads_meeting_travel_pairs_in_either_order(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "gen", "--task", "MeetingPlanning", "--level", "6", "--count", "2",
+        "--out", "sorted.jsonl",
+    ]) == 0
+    with open("sorted.jsonl", encoding="utf-8") as src, \
+            open("swapped.jsonl", "w", encoding="utf-8") as dst:
+        for line in src:
+            record = json.loads(line)
+            pairs = record["payload"]["travel_minutes"]
+            assert all(a < b for a, b, _ in pairs)
+            for pair in pairs[::2]:
+                pair[0], pair[1] = pair[1], pair[0]
+            dst.write(json.dumps(record) + "\n")
+    assert read_instances("swapped.jsonl") == read_instances("sorted.jsonl")
+    for name in ("sorted", "swapped"):
+        assert main([
+            "solve", "--instances", f"{name}.jsonl", "--search", "dfs",
+            "--out", f"{name}.traces.jsonl",
+        ]) == 0
+    assert Path("swapped.traces.jsonl").read_bytes() == Path("sorted.traces.jsonl").read_bytes()
 
 
 def test_cmd_solve_greedy_records_unsolvable_inputs(

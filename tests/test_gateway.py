@@ -263,6 +263,60 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert reloaded.get(canonical_digest(other)).text == "also good"
 
 
+def test_cache_skips_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "replies.jsonl"
+    cache = ResponseCache(path)
+    request = _request()
+    cache.put(canonical_digest(request), request, BackendResponse(text="good"))
+    with path.open("ab") as fh:
+        fh.write(b'\xff\xfe{"digest": "x", "response": {"text": "bad"}}\n')
+    other = _request(model="m-2")
+    cache.put(canonical_digest(other), other, BackendResponse(text="also good"))
+
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == 2
+    assert reloaded.skipped_lines == 1
+    assert reloaded.get(canonical_digest(request)).text == "good"
+    assert reloaded.get(canonical_digest(other)).text == "also good"
+
+    with path.open("ab") as fh:  # a torn last line that is not UTF-8 either
+        fh.write(b'{"digest": "\xff')
+    third = _request(model="m-3")
+    ResponseCache(path).put(canonical_digest(third), third, BackendResponse(text="three"))
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 2
+    assert len(reloaded) == 3 and reloaded.get(canonical_digest(third)).text == "three"
+
+
+def test_caches_sharing_a_path_append_whole_lines_in_turn(tmp_path):
+    path = tmp_path / "replies.jsonl"
+    caches = ResponseCache(path), ResponseCache(path)
+    texts = [f"reply {i} " * (1 if i % 3 else 20000) for i in range(7)]
+    requests_ = [_request(model=f"m-{i}") for i in range(len(texts))]
+    for i, (request, text) in enumerate(zip(requests_, texts)):
+        caches[i % 2].put(request.digest, request, BackendResponse(text=text))
+
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert [json.loads(line)["response"]["text"] for line in lines] == texts
+    third = ResponseCache(path)
+    assert third.skipped_lines == 0 and len(third) == len(texts)
+    assert [third.get(r.digest).text for r in requests_] == texts
+
+
+def test_cache_first_put_makes_its_directory(tmp_path):
+    path = tmp_path / "new" / "nested" / "replies.jsonl"
+    cache = ResponseCache(path)
+    assert not path.parent.exists()  # loading makes nothing
+    request = _request()
+    cache.put(request.digest, request, BackendResponse(text="one"))
+    other = _request(model="m-2")
+    cache.put(other.digest, other, BackendResponse(text="two"))
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 0
+    assert [reloaded.get(r.digest).text for r in (request, other)] == ["one", "two"]
+
+
 def test_cache_ends_a_torn_last_line_before_appending(tmp_path):
     path = tmp_path / "replies.jsonl"
     first = _request()
@@ -651,6 +705,21 @@ def _start(fn):
     return thread
 
 
+WAITERS = 4
+
+
+def _start_waiters(gateway, replies):
+    """WAITERS threads asking for the request in flight, each seen blocked."""
+    waiters = [
+        _start(lambda: replies.append(gateway.complete(_request()).text))
+        for _ in range(WAITERS)
+    ]
+    for waiter in waiters:
+        waiter.join(0.2)
+        assert waiter.is_alive()
+    return waiters
+
+
 def test_gateway_joins_a_request_already_in_flight():
     entered, release = threading.Event(), threading.Event()
 
@@ -664,15 +733,14 @@ def test_gateway_joins_a_request_already_in_flight():
     replies = []
     owner = _start(lambda: replies.append(gateway.complete(_request()).text))
     assert entered.wait(5)
-    waiter = _start(lambda: replies.append(gateway.complete(_request()).text))
-    waiter.join(0.2)
-    assert waiter.is_alive()
+    waiters = _start_waiters(gateway, replies)
     release.set()
-    owner.join(5)
-    waiter.join(5)
-    assert replies == ["shared", "shared"]
+    for thread in (owner, *waiters):
+        thread.join(5)
+        assert not thread.is_alive()
+    assert replies == ["shared"] * (WAITERS + 1)
     assert len(backend.calls) == 1
-    assert gateway.cache_stats == {"hits": 1, "misses": 1, "entries": 1}
+    assert gateway.cache_stats == {"hits": WAITERS, "misses": 1, "entries": 1}
 
 
 def test_gateway_waiter_calls_again_when_the_call_in_flight_raises():
@@ -697,16 +765,14 @@ def test_gateway_waiter_calls_again_when_the_call_in_flight_raises():
 
     owner = _start(owner_call)
     assert entered.wait(5)
-    waiter = _start(lambda: replies.append(gateway.complete(_request()).text))
-    waiter.join(0.2)
-    assert waiter.is_alive()
+    waiters = _start_waiters(gateway, replies)
     release.set()
-    owner.join(5)
-    waiter.join(5)
-    assert not owner.is_alive() and not waiter.is_alive()
-    assert len(errors) == 1 and replies == ["second"]
-    assert len(backend.calls) == 2
-    assert gateway.cache_stats == {"hits": 0, "misses": 2, "entries": 1}
+    for thread in (owner, *waiters):
+        thread.join(5)
+        assert not thread.is_alive()
+    assert len(errors) == 1 and replies == ["second"] * WAITERS
+    assert len(backend.calls) == 2  # exactly one waiter called again
+    assert gateway.cache_stats == {"hits": WAITERS - 1, "misses": 2, "entries": 1}
 
 
 def test_requests_and_responses_are_frozen():

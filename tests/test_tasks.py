@@ -118,16 +118,22 @@ def test_meeting_payload_rejects_negative_minutes():
         )
 
 
-@pytest.mark.parametrize("field", ["travel", "min_minutes", "missing pair"])
+@pytest.mark.parametrize("field", ["travel", "min_minutes", "missing pair", "doubled pair"])
 def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
     record = instance_to_record(generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=2, seed=0)))
     if field == "travel":
         record["payload"]["travel_minutes"][0][2] = -5
     elif field == "min_minutes":
         record["payload"]["friends"][0]["min_minutes"] = -5
-    else:
+    elif field == "missing pair":
         del record["payload"]["travel_minutes"][0]
-    message = "no travel time between" if field == "missing pair" else f"negative {field}"
+    else:
+        a, b, minutes = record["payload"]["travel_minutes"][0]
+        record["payload"]["travel_minutes"].append([b, a, minutes])
+    message = {
+        "missing pair": "no travel time between",
+        "doubled pair": "travel time between .* given twice",
+    }.get(field, f"negative {field}")
     path = tmp_path / "instances.jsonl"
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {message}"):
