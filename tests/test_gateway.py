@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import threading
+import time
 
 import pytest
 import requests
@@ -714,9 +716,8 @@ def _start_waiters(gateway, replies):
         _start(lambda: replies.append(gateway.complete(_request()).text))
         for _ in range(WAITERS)
     ]
-    for waiter in waiters:
-        waiter.join(0.2)
-        assert waiter.is_alive()
+    waiters[-1].join(0.2)
+    assert all(waiter.is_alive() for waiter in waiters)
     return waiters
 
 
@@ -773,6 +774,43 @@ def test_gateway_waiter_calls_again_when_the_call_in_flight_raises():
     assert len(errors) == 1 and replies == ["second"] * WAITERS
     assert len(backend.calls) == 2  # exactly one waiter called again
     assert gateway.cache_stats == {"hits": WAITERS - 1, "misses": 2, "entries": 1}
+
+
+def test_gateway_threads_sharing_digests_call_each_once():
+    """More threads than cores ask for a few digests in shuffled orders under
+    a 1 µs switch interval: each digest reaches the backend once, and every
+    caller gets its own digest's reply."""
+    calls, lock = [], threading.Lock()
+
+    class Slow:
+        def complete(self, request):
+            with lock:
+                calls.append(request.model)
+            time.sleep(0.001)
+            return BackendResponse(text=request.model)
+
+    gateway = ModelGateway(Slow())
+    models = [f"m-{i}" for i in range(5)]
+    wrong = []
+
+    def worker(seed):
+        order = models * 4
+        random.Random(seed).shuffle(order)
+        for model in order:
+            if gateway.complete(_request(model=model)).text != model:
+                wrong.append(model)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [_start(lambda seed=seed: worker(seed)) for seed in range(8)]
+        for thread in threads:
+            thread.join(30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert not wrong and sorted(calls) == models
+    assert gateway.cache_stats == {"hits": 8 * 20 - 5, "misses": 5, "entries": 5}
 
 
 def test_requests_and_responses_are_frozen():
