@@ -38,7 +38,13 @@ from .gateway import (
     RateLimiter,
     ResponseCache,
 )
-from .generate import MAX_LEVEL, MIN_LEVEL, GenSpec, generate
+from .generate import (
+    MAX_LEVEL,
+    MIN_LEVEL,
+    GenSpec,
+    generate,  # noqa: F401 -- perfbench/tracing.py wraps this name here
+    generate_all,
+)
 from .prompts import (
     PromptBundle,
     PromptMode,
@@ -288,14 +294,12 @@ def validate_config(path: str | Path) -> RunConfig:
 
 
 def generate_instances(config: RunConfig) -> list[ProblemInstance]:
-    instances = []
-    for kind in config.tasks:
-        for level in config.levels:
-            for i in range(config.instance_count):
-                instances.append(
-                    generate(GenSpec(kind=kind, level=level, seed=config.seed + i))
-                )
-    return instances
+    return generate_all([
+        GenSpec(kind=kind, level=level, seed=config.seed + i)
+        for kind in config.tasks
+        for level in config.levels
+        for i in range(config.instance_count)
+    ])
 
 
 def render_bundles(
@@ -389,12 +393,32 @@ def read_outcomes(path: str | Path) -> list[RunOutcome]:
 def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     """Execute the full pipeline described by ``config``."""
     started = time.time()
+    stage_s: dict[str, float] = {}
+    stage_start = time.perf_counter()
+
+    def stage(name: str) -> None:
+        """Record the wall seconds since the previous stage ended."""
+        nonlocal stage_start
+        now = time.perf_counter()
+        stage_s[name] = round(now - stage_start, 3)
+        stage_start = now
+
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
+    # Generation forks a child for each usable CPU after the first, and fork
+    # copies only the calling thread, so it runs before any worker thread
+    # exists: a lock held by another thread at the fork would stay held in
+    # the child.
     instances = generate_instances(config)
+    stage("generate")
+
+    bundles = render_bundles(
+        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
+    )
+    stage("render")
 
     cache = ResponseCache(config.cache_path)
     gateways = {}
@@ -405,10 +429,6 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             cache=cache,
             rate_limiter=RateLimiter(model.requests_per_second),
         )
-
-    bundles = render_bundles(
-        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
-    )
 
     units = [
         (model, instance, mode, strategy)
@@ -445,6 +465,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             outcomes = list(pool.map(work, units))
     else:
         outcomes = [work(unit) for unit in units]
+    stage("execute")
 
     with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:
         for outcome in sorted(outcomes, key=lambda o: (
@@ -452,6 +473,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             o.instance_id,
         )):
             fh.write(json.dumps(_outcome_record(outcome), sort_keys=True) + "\n")
+
+    report = aggregate(outcomes, expected_per_cell=config.instance_count)
+    stage("report")
 
     cache_stats = {
         name: gw.cache_stats for name, gw in sorted(gateways.items())
@@ -474,8 +498,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         "cache_stats": cache_stats,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),
+        "stage_s": stage_s,
     }
-    report = aggregate(outcomes, run_meta, expected_per_cell=config.instance_count)
+    report = dataclasses.replace(report, run_meta=run_meta)
     paths = emit(report, out_dir)
     echo(f"report written to {paths['report']}")
     return report
@@ -516,11 +541,11 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
 def _cmd_gen(args: argparse.Namespace) -> int:
     kinds = list(TaskKind) if args.task == "all" else [TaskKind(args.task)]
     base_seed = args.seed if args.seed is not None else 0
-    instances = [
-        generate(GenSpec(kind=kind, level=args.level, seed=base_seed + i))
+    instances = generate_all([
+        GenSpec(kind=kind, level=args.level, seed=base_seed + i)
         for kind in kinds
         for i in range(args.count)
-    ]
+    ])
     out = Path(args.out or "instances.jsonl")
     count = write_instances(out, instances)
     print(f"wrote {count} instance(s) to {out}")

@@ -24,6 +24,9 @@ from searchbench.cli import (
 )
 from searchbench.tasks import TaskKind, read_instances, write_instances
 
+# The package re-exports the function ``generate`` under the module's name.
+generate_module = sys.modules["searchbench.generate"]
+
 QUIET = lambda s: None
 ORACLE = {"name": "m", "backend": "oracle"}
 
@@ -201,6 +204,9 @@ def test_run_oracle_end_to_end(tmp_path):
     assert "m-oracle" in meta["cache_stats"]
     assert meta["cache_stats"]["m-oracle"]["misses"] > 0
     assert "started_at" in meta and "duration_s" in meta
+    stages = meta["stage_s"]
+    assert list(stages) == ["execute", "generate", "render", "report"]
+    assert all(type(v) is float and v >= 0 and round(v, 3) == v for v in stages.values())
 
     lines = (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 8  # 2 instances x 4 matrix pairs
@@ -494,6 +500,65 @@ def test_cmd_chain_gen_solve_render_verify(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 0
     out = capsys.readouterr().out
     assert out.count("Success") == 2
+
+
+def test_cmd_gen_writes_the_per_spec_loops_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "gen", "--task", "all", "--level", "10", "--count", "12", "--seed", "3",
+        "--out", "gen.jsonl",
+    ]) == 0
+    write_instances("loop.jsonl", [
+        generate(GenSpec(kind=kind, level=10, seed=3 + i))
+        for kind in TaskKind
+        for i in range(12)
+    ])
+    assert Path("gen.jsonl").read_bytes() == Path("loop.jsonl").read_bytes()
+
+
+def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, capsys):
+    """With two CPUs, seed 1 is the first spec of the forked child's stripe."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+    salt, build = generate_module._BUILDERS[TaskKind.TRIP_PLANNING]
+
+    def fail_in_a_child(level, rng):
+        return None if os.getpid() != parent else build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.TRIP_PLANNING,
+                        (salt, fail_in_a_child))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_doc(tmp_path, instance_count=4)), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: no usable TripPlanning instance for level 3, seed 1 within 100 attempts\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_prints_each_line_once_with_stdout_piped(tmp_path):
+    """stdout to a pipe is block-buffered, so the ``generating`` line is still
+    in the buffer when generation forks; a child that flushed its copy on
+    exit would print the line again."""
+    config = tmp_path / "config.json"
+    doc = _doc(tmp_path, tasks=[k.value for k in TaskKind], instance_count=3)
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    script = (
+        "import os, sys; sys.path[:0] = sys.argv[2:]; "
+        "os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+        "import searchbench; "
+        "sys.exit(searchbench.cli.main(['run', '--config', sys.argv[1]]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), src],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["generating", "executing", "report"]
 
 
 def test_cmd_solve_reads_meeting_travel_pairs_in_either_order(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import importlib
+import json
+import os
 import random
 
 import pytest
@@ -8,17 +10,19 @@ from searchbench.generate import (
     DIFFICULTY_TABLE,
     EXEMPLAR_LEVEL,
     MAX_REGEN,
+    GenerationChildError,
     GenSpec,
     RegenBudgetExhaustedError,
     UnknownFixtureError,
     UnsupportedLevelError,
     exemplar_instance,
     generate,
+    generate_all,
     instance_id,
     load_fixture,
 )
 from searchbench.solver import count_trip_plans
-from searchbench.tasks import TaskKind, VerdictStatus
+from searchbench.tasks import TaskKind, VerdictStatus, instance_to_record
 
 from conftest import ENUMERABLE_LEVELS
 
@@ -158,3 +162,137 @@ def test_generate_returns_the_first_accepted_attempt(monkeypatch, failures):
 
     assert (inst.payload, inst.ground_truth) == attempt(failures)
     assert inst.payload != attempt(0)[0]
+
+
+# ---------------------------------------------------------------------------
+# Generating on every usable CPU
+# ---------------------------------------------------------------------------
+
+# Seven cheap specs of all four kinds, so every stripe mixes kinds.
+MIXED_SPECS = [
+    GenSpec(kind=kind, level=level, seed=seed)
+    for kind, level, seed in [
+        (TaskKind.TRIP_PLANNING, 4, 0), (TaskKind.VERTEX_COVER, 5, 1),
+        (TaskKind.THREE_DM, 4, 2), (TaskKind.MEETING_PLANNING, 5, 3),
+        (TaskKind.TRIP_PLANNING, 5, 4), (TaskKind.VERTEX_COVER, 3, 5),
+        (TaskKind.MEETING_PLANNING, 2, 6),
+    ]
+]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Report ``n`` usable CPUs; count the forks; check that none is left
+    unreaped after the test."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def report(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    yield report
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _records(instances) -> list[str]:
+    return [json.dumps(instance_to_record(inst), sort_keys=True) for inst in instances]
+
+
+@pytest.mark.parametrize("n_cpus, n_specs, n_forks", [
+    (1, 7, 0), (2, 7, 1), (3, 7, 2), (5, 7, 4), (5, 3, 2), (3, 1, 0), (3, 0, 0),
+])
+def test_generate_all_writes_the_serial_loops_records(cpus, n_cpus, n_specs, n_forks):
+    forks = cpus(n_cpus)
+    specs = MIXED_SPECS[:n_specs]
+    assert _records(generate_all(specs)) == _records(generate(s) for s in specs)
+    assert len(forks) == n_forks
+
+
+def test_generate_all_counts_cpus_without_affinity(cpus, monkeypatch):
+    forks = cpus(3)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
+    assert len(forks) == 1
+
+
+def test_generate_all_runs_in_process_without_fork(cpus, monkeypatch):
+    cpus(4)
+    monkeypatch.delattr(os, "fork")
+    assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
+
+
+def _fail_seeds(monkeypatch, kind: TaskKind, seeds) -> None:
+    """Make ``kind``'s builder reject every attempt of ``seeds``, so that
+    ``generate`` raises its regeneration error for exactly those seeds."""
+    salt, build = generate_module._BUILDERS[kind]
+    doomed = {
+        random.Random(generate_module._subseed(seed, attempt, salt)).getstate()
+        for seed in seeds
+        for attempt in range(MAX_REGEN)
+    }
+
+    def build_unless_doomed(level, rng):
+        return None if rng.getstate() in doomed else build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, kind, (salt, build_unless_doomed))
+
+
+# With 3 CPUs the stripes of seeds 0..5 are {0, 3} (this process), {1, 4}
+# and {2, 5} (children).
+@pytest.mark.parametrize("failing, named", [((4, 2), 2), ((3, 1), 1), ((5, 3), 3)])
+def test_generate_all_raises_the_first_failure_in_spec_order(cpus, monkeypatch, failing, named):
+    cpus(3)
+    _fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
+    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(6)]
+    with pytest.raises(RegenBudgetExhaustedError) as serial:
+        [generate(s) for s in specs]
+    with pytest.raises(RegenBudgetExhaustedError) as forked:
+        generate_all(specs)
+    assert str(forked.value) == str(serial.value)
+    assert f"seed {named} within" in str(forked.value)
+
+
+def test_generate_all_names_the_status_of_a_child_that_died(cpus, monkeypatch):
+    cpus(2)
+    parent = os.getpid()
+    salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
+
+    def die_in_a_child(level, rng):
+        if os.getpid() != parent:
+            os._exit(3)
+        return build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, die_in_a_child))
+    specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(4)]
+    with pytest.raises(GenerationChildError, match="exited with status 3 before sending"):
+        generate_all(specs)
+
+
+class _Stop(BaseException):
+    """Stands for an interrupt that reaches this process mid-generation."""
+
+
+def test_generate_all_reaps_its_children_when_this_process_raises(cpus, monkeypatch):
+    cpus(3)
+    parent = os.getpid()
+    salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
+
+    def stop_in_this_process(level, rng):
+        if os.getpid() == parent:
+            raise _Stop
+        return build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, stop_in_this_process))
+    # 200 instances pickle to ≈86 KB, more than a pipe holds, so each child
+    # is still writing when this process stops and closes the pipes
+    specs = [GenSpec(kind=TaskKind.THREE_DM, level=10, seed=seed) for seed in range(600)]
+    with pytest.raises(_Stop):
+        generate_all(specs)
