@@ -323,7 +323,9 @@ def _wrong(reason: str) -> Verdict:
 _OK = Verdict(status=VerdictStatus.SUCCESS)
 
 
-def _verify_trip(payload: TripPayload, truth: TripPlan, plan: TripPlan) -> Verdict:
+def _verify_trip(payload: TripPayload, plan: TripPlan) -> Verdict:
+    """Success for any plan that keeps every constraint, as for ThreeDM; the
+    payload's stays fill ``total_days``, so such a plan ends on the last day."""
     if not plan.legs:
         return _bad("empty plan")
     for leg in plan.legs:
@@ -358,12 +360,6 @@ def _verify_trip(payload: TripPayload, truth: TripPlan, plan: TripPlan) -> Verdi
     for prev, cur in zip(plan.legs, plan.legs[1:]):
         if not payload.has_flight(prev.city, cur.city):
             return _bad(f"flight: no direct flight {prev.city} → {cur.city}")
-    if plan.legs[-1].day_to != payload.total_days:
-        return _bad(
-            f"budget: trip ends day {plan.legs[-1].day_to}, not day {payload.total_days}"
-        )
-    if plan != truth:
-        return _wrong("plan differs from the unique valid plan")
     return _OK
 
 
@@ -454,7 +450,7 @@ def verify(instance: ProblemInstance, candidate: Solution) -> Verdict:
             f"instance kind {instance.kind.value}"
         )
     if instance.kind is TaskKind.TRIP_PLANNING:
-        return _verify_trip(instance.payload, instance.ground_truth, candidate)  # type: ignore[arg-type]
+        return _verify_trip(instance.payload, candidate)  # type: ignore[arg-type]
     if instance.kind is TaskKind.VERTEX_COVER:
         return _verify_cover(instance.payload, candidate)  # type: ignore[arg-type]
     if instance.kind is TaskKind.THREE_DM:

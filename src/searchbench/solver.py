@@ -305,8 +305,9 @@ def _trip_try(
     """Feasibility tests for extending ``path`` with ``cand``.
 
     Returns (keep, prune_reason, preview_text, new_end_day).  Test order:
-    flight, visited, calendar budget, own window, then reachability of every
-    other unvisited window.
+    flight, visited, own window, then reachability of every other unvisited
+    window.  The payload's stays fill ``total_days`` exactly, so every
+    ordering ends on the last day and the calendar needs no test.
     """
     start = end_day if path else 1
     end = start + payload.stay_of(cand) - 1
@@ -315,14 +316,6 @@ def _trip_try(
     if cand in path:
         return False, "visited", "revisit city", end
     remaining = [c for c in payload.cities if c != cand and c not in path]
-    final_end = end + sum(payload.stay_of(c) - 1 for c in remaining)
-    if final_end != payload.total_days:
-        return (
-            False,
-            "budget",
-            f"calendar arithmetic fails: final day would be {final_end}, not {payload.total_days}",
-            end,
-        )
     own = payload.window_of(cand)
     if own and not (start <= own.start and own.end <= end):
         return (
@@ -420,25 +413,20 @@ def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
     """``min(number of valid plans, limit)``; a return of 1 proves uniqueness.
 
     The visited set fixes the calendar (a leg ends on day ``1 + Σ(stay − 1)``
-    over the cities placed so far), so the final day is checked once and the
-    search is memoised over (visited, last city).  A city is added under
-    ``_trip_try``'s remaining tests, which prune only dead branches: a flight
-    from the last city, its own window, and no unvisited window starting
-    before its leg ends.
+    over the cities placed so far), so the search is memoised over (visited,
+    last city).  The payload's distinct cities fill ``total_days`` exactly,
+    so every full ordering ends on the last day.  A city is added under
+    ``_trip_try``'s tests, which prune only dead branches: a flight from the
+    last city, its own window, and no unvisited window starting before its
+    leg ends.
     """
     cities = payload.cities
     spans = [payload.stay_of(c) - 1 for c in cities]
-    if 1 + sum(spans) != payload.total_days:
-        return 0
     full = (1 << len(cities)) - 1
-    bits: dict[str, int] = {}
-    for j, c in enumerate(cities):
-        bits[c] = bits.get(c, 0) | 1 << j
-    reach: dict[str, int] = {}
+    index = {c: j for j, c in enumerate(cities)}
+    flights = [0] * len(cities)
     for a, b in payload.flights:
-        if b in bits:
-            reach[a] = reach.get(a, 0) | bits[b]
-    flights = [reach.get(a, 0) for a in cities]
+        flights[index[a]] |= 1 << index[b]
     window = [payload.window_of(c) for c in cities]
     windowed = [(j, w.start) for j, w in enumerate(window) if w]
     memo: dict[tuple[int, int], int] = {}
@@ -778,14 +766,15 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     maximum-count schedules the canonical one finishes earliest, with remaining
     ties broken by the lexicographically smallest friend-name sequence.
 
-    A branch-and-bound over friends in name order, on ints: friend indices, a
-    ``met`` bitmask (meeting a friend marks every friend of that name) and a
-    travel matrix with rows for the start and each friend's location.  Friend
-    k can still be met from clock ``t`` only if ``t <= deadline[k]``, its
-    window end less its minimum minutes and its shortest travel in, so the
-    unmet friends alive at ``t`` bound the meetings a schedule can add.  A
-    node is cut when that bound cannot beat the best count, or can only tie
-    it while already finishing later, since a finish only grows along a path.
+    A branch-and-bound over friends in name order, on ints: friend indices
+    (the payload's names are distinct, so an index is its name's rank), a
+    ``met`` bitmask of one bit per friend and a travel matrix with rows for
+    the start and each friend's location.  Friend k can still be met from
+    clock ``t`` only if ``t <= deadline[k]``, its window end less its minimum
+    minutes and its shortest travel in, so the unmet friends alive at ``t``
+    bound the meetings a schedule can add.  A node is cut when that bound
+    cannot beat the best count, or can only tie it while already finishing
+    later, since a finish only grows along a path.
     """
     friends = sorted(payload.friends, key=lambda f: f.name)
     n = len(friends)
@@ -793,9 +782,6 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     travel = [[payload.travel(a, f.location) for f in friends] for a in places]
     # shortest travel into each friend, from the start or another friend
     into = [min(row[k] for p, row in enumerate(travel) if p != k + 1) for k in range(n)]
-    ranks = {name: i for i, name in enumerate(sorted({f.name for f in friends}))}
-    rank = [ranks[f.name] for f in friends]
-    group = [sum(1 << j for j, g in enumerate(friends) if g.name == f.name) for f in friends]
     due = sorted(
         (f.avail_end - f.min_minutes - into[k], k)
         for k, f in enumerate(friends)
@@ -811,15 +797,15 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
 
     path: list[int] = []
     starts: list[int] = []
-    # (count, finish, friend-name ranks, path, starts) of the best schedule
-    best: list = [0, payload.day_start, (), (), ()]
+    # (count, finish, path, starts) of the best schedule
+    best: list = [0, payload.day_start, (), ()]
 
     def visit(p: int, time: int, met: int) -> None:
         depth = len(path)
         if depth > best[0] or depth == best[0] and (
-            time < best[1] or time == best[1] and tuple(rank[k] for k in path) < best[2]
+            time < best[1] or time == best[1] and tuple(path) < best[2]
         ):
-            best[:] = depth, time, tuple(rank[k] for k in path), tuple(path), tuple(starts)
+            best[:] = depth, time, tuple(path), tuple(starts)
         live = alive[bisect_left(deadlines, time)] & ~met
         reach = depth + live.bit_count()
         if reach < best[0] or reach == best[0] and time > best[1]:
@@ -837,14 +823,14 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
                 continue
             path.append(k)
             starts.append(start)
-            visit(k + 1, end, met | group[k])
+            visit(k + 1, end, met | bit)
             path.pop()
             starts.pop()
 
     visit(0, payload.day_start, 0)
     meetings = tuple(
         Meeting(friend=friends[k].name, location=friends[k].location, start=s, end=s + lasts[k])
-        for k, s in zip(best[3], best[4])
+        for k, s in zip(best[2], best[3])
     )
     return len(meetings), MeetingSchedule(meetings=meetings)
 

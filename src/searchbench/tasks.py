@@ -75,6 +75,10 @@ class TripPayload:
     ``cities`` carries the statement/declaration order, which is meaningful:
     solvers iterate start candidates in this order.  ``flights`` holds
     *directed* pairs; a bidirectional route simply appears twice.
+
+    Its cities must be distinct and be the keys of ``stays``, its windows and
+    flights may name no other city, and ``total_days == 1 + Σ(stay − 1)``, so
+    every ordering ends on the last day: solvers and verifier assume all four.
     """
 
     kind: ClassVar[TaskKind] = TaskKind.TRIP_PLANNING
@@ -83,6 +87,19 @@ class TripPayload:
     stays: Mapping[str, int]
     windows: Mapping[str, TripWindow]
     flights: frozenset[tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        known = set(self.cities)
+        if len(known) != len(self.cities) or known != self.stays.keys():
+            raise ValueError(
+                f"cities {list(self.cities)} repeat or differ from stays {sorted(self.stays)}"
+            )
+        unknown = ({c for pair in self.flights for c in pair} | self.windows.keys()) - known
+        if unknown:
+            raise ValueError(f"windows or flights name unknown cities {sorted(unknown)}")
+        days = 1 + sum(stay - 1 for stay in self.stays.values())
+        if days != self.total_days:
+            raise ValueError(f"stays fill {days} days, not total_days {self.total_days}")
 
     def stay_of(self, city: str) -> int:
         try:
@@ -192,6 +209,8 @@ class MeetingPayload:
     Times are minutes of day in [0, 1439].  The tour begins at ``day_start``
     at ``start_location``; travel times are symmetric and given per unordered
     location pair, for every pair of places the start and the friends name.
+    No two friend names are alike once lower-cased, so a name the verifier
+    reads names one friend.
     """
 
     kind: ClassVar[TaskKind] = TaskKind.MEETING_PLANNING
@@ -206,9 +225,13 @@ class MeetingPayload:
         for (a, b), minutes in self.travel_minutes.items():
             if minutes < 0:
                 raise ValueError(f"negative travel time between {a!r} and {b!r}: {minutes}")
+        names: set[str] = set()
         for f in self.friends:
             if f.min_minutes < 0:
                 raise ValueError(f"negative min_minutes for {f.name!r}: {f.min_minutes}")
+            if f.name.lower() in names:
+                raise ValueError(f"friend name {f.name!r} repeats, ignoring case")
+            names.add(f.name.lower())
         places = sorted({self.start_location, *(f.location for f in self.friends)})
         for i, a in enumerate(places):
             for b in places[i + 1:]:
@@ -225,12 +248,9 @@ class MeetingPayload:
             raise UnknownCityError(f"no travel time between {a!r} and {b!r}") from None
 
     def friends_by_name(self) -> dict[str, Friend]:
-        """Each friend under their lower-cased name; the first listed wins
-        when two names lower-case alike."""
-        by_name: dict[str, Friend] = {}
-        for f in self.friends:
-            by_name.setdefault(f.name.lower(), f)
-        return by_name
+        """Each friend under their lower-cased name, which no other friend's
+        name shares."""
+        return {f.name.lower(): f for f in self.friends}
 
 
 @dataclass(frozen=True)
@@ -374,24 +394,22 @@ def _payload_from_json(kind: TaskKind, data: dict) -> Payload:
         return ThreeDMPayload(
             n=data["n"], triples=tuple((x, y, z) for x, y, z in data["triples"])
         )
-    if kind is TaskKind.MEETING_PLANNING:
-        return MeetingPayload(
-            locations=tuple(data["locations"]),
-            start_location=data["start_location"],
-            day_start=data["day_start"],
-            travel_minutes=_travel_from_json(data["travel_minutes"]),
-            friends=tuple(
-                Friend(
-                    name=f["name"],
-                    location=f["location"],
-                    avail_start=f["window"][0],
-                    avail_end=f["window"][1],
-                    min_minutes=f["min_minutes"],
-                )
-                for f in data["friends"]
-            ),
-        )
-    raise KindMismatchError(f"unknown kind: {kind}")
+    return MeetingPayload(
+        locations=tuple(data["locations"]),
+        start_location=data["start_location"],
+        day_start=data["day_start"],
+        travel_minutes=_travel_from_json(data["travel_minutes"]),
+        friends=tuple(
+            Friend(
+                name=f["name"],
+                location=f["location"],
+                avail_start=f["window"][0],
+                avail_end=f["window"][1],
+                min_minutes=f["min_minutes"],
+            )
+            for f in data["friends"]
+        ),
+    )
 
 
 def _travel_from_json(rows) -> dict[tuple[str, str], int]:
@@ -431,14 +449,12 @@ def _solution_from_json(kind: TaskKind, data: dict) -> Solution:
         return CoverSet(vertices=frozenset(data["vertices"]))
     if kind is TaskKind.THREE_DM:
         return Matching(triples=frozenset((x, y, z) for x, y, z in data["triples"]))
-    if kind is TaskKind.MEETING_PLANNING:
-        return MeetingSchedule(
-            meetings=tuple(
-                Meeting(friend=f, location=l, start=s, end=e)
-                for f, l, s, e in data["meetings"]
-            )
+    return MeetingSchedule(
+        meetings=tuple(
+            Meeting(friend=f, location=l, start=s, end=e)
+            for f, l, s, e in data["meetings"]
         )
-    raise KindMismatchError(f"unknown kind: {kind}")
+    )
 
 
 def instance_to_record(instance: ProblemInstance) -> dict:

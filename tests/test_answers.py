@@ -15,11 +15,15 @@ from searchbench.answers import (
 from searchbench.generate import GenSpec, generate
 from searchbench.tasks import (
     CoverSet,
+    Friend,
     Matching,
     Meeting,
+    MeetingPayload,
     MeetingSchedule,
+    ProblemInstance,
     TaskKind,
     TripLeg,
+    TripPayload,
     TripPlan,
     VerdictStatus,
 )
@@ -262,6 +266,60 @@ def test_verify_meeting_duplicate_friend():
     doubled = MeetingSchedule(meetings=(first, first))
     verdict = verify(inst, doubled)
     assert verdict.status is VerdictStatus.CONSTRAINT_VIOLATION
+
+
+def _hand_built(payload, truth):
+    return ProblemInstance(
+        id=f"{payload.kind.value}-hand", kind=payload.kind, level=1, seed=0,
+        payload=payload, ground_truth=truth,
+    )
+
+
+# Oslo-Rome-Nice and its reverse are both valid; Oslo and Nice share no flight.
+_TWO_PLAN_TRIP = _hand_built(
+    TripPayload(
+        cities=("Oslo", "Rome", "Nice"), total_days=7,
+        stays={"Oslo": 3, "Rome": 3, "Nice": 3}, windows={},
+        flights=frozenset({("Oslo", "Rome"), ("Rome", "Oslo"),
+                           ("Rome", "Nice"), ("Nice", "Rome")}),
+    ),
+    TripPlan(legs=(TripLeg("Oslo", 1, 3), TripLeg("Rome", 3, 5), TripLeg("Nice", 5, 7))),
+)
+_ALICE = _hand_built(
+    MeetingPayload(
+        locations=("Bayview", "Chinatown"), start_location="Bayview", day_start=540,
+        travel_minutes={("Bayview", "Chinatown"): 10},
+        friends=(Friend("Alice", "Chinatown", 600, 700, 30),),
+    ),
+    MeetingSchedule(meetings=(Meeting("Alice", "Chinatown", 600, 630),)),
+)
+
+
+@pytest.mark.parametrize("instance, answer, status, reason", [
+    # a valid plan that is not the ground truth
+    (_TWO_PLAN_TRIP, "Day 1-3: Visit Nice\nDay 3-5: Visit Rome\nDay 5-7: Visit Oslo",
+     VerdictStatus.SUCCESS, ""),
+    (_TWO_PLAN_TRIP, "Day 1-4: Visit Oslo\nDay 4-5: Visit Rome\nDay 5-7: Visit Nice",
+     VerdictStatus.CONSTRAINT_VIOLATION, "stay length: Oslo spans 4 days, needs 3"),
+    (_TWO_PLAN_TRIP, "Day 1-3: Visit Oslo\nDay 3-5: Visit Nice\nDay 5-7: Visit Rome",
+     VerdictStatus.CONSTRAINT_VIOLATION, "flight: no direct flight Oslo → Nice"),
+    # the parser snaps cities to the payload's, so only a direct candidate
+    # can hold no leg or an unknown city
+    (_TWO_PLAN_TRIP, TripPlan(legs=()), VerdictStatus.CONSTRAINT_VIOLATION, "empty plan"),
+    (_TWO_PLAN_TRIP, TripPlan(legs=(TripLeg("Paris", 1, 7),)),
+     VerdictStatus.CONSTRAINT_VIOLATION, "unknown city: Paris"),
+    (_ALICE, "Meet Alice at Chinatown from 10:00 to 10:15.",
+     VerdictStatus.CONSTRAINT_VIOLATION, "meeting Alice for 15 min, minimum 30"),
+    (_ALICE, "Meet Alice at Chinatown from 11:30 to 12:00.",
+     VerdictStatus.CONSTRAINT_VIOLATION, "window: Alice available 10:00-11:40"),
+])
+def test_verdict_names_the_first_broken_constraint(instance, answer, status, reason):
+    """Text answers go through ``evaluate``, structured ones to ``verify``."""
+    if isinstance(answer, str):
+        _, verdict = evaluate(instance, answer)
+    else:
+        verdict = verify(instance, answer)
+    assert (verdict.status, verdict.reason) == (status, reason)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from searchbench.answers import verify
 from searchbench.generate import GenSpec, generate
 from searchbench.solver import (
     Action,
@@ -24,10 +25,15 @@ from searchbench.solver import (
 from searchbench.tasks import (
     CoverSet,
     Friend,
+    Matching,
+    Meeting,
     MeetingPayload,
+    MeetingSchedule,
+    ProblemInstance,
     TaskKind,
     ThreeDMPayload,
     TripPayload,
+    TripPlan,
     TripWindow,
     VertexCoverPayload,
 )
@@ -160,10 +166,58 @@ def test_solver_agrees_with_enumeration_sample():
                 )
 
 
+def _candidate_space(payload):
+    """Every candidate of the task's answer shape: every city order, every
+    vertex subset, every n-subset of triples, and every friend sequence met
+    at its earliest starts."""
+    if isinstance(payload, TripPayload):
+        return [
+            TripPlan(legs=trip_legs_for_order(payload, order))
+            for order in itertools.permutations(payload.cities)
+        ]
+    if isinstance(payload, VertexCoverPayload):
+        n = payload.vertex_count
+        return [
+            CoverSet(vertices=frozenset(subset))
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(n), size)
+        ]
+    if isinstance(payload, ThreeDMPayload):
+        return [
+            Matching(triples=frozenset(subset))
+            for subset in itertools.combinations(payload.triples, payload.n)
+        ]
+    schedules = []
+    for size in range(len(payload.friends) + 1):
+        for sequence in itertools.permutations(payload.friends, size):
+            loc, time, meetings = payload.start_location, payload.day_start, []
+            for f in sequence:
+                start = max(time + payload.travel(loc, f.location), f.avail_start)
+                loc, time = f.location, start + f.min_minutes
+                meetings.append(Meeting(f.name, f.location, start, time))
+            schedules.append(MeetingSchedule(meetings=tuple(meetings)))
+    return schedules
+
+
+def _assert_verify_accepts_exactly_the_enumerated(instance):
+    candidates = _candidate_space(instance.payload)
+    accepted = {c for c in candidates if verify(instance, c).ok}
+    assert accepted == set(enumerate_all(instance)), instance.id
+
+
+def test_verify_agrees_with_enumeration_over_every_candidate():
+    for kind in TaskKind:
+        for level in (1, 2, 3):
+            for seed in range(10):
+                _assert_verify_accepts_exactly_the_enumerated(
+                    generate(GenSpec(kind=kind, level=level, seed=seed))
+                )
+
+
 def test_enumeration_guards():
     big_trip = TripPayload(
         cities=tuple(f"City{i}" for i in range(9)),
-        total_days=30,
+        total_days=19,
         stays={f"City{i}": 3 for i in range(9)},
         windows={},
         flights=frozenset(),
@@ -317,6 +371,29 @@ def test_trip_count_with_windows_matches_enumeration(payload):
         assert count_trip_plans(payload, limit) == min(plans, limit)
 
 
+# Two plans, Avila-Bergen-Cadiz and its reverse.
+_TWO_PLAN_TRIP = TripPayload(
+    cities=("Avila", "Bergen", "Cadiz"), total_days=4,
+    stays={"Avila": 2, "Bergen": 2, "Cadiz": 2}, windows={},
+    flights=frozenset({("Avila", "Bergen"), ("Bergen", "Avila"),
+                       ("Bergen", "Cadiz"), ("Cadiz", "Bergen")}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_windowed_trip_payloads())
+@example(_TWO_PLAN_TRIP)
+def test_verify_accepts_every_valid_trip_plan(payload):
+    """A trip is judged by feasibility alone: every valid plan verifies,
+    whichever one is the ground truth."""
+    plans = enumerate_all(payload)
+    instance = ProblemInstance(
+        id="windowed-trip", kind=TaskKind.TRIP_PLANNING, level=1, seed=0,
+        payload=payload, ground_truth=plans[0] if plans else TripPlan(legs=()),
+    )
+    _assert_verify_accepts_exactly_the_enumerated(instance)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_trip_payloads())
 def test_trip_search_matches_enumeration(payload):
@@ -440,21 +517,31 @@ def test_meeting_searches_reach_the_enumerated_optimum(payload):
         assert trace.solution is None
 
 
-def test_friends_sharing_a_name_are_met_once():
-    # Two friends named Alice at two places: meeting either one meets "Alice".
-    payload = _meeting(
-        [("Alice", "Presidio", 600, 700, 30), ("Brian", "Nob Hill", 600, 800, 30),
-         ("Alice", "Chinatown", 700, 800, 30)],
-        {("Bayview", "Chinatown"): 10, ("Bayview", "Presidio"): 10,
-         ("Bayview", "Nob Hill"): 10, ("Chinatown", "Presidio"): 10,
-         ("Chinatown", "Nob Hill"): 10, ("Nob Hill", "Presidio"): 10},
-    )
+def test_friends_named_alike_are_rejected_so_the_optimum_verifies():
+    """Under two friends named Alice, a verifier that looks the name up could
+    not tell them apart: the optimum meets the Alice at Chinatown (the one at
+    Presidio has a 20-minute window for a 30-minute meeting), and the lookup
+    finds the Alice at Presidio.  So the payload is refused, and under
+    distinct names the optimum verifies."""
+    travel = {pair: 10 for pair in itertools.combinations(
+        ["Bayview", "Chinatown", "Nob Hill", "Presidio"], 2)}
+
+    def rows(second):
+        return [("Alice", "Presidio", 540, 560, 30), ("Brian", "Nob Hill", 600, 800, 30),
+                (second, "Chinatown", 700, 800, 30)]
+
+    with pytest.raises(ValueError, match="friend name 'Alice' repeats"):
+        _meeting(rows("Alice"), travel)
+    payload = _meeting(rows("Carol"), travel)
     count, best = optimal_schedule(payload)
-    assert count == 2
     assert [(m.friend, m.location) for m in best.meetings] == [
-        ("Alice", "Presidio"), ("Brian", "Nob Hill"),
+        ("Brian", "Nob Hill"), ("Carol", "Chinatown"),
     ]
-    assert best in enumerate_all(payload)
+    instance = ProblemInstance(
+        id="two-friends", kind=TaskKind.MEETING_PLANNING, level=1, seed=0,
+        payload=payload, ground_truth=best,
+    )
+    assert verify(instance, best).ok
 
 
 def test_matching_witness_is_the_traced_matching(unsolvable_instances):

@@ -12,6 +12,8 @@ from searchbench.tasks import (
     MeetingPayload,
     ProblemInstance,
     TaskKind,
+    TripPayload,
+    TripWindow,
     Verdict,
     VerdictStatus,
     instance_from_record,
@@ -107,6 +109,12 @@ def test_meeting_payload_rejects_negative_minutes():
         _meeting_with(travel=-1, min_minutes=30)
     with pytest.raises(ValueError, match="negative min_minutes for 'Alice'"):
         _meeting_with(travel=10, min_minutes=-1)
+    # the verifier looks friends up by lower-cased name
+    alice = _meeting_with(travel=10, min_minutes=30)
+    with pytest.raises(ValueError, match="friend name 'alice' repeats, ignoring case"):
+        dataclasses.replace(
+            alice, friends=alice.friends + (Friend("alice", "Bayview", 600, 700, 30),)
+        )
     # every pair of places the start and the friends name needs a time
     with pytest.raises(ValueError, match="no travel time between 'Bayview' and 'Presidio'"):
         MeetingPayload(
@@ -118,22 +126,78 @@ def test_meeting_payload_rejects_negative_minutes():
         )
 
 
-@pytest.mark.parametrize("field", ["travel", "min_minutes", "missing pair", "doubled pair"])
-def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
-    record = instance_to_record(generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=2, seed=0)))
+_TRIP = TripPayload(
+    cities=("Oslo", "Rome"), total_days=5, stays={"Oslo": 3, "Rome": 3},
+    windows={"Rome": TripWindow(3, 5, "show")}, flights=frozenset({("Oslo", "Rome")}),
+)
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"cities": ("Oslo", "Rome", "Oslo")},
+                 r"cities \['Oslo', 'Rome', 'Oslo'\] repeat or differ", id="repeated city"),
+    pytest.param({"stays": {"Oslo": 3}}, r"repeat or differ from stays \['Oslo'\]",
+                 id="missing stay"),
+    pytest.param({"stays": {"Oslo": 3, "Rome": 3, "Nice": 1}},
+                 "repeat or differ from stays .*'Nice'", id="stay elsewhere"),
+    pytest.param({"windows": {"Nice": TripWindow(3, 5, "show")}},
+                 r"windows or flights name unknown cities \['Nice'\]", id="window elsewhere"),
+    pytest.param({"flights": frozenset({("Oslo", "Nice")})},
+                 r"name unknown cities \['Nice'\]", id="flight to elsewhere"),
+    pytest.param({"flights": frozenset({("Nice", "Rome")})},
+                 r"name unknown cities \['Nice'\]", id="flight from elsewhere"),
+    pytest.param({"total_days": 6}, "stays fill 5 days, not total_days 6", id="calendar"),
+])
+def test_trip_payload_rejects_inconsistent_inputs(change, message):
+    assert _TRIP.stay_of("Rome") == 3
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(_TRIP, **change)
+
+
+def _spoil(field: str, payload: dict) -> None:
+    """Break one payload rule, named by ``field``, in a record's payload."""
     if field == "travel":
-        record["payload"]["travel_minutes"][0][2] = -5
+        payload["travel_minutes"][0][2] = -5
     elif field == "min_minutes":
-        record["payload"]["friends"][0]["min_minutes"] = -5
+        payload["friends"][0]["min_minutes"] = -5
     elif field == "missing pair":
-        del record["payload"]["travel_minutes"][0]
+        del payload["travel_minutes"][0]
+    elif field == "doubled pair":
+        a, b, minutes = payload["travel_minutes"][0]
+        payload["travel_minutes"].append([b, a, minutes])
+    elif field == "repeated name":
+        payload["friends"][1]["name"] = payload["friends"][0]["name"].lower()
+    elif field == "repeated city":
+        payload["cities"].append(payload["cities"][0])
+    elif field == "stay elsewhere":
+        payload["stays"]["Atlantis"] = 1
+    elif field == "window elsewhere":
+        payload["windows"]["Atlantis"] = [1, 2, "show"]
+    elif field == "flight elsewhere":
+        payload["flights"].append([payload["cities"][0], "Atlantis"])
     else:
-        a, b, minutes = record["payload"]["travel_minutes"][0]
-        record["payload"]["travel_minutes"].append([b, a, minutes])
-    message = {
-        "missing pair": "no travel time between",
-        "doubled pair": "travel time between .* given twice",
-    }.get(field, f"negative {field}")
+        payload["total_days"] += 1
+
+
+# field: (the task whose record is spoiled, the error message's pattern)
+_SPOILED = {
+    "travel": (TaskKind.MEETING_PLANNING, "negative travel"),
+    "min_minutes": (TaskKind.MEETING_PLANNING, "negative min_minutes"),
+    "missing pair": (TaskKind.MEETING_PLANNING, "no travel time between"),
+    "doubled pair": (TaskKind.MEETING_PLANNING, "travel time between .* given twice"),
+    "repeated name": (TaskKind.MEETING_PLANNING, "friend name '[a-z]+' repeats, ignoring case"),
+    "repeated city": (TaskKind.TRIP_PLANNING, "cities .* repeat or differ from stays"),
+    "stay elsewhere": (TaskKind.TRIP_PLANNING, "cities .* differ from stays .*'Atlantis'"),
+    "window elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
+    "flight elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
+    "calendar": (TaskKind.TRIP_PLANNING, "stays fill [0-9]+ days, not total_days"),
+}
+
+
+@pytest.mark.parametrize("field", list(_SPOILED))
+def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
+    kind, message = _SPOILED[field]
+    record = instance_to_record(generate(GenSpec(kind=kind, level=2, seed=0)))
+    _spoil(field, record["payload"])
     path = tmp_path / "instances.jsonl"
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {message}"):
