@@ -300,11 +300,9 @@ def parse_answer(payload: Payload, text: str) -> ParseReport:
             return _parse_cover(text)
         if isinstance(payload, ThreeDMPayload):
             return _parse_threedm(text)
-        if isinstance(payload, MeetingPayload):
-            return _parse_meeting(text, payload)
+        return _parse_meeting(text, payload)
     except ValueError:  # the parsers' only ValueError is int() refusing a digit run
         return ParseReport(None, (), "a number in the answer has too many digits to read")
-    raise KindMismatchError(f"not a payload: {type(payload).__name__}")
 
 
 # ---------------------------------------------------------------------------

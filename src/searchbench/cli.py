@@ -408,10 +408,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
-    # Generation forks a child for each usable CPU after the first, and fork
-    # copies only the calling thread, so it runs before any worker thread
-    # exists: a lock held by another thread at the fork would stay held in
-    # the child.
+    # Generation forks a pool worker for each usable CPU, and fork copies
+    # only the calling thread, so it runs before any worker thread exists: a
+    # lock held by another thread at the fork would stay held in the child.
     instances = generate_instances(config)
     stage("generate")
 

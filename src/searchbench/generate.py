@@ -11,11 +11,14 @@ determinism survives regeneration.
 from __future__ import annotations
 
 import hashlib
+import math
+import multiprocessing
 import os
-import pickle
 import random
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import Sequence
 
 from .solver import (
     count_trip_plans,
@@ -315,98 +318,42 @@ def generate(spec: GenSpec) -> ProblemInstance:
 
 
 class GenerationChildError(TaskError):
-    """A forked generation child ended without sending its instances."""
-
-
-def _generate_stripe(specs: Sequence[GenSpec]) -> list[tuple[bool, object]]:
-    """``(True, instance)`` per spec, up to and including the first
-    ``(False, exception)``: no later spec of the stripe can be the first
-    failure in spec order."""
-    results: list[tuple[bool, object]] = []
-    for spec in specs:
-        try:
-            results.append((True, generate(spec)))
-        except Exception as err:
-            results.append((False, err))
-            break
-    return results
-
-
-def _fork_stripe(specs: Sequence[GenSpec], siblings: list) -> tuple[int, BinaryIO]:
-    """A child generating ``specs``, and the pipe it pickles its results to.
-    The child closes its copies of the earlier ``siblings``' pipes, so that
-    closing them in this process alone stops a sibling that is still writing."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            for _, pipe in siblings:
-                pipe.close()
-            with open(write_fd, "wb") as out:
-                pickle.dump(_generate_stripe(specs), out, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            # no atexit handlers and no flush: the stdio buffers are copies of
-            # the parent's, which writes them itself
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _stripe_result(pid: int, pipe: BinaryIO) -> list[tuple[bool, object]]:
-    """Read and reap one child; a child that died fails its stripe's first spec."""
-    try:
-        with pipe:
-            data = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0 and data:
-        return pickle.loads(data)
-    how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return [(False, GenerationChildError(
-        f"generation child {pid} {how} before sending its instances"
-    ))]
+    """A generation worker process died before sending its instances."""
 
 
 def generate_all(specs: Sequence[GenSpec]) -> list[ProblemInstance]:
     """``[generate(s) for s in specs]``, spread over every usable CPU.
 
-    Stripe ``specs[w::W]`` goes to a child made by ``os.fork`` for w > 0;
-    this process generates stripe 0.  W is the number of usable CPUs, at
-    most one per spec, and 1 without ``os.fork``.  Every child is reaped
-    before this returns or raises, and the first failure in spec order is
-    raised, as the serial loop would raise it.
+    The width is the number of usable CPUs, at most one per spec.  At width 2
+    or more, chunks of ``specs`` go to a process pool of that many forked
+    workers; below that, or without ``os.fork``, the loop runs in this
+    process.  ``map`` yields in spec order and a chunk stops at its first
+    failure, so the records and the first failure raised are the serial
+    loop's.  Every worker is reaped before this returns or raises.
 
-    Fork copies only the calling thread, so call this before any other
-    thread starts: a lock another thread holds at the fork stays held in the
-    child for good.
+    A fork-context pool forks all its workers before it starts its manager
+    thread (CPython issue 90622), and fork copies only the calling thread, so
+    call this before any other thread starts: a lock another thread holds at
+    the fork stays held in the child for good.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    width = max(1, min(len(specs), cpus)) if hasattr(os, "fork") else 1
-    children: list[tuple[int, BinaryIO]] = []
+    width = min(len(specs), cpus) if hasattr(os, "fork") else 1
+    if width < 2:
+        return [generate(s) for s in specs]
+    pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
     try:
-        for w in range(1, width):
-            children.append(_fork_stripe(specs[w::width], children))
-        stripes = [_generate_stripe(specs[0::width])]
-        while children:
-            stripes.append(_stripe_result(*children.pop(0)))
-    finally:  # children are left here only when this process raised
-        for _, pipe in children:
-            pipe.close()  # a child still writing gets EPIPE and leaves
-        for pid, _ in children:
-            os.waitpid(pid, 0)
-    instances = []
-    for j in range(len(specs)):
-        ok, value = stripes[j % width][j // width]
-        if not ok:
-            raise value
-        instances.append(value)
-    return instances
+        # Several chunks per worker, so that no worker gets a whole task
+        # of a task-ordered spec list.
+        return list(pool.map(generate, specs, chunksize=math.ceil(len(specs) / (8 * width))))
+    except BrokenProcessPool as err:
+        raise GenerationChildError(
+            "a generation worker died before sending its instances"
+        ) from err
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

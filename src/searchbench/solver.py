@@ -463,7 +463,7 @@ def count_trip_plans(payload: TripPayload, limit: int = 2) -> int:
         memo[key] = total = min(total, limit)
         return total
 
-    return count(0, -1, 1) if cities else 0
+    return count(0, -1, 1)
 
 
 # ---------------------------------------------------------------------------

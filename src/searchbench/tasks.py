@@ -76,9 +76,10 @@ class TripPayload:
     solvers iterate start candidates in this order.  ``flights`` holds
     *directed* pairs; a bidirectional route simply appears twice.
 
-    Its cities must be distinct and be the keys of ``stays``, its windows and
-    flights may name no other city, and ``total_days == 1 + Σ(stay − 1)``, so
-    every ordering ends on the last day: solvers and verifier assume all four.
+    It needs at least one city.  Its cities must be distinct and be the keys
+    of ``stays``, its windows and flights may name no other city, and
+    ``total_days == 1 + Σ(stay − 1)``, so every ordering ends on the last
+    day: solvers and verifier assume all five.
     """
 
     kind: ClassVar[TaskKind] = TaskKind.TRIP_PLANNING
@@ -89,6 +90,8 @@ class TripPayload:
     flights: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        if not self.cities:
+            raise ValueError("a trip needs at least one city")
         known = set(self.cities)
         if len(known) != len(self.cities) or known != self.stays.keys():
             raise ValueError(
@@ -351,25 +354,23 @@ def _payload_to_json(payload: Payload) -> dict:
         }
     if isinstance(payload, ThreeDMPayload):
         return {"n": payload.n, "triples": [list(t) for t in payload.triples]}
-    if isinstance(payload, MeetingPayload):
-        return {
-            "locations": list(payload.locations),
-            "start_location": payload.start_location,
-            "day_start": payload.day_start,
-            "travel_minutes": [
-                [a, b, t] for (a, b), t in sorted(payload.travel_minutes.items())
-            ],
-            "friends": [
-                {
-                    "name": f.name,
-                    "location": f.location,
-                    "window": [f.avail_start, f.avail_end],
-                    "min_minutes": f.min_minutes,
-                }
-                for f in payload.friends
-            ],
-        }
-    raise KindMismatchError(f"not a payload: {type(payload).__name__}")
+    return {
+        "locations": list(payload.locations),
+        "start_location": payload.start_location,
+        "day_start": payload.day_start,
+        "travel_minutes": [
+            [a, b, t] for (a, b), t in sorted(payload.travel_minutes.items())
+        ],
+        "friends": [
+            {
+                "name": f.name,
+                "location": f.location,
+                "window": [f.avail_start, f.avail_end],
+                "min_minutes": f.min_minutes,
+            }
+            for f in payload.friends
+        ],
+    }
 
 
 def _payload_from_json(kind: TaskKind, data: dict) -> Payload:
@@ -431,13 +432,11 @@ def _solution_to_json(solution: Solution) -> dict:
         return {"vertices": sorted(solution.vertices)}
     if isinstance(solution, Matching):
         return {"triples": sorted(list(t) for t in solution.triples)}
-    if isinstance(solution, MeetingSchedule):
-        return {
-            "meetings": [
-                [m.friend, m.location, m.start, m.end] for m in solution.meetings
-            ]
-        }
-    raise KindMismatchError(f"not a solution: {type(solution).__name__}")
+    return {
+        "meetings": [
+            [m.friend, m.location, m.start, m.end] for m in solution.meetings
+        ]
+    }
 
 
 def _solution_from_json(kind: TaskKind, data: dict) -> Solution:

@@ -1,8 +1,10 @@
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from searchbench.generate import GenSpec, generate, load_fixture
+from searchbench.generate import MAX_REGEN, GenSpec, generate, load_fixture
 from searchbench.tasks import (
     CoverSet,
     Friend,
@@ -18,6 +20,24 @@ from searchbench.tasks import (
 )
 
 TESTS_DIR = Path(__file__).parent
+
+
+def fail_seeds(monkeypatch, kind: TaskKind, seeds) -> None:
+    """Make ``kind``'s builder reject every attempt of ``seeds``, so that
+    ``generate`` raises its regeneration error for exactly those seeds."""
+    # The package re-exports the function ``generate`` under the module's name.
+    generate_module = sys.modules["searchbench.generate"]
+    salt, build = generate_module._BUILDERS[kind]
+    doomed = {
+        random.Random(generate_module._subseed(seed, attempt, salt)).getstate()
+        for seed in seeds
+        for attempt in range(MAX_REGEN)
+    }
+
+    def build_unless_doomed(level, rng):
+        return None if rng.getstate() in doomed else build(level, rng)
+
+    monkeypatch.setitem(generate_module._BUILDERS, kind, (salt, build_unless_doomed))
 
 
 def pytest_collection_modifyitems(config, items):

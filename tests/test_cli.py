@@ -24,8 +24,7 @@ from searchbench.cli import (
 )
 from searchbench.tasks import TaskKind, read_instances, write_instances
 
-# The package re-exports the function ``generate`` under the module's name.
-generate_module = sys.modules["searchbench.generate"]
+from conftest import fail_seeds
 
 QUIET = lambda s: None
 ORACLE = {"name": "m", "backend": "oracle"}
@@ -517,16 +516,9 @@ def test_cmd_gen_writes_the_per_spec_loops_bytes(tmp_path, monkeypatch):
 
 
 def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, capsys):
-    """With two CPUs, seed 1 is the first spec of the forked child's stripe."""
+    """With two CPUs, every spec is generated in a pool worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    parent = os.getpid()
-    salt, build = generate_module._BUILDERS[TaskKind.TRIP_PLANNING]
-
-    def fail_in_a_child(level, rng):
-        return None if os.getpid() != parent else build(level, rng)
-
-    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.TRIP_PLANNING,
-                        (salt, fail_in_a_child))
+    fail_seeds(monkeypatch, TaskKind.TRIP_PLANNING, (1,))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_doc(tmp_path, instance_count=4)), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2

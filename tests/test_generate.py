@@ -2,6 +2,9 @@ import importlib
 import json
 import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -24,7 +27,7 @@ from searchbench.generate import (
 from searchbench.solver import count_trip_plans
 from searchbench.tasks import TaskKind, VerdictStatus, instance_to_record
 
-from conftest import ENUMERABLE_LEVELS
+from conftest import ENUMERABLE_LEVELS, fail_seeds
 
 # The package re-exports the function ``generate`` under the module's name.
 generate_module = importlib.import_module("searchbench.generate")
@@ -205,14 +208,16 @@ def _records(instances) -> list[str]:
     return [json.dumps(instance_to_record(inst), sort_keys=True) for inst in instances]
 
 
-@pytest.mark.parametrize("n_cpus, n_specs, n_forks", [
+# n_extra: the CPUs used beyond the first.  With any, the pool forks one
+# worker per CPU used; with none, the serial loop forks nothing.
+@pytest.mark.parametrize("n_cpus, n_specs, n_extra", [
     (1, 7, 0), (2, 7, 1), (3, 7, 2), (5, 7, 4), (5, 3, 2), (3, 1, 0), (3, 0, 0),
 ])
-def test_generate_all_writes_the_serial_loops_records(cpus, n_cpus, n_specs, n_forks):
+def test_generate_all_writes_the_serial_loops_records(cpus, n_cpus, n_specs, n_extra):
     forks = cpus(n_cpus)
     specs = MIXED_SPECS[:n_specs]
     assert _records(generate_all(specs)) == _records(generate(s) for s in specs)
-    assert len(forks) == n_forks
+    assert len(forks) == (n_extra + 1 if n_extra else 0)
 
 
 def test_generate_all_counts_cpus_without_affinity(cpus, monkeypatch):
@@ -220,7 +225,7 @@ def test_generate_all_counts_cpus_without_affinity(cpus, monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 def test_generate_all_runs_in_process_without_fork(cpus, monkeypatch):
@@ -229,38 +234,36 @@ def test_generate_all_runs_in_process_without_fork(cpus, monkeypatch):
     assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
 
 
-def _fail_seeds(monkeypatch, kind: TaskKind, seeds) -> None:
-    """Make ``kind``'s builder reject every attempt of ``seeds``, so that
-    ``generate`` raises its regeneration error for exactly those seeds."""
-    salt, build = generate_module._BUILDERS[kind]
-    doomed = {
-        random.Random(generate_module._subseed(seed, attempt, salt)).getstate()
-        for seed in seeds
-        for attempt in range(MAX_REGEN)
-    }
-
-    def build_unless_doomed(level, rng):
-        return None if rng.getstate() in doomed else build(level, rng)
-
-    monkeypatch.setitem(generate_module._BUILDERS, kind, (salt, build_unless_doomed))
+def _assert_the_first_failure_is_the_serial_loops(specs, named: int) -> None:
+    with pytest.raises(RegenBudgetExhaustedError) as serial:
+        [generate(s) for s in specs]
+    with pytest.raises(RegenBudgetExhaustedError) as pooled:
+        generate_all(specs)
+    assert str(pooled.value) == str(serial.value)
+    assert f"seed {named} within" in str(pooled.value)
 
 
-# With 3 CPUs the stripes of seeds 0..5 are {0, 3} (this process), {1, 4}
-# and {2, 5} (children).
+# Chunks hold ceil(specs / (8 * CPUs)) specs: one each for 6 specs on 3 CPUs.
 @pytest.mark.parametrize("failing, named", [((4, 2), 2), ((3, 1), 1), ((5, 3), 3)])
 def test_generate_all_raises_the_first_failure_in_spec_order(cpus, monkeypatch, failing, named):
     cpus(3)
-    _fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
+    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
     specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(6)]
-    with pytest.raises(RegenBudgetExhaustedError) as serial:
-        [generate(s) for s in specs]
-    with pytest.raises(RegenBudgetExhaustedError) as forked:
-        generate_all(specs)
-    assert str(forked.value) == str(serial.value)
-    assert f"seed {named} within" in str(forked.value)
+    _assert_the_first_failure_is_the_serial_loops(specs, named)
 
 
-def test_generate_all_names_the_status_of_a_child_that_died(cpus, monkeypatch):
+# 24 specs on 2 CPUs make chunks of two: {0, 1}, {2, 3}, {4, 5}, ...
+@pytest.mark.parametrize("failing, named", [((10, 4), 4), ((23, 5, 4), 4)])
+def test_generate_all_raises_the_first_failure_of_chunks_of_several(
+    cpus, monkeypatch, failing, named
+):
+    cpus(2)
+    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
+    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(24)]
+    _assert_the_first_failure_is_the_serial_loops(specs, named)
+
+
+def test_generate_all_turns_a_worker_that_died_into_a_task_error(cpus, monkeypatch):
     cpus(2)
     parent = os.getpid()
     salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
@@ -272,8 +275,20 @@ def test_generate_all_names_the_status_of_a_child_that_died(cpus, monkeypatch):
 
     monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, die_in_a_child))
     specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(4)]
-    with pytest.raises(GenerationChildError, match="exited with status 3 before sending"):
+    with pytest.raises(GenerationChildError, match="died before sending its instances"):
         generate_all(specs)
+
+
+def test_generate_all_leaves_no_thread_behind(cpus, monkeypatch):
+    cpus(2)
+    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(8)]
+    threads = threading.active_count()
+    generate_all(specs)
+    assert threading.active_count() == threads
+    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, (5,))
+    with pytest.raises(RegenBudgetExhaustedError):
+        generate_all(specs)
+    assert threading.active_count() == threads
 
 
 class _Stop(BaseException):
@@ -282,17 +297,24 @@ class _Stop(BaseException):
 
 def test_generate_all_reaps_its_children_when_this_process_raises(cpus, monkeypatch):
     cpus(3)
-    parent = os.getpid()
     salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
 
-    def stop_in_this_process(level, rng):
-        if os.getpid() == parent:
-            raise _Stop
+    def slow_build(level, rng):
+        time.sleep(0.02)
         return build(level, rng)
 
-    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, stop_in_this_process))
-    # 200 instances pickle to ≈86 KB, more than a pipe holds, so each child
-    # is still writing when this process stops and closes the pipes
-    specs = [GenSpec(kind=TaskKind.THREE_DM, level=10, seed=seed) for seed in range(600)]
-    with pytest.raises(_Stop):
-        generate_all(specs)
+    def stop(signum, frame):
+        raise _Stop
+
+    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, slow_build))
+    # 60 specs at 20 ms each keep three workers busy for 0.4 s; the interval
+    # timer is not inherited across fork, so only this process is stopped
+    specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(60)]
+    previous = signal.signal(signal.SIGALRM, stop)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(_Stop):
+            generate_all(specs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

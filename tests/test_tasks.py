@@ -146,6 +146,8 @@ _TRIP = TripPayload(
     pytest.param({"flights": frozenset({("Nice", "Rome")})},
                  r"name unknown cities \['Nice'\]", id="flight from elsewhere"),
     pytest.param({"total_days": 6}, "stays fill 5 days, not total_days 6", id="calendar"),
+    pytest.param({"cities": (), "total_days": 1, "stays": {}, "windows": {},
+                  "flights": frozenset()}, "a trip needs at least one city", id="no cities"),
 ])
 def test_trip_payload_rejects_inconsistent_inputs(change, message):
     assert _TRIP.stay_of("Rome") == 3
@@ -174,6 +176,8 @@ def _spoil(field: str, payload: dict) -> None:
         payload["windows"]["Atlantis"] = [1, 2, "show"]
     elif field == "flight elsewhere":
         payload["flights"].append([payload["cities"][0], "Atlantis"])
+    elif field == "no cities":
+        payload.update(cities=[], total_days=1, stays={}, windows={}, flights=[])
     else:
         payload["total_days"] += 1
 
@@ -190,6 +194,7 @@ _SPOILED = {
     "window elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
     "flight elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
     "calendar": (TaskKind.TRIP_PLANNING, "stays fill [0-9]+ days, not total_days"),
+    "no cities": (TaskKind.TRIP_PLANNING, "a trip needs at least one city"),
 }
 
 
