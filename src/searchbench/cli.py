@@ -428,6 +428,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             cache=cache,
             rate_limiter=RateLimiter(model.requests_per_second),
         )
+    stage("load")
 
     units = [
         (model, instance, mode, strategy)
@@ -479,6 +480,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     cache_stats = {
         name: gw.cache_stats for name, gw in sorted(gateways.items())
     }
+    unexpected_errors = dict.fromkeys(sorted(gateways), 0)
+    for outcome in outcomes:
+        unexpected_errors[outcome.model] += outcome.unexpected_error
     run_meta = {
         "version": __version__,
         "config": {
@@ -495,6 +499,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             "token_budget": config.token_budget,
         },
         "cache_stats": cache_stats,
+        "unexpected_errors": unexpected_errors,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),
         "stage_s": stage_s,

@@ -104,41 +104,91 @@ class BackendResponse:
     provider_meta: Mapping[str, object] = field(default_factory=dict)
 
 
+TARGET_MARKER = "### Target Question ###"
+
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps of one str
+
+
 def canonical_digest(request: BackendRequest) -> str:
     """Stable content digest of a request (sha256 of its sorted JSON form).
 
     That form begins ``{"max_tokens":M,"messages":[...]``, nearly all of its
     bytes, and every other key sorts after those two.  So the head is hashed
     once per ``(max_tokens, messages)`` and each request adds its own tail to
-    a copy: the units of one (instance, mode) share one head.
+    a copy: the units of one (instance, mode) share one head.  Keys carry
+    the ``repr`` of their numbers, which tells apart values that compare
+    equal but encode differently (``0``, ``0.0``, ``-0.0``, ``False``).
     """
-    tail = json.dumps(
-        {
-            "model": request.model,
-            "system": request.system_text,
-            "temperature": request.temperature,
-            "thinking": request.thinking,
-            "thinking_budget": request.thinking_budget,
-            "sample_index": request.sample_index,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    numbers = (
+        request.temperature, request.thinking, request.thinking_budget, request.sample_index
     )
-    state = _head_state(request.max_tokens, request.messages).copy()
-    state.update(b"," + tail[1:].encode("utf-8"))
+    state = _head_state(repr(request.max_tokens), request.max_tokens, request.messages).copy()
+    state.update(_tail(request.model, request.system_text, repr(numbers), numbers))
     return state.hexdigest()
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # typed: 1 and True are equal keys, not equal JSON
-def _head_state(max_tokens: int, messages: tuple[tuple[str, str], ...]) -> hashlib._Hash:
+@functools.lru_cache(maxsize=16)
+def _head_state(
+    key: str, max_tokens: int, messages: tuple[tuple[str, str], ...]
+) -> hashlib._Hash:
     """sha256 state after ``{"max_tokens":M,"messages":[...]``, the sorted
-    JSON form of a request up to, not including, its ``,"model"`` key."""
-    head = json.dumps(
+    JSON form of a request up to, not including, its ``,"model"`` key;
+    ``key`` is ``repr(max_tokens)``.
+
+    A first user message that holds ``TARGET_MARKER`` starts from the state
+    after its text up to the marker, the exemplar half that every target of
+    one (task, mode) shares.  JSON escapes one code point at a time, so the
+    halves escaped apart are the bytes of the whole escaped at once.
+    """
+    if messages and messages[0][0] == "user":
+        text = messages[0][1]
+        cut = text.find(TARGET_MARKER)
+        if cut >= 0:
+            cut += len(TARGET_MARKER)
+            state = _prefix_state(key, max_tokens, text[:cut]).copy()
+            later = "".join(
+                "," + json.dumps(list(m), separators=(",", ":")) for m in messages[1:]
+            )
+            # the prefix state holds the opening quote of the first message's text
+            state.update(f"{_encode_str(text[cut:])[1:]}]{later}]".encode("ascii"))
+            return state
+    return hashlib.sha256(_head_json(max_tokens, messages)[:-1].encode("utf-8"))
+
+
+@functools.lru_cache(maxsize=16)
+def _prefix_state(key: str, max_tokens: int, prefix: str) -> hashlib._Hash:
+    """sha256 state after ``{"max_tokens":M,"messages":[["user","<prefix>``."""
+    head = _head_json(max_tokens, (("user", prefix),))
+    return hashlib.sha256(head[: -len('"]]}')].encode("ascii"))
+
+
+def _head_json(max_tokens: int, messages: tuple[tuple[str, str], ...]) -> str:
+    return json.dumps(
         {"max_tokens": max_tokens, "messages": [list(m) for m in messages]},
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(head[:-1].encode("utf-8"))
+
+
+@functools.lru_cache(maxsize=64)
+def _tail(model: str, system_text: str, key: str, numbers: tuple) -> bytes:
+    """The sorted JSON form from ``,"model"`` to its end; ``numbers`` are
+    temperature, thinking, thinking budget and sample index, and ``key`` is
+    their ``repr``."""
+    temperature, thinking, thinking_budget, sample_index = numbers
+    tail = json.dumps(
+        {
+            "model": model,
+            "system": system_text,
+            "temperature": temperature,
+            "thinking": thinking,
+            "thinking_budget": thinking_budget,
+            "sample_index": sample_index,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return b"," + tail[1:].encode("utf-8")
 
 
 def _response_to_json(response: BackendResponse) -> dict:
@@ -193,6 +243,8 @@ class ResponseCache:
         self.skipped_lines = 0
         self._torn = False  # the file ends inside a line
         self._dir_made = False  # the file's directory exists
+        self._encoded_for: BackendResponse | None = None  # the last response put
+        self._encoded = ""  # its JSON encoding
         if self._path is not None and self._path.exists():
             with open(self._path, "rb") as fh:
                 for line in fh:
@@ -215,17 +267,20 @@ class ResponseCache:
         return self._entries.get(digest)
 
     def put(self, digest: str, request: BackendRequest, response: BackendResponse) -> None:
-        record = {
-            "digest": digest,
-            "model": request.model,
-            "response": _response_to_json(response),
-        }
+        """Record ``response``; its line is ``json.dumps(record, sort_keys=True)``
+        of ``{"digest", "model", "response"}``, built from parts."""
         with self._lock:
             if digest in self._entries:
                 return
             if self._path is not None:
-                line = json.dumps(record, sort_keys=True) + "\n"
-                self._append(("\n" + line if self._torn else line).encode("utf-8"))
+                if response is not self._encoded_for:  # consecutive puts share an answer
+                    self._encoded = json.dumps(_response_to_json(response), sort_keys=True)
+                    self._encoded_for = response
+                line = (
+                    f'{{"digest": {_encode_str(digest)}, "model": {_encode_str(request.model)},'
+                    f' "response": {self._encoded}}}\n'
+                )
+                self._append(("\n" + line if self._torn else line).encode("ascii"))
                 self._torn = False
             self._entries[digest] = response
 
@@ -527,28 +582,28 @@ class MockBackend:
         )
 
 
-TARGET_MARKER = "### Target Question ###"
-
-
 class OracleBackend:
     """Answers any rendered prompt with the registered instance's exact solution.
 
     Answers are looked up by the statement text that follows the target
     marker in the first user message, so the oracle exercises the same
     prompt → answer → verify path as a real model — with a guaranteed
-    correct answer.  Each answer text is built once, at registration.
+    correct answer.  Each response is built once, at registration, and each
+    distinct first user message is split once.
     """
 
     def __init__(self, instances: Sequence[ProblemInstance] = ()) -> None:
-        self._answers: dict[str, str] = {}
+        self._answers: dict[str, BackendResponse] = {}
+        self._by_prompt: dict[str, BackendResponse] = {}  # first user message → answer
         self.calls = 0
         self._lock = threading.Lock()
         for inst in instances:
             self.register(inst)
 
     def register(self, instance: ProblemInstance) -> None:
-        self._answers[instance.statement] = canonical_text(
-            instance.payload, instance.ground_truth
+        text = canonical_text(instance.payload, instance.ground_truth)
+        self._answers[instance.statement] = BackendResponse(
+            text=text, completion_tokens=len(text) // 4
         )
 
     def complete(self, request: BackendRequest) -> BackendResponse:
@@ -557,13 +612,16 @@ class OracleBackend:
         first_user = next(
             (content for role, content in request.messages if role == "user"), ""
         )
-        if TARGET_MARKER not in first_user:
-            raise MalformedProviderReply("prompt has no target-question marker")
-        statement = first_user.split(TARGET_MARKER, 1)[1].strip()
-        text = self._answers.get(statement)
-        if text is None:
-            raise MalformedProviderReply("target statement not registered with oracle")
-        return BackendResponse(text=text, completion_tokens=len(text) // 4)
+        response = self._by_prompt.get(first_user)
+        if response is None:
+            if TARGET_MARKER not in first_user:
+                raise MalformedProviderReply("prompt has no target-question marker")
+            statement = first_user.split(TARGET_MARKER, 1)[1].strip()
+            response = self._answers.get(statement)
+            if response is None:
+                raise MalformedProviderReply("target statement not registered with oracle")
+            self._by_prompt[first_user] = response
+        return response
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,7 @@ class RunOutcome:
     strategy: ScalingStrategy
     attempts: tuple[Attempt, ...]
     final: Verdict
+    unexpected_error: bool = False  # ``final`` stands for an exception not a TaskError
 
     @property
     def success(self) -> bool:
@@ -177,7 +178,9 @@ def execute(
 
     Requests carry the provider id ``model``; the outcome is filed under the
     table name ``name`` (default ``model``).  A ``TaskError`` on the way
-    becomes a ``BackendError`` verdict with no attempts.
+    becomes a ``BackendError`` verdict with no attempts, and so does any
+    other ``Exception``, with the reason ``"<Type>: <message>"`` and
+    ``unexpected_error`` set.
 
     ``verdicts`` maps answer texts already judged against ``instance`` to
     their verdicts; ``evaluate`` runs only on a text it lacks, and adds it.
@@ -207,6 +210,7 @@ def execute(
         return attempt
 
     base_messages = (("user", bundle.body),)
+    unexpected_error = False
     try:
         if strategy.kind is ScalingKind.PARALLEL:
             final = None
@@ -234,6 +238,10 @@ def execute(
     except TaskError as err:
         attempts.clear()
         final = Verdict(VerdictStatus.BACKEND_ERROR, reason=str(err))
+    except Exception as err:  # a fault in the program or a backend ends this unit only
+        attempts.clear()
+        final = Verdict(VerdictStatus.BACKEND_ERROR, reason=f"{type(err).__name__}: {err}")
+        unexpected_error = True
 
     return RunOutcome(
         instance_id=instance.id,
@@ -244,6 +252,7 @@ def execute(
         strategy=strategy,
         attempts=tuple(attempts),
         final=final,
+        unexpected_error=unexpected_error,
     )
 
 

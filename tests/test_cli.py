@@ -11,7 +11,7 @@ import pytest
 
 from searchbench import __version__, cli, prompts, scaling
 from searchbench.answers import canonical_text
-from searchbench.gateway import ModelGateway
+from searchbench.gateway import MockBackend, ModelGateway
 from searchbench.generate import GenSpec, generate
 from searchbench.cli import (
     ConfigError,
@@ -204,7 +204,7 @@ def test_run_oracle_end_to_end(tmp_path):
     assert meta["cache_stats"]["m-oracle"]["misses"] > 0
     assert "started_at" in meta and "duration_s" in meta
     stages = meta["stage_s"]
-    assert list(stages) == ["execute", "generate", "render", "report"]
+    assert list(stages) == ["execute", "generate", "load", "render", "report"]
     assert all(type(v) is float and v >= 0 and round(v, 3) == v for v in stages.values())
 
     lines = (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
@@ -261,6 +261,40 @@ def test_run_isolates_backend_failures(tmp_path, monkeypatch):
     ]
     assert all(r["final"]["status"] == "BackendError" for r in records)
     assert all("NO_SUCH_KEY_EVER" in r["final"]["reason"] for r in records)
+
+
+def test_run_turns_an_unexpected_exception_into_one_verdict(tmp_path, monkeypatch):
+    calls = []
+
+    def script(request):
+        calls.append(request)
+        if len(calls) == 30:
+            raise KeyError("boom")
+        return "no answer here"
+
+    monkeypatch.setattr(cli, "build_backend", lambda model, instances: MockBackend(script))
+    doc = _doc(tmp_path, tasks=["ThreeDM"], instance_count=5,
+               models=[{"name": "m-mock", "backend": "mock"}])
+    doc.pop("matrix")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 0
+
+    records = _records(tmp_path)
+    assert len(records) == 60
+    errors = [r for r in records if r["final"]["status"] == "BackendError"]
+    assert [r["final"]["reason"] for r in errors] == ["KeyError: 'boom'"]
+    assert errors[0]["attempts"] == []
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert meta["unexpected_errors"] == {"m-mock": 1}
+    cache_lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(cache_lines) == len(calls) - 1
+
+
+def test_run_meta_counts_no_unexpected_error_for_a_failing_backend(tmp_path, monkeypatch):
+    run(config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch)), echo=QUIET)
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert meta["unexpected_errors"] == {"m-broken": 0}
 
 
 def _record_execute_threads(monkeypatch) -> list[int]:

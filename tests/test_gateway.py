@@ -3,8 +3,10 @@ import hashlib
 import json
 import random
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
@@ -27,6 +29,7 @@ from searchbench.gateway import (
     RateLimited,
     RateLimiter,
     ResponseCache,
+    TARGET_MARKER,
     call_with_retries,
     canonical_digest,
 )
@@ -168,13 +171,20 @@ _TEXT = st.lists(
 ).map("".join)
 
 
+# A first user message holds the target marker zero, one or two times, at
+# its start, in its middle or at its end, with awkward text on either side.
+_FIRST_MESSAGE = st.lists(
+    st.one_of(st.just(""), _AWKWARD, _TEXT), min_size=1, max_size=3
+).map(TARGET_MARKER.join)
+
+
 @st.composite
 def _request_runs(draw):
     """Requests in the order a unit sends them: several tails per head, and
     ``ss``-style histories that grow by an (assistant, user) pair a round."""
     requests_ = []
     for _ in range(draw(st.integers(1, 4))):
-        history = [("user", draw(_TEXT))]
+        history = [("user", draw(_FIRST_MESSAGE))]
         for _ in range(draw(st.integers(0, 2))):
             history += [("assistant", draw(_TEXT)), ("user", draw(_TEXT))]
         max_tokens = draw(st.sampled_from([1, 128, 4096, 10**9]))
@@ -197,19 +207,30 @@ def _request_runs(draw):
 @given(_request_runs())
 @example([_request(messages=()), _request(messages=(), model="m-2")])
 @example([_request(temperature=0), _request(temperature=0.0), _request(temperature=-0.0)])
+@example([_request(temperature=False), _request(temperature=True), _request(temperature=1)])
+@example([_request(sample_index=False), _request(sample_index=0), _request(sample_index=True)])
+@example([_request(max_tokens=v) for v in (True, 1, 1.0, 0.0, -0.0)])
+@example([
+    _request(messages=((role, f"{'ab' * k}{TARGET_MARKER}\u2028x{k}"),) + more)
+    for k in (1, 2, 1)
+    for role in ("user", "assistant")
+    for more in ((), (("assistant", "a"), ("user", f"{TARGET_MARKER} again")))
+])
 def test_digest_is_sha256_of_the_sorted_json_request(requests_):
     for request in requests_:
         assert request.digest == canonical_digest(request) == _reference_digest(request)
 
 
 def test_digest_holds_across_more_heads_than_are_kept():
-    """Heads are kept for a few requests only; revisiting one that was
-    dropped, or reusing one with a new tail, still gives the contract."""
-    heads = [(("user", f"body {i}"),) for i in range(40)]
-    order = list(range(40)) + [0, 39, 5, 5, 17, 0] + list(range(39, -1, -3))
-    for turn, i in enumerate(order):
-        request = _request(messages=heads[i], sample_index=turn % 3, model=f"m-{turn % 2}")
-        assert request.digest == _reference_digest(request)
+    """Heads and exemplar halves are kept for a few requests only; revisiting
+    one that was dropped, or reusing one with a new tail, still gives the
+    contract."""
+    for body in ("body {i}", "shots {i}" + TARGET_MARKER + " target {i}"):
+        heads = [(("user", body.format(i=i)),) for i in range(40)]
+        order = list(range(40)) + [0, 39, 5, 5, 17, 0] + list(range(39, -1, -3))
+        for turn, i in enumerate(order):
+            request = _request(messages=heads[i], sample_index=turn % 3, model=f"m-{turn % 2}")
+            assert request.digest == _reference_digest(request)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +371,70 @@ def test_cache_warm_replay_leaves_a_complete_file_unchanged(tmp_path):
     replay = ResponseCache(path)
     replay.put(canonical_digest(request), request, BackendResponse(text="one"))
     assert path.read_bytes() == whole
+
+
+# JSON values as ``provider_meta`` holds them; NaN is left out because it is
+# not equal to itself, so a reloaded response could not compare equal.
+_JSON_VALUE = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_RESPONSES = st.builds(
+    BackendResponse,
+    text=_TEXT,
+    thinking_text=_TEXT,
+    prompt_tokens=st.integers(0, 10**6),
+    completion_tokens=st.integers(0, 10**6),
+    thinking_tokens=st.integers(0, 10**6),
+    latency_ms=st.integers(0, 10**6),
+    provider_meta=st.builds(
+        lambda top, nested: {**top, "nested": nested},
+        st.dictionaries(_TEXT, _JSON_VALUE, max_size=3),
+        st.dictionaries(_TEXT, _JSON_VALUE, min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    responses=st.lists(_RESPONSES, min_size=2, max_size=3),
+    repeats=st.integers(1, 3),
+    model=_TEXT.map("modèle-\U0001F600-".__add__),
+    digest_tail=_TEXT,
+    torn=st.booleans(),
+)
+def test_cache_lines_are_the_sorted_json_of_their_records(
+    responses, repeats, model, digest_tail, torn
+):
+    """Each response object is put under several digests in a row, and the
+    first comes back after the others; every line is the record's sorted
+    JSON, whether or not the file ended in a torn line."""
+    request = _request(model=model)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "replies.jsonl"
+        start = b'{"digest": "torn", "mod' if torn else b""
+        path.write_bytes(start)
+        cache = ResponseCache(path)
+        expected, put = [], {}
+        for i, response in enumerate([*responses, responses[0]]):
+            for j in range(repeats):
+                digest = f"{i}.{j}{digest_tail}"
+                cache.put(digest, request, response)
+                record = {"digest": digest, "model": model,
+                          "response": dataclasses.asdict(response)}
+                expected.append(json.dumps(record, sort_keys=True) + "\n")
+                # JSON reads an escaped surrogate pair back as one code point
+                put[digest] = json.loads(expected[-1])["response"]
+        written = path.read_bytes()
+        assert written == start + (b"\n" if torn else b"") + "".join(expected).encode("utf-8")
+        reloaded = ResponseCache(path)
+        assert reloaded.skipped_lines == torn and len(reloaded) == len(put)
+        assert all(reloaded.get(d) == BackendResponse(**fields) for d, fields in put.items())
 
 
 def test_cache_in_memory_without_path():
