@@ -190,8 +190,9 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
     defaults = dict(_MODEL_DEFAULTS, model=name)
     values = {key: _checked(doc, key, defaults[key], *check, where + ".")
               for key, check in _MODEL_CHECKS.items()}
-    if values["backend"] == "http" and not values["url"]:
-        raise ConfigError(f"{where}.url: required for http backends")
+    url = values["url"].lower()
+    if values["backend"] == "http" and not url.startswith(("http://", "https://")):
+        raise ConfigError(f"{where}.url: an http:// or https:// URL is required for http backends")
     values.update(
         timeout_s=float(values["timeout_s"]),
         requests_per_second=float(values["requests_per_second"]),
@@ -463,6 +464,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     if pooled:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
             outcomes = list(pool.map(work, units))
+        for gateway in gateways.values():  # each pool thread kept a connection open
+            if isinstance(gateway.backend, HttpBackend):
+                gateway.backend.close()
     else:
         outcomes = [work(unit) for unit in units]
     stage("execute")

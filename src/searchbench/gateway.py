@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .answers import canonical_text
 from .tasks import ProblemInstance, TaskError
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 
 class GatewayError(TaskError):
@@ -212,6 +213,23 @@ def _response_from_json(data: dict) -> BackendResponse:
         thinking_tokens=data.get("thinking_tokens", 0),
         latency_ms=data.get("latency_ms", 0),
         provider_meta=data.get("provider_meta", {}),
+    )
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(response: BackendResponse) -> bool:
+    """Whether ``response`` holds a surrogate code point, which JSON may not
+    read back as written: an escaped high-low pair decodes as one code point."""
+    meta = response.provider_meta
+    return any(
+        not s.isascii() and _SURROGATE.search(s) is not None
+        for s in (
+            response.text,
+            response.thinking_text,
+            json.dumps(meta, ensure_ascii=False) if meta else "",
+        )
     )
 
 
@@ -480,6 +498,13 @@ class HttpBackend:
 
     The API key is read from the environment variable named by
     ``api_key_env`` at call time, never stored in configs or caches.
+
+    Each calling thread keeps one keep-alive connection, opened on its first
+    call.  A kept connection that the provider closed while it sat idle fails
+    with a reset or a broken pipe; the request is then sent once more on a
+    fresh one.  ``http_proxy``/``https_proxy``/``no_proxy`` are read once,
+    here: an ``http`` target goes to its proxy by absolute URL, an ``https``
+    one is tunnelled through it with ``CONNECT``.  Redirects are not followed.
     """
 
     def __init__(
@@ -488,7 +513,6 @@ class HttpBackend:
         dialect: str = AnthropicDialect.name,
         api_key_env: str = "ANTHROPIC_API_KEY",
         timeout_s: float = 120.0,
-        session: requests.Session | None = None,
     ) -> None:
         if dialect not in DIALECTS:
             raise ValueError(f"unknown dialect {dialect!r}; know {sorted(DIALECTS)}")
@@ -496,48 +520,128 @@ class HttpBackend:
         self.dialect = DIALECTS[dialect]()
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
-        import requests  # loaded only once an http model is built; in-process runs skip it
+        # loaded only once an http model is built; in-process runs skip them
+        import http.client  # noqa: F401
+        import urllib.parse
+        import urllib.request
 
-        self._session = session or requests.Session()
+        target = urllib.parse.urlsplit(url)
+        if target.scheme not in ("http", "https") or not target.hostname:
+            raise GatewayError(f"url {url!r} is not an http:// or https:// URL")
+        netloc = target.netloc.rpartition("@")[2]
+        self._address = (target.hostname, target.port)
+        self._path = urllib.parse.urlunsplit(("", "", target.path or "/", target.query, ""))
+        self._ssl = None
+        if target.scheme == "https":
+            import ssl
+
+            self._ssl = ssl.create_default_context()
+        self._proxy: tuple[str, int | None] | None = None
+        self._proxy_auth: dict[str, str] = {}
+        proxy = urllib.request.getproxies().get(target.scheme)
+        if proxy and not urllib.request.proxy_bypass(netloc):
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if via.scheme != "http" or not via.hostname:
+                raise GatewayError(f"{target.scheme} proxy {proxy!r} is not an http:// URL")
+            self._proxy = (via.hostname, via.port)
+            if via.username is not None:
+                import base64
+
+                login = f"{via.username}:{via.password or ''}"
+                token = base64.b64encode(urllib.parse.unquote(login).encode()).decode()
+                self._proxy_auth = {"Proxy-Authorization": f"Basic {token}"}
+            if self._ssl is None:
+                self._path = f"http://{netloc}{self._path}"
+        self._local = threading.local()  # ``conn``: the calling thread's connection
+        self._lock = threading.Lock()
+        self._open: set[http.client.HTTPConnection] = set()  # for ``close``
+
+    def close(self) -> None:
+        """Close every connection this backend holds, in any thread."""
+        with self._lock:
+            conns, self._open = self._open, set()
+        for conn in conns:
+            conn.close()
+
+    def _connect(self) -> http.client.HTTPConnection:
+        import http.client  # loaded by ``__init__``; this only binds the name
+
+        host, port = self._proxy or self._address
+        if self._ssl is None:
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        else:
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout_s, context=self._ssl
+            )
+            if self._proxy is not None:
+                conn.set_tunnel(*self._address, headers=self._proxy_auth)
+        with self._lock:
+            self._open.add(conn)
+        self._local.conn = conn
+        return conn
+
+    def _post(
+        self, conn: http.client.HTTPConnection, body: bytes, headers: dict[str, str]
+    ) -> tuple[int, str | None, bytes]:
+        """(status, retry-after header, body) of one POST; a connection that
+        raised is closed and dropped."""
+        import http.client  # loaded by ``__init__``; this only binds the name
+
+        try:
+            conn.request("POST", self._path, body, headers)
+            reply = conn.getresponse()
+            return reply.status, reply.getheader("retry-after"), reply.read()
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            self._local.conn = None
+            with self._lock:
+                self._open.discard(conn)
+            raise
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        import requests  # loaded by ``__init__``; this only binds the name
+        import http.client  # loaded by ``__init__``; this only binds the name
 
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
+        body = json.dumps(self.dialect.payload(request), allow_nan=False).encode("utf-8")
+        headers = self.dialect.headers(api_key)
+        if self._ssl is None:
+            headers.update(self._proxy_auth)
         started = time.monotonic()
         try:
-            reply = self._session.post(
-                self.url,
-                headers=self.dialect.headers(api_key),
-                json=self.dialect.payload(request),
-                timeout=self.timeout_s,
-            )
-        except requests.Timeout as err:
-            raise GatewayTimeout(f"no reply within {self.timeout_s}s") from err
-        except requests.RequestException as err:
-            raise GatewayTimeout(f"transport failure: {err}") from err
-        latency_ms = int((time.monotonic() - started) * 1000)
-        if reply.status_code in (401, 403):
-            raise AuthError(f"provider rejected credentials ({reply.status_code})")
-        if reply.status_code == 429:
-            retry_after = None
-            header = reply.headers.get("retry-after")
-            if header:
+            conn = getattr(self._local, "conn", None)
+            reply = None
+            if conn is not None:  # kept alive since an earlier call
                 try:
-                    retry_after = float(header)
+                    reply = self._post(conn, body, headers)
+                except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is a reset
+                    pass  # the provider closed it while it sat idle: send once more
+            if reply is None:
+                reply = self._post(self._connect(), body, headers)
+        except TimeoutError as err:
+            raise GatewayTimeout(f"no reply within {self.timeout_s}s") from err
+        except (OSError, http.client.HTTPException) as err:
+            raise GatewayTimeout(f"transport failure: {err}") from err
+        status, retry_after_header, content = reply
+        latency_ms = int((time.monotonic() - started) * 1000)
+        if status in (401, 403):
+            raise AuthError(f"provider rejected credentials ({status})")
+        if status == 429:
+            retry_after = None
+            if retry_after_header:
+                try:
+                    retry_after = float(retry_after_header)
                 except ValueError:
                     retry_after = None
             raise RateLimited("provider rate limit (429)", retry_after=retry_after)
-        if reply.status_code >= 500 or reply.status_code == 408:
-            raise GatewayTimeout(f"provider unavailable ({reply.status_code})")
-        if reply.status_code != 200:
-            raise ProviderHTTPError(
-                f"unexpected status {reply.status_code}: {reply.text[:200]}"
-            )
+        if status >= 500 or status == 408:
+            raise GatewayTimeout(f"provider unavailable ({status})")
+        if status != 200:
+            text = content.decode("utf-8", errors="replace")
+            raise ProviderHTTPError(f"unexpected status {status}: {text[:200]}")
         try:
-            data = reply.json()
+            data = json.loads(content)
         except ValueError as err:
             raise MalformedProviderReply("reply body is not JSON") from err
         return self.dialect.parse(data, latency_ms)
@@ -681,6 +785,9 @@ class ModelGateway:
                 rng=self._rng,
                 sleeper=self._sleeper,
             )
+            if _holds_surrogate(response):  # answer with what a warm replay will read
+                encoded = json.dumps(_response_to_json(response), sort_keys=True)
+                response = _response_from_json(json.loads(encoded))
             self.cache.put(digest, request, response)
         finally:
             with self._stats_lock:

@@ -140,6 +140,9 @@ def test_a_model_block_takes_exactly_the_model_config_fields():
         ({"models": [ORACLE],
           "matrix": [["CoT", "ps:2"], ["CoT", "ps:3"], ["AoT", "is"], ["AoT", "is:64"]]},
          "matrix[1]"),
+        # an http backend speaks http:// or https:// only
+        ({"models": [{"name": "m", "backend": "http", "url": "localhost:8080/v1"}]},
+         "models[0].url"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
@@ -816,16 +819,16 @@ def test_benchmark_tracer_wraps_every_layer_name():
     assert done.returncode == 0, done.stderr
 
 
-def test_in_process_runs_never_load_requests(tmp_path):
-    """``requests`` is imported only once an ``http`` model is built, so an
-    oracle run's process never pays for loading it."""
+def test_in_process_runs_never_load_an_http_client(tmp_path):
+    """``http.client`` is imported only once an ``http`` model is built, so an
+    oracle run's process never pays for loading an HTTP client."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_doc(tmp_path)), encoding="utf-8")
     script = (
         "import sys; sys.path[:0] = sys.argv[2:]; "
         "import searchbench; "
         "code = searchbench.cli.main(['run', '--config', sys.argv[1]]); "
-        "print(code, 'requests' in sys.modules)"
+        "print(code, any(m in sys.modules for m in ('requests', 'urllib3', 'http.client')))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(

@@ -1,15 +1,18 @@
+import base64
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import socket
 import sys
 import tempfile
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import example, given, settings, strategies as st
 
 from searchbench.gateway import (
@@ -18,6 +21,8 @@ from searchbench.gateway import (
     AuthError,
     BackendRequest,
     BackendResponse,
+    DIALECTS,
+    GatewayError,
     GatewayTimeout,
     HttpBackend,
     MalformedProviderReply,
@@ -33,7 +38,7 @@ from searchbench.gateway import (
     call_with_retries,
     canonical_digest,
 )
-from searchbench.answers import canonical_text
+from searchbench.answers import canonical_text, evaluate
 from searchbench.prompts import PromptMode, default_exemplars, render, render_refine
 from searchbench.tasks import TaskKind
 
@@ -50,32 +55,95 @@ def _request(**overrides) -> BackendRequest:
     return BackendRequest(**base)
 
 
-class _FakeReply:
-    def __init__(self, status_code=200, body=None, text="", headers=None):
-        self.status_code = status_code
-        self._body = body
-        self.text = text if text else (json.dumps(body) if body is not None else "")
-        self.headers = headers or {}
+class _Provider:
+    """A loopback HTTP/1.1 server in the test process, on a free port.
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no JSON body")
-        return self._body
+    Every request is recorded as (method, target, headers, body) and answered
+    with the next of ``replies`` (status, body, extra headers); the last one
+    repeats.  A CONNECT is answered 502.  ``connections`` counts the
+    connections accepted.  The server waits ``sleep_s`` before each reply,
+    and with ``close_after_reply`` closes each connection after its first
+    reply without a ``Connection: close`` header.
+    """
 
-
-class _FakeSession:
-    """requests.Session stand-in scripted with replies or exceptions."""
-
-    def __init__(self, replies):
+    def __init__(self, replies=((200, b"{}", {}),), sleep_s=0.0, close_after_reply=False):
         self.replies = list(replies)
-        self.posts = []
+        self.sleep_s = sleep_s
+        self.requests = []
+        self.connections = 0
+        lock = threading.Lock()
+        provider = self
 
-    def post(self, url, headers=None, json=None, timeout=None):
-        self.posts.append({"url": url, "headers": headers, "json": json, "timeout": timeout})
-        item = self.replies.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with lock:
+                    provider.connections += 1
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("content-length", 0)))
+                with lock:
+                    provider.requests.append(("POST", self.path, self.headers, body))
+                    status, data, headers = (
+                        provider.replies.pop(0) if len(provider.replies) > 1
+                        else provider.replies[0]
+                    )
+                time.sleep(provider.sleep_s)
+                self.send_response(status)
+                for key, value in {**headers, "content-length": str(len(data))}.items():
+                    self.send_header(key, value)
+                self.end_headers()
+                self.wfile.write(data)
+                self.close_connection = close_after_reply
+
+            def do_CONNECT(self):
+                with lock:
+                    provider.requests.append(("CONNECT", self.path, self.headers, b""))
+                self.send_response(502)
+                self.send_header("content-length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        class Server(ThreadingHTTPServer):
+            def handle_error(self, request, client_address):
+                pass  # a client that gave up on a slow reply hangs up on it
+
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}
+        )
+
+    def url(self, path="/v1/messages"):
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}{path}"
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture(autouse=True)
+def _without_proxies(monkeypatch):
+    """Loopback test servers are reached directly, whatever the host's proxies."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+def _http_backend(url, **kwargs):
+    """An ``HttpBackend`` reading its key from ``SOME_KEY``."""
+    return HttpBackend(url, api_key_env="SOME_KEY", **kwargs)
 
 
 ANTHROPIC_BODY = {
@@ -586,32 +654,45 @@ def test_http_backend_rejects_unknown_dialect():
         HttpBackend("http://x", dialect="grpc")
 
 
-def test_http_backend_without_a_session_builds_a_requests_session():
-    assert isinstance(HttpBackend("http://x")._session, requests.Session)
-
-
 def test_http_backend_requires_api_key(monkeypatch):
     monkeypatch.delenv("SOME_KEY", raising=False)
-    session = _FakeSession([])
-    backend = HttpBackend("http://x", api_key_env="SOME_KEY", session=session)
-    with pytest.raises(AuthError):
-        backend.complete(_request())
-    assert session.posts == []
+    with _Provider() as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(AuthError):
+            backend.complete(_request())
+        backend.close()
+    assert provider.requests == []
+    assert provider.connections == 0
 
 
 def test_http_backend_happy_path(monkeypatch):
+    """Both dialects send their headers and exactly the bytes of
+    ``json.dumps(payload, allow_nan=False)``, to the URL's path and query."""
     monkeypatch.setenv("SOME_KEY", "sekrit")
-    session = _FakeSession([_FakeReply(200, ANTHROPIC_BODY)])
-    backend = HttpBackend(
-        "http://provider/v1/messages", api_key_env="SOME_KEY",
-        timeout_s=9.0, session=session,
-    )
-    got = backend.complete(_request())
-    assert got.text == "the answer"
-    post = session.posts[0]
-    assert post["url"] == "http://provider/v1/messages"
-    assert post["timeout"] == 9.0
-    assert post["headers"]["x-api-key"] == "sekrit"
+    request = _request(messages=(("user", "h\u00e9llo \U0001f600"),))
+    for dialect, reply in (("anthropic", ANTHROPIC_BODY), ("openai", OPENAI_BODY)):
+        with _Provider([(200, json.dumps(reply).encode(), {})]) as provider:
+            backend = _http_backend(
+                provider.url("/v1/messages?beta=1"), dialect=dialect, timeout_s=9.0
+            )
+            got = backend.complete(request)
+            assert [conn.timeout for conn in backend._open] == [9.0]
+            backend.close()
+        assert got.text == "the answer"
+        assert got.thinking_text == "mull it over"
+        [(method, target, headers, body)] = provider.requests
+        assert (method, target) == ("POST", "/v1/messages?beta=1")
+        assert headers["host"] == provider.url("").removeprefix("http://")
+        assert headers["content-type"] == "application/json"
+        expected = DIALECTS[dialect]().payload(request)
+        assert body == json.dumps(expected, allow_nan=False).encode("utf-8")
+        if dialect == "anthropic":
+            assert headers["x-api-key"] == "sekrit"
+            assert headers["anthropic-version"] == "2023-06-01"
+            assert "authorization" not in headers
+        else:
+            assert headers["authorization"] == "Bearer sekrit"
+            assert "x-api-key" not in headers
 
 
 @pytest.mark.parametrize(
@@ -628,41 +709,136 @@ def test_http_backend_happy_path(monkeypatch):
 )
 def test_http_backend_status_mapping(monkeypatch, status, expected):
     monkeypatch.setenv("SOME_KEY", "sekrit")
-    session = _FakeSession([_FakeReply(status, text="nope")])
-    backend = HttpBackend("http://x", api_key_env="SOME_KEY", session=session)
-    with pytest.raises(expected):
-        backend.complete(_request())
+    with _Provider([(status, b"\xffnope", {})]) as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(expected) as info:
+            backend.complete(_request())
+        backend.close()
+    if status == 418:
+        assert str(info.value) == "unexpected status 418: \ufffdnope"
 
 
 def test_http_backend_extracts_retry_after(monkeypatch):
     monkeypatch.setenv("SOME_KEY", "sekrit")
-    session = _FakeSession([_FakeReply(429, text="slow down", headers={"retry-after": "17"})])
-    backend = HttpBackend("http://x", api_key_env="SOME_KEY", session=session)
-    with pytest.raises(RateLimited) as info:
-        backend.complete(_request())
+    with _Provider([(429, b"slow down", {"retry-after": "17"})]) as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(RateLimited) as info:
+            backend.complete(_request())
+        backend.close()
     assert info.value.retry_after == 17.0
 
 
 def test_http_backend_transport_and_body_failures(monkeypatch):
     monkeypatch.setenv("SOME_KEY", "sekrit")
-    backend = HttpBackend(
-        "http://x", api_key_env="SOME_KEY",
-        session=_FakeSession([requests.Timeout("slow")]),
-    )
-    with pytest.raises(GatewayTimeout):
+    answer = (200, json.dumps(ANTHROPIC_BODY).encode(), {})
+    with _Provider([answer], sleep_s=0.5) as provider:
+        backend = _http_backend(provider.url(), timeout_s=0.2)
+        with pytest.raises(GatewayTimeout, match="no reply within 0.2s"):
+            backend.complete(_request())
+        # the connection that timed out is dropped; the next call opens another
+        provider.sleep_s = 0.0
+        assert backend.complete(_request()).text == "the answer"
+        assert provider.connections == 2
+        assert len(backend._open) == 1
+        backend.close()
+
+    with socket.socket() as unused:
+        unused.bind(("127.0.0.1", 0))
+        port = unused.getsockname()[1]
+    backend = _http_backend(f"http://127.0.0.1:{port}/v1/messages")
+    with pytest.raises(GatewayTimeout, match="transport failure"):
         backend.complete(_request())
-    backend = HttpBackend(
-        "http://x", api_key_env="SOME_KEY",
-        session=_FakeSession([requests.ConnectionError("refused")]),
-    )
-    with pytest.raises(GatewayTimeout):
-        backend.complete(_request())
-    backend = HttpBackend(
-        "http://x", api_key_env="SOME_KEY",
-        session=_FakeSession([_FakeReply(200, body=None, text="<html>oops</html>")]),
-    )
-    with pytest.raises(MalformedProviderReply):
-        backend.complete(_request())
+    assert not backend._open
+
+    with _Provider([(200, b"<html>oops</html>", {})]) as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(MalformedProviderReply):
+            backend.complete(_request())
+        backend.close()
+
+
+def test_http_backend_keeps_one_connection_per_thread(monkeypatch):
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    with _Provider([(200, json.dumps(ANTHROPIC_BODY).encode(), {})]) as provider:
+        backend = _http_backend(provider.url())
+        texts = []
+
+        def calls():
+            texts.extend(backend.complete(_request()).text for _ in range(5))
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(backend._open) == 2
+        backend.close()
+        assert not backend._open
+    assert texts == ["the answer"] * 10
+    assert len(provider.requests) == 10
+    assert provider.connections == 2
+
+
+def test_http_backend_resends_once_when_a_kept_connection_was_closed(monkeypatch):
+    """A provider that hangs up after each reply, without saying so, costs a
+    fresh connection per call and never a failed call (so never a backoff)."""
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    answer = (200, json.dumps(ANTHROPIC_BODY).encode(), {})
+    with _Provider([answer], close_after_reply=True) as provider:
+        backend = _http_backend(provider.url())
+        for _ in range(5):
+            assert backend.complete(_request()).text == "the answer"
+        backend.close()
+    assert len(provider.requests) == 5
+    assert provider.connections == 5
+
+
+def test_http_backend_sends_an_http_target_to_its_proxy_by_absolute_url(monkeypatch):
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    answer = (200, json.dumps(ANTHROPIC_BODY).encode(), {})
+    with _Provider([answer]) as proxy:
+        monkeypatch.setenv("http_proxy", proxy.url("").replace("//", "//us%40er:pw@"))
+        backend = _http_backend("http://provider.test:8080/v1/messages?beta=1")
+        assert backend.complete(_request()).text == "the answer"
+        backend.close()
+    [(method, target, headers, _)] = proxy.requests
+    assert (method, target) == ("POST", "http://provider.test:8080/v1/messages?beta=1")
+    assert headers["host"] == "provider.test:8080"
+    assert headers["proxy-authorization"] == "Basic " + base64.b64encode(b"us@er:pw").decode()
+
+    # a host in no_proxy is reached directly
+    with _Provider([answer]) as provider:
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        backend = _http_backend(provider.url())
+        assert backend.complete(_request()).text == "the answer"
+        backend.close()
+    [(_, target, headers, _)] = provider.requests
+    assert target == "/v1/messages"
+    assert "proxy-authorization" not in headers
+
+
+def test_http_backend_tunnels_an_https_target_through_its_proxy(monkeypatch):
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    with _Provider() as proxy:
+        monkeypatch.setenv("HTTPS_PROXY", proxy.url("").replace("//", "//user:pw@"))
+        backend = _http_backend("https://provider.test:8443/v1/messages")
+        with pytest.raises(GatewayTimeout, match="transport failure"):
+            backend.complete(_request())  # the proxy refuses the tunnel
+        assert not backend._open
+    [(method, target, headers, _)] = proxy.requests
+    assert (method, target) == ("CONNECT", "provider.test:8443")
+    assert headers["proxy-authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+
+
+def test_http_backend_rejects_urls_and_proxies_it_cannot_reach(monkeypatch):
+    """Both are ``TaskError``s, which ``searchbench run`` reports and exits 2 on."""
+    for url in ("ftp://provider.test/v1/messages", "http:///v1/messages"):
+        with pytest.raises(GatewayError, match="not an http"):
+            HttpBackend(url)
+    monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")
+    with pytest.raises(GatewayError, match="proxy"):
+        HttpBackend("https://provider.test/v1/messages")
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +1035,48 @@ def test_gateway_waiter_calls_again_when_the_call_in_flight_raises():
     assert len(errors) == 1 and replies == ["second"] * WAITERS
     assert len(backend.calls) == 2  # exactly one waiter called again
     assert gateway.cache_stats == {"hits": WAITERS - 1, "misses": 2, "entries": 1}
+
+
+@pytest.mark.parametrize("field", ["text", "thinking_text", "provider_meta"])
+def test_gateway_answers_a_surrogate_pair_as_a_warm_replay_reads_it(
+    tmp_path, sample_instances, field
+):
+    """JSON reads the escaped lone surrogates of ``"\\ud800\\udfff"`` back as
+    one code point, so a miss returns the response as the cache reloads it:
+    cold and warm runs see one text and judge it alike.  The cache line keeps
+    its bytes, and a response with no surrogate is returned as it came."""
+    instance = sample_instances[TaskKind.TRIP_PLANNING][0]
+    pair, joined = "\ud800\udfff", "\U000103ff"
+    answer = canonical_text(instance.payload, instance.ground_truth)
+    sent = BackendResponse(text=answer, completion_tokens=3)
+    if field == "provider_meta":
+        sent = dataclasses.replace(sent, provider_meta={"stop" + pair: [pair, 1]})
+    else:
+        sent = dataclasses.replace(sent, **{field: answer + pair})
+
+    class Fixed:
+        def __init__(self, response):
+            self.response = response
+
+        def complete(self, request):
+            return self.response
+
+    path = tmp_path / "cache.jsonl"
+    cold = ModelGateway(Fixed(sent), cache=ResponseCache(path)).complete(_request())
+    warm_gateway = ModelGateway(MockBackend(), cache=ResponseCache(path))
+    warm = warm_gateway.complete(_request())
+    assert warm_gateway.cache_stats == {"hits": 1, "misses": 0, "entries": 1}
+    assert cold == warm
+    assert evaluate(instance, cold.text)[1] == evaluate(instance, warm.text)[1]
+    if field == "provider_meta":
+        assert cold.provider_meta == {"stop" + joined: [joined, 1]}
+    else:
+        assert getattr(cold, field) == answer + joined
+    record = {"digest": _request().digest, "model": "m-1", "response": dataclasses.asdict(sent)}
+    assert path.read_bytes() == (json.dumps(record, sort_keys=True) + "\n").encode("ascii")
+
+    plain = BackendResponse(text=answer + "\u00e9\U0001f600", provider_meta={"k": "v"})
+    assert ModelGateway(Fixed(plain)).complete(_request()) is plain
 
 
 def test_gateway_threads_sharing_digests_call_each_once():
