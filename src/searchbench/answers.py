@@ -50,7 +50,7 @@ class ParseReport:
 def canonical_text(payload: Payload, solution: Solution) -> str:
     if solution.kind is not payload.kind:
         raise KindMismatchError(
-            f"solution kind {solution.kind} does not fit payload kind {payload.kind}"
+            f"solution kind {solution.kind.value} does not fit payload kind {payload.kind.value}"
         )
     if isinstance(solution, TripPlan):
         assert isinstance(payload, TripPayload)

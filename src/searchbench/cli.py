@@ -329,7 +329,7 @@ def build_backend(model: ModelConfig, instances: Sequence[ProblemInstance]):
     if model.backend == "oracle":
         return OracleBackend(instances)
     if model.backend == "mock":
-        return MockBackend(model.script or ("",))
+        return MockBackend(model.script)
     return HttpBackend(
         url=model.url,
         dialect=model.dialect,

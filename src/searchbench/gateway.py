@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
 
 from .answers import canonical_text
+from .prompts import TARGET_MARKER
 from .tasks import ProblemInstance, TaskError
 
 if TYPE_CHECKING:
@@ -104,8 +105,6 @@ class BackendResponse:
     latency_ms: int = 0
     provider_meta: Mapping[str, object] = field(default_factory=dict)
 
-
-TARGET_MARKER = "### Target Question ###"
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps of one str
 
@@ -355,26 +354,26 @@ RETRY_BASE_DELAY = 1.0
 
 def call_with_retries(
     fn: Callable[[], BackendResponse],
-    attempts: int = RETRY_ATTEMPTS,
-    base_delay: float = RETRY_BASE_DELAY,
     rng: random.Random | None = None,
     sleeper: Callable[[float], None] = time.sleep,
 ) -> BackendResponse:
-    """Retry transient failures with jittered exponential backoff.
+    """Retry transient failures with jittered exponential backoff: up to
+    ``RETRY_ATTEMPTS`` calls, the k-th wait ``RETRY_BASE_DELAY * 2**k``
+    times a jitter in [0.5, 1.5), or the provider's ``retry_after`` if longer.
 
     Only RateLimited and GatewayTimeout are retried; auth errors and
     malformed replies surface immediately.
     """
     rng = rng or random.Random()
     last: GatewayError | None = None
-    for attempt in range(attempts):
+    for attempt in range(RETRY_ATTEMPTS):
         try:
             return fn()
         except (RateLimited, GatewayTimeout) as err:
             last = err
-            if attempt == attempts - 1:
+            if attempt == RETRY_ATTEMPTS - 1:
                 break
-            delay = base_delay * (2 ** attempt) * (0.5 + rng.random())
+            delay = RETRY_BASE_DELAY * (2 ** attempt) * (0.5 + rng.random())
             if isinstance(err, RateLimited) and err.retry_after:
                 delay = max(delay, err.retry_after)
             sleeper(delay)
@@ -653,7 +652,8 @@ class HttpBackend:
 
 
 class MockBackend:
-    """Scripted backend: pops replies in order, repeating the last one.
+    """Scripted backend: pops replies in order, repeating the last one; an
+    empty script answers ``""``.
 
     ``script`` may also be a callable mapping the request to reply text.
     Every request is recorded in ``calls``.
@@ -661,7 +661,7 @@ class MockBackend:
 
     def __init__(
         self,
-        script: Sequence[str] | Callable[[BackendRequest], str] = ("",),
+        script: Sequence[str] | Callable[[BackendRequest], str] = (),
     ) -> None:
         self._fn = script if callable(script) else None
         self._queue = list(script) if not callable(script) else []
@@ -741,16 +741,12 @@ class ModelGateway:
         backend: Backend,
         cache: ResponseCache | None = None,
         rate_limiter: RateLimiter | None = None,
-        attempts: int = RETRY_ATTEMPTS,
-        base_delay: float = RETRY_BASE_DELAY,
         rng: random.Random | None = None,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
         self.backend = backend
         self.cache = cache if cache is not None else ResponseCache()
         self.rate_limiter = rate_limiter or RateLimiter(0)
-        self.attempts = attempts
-        self.base_delay = base_delay
         self._rng = rng or random.Random()
         self._sleeper = sleeper
         self._stats_lock = threading.Lock()
@@ -778,13 +774,7 @@ class ModelGateway:
             return self.backend.complete(request)
 
         try:
-            response = call_with_retries(
-                attempt,
-                attempts=self.attempts,
-                base_delay=self.base_delay,
-                rng=self._rng,
-                sleeper=self._sleeper,
-            )
+            response = call_with_retries(attempt, rng=self._rng, sleeper=self._sleeper)
             if _holds_surrogate(response):  # answer with what a warm replay will read
                 encoded = json.dumps(_response_to_json(response), sort_keys=True)
                 response = _response_from_json(json.loads(encoded))

@@ -25,7 +25,7 @@ within a depth.  Direct and CoT bodies have nothing to elide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby
 from typing import Sequence
@@ -81,7 +81,6 @@ class PromptBundle:
     exemplar_ids: tuple[str, ...]
     body: str
     target_id: str
-    round_index: int = 0
 
 
 DIRECT_SHOT_COUNT = 5
@@ -631,7 +630,9 @@ def _exemplar(
 # ---------------------------------------------------------------------------
 
 
-_TARGET_HEADER = "Question:\n\n### Target Question ###\n"
+#: Ends the exemplar half of every body; the target's statement follows it.
+TARGET_MARKER = "### Target Question ###"
+_TARGET_HEADER = f"Question:\n\n{TARGET_MARKER}\n"
 
 
 class Shots:
@@ -757,20 +758,14 @@ REFINE_INSTRUCTION = (
 )
 
 
-def render_refine(previous: PromptBundle, previous_text: str) -> PromptBundle:
-    """The follow-up message for one refinement round.
+def render_refine(previous_text: str) -> str:
+    """The follow-up user message of one refinement round.
 
     Refinement is verdict-blind: nothing of the previous verdict reaches the
     prompt — the model must find mistakes on its own.
     """
     quoted = previous_text.strip() or EMPTY_ANSWER_PLACEHOLDER
-    body = (
-        "Your previous answer was:\n\n<<<\n"
-        + quoted
-        + "\n>>>\n\n"
-        + REFINE_INSTRUCTION
-    )
-    return replace(previous, body=body, round_index=previous.round_index + 1)
+    return "Your previous answer was:\n\n<<<\n" + quoted + "\n>>>\n\n" + REFINE_INSTRUCTION
 
 
 def default_exemplars(

@@ -121,7 +121,6 @@ class RunReport:
 
 def aggregate(
     outcomes: Iterable[RunOutcome],
-    run_meta: Mapping[str, object] | None = None,
     expected_per_cell: int | None = None,
 ) -> RunReport:
     """Group outcomes into cells; count an outcome once per cell.
@@ -156,11 +155,7 @@ def aggregate(
                 f"{cell.total} of {expected_per_cell} instances"
             )
     cells.sort(key=AblationCell.sort_key)
-    return RunReport(
-        cells=tuple(cells),
-        run_meta=dict(run_meta or {}),
-        incomplete=tuple(incomplete),
-    )
+    return RunReport(cells=tuple(cells), incomplete=tuple(incomplete))
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,12 @@ _SPEC_RE = re.compile(r"^(ws|ps|ss|is)(?::(\d+))?$")
 
 @dataclass(frozen=True)
 class ScalingStrategy:
-    """One parsed strategy: the kind plus its single numeric knob."""
+    """One parsed strategy: the kind plus its one number ``arg``, the
+    ``:N`` of the spec: samples for ``ps``, rounds for ``ss``, the thinking
+    budget for ``is`` (None for no budget and for ``ws``)."""
 
     kind: ScalingKind
-    n: int = 1
-    rounds: int = 1
-    thinking_budget: int | None = None
+    arg: int | None = None
 
     @classmethod
     def parse(cls, spec: str) -> "ScalingStrategy":
@@ -68,31 +68,21 @@ class ScalingStrategy:
             )
         kind = ScalingKind(match.group(1))
         arg = int(match.group(2)) if match.group(2) else None
-        if kind is ScalingKind.NO_SCALING:
-            if arg is not None:
-                raise ScalingSpecError("ws takes no argument")
-            return cls(kind)
+        if kind is ScalingKind.NO_SCALING and arg is not None:
+            raise ScalingSpecError("ws takes no argument")
         if kind is ScalingKind.PARALLEL:
-            n = arg if arg is not None else 3
-            if n < 1:
+            arg = 3 if arg is None else arg
+            if arg < 1:
                 raise ScalingSpecError("ps needs at least one sample")
-            return cls(kind, n=n)
-        if kind is ScalingKind.SEQUENTIAL:
-            rounds = arg if arg is not None else 1
-            if rounds < 1:
+        elif kind is ScalingKind.SEQUENTIAL:
+            arg = 1 if arg is None else arg
+            if arg < 1:
                 raise ScalingSpecError("ss needs at least one refinement round")
-            return cls(kind, rounds=rounds)
         # ``is:0`` sets no budget, so it is the same cell and request as ``is``.
-        return cls(kind, thinking_budget=arg or None)
+        return cls(kind, arg or None)
 
     def format(self) -> str:
-        if self.kind is ScalingKind.PARALLEL:
-            return f"ps:{self.n}"
-        if self.kind is ScalingKind.SEQUENTIAL:
-            return f"ss:{self.rounds}"
-        if self.kind is ScalingKind.INTERNAL and self.thinking_budget:
-            return f"is:{self.thinking_budget}"
-        return self.kind.value
+        return f"{self.kind.value}:{self.arg}" if self.arg else self.kind.value
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.format()
@@ -101,9 +91,9 @@ class ScalingStrategy:
     def max_calls(self) -> int:
         """How many backend calls one unit of this strategy can make."""
         if self.kind is ScalingKind.PARALLEL:
-            return self.n
+            return self.arg
         if self.kind is ScalingKind.SEQUENTIAL:
-            return self.rounds + 1
+            return self.arg + 1
         return 1
 
     @property
@@ -152,14 +142,15 @@ def _request(
     messages: tuple[tuple[str, str], ...],
     sample_index: int = 0,
 ) -> BackendRequest:
+    internal = strategy.kind is ScalingKind.INTERNAL
     return BackendRequest(
         model=model,
         system_text=bundle.system_text,
         messages=messages,
         temperature=TEMPERATURES[strategy.kind],
         max_tokens=max_tokens,
-        thinking=strategy.kind is ScalingKind.INTERNAL,
-        thinking_budget=strategy.thinking_budget,
+        thinking=internal,
+        thinking_budget=strategy.arg if internal else None,
         sample_index=sample_index,
     )
 
@@ -212,29 +203,22 @@ def execute(
     base_messages = (("user", bundle.body),)
     unexpected_error = False
     try:
-        if strategy.kind is ScalingKind.PARALLEL:
-            final = None
-            for i in range(strategy.n):
-                attempt = call(base_messages, round_index=0, sample_index=i)
-                if final is None and attempt.verdict.status is VerdictStatus.SUCCESS:
-                    final = attempt.verdict
-            if final is None:
-                final = attempts[-1].verdict
-        elif strategy.kind is ScalingKind.SEQUENTIAL:
-            attempt = call(base_messages, round_index=0)
-            history = list(base_messages)
-            current_bundle = bundle
-            while (
-                attempt.verdict.status is not VerdictStatus.SUCCESS
-                and attempt.round_index < strategy.rounds
-            ):
-                history.append(("assistant", attempt.text))
-                current_bundle = render_refine(current_bundle, attempt.text)
-                history.append(("user", current_bundle.body))
-                attempt = call(tuple(history), round_index=current_bundle.round_index)
+        if strategy.kind is ScalingKind.SEQUENTIAL:
+            messages = base_messages
+            for round_index in range(strategy.max_calls):
+                if round_index:  # replay the conversation and ask for a re-check
+                    messages += (("assistant", attempt.text), ("user", render_refine(attempt.text)))
+                attempt = call(messages, round_index=round_index)
+                if attempt.verdict.status is VerdictStatus.SUCCESS:
+                    break
             final = attempt.verdict
-        else:  # NO_SCALING and INTERNAL: a single call
-            final = call(base_messages, round_index=0).verdict
+        else:  # ws, is and ps: independent samples of the first turn
+            for sample_index in range(strategy.max_calls):
+                call(base_messages, round_index=0, sample_index=sample_index)
+            final = next(
+                (a.verdict for a in attempts if a.verdict.status is VerdictStatus.SUCCESS),
+                attempts[-1].verdict,
+            )
     except TaskError as err:
         attempts.clear()
         final = Verdict(VerdictStatus.BACKEND_ERROR, reason=str(err))

@@ -290,9 +290,9 @@ class ProblemInstance:
 
     def __post_init__(self) -> None:
         if self.payload.kind is not self.kind:
-            raise KindMismatchError(f"payload kind {self.payload.kind} != {self.kind}")
+            raise KindMismatchError(f"payload kind {self.payload.kind.value} != {self.kind.value}")
         if self.ground_truth.kind is not self.kind:
-            raise KindMismatchError(f"ground truth kind {self.ground_truth.kind} != {self.kind}")
+            raise KindMismatchError(f"ground truth kind {self.ground_truth.kind.value} != {self.kind.value}")
 
     @functools.cached_property
     def statement(self) -> str:

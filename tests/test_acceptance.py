@@ -275,10 +275,10 @@ def test_08_scaling_contracts_hold_over_randomized_logs():
             plan = [rng.random() < 0.5]
         elif pick == 1:
             strategy = ScalingStrategy.parse(f"ps:{rng.randint(1, 4)}")
-            plan = [rng.random() < 0.4 for _ in range(strategy.n)]
+            plan = [rng.random() < 0.4 for _ in range(strategy.arg)]
         elif pick == 2:
             strategy = ScalingStrategy.parse(f"ss:{rng.randint(1, 3)}")
-            plan = [rng.random() < 0.4 for _ in range(strategy.rounds + 1)]
+            plan = [rng.random() < 0.4 for _ in range(strategy.arg + 1)]
         else:
             strategy = ScalingStrategy.parse("is")
             plan = [rng.random() < 0.5]
@@ -295,13 +295,13 @@ def test_08_scaling_contracts_hold_over_randomized_logs():
 
         if strategy.kind is ScalingKind.PARALLEL:
             # any-correct: success iff at least one of the n samples verifies
-            assert len(outcome.attempts) == strategy.n
+            assert len(outcome.attempts) == strategy.arg
             assert outcome.success == any(plan)
         elif strategy.kind is ScalingKind.SEQUENTIAL:
             # early stop: calls run only until the first verified round
             first_good = plan.index(True) if True in plan else None
             expected_calls = (
-                first_good + 1 if first_good is not None else strategy.rounds + 1
+                first_good + 1 if first_good is not None else strategy.arg + 1
             )
             assert len(backend.calls) == expected_calls
             assert outcome.success == (first_good is not None)

@@ -16,6 +16,7 @@ from searchbench.generate import GenSpec, generate
 from searchbench.tasks import (
     CoverSet,
     Friend,
+    KindMismatchError,
     Matching,
     Meeting,
     MeetingPayload,
@@ -293,6 +294,23 @@ _ALICE = _hand_built(
     ),
     MeetingSchedule(meetings=(Meeting("Alice", "Chinatown", 600, 630),)),
 )
+
+
+def test_meeting_parse_reads_12_am_and_takes_a_missing_place_from_the_friend():
+    report = parse_answer(_ALICE.payload, "Meet Alice from 12:15 AM to 12:45 AM.")
+    assert report.candidate == MeetingSchedule(meetings=(Meeting("Alice", "Chinatown", 15, 45),))
+
+
+def test_kind_guards_name_the_kinds_by_value(reference_trip):
+    cover = CoverSet(vertices=frozenset({0}))
+    with pytest.raises(KindMismatchError) as info:
+        canonical_text(reference_trip.payload, cover)
+    assert str(info.value) == "solution kind VertexCover does not fit payload kind TripPlanning"
+    with pytest.raises(KindMismatchError) as info:
+        verify(reference_trip, cover)
+    assert str(info.value) == (
+        "candidate kind VertexCover does not match instance kind TripPlanning"
+    )
 
 
 @pytest.mark.parametrize("instance, answer, status, reason", [

@@ -11,7 +11,7 @@ import pytest
 
 from searchbench import __version__, cli, prompts, scaling
 from searchbench.answers import canonical_text
-from searchbench.gateway import MockBackend, ModelGateway
+from searchbench.gateway import MockBackend, ModelGateway, ResponseCache
 from searchbench.generate import GenSpec, generate
 from searchbench.cli import (
     ConfigError,
@@ -149,6 +149,20 @@ def test_config_rejects_bad_documents(doc, fragment):
     with pytest.raises(ConfigError) as info:
         config_from_dict(doc)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (["not", "an", "object"], "config root: expected an object"),
+        ({"models": ["oracle"]}, "models[0]: expected an object"),
+        ({"models": [ORACLE], "matrix": [["CoT", 3]]}, "matrix[0]: strategy 3 is not a string"),
+    ],
+)
+def test_config_rejects_documents_of_the_wrong_shape(doc, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(doc)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -774,6 +788,15 @@ def test_cmd_run_seed_and_out_overrides(tmp_path):
     assert {r["instance_id"] for r in records} == {
         "TripPlanning-L3-s5", "TripPlanning-L3-s6",
     }
+
+
+def test_cmd_run_cache_override(tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_doc(tmp_path)), encoding="utf-8")
+    override = tmp_path / "elsewhere" / "replies.jsonl"
+    assert main(["run", "--config", str(config_path), "--cache", str(override)]) == 0
+    assert len(ResponseCache(override)) > 0
+    assert not (tmp_path / "cache.jsonl").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -34,6 +34,8 @@ from searchbench.gateway import (
     RateLimited,
     RateLimiter,
     ResponseCache,
+    RETRY_ATTEMPTS,
+    RETRY_BASE_DELAY,
     TARGET_MARKER,
     call_with_retries,
     canonical_digest,
@@ -354,6 +356,20 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert reloaded.get(canonical_digest(other)).text == "also good"
 
 
+def test_cache_passes_over_blank_lines_without_counting_them(tmp_path):
+    path = tmp_path / "replies.jsonl"
+    request = _request()
+    ResponseCache(path).put(request.digest, request, BackendResponse(text="good"))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("\n   \n")
+    other = _request(model="m-2")
+    ResponseCache(path).put(other.digest, other, BackendResponse(text="also good"))
+
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 0
+    assert [reloaded.get(r.digest).text for r in (request, other)] == ["good", "also good"]
+
+
 def test_cache_skips_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "replies.jsonl"
     cache = ResponseCache(path)
@@ -570,13 +586,20 @@ def test_retries_honour_retry_after_floor():
 
 
 def test_retries_exhaust_and_reraise():
+    calls = []
+
     def always():
+        calls.append(1)
         raise GatewayTimeout("down")
 
     sleeps = []
     with pytest.raises(GatewayTimeout):
-        call_with_retries(always, attempts=4, rng=random.Random(2), sleeper=sleeps.append)
-    assert len(sleeps) == 3
+        call_with_retries(always, rng=random.Random(2), sleeper=sleeps.append)
+    assert len(calls) == RETRY_ATTEMPTS == 5
+    assert len(sleeps) == RETRY_ATTEMPTS - 1
+    for k, delay in enumerate(sleeps):  # a 1 s base, doubled each time, jittered by 0.5-1.5
+        assert RETRY_BASE_DELAY * 2 ** k * 0.5 <= delay < RETRY_BASE_DELAY * 2 ** k * 1.5
+    assert RETRY_BASE_DELAY == 1.0
 
 
 @pytest.mark.parametrize("error", [AuthError("no"), MalformedProviderReply("bad")])
@@ -726,6 +749,17 @@ def test_http_backend_extracts_retry_after(monkeypatch):
             backend.complete(_request())
         backend.close()
     assert info.value.retry_after == 17.0
+
+
+def test_http_backend_reads_a_retry_after_date_as_none(monkeypatch):
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    date = {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}
+    with _Provider([(429, b"slow down", date)]) as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(RateLimited) as info:
+            backend.complete(_request())
+        backend.close()
+    assert info.value.retry_after is None
 
 
 def test_http_backend_transport_and_body_failures(monkeypatch):
@@ -895,11 +929,10 @@ def test_oracle_reads_first_user_message_in_refine_history(sample_instances):
     oracle = OracleBackend(instances)
     inst = instances[0]
     bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
-    follow = render_refine(bundle, "a wrong first attempt")
     history = (
         ("user", bundle.body),
         ("assistant", "a wrong first attempt"),
-        ("user", follow.body),
+        ("user", render_refine("a wrong first attempt")),
     )
     reply = oracle.complete(_request(messages=history))
     assert "Here is" in reply.text

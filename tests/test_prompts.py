@@ -10,6 +10,7 @@ from searchbench.prompts import (
     ExemplarTargetOverlap,
     PromptError,
     PromptMode,
+    REFINE_INSTRUCTION,
     Shots,
     TraceNotSuccessful,
     WrongTraceMode,
@@ -21,7 +22,7 @@ from searchbench.prompts import (
     statement_text,
 )
 from searchbench.solver import SearchMode, solve, solve_payload
-from searchbench.tasks import ProblemInstance, TaskKind, ThreeDMPayload
+from searchbench.tasks import MeetingPayload, ProblemInstance, TaskKind, ThreeDMPayload
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 
@@ -74,7 +75,6 @@ def test_direct_bundle_fields(reference_trip):
     exemplars = default_exemplars(reference_trip.kind, PromptMode.DIRECT)
     bundle = render(reference_trip, PromptMode.DIRECT, exemplars)
     assert bundle.mode is PromptMode.DIRECT
-    assert bundle.round_index == 0
     assert bundle.target_id == reference_trip.id
     assert len(bundle.exemplar_ids) == 5
     assert all(f"L{EXEMPLAR_LEVEL}" in ex_id for ex_id in bundle.exemplar_ids)
@@ -111,6 +111,15 @@ def test_statement_phrasing_is_fixed():
         f"Find a trip plan of visiting the cities for {days} days "
         "by taking direct flights to commute between them."
     )
+
+
+def test_statements_say_none_for_an_empty_list():
+    assert "Here are the available triples:\nnone.\n" in statement_text(ThreeDMPayload(1, ()))
+    friendless = MeetingPayload(
+        locations=("Bayview",), start_location="Bayview", day_start=540,
+        travel_minutes={}, friends=(),
+    )
+    assert "Here are the travel times in minutes:\nnone.\n" in statement_text(friendless)
 
 
 def test_exemplar_solution_parses_back():
@@ -171,6 +180,14 @@ def test_kind_and_count_mismatches_rejected(reference_trip):
     aot = Shots(PromptMode.AOT, default_exemplars(reference_trip.kind, PromptMode.AOT))
     with pytest.raises(PromptError):
         render(reference_trip, PromptMode.COT, aot)
+
+
+def test_a_trace_of_another_kind_is_rejected(reference_trip):
+    ex = exemplar_instance(reference_trip.kind, 0)
+    other = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=1))
+    with pytest.raises(PromptError) as info:
+        Shots(PromptMode.AOT, [(ex, solve(other, SearchMode.DFS))])
+    assert str(info.value) == f"trace kind VertexCover does not match {ex.id}"
 
 
 # ---------------------------------------------------------------------------
@@ -320,25 +337,16 @@ def test_one_city_trip_section_is_the_accepting_search(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_render_refine_quotes_and_increments(reference_trip):
-    first = render(
-        reference_trip, PromptMode.COT, default_exemplars(reference_trip.kind, PromptMode.COT)
-    )
+def test_render_refine_quotes_and_increments():
+    """The follow-up quotes the answer; ``execute`` numbers the rounds
+    (``test_scaling.py``'s ``[0, 1, 2]`` round assertions)."""
     answer = "**Day 1-4:** Visit Edinburgh for 4 days."
-    follow = render_refine(first, answer)
-    assert follow.round_index == 1
-    assert answer in follow.body
-    assert "<<<" in follow.body and ">>>" in follow.body
-    assert "review the original question" in follow.body
-    assert follow.system_text == first.system_text
-    assert follow.target_id == first.target_id
-    third = render_refine(follow, "still wrong")
-    assert third.round_index == 2
+    follow = render_refine(f"  {answer}\n")
+    assert follow == f"Your previous answer was:\n\n<<<\n{answer}\n>>>\n\n{REFINE_INSTRUCTION}"
+    assert "review the original question" in follow
+    assert render_refine("still wrong") != follow
 
 
-def test_render_refine_empty_previous_uses_placeholder(reference_trip):
-    first = render(
-        reference_trip, PromptMode.DIRECT, default_exemplars(reference_trip.kind, PromptMode.DIRECT)
-    )
-    follow = render_refine(first, "   \n  ")
-    assert "no plan was produced" in follow.body
+def test_render_refine_empty_previous_uses_placeholder():
+    follow = render_refine("   \n  ")
+    assert "<<<\nno plan was produced\n>>>" in follow

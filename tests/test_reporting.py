@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -270,8 +271,8 @@ def test_emit_writes_all_artifacts(tmp_path):
     for strategy in ("ws", "ps:3", "ss:1", "is"):
         for mode in PromptMode:
             outcomes += _fill(TaskKind.TRIP_PLANNING, mode, strategy, 1, 2)
-    report = aggregate(
-        outcomes, run_meta={"level": 10, "started_at": "2026-01-01T00:00:00Z"}
+    report = dataclasses.replace(
+        aggregate(outcomes), run_meta={"level": 10, "started_at": "2026-01-01T00:00:00Z"}
     )
     paths = emit(report, tmp_path / "out")
     assert paths["report"].read_text(encoding="utf-8").startswith("# Success-rate ablation")
@@ -287,11 +288,18 @@ def test_emit_writes_all_artifacts(tmp_path):
     assert all(r.endswith(",0.5") for r in rows[1:])
 
 
+def test_emit_writes_incomplete_cells_to_run_meta(tmp_path):
+    outcomes = _fill(TaskKind.VERTEX_COVER, PromptMode.AOT, "is", 1, 2)
+    paths = emit(aggregate(outcomes, expected_per_cell=3), tmp_path / "out")
+    meta = json.loads(paths["run_meta"].read_text(encoding="utf-8"))
+    assert meta == {"incomplete_cells": ["VertexCover/L10/m/AoT/is: 2 of 3 instances"]}
+
+
 def test_emit_is_deterministic_apart_from_meta(tmp_path):
     outcomes = _fill(TaskKind.VERTEX_COVER, PromptMode.AOT, "is", 3, 4)
     for name, meta in (("a", {"level": 4, "duration_s": 1.23}),
                        ("b", {"level": 4, "duration_s": 9.87})):
-        emit(aggregate(outcomes, run_meta=meta), tmp_path / name)
+        emit(dataclasses.replace(aggregate(outcomes), run_meta=meta), tmp_path / name)
     read = lambda n, f: (tmp_path / n / f).read_text(encoding="utf-8")
     assert read("a", "report.md") == read("b", "report.md")
     assert read("a", "cells.csv") == read("b", "cells.csv")

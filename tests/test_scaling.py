@@ -58,11 +58,14 @@ def _right(inst):
     ],
 )
 def test_parse_specs(spec, kind, n, rounds, budget):
+    """A spec stands for ``n`` samples, ``rounds`` refinement rounds and a
+    thinking ``budget``; the strategy keeps only its kind's number, as ``arg``."""
     strategy = ScalingStrategy.parse(spec)
     assert strategy.kind is kind
-    assert strategy.n == n
-    assert strategy.rounds == rounds
-    assert strategy.thinking_budget == budget
+    assert strategy.arg == {ScalingKind.PARALLEL: n, ScalingKind.SEQUENTIAL: rounds}.get(
+        kind, budget
+    )
+    assert strategy.max_calls == n + (rounds if kind is ScalingKind.SEQUENTIAL else 0)
 
 
 @pytest.mark.parametrize("spec", ["", "xx", "ws:2", "ps:0", "ss:0", "ps:-1", "ps:a", "ps:"])
@@ -83,7 +86,7 @@ def test_format_round_trips():
 def test_is_0_is_the_is_cell_and_request(trip_cell):
     _, bundle = trip_cell
     zero, plain = ScalingStrategy.parse("is:0"), ScalingStrategy.parse("is")
-    assert zero == plain and zero.thinking_budget is None
+    assert zero == plain and zero.arg is None
     messages = (("user", bundle.body),)
     requests = [_request(bundle, "m", s, 4096, messages) for s in (zero, plain)]
     assert canonical_digest(requests[0]) == canonical_digest(requests[1])
@@ -220,6 +223,25 @@ def test_sequential_exhausts_rounds(trip_cell):
     assert len(backend.calls) == 3  # initial + two refinement rounds
     # every later round replays the whole conversation so far
     assert len(backend.calls[2].messages) == 5
+
+
+@pytest.mark.parametrize(
+    "spec, calls",
+    [("ws", 1), ("ps:1", 1), ("ps:4", 4), ("ss:1", 2), ("ss:3", 4), ("is", 1), ("is:512", 1)],
+)
+def test_max_calls_is_what_a_failing_unit_spends(trip_cell, spec, calls):
+    """``--dry-run``'s ``max_backend_calls`` reads ``max_calls``."""
+    inst, bundle = trip_cell
+    strategy = ScalingStrategy.parse(spec)
+    wrong = MockBackend(["no usable plan here"])
+    outcome = execute(ModelGateway(wrong), inst, bundle, strategy, model="m")
+    assert not outcome.success
+    assert len(outcome.attempts) == strategy.max_calls == len(wrong.calls) == calls
+    right = MockBackend([_right(inst)])
+    outcome = execute(ModelGateway(right), inst, bundle, strategy, model="m")
+    assert outcome.success
+    expected = 1 if strategy.kind is ScalingKind.SEQUENTIAL else strategy.max_calls
+    assert len(outcome.attempts) == expected == len(right.calls)
 
 
 def test_sequential_temperature_and_thinking_off(trip_cell):

@@ -128,6 +128,20 @@ def test_greedy_on_unsolvable_payloads_keeps_only_the_initialization(
         _protocol_checks(greedy)
 
 
+def test_cover_search_prunes_both_root_children_on_a_zero_budget():
+    payload = VertexCoverPayload(2, ((0, 1),), 0)
+    dfs = solve_payload(payload, SearchMode.DFS)
+    assert [(e.action, e.reason, e.move) for e in dfs.events] == [
+        (Action.INITIALIZATION, "", ""),
+        (Action.PRUNE, "budget", "V0"),
+        (Action.PRUNE, "budget", "V1"),
+    ]
+    assert {e.state_summary for e in dfs.events[1:]} == {"size budget 0 exhausted"}
+    assert dfs.solution is None and not dfs.succeeded
+    greedy = solve_payload(payload, SearchMode.GREEDY)
+    assert greedy.events == dfs.events[:1] and greedy.solution is None
+
+
 def test_replay_reconstructs_trip_solution(reference_trip):
     trace = solve(reference_trip, SearchMode.DFS)
     assert [e.move for e in success_path(trace)] == [

@@ -40,7 +40,7 @@ def test_payload_and_solution_kinds_agree(sample_instances):
 def test_instance_rejects_mismatched_kind(sample_instances):
     trip = sample_instances[TaskKind.TRIP_PLANNING][0]
     cover = sample_instances[TaskKind.VERTEX_COVER][0]
-    with pytest.raises(KindMismatchError):
+    with pytest.raises(KindMismatchError) as info:
         ProblemInstance(
             id="bad",
             kind=TaskKind.TRIP_PLANNING,
@@ -49,6 +49,10 @@ def test_instance_rejects_mismatched_kind(sample_instances):
             payload=trip.payload,
             ground_truth=cover.ground_truth,
         )
+    assert str(info.value) == "ground truth kind VertexCover != TripPlanning"
+    with pytest.raises(KindMismatchError) as info:
+        dataclasses.replace(trip, payload=cover.payload)
+    assert str(info.value) == "payload kind VertexCover != TripPlanning"
 
 
 def test_payloads_are_immutable(sample_instances):
