@@ -38,7 +38,6 @@ from .tasks import (
 @dataclass(frozen=True)
 class ParseReport:
     candidate: Solution | None
-    matched_lines: tuple[str, ...]
     failure_reason: str = ""
 
 
@@ -132,26 +131,13 @@ def _clean(line: str) -> str:
     return line.replace("**", "").strip()
 
 
-def _lowered(vocabulary: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(name.lower() for name in vocabulary)
-
-
-def _match_vocab(
-    raw: str, vocabulary: tuple[str, ...], lowered: tuple[str, ...] | None = None
-) -> str | None:
+def _match_vocab(raw: str, vocabulary: tuple[str, ...]) -> str | None:
     """Earliest, then longest, then smallest vocabulary name found inside
-    ``raw`` case-insensitively with no ASCII letter glued to either side.
-    ``lowered`` is ``_lowered(vocabulary)``, so a caller matching many lines
-    against one vocabulary lower-cases it once."""
+    ``raw`` case-insensitively with no ASCII letter glued to either side."""
     low = raw.lower()
-    lowered = lowered or _lowered(vocabulary)
-    if low.isascii() and lowered.count(low) == 1:
-        # The one name spelled ``low`` is found at 0 and is as long as ``low``
-        # (only the Kelvin sign lower-cases into ASCII, one letter to one),
-        # so no other name can beat it.
-        return vocabulary[lowered.index(low)]
     best: tuple[int, int, str] | None = None
-    for name, needle in zip(vocabulary, lowered):
+    for name in vocabulary:
+        needle = name.lower()
         at = low.find(needle)
         while at >= 0:
             end = at + len(needle)
@@ -165,8 +151,7 @@ def _match_vocab(
 
 
 def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
-    hits: list[tuple[int, int, str, str]] = []
-    cities = _lowered(payload.cities)
+    hits: list[tuple[int, int, str]] = []
     for line in text.splitlines():
         cleaned = _clean(line)
         if not cleaned or "fly from" in cleaned.lower():
@@ -176,39 +161,35 @@ def _parse_trip(text: str, payload: TripPayload) -> ParseReport:
             continue
         day_from, day_to, rest = m.groups()
         day_from, day_to = int(day_from), int(day_to)
-        city = _match_vocab(rest, payload.cities, cities)
+        city = _match_vocab(rest, payload.cities)
         if city is None:
             continue
-        hits.append((day_from, day_to, city, line.rstrip()))
+        hits.append((day_from, day_to, city))
     if not hits:
-        return ParseReport(None, (), "no day-range itinerary lines found")
+        return ParseReport(None, "no day-range itinerary lines found")
     # Last answer wins: a restated plan begins again at day 1.
     start = 0
-    for i, (day_from, _, _, _) in enumerate(hits):
+    for i, (day_from, _, _) in enumerate(hits):
         if day_from == 1 and i > 0:
             start = i
-    block = hits[start:]
-    legs = tuple(
-        TripLeg(city=c, day_from=a, day_to=b) for a, b, c, _ in block
-    )
-    return ParseReport(TripPlan(legs=legs), tuple(raw for *_, raw in block))
+    legs = tuple(TripLeg(city=c, day_from=a, day_to=b) for a, b, c in hits[start:])
+    return ParseReport(TripPlan(legs=legs))
 
 
 def _parse_cover(text: str) -> ParseReport:
-    best: tuple[list[int], str] | None = None
+    best: list[int] | None = None
     for m in _VERTEX_GROUP.finditer(text):
         tokens = _VERTEX_TOKEN.findall(m.group(1))
         if tokens:
-            best = ([int(t) for t in tokens], m.group(0))
+            best = [int(t) for t in tokens]
     if best is None:
         for line in text.splitlines():
             lm = _VERTEX_LINE.match(_clean(line))
             if lm:
-                best = ([int(t) for t in _VERTEX_TOKEN.findall(lm.group(1))], line.rstrip())
+                best = [int(t) for t in _VERTEX_TOKEN.findall(lm.group(1))]
     if best is None:
-        return ParseReport(None, (), "no bracketed or comma-separated vertex list found")
-    vertices, raw = best
-    return ParseReport(CoverSet(vertices=frozenset(vertices)), (raw,))
+        return ParseReport(None, "no bracketed or comma-separated vertex list found")
+    return ParseReport(CoverSet(vertices=frozenset(best)))
 
 
 def _last_run(lines: list[str], hits: list[tuple]) -> list[tuple]:
@@ -224,20 +205,17 @@ def _last_run(lines: list[str], hits: list[tuple]) -> list[tuple]:
 
 def _parse_threedm(text: str) -> ParseReport:
     lines = text.splitlines()
-    hits: list[tuple[int, list, str]] = []
+    hits: list[tuple[int, list]] = []
     for idx, line in enumerate(lines):
         triples = [
             (int(x), int(y), int(z)) for x, y, z in _TRIPLE.findall(line)
         ]
         if triples:
-            hits.append((idx, triples, line.rstrip()))
+            hits.append((idx, triples))
     if not hits:
-        return ParseReport(None, (), "no (x, y, z) triples found")
-    block = _last_run(lines, hits)
-    triples = frozenset(t for _, ts, _ in block for t in ts)
-    return ParseReport(
-        Matching(triples=triples), tuple(raw for _, _, raw in block)
-    )
+        return ParseReport(None, "no (x, y, z) triples found")
+    triples = frozenset(t for _, ts in _last_run(lines, hits) for t in ts)
+    return ParseReport(Matching(triples=triples))
 
 
 def _to_minutes(hours: int, minutes: int, meridian: str | None) -> int:
@@ -253,10 +231,8 @@ def _to_minutes(hours: int, minutes: int, meridian: str | None) -> int:
 def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
     lines = text.splitlines()
     names = tuple(f.name for f in payload.friends)
-    names_low = _lowered(names)
-    locations = _lowered(payload.locations)
     friends = payload.friends_by_name()
-    hits: list[tuple[int, Meeting, str]] = []
+    hits: list[tuple[int, Meeting]] = []
     for idx, line in enumerate(lines):
         m = _MEETING.search(_clean(line))
         if not m:
@@ -265,25 +241,19 @@ def _parse_meeting(text: str, payload: MeetingPayload) -> ParseReport:
         location = (location or "").strip().rstrip(".,")
         start = _to_minutes(int(h1), int(m1), meridian1)
         end = _to_minutes(int(h2), int(m2), meridian2)
-        snapped = _match_vocab(name, names, names_low)
+        snapped = _match_vocab(name, names)
         if snapped:
             name = snapped
         friend = friends.get(name.lower())
-        snapped_loc = _match_vocab(location, payload.locations, locations) if location else None
+        snapped_loc = _match_vocab(location, payload.locations) if location else None
         if snapped_loc:
             location = snapped_loc
         elif not location and friend is not None:
             location = friend.location
-        hits.append(
-            (idx, Meeting(friend=name, location=location, start=start, end=end), line.rstrip())
-        )
+        hits.append((idx, Meeting(friend=name, location=location, start=start, end=end)))
     if not hits:
-        return ParseReport(None, (), "no meeting lines found")
-    block = _last_run(lines, hits)
-    return ParseReport(
-        MeetingSchedule(meetings=tuple(m for _, m, _ in block)),
-        tuple(raw for _, _, raw in block),
-    )
+        return ParseReport(None, "no meeting lines found")
+    return ParseReport(MeetingSchedule(meetings=tuple(m for _, m in _last_run(lines, hits))))
 
 
 def parse_answer(payload: Payload, text: str) -> ParseReport:
@@ -302,7 +272,7 @@ def parse_answer(payload: Payload, text: str) -> ParseReport:
             return _parse_threedm(text)
         return _parse_meeting(text, payload)
     except ValueError:  # the parsers' only ValueError is int() refusing a digit run
-        return ParseReport(None, (), "a number in the answer has too many digits to read")
+        return ParseReport(None, "a number in the answer has too many digits to read")
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ ONE_WAY_FLIGHT_SHARE = 0.25
 THREEDM_TRIPLES_PER_ELEMENT = 3
 MEETING_DAY_START = 9 * 60
 MEETING_DAY_END = 22 * 60
-MAX_REGEN = 100  # attempts per instance before generation gives up
+MAX_REGEN = 1000  # attempts per instance before generation gives up
 
 CITY_POOL: tuple[str, ...] = (
     "Amsterdam", "Athens", "Barcelona", "Berlin", "Brussels", "Bucharest",

@@ -62,13 +62,6 @@ MODE_COLUMNS = {
 _STRATEGY_ORDER = tuple(STRATEGY_ROWS)
 _MODE_ORDER = tuple(MODE_COLUMNS)
 
-#: Line-graph configuration labels, mode-major: Direct-WS .. AoT-IS.
-PLOT_CONFIGURATIONS = tuple(
-    f"{mode.value}-{kind.value.upper()}"
-    for mode in _MODE_ORDER
-    for kind in _STRATEGY_ORDER
-)
-
 
 @dataclass(frozen=True)
 class AblationCell:
@@ -100,7 +93,7 @@ class AblationCell:
     @property
     def configuration(self) -> str:
         """Line-graph label, e.g. ``AoT-IS``."""
-        return f"{self.prompt_mode.value}-{self.strategy.short_label}"
+        return f"{self.prompt_mode.value}-{self.strategy.kind.value.upper()}"
 
     def sort_key(self) -> tuple:
         return (
@@ -229,29 +222,10 @@ def write_cells_csv(report: RunReport, path: Path) -> None:
             )
 
 
-def read_cells_csv(path: Path) -> list[AblationCell]:
-    """Inverse of write_cells_csv; counts are authoritative, rate is checked."""
-    cells = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            cell = AblationCell(
-                task=TaskKind(row["task"]),
-                level=int(row["level"]),
-                model=row["model"],
-                prompt_mode=PromptMode(row["prompt_mode"]),
-                strategy=ScalingStrategy.parse(row["strategy"]),
-                successes=int(row["successes"]),
-                total=int(row["total"]),
-            )
-            if abs(cell.rate - float(row["rate"])) > 1e-12:
-                raise ReportError(f"rate column disagrees with counts in {row}")
-            cells.append(cell)
-    return cells
-
-
 def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
     """Per-task series of (configuration, level, model, rate), one series
-    per (level, model), each in line-graph order."""
+    per (level, model), each in line-graph order: mode-major, Direct-WS ..
+    AoT-IS."""
     directory.mkdir(parents=True, exist_ok=True)
     by_task: dict[TaskKind, list[AblationCell]] = {}
     for cell in report.cells:
@@ -262,8 +236,8 @@ def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
         if not cells:
             continue
         path = directory / f"{task.value}.csv"
-        order = {label: i for i, label in enumerate(PLOT_CONFIGURATIONS)}
-        rows = sorted(cells, key=lambda c: (c.level, order[c.configuration], c.model))
+        rows = sorted(cells, key=lambda c: (c.level, _MODE_ORDER.index(c.prompt_mode),
+                                            _STRATEGY_ORDER.index(c.strategy.kind), c.model))
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["configuration", "level", "model", "rate"])

@@ -84,9 +84,6 @@ class ScalingStrategy:
     def format(self) -> str:
         return f"{self.kind.value}:{self.arg}" if self.arg else self.kind.value
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.format()
-
     @property
     def max_calls(self) -> int:
         """How many backend calls one unit of this strategy can make."""
@@ -95,11 +92,6 @@ class ScalingStrategy:
         if self.kind is ScalingKind.SEQUENTIAL:
             return self.arg + 1
         return 1
-
-    @property
-    def short_label(self) -> str:
-        """Two-letter tag used in plot-data column names (WS/PS/SS/IS)."""
-        return self.kind.value.upper()
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,6 @@ class Attempt:
     sample_index: int
     request_digest: str
     text: str
-    thinking_text: str
     verdict: Verdict
 
 
@@ -194,7 +185,6 @@ def execute(
             sample_index=sample_index,
             request_digest=request.digest,
             text=response.text,
-            thinking_text=response.thinking_text,
             verdict=verdict,
         )
         attempts.append(attempt)

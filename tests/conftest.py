@@ -1,3 +1,4 @@
+import csv
 import random
 import sys
 from pathlib import Path
@@ -38,6 +39,29 @@ def fail_seeds(monkeypatch, kind: TaskKind, seeds) -> None:
         return None if rng.getstate() in doomed else build(level, rng)
 
     monkeypatch.setitem(generate_module._BUILDERS, kind, (salt, build_unless_doomed))
+
+
+def cells_csv_mismatches(path, cells) -> list[str]:
+    """The rows of the ``cells.csv`` at ``path`` that do not spell ``cells``
+    in order, each with a ``rate`` of ``repr(successes / total)``."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if len(rows) != len(cells):
+        return [f"{len(rows)} rows for {len(cells)} cells"]
+    return [
+        f"row {i}: {row}"
+        for i, (row, cell) in enumerate(zip(rows, cells), 1)
+        if row != {
+            "task": cell.task.value,
+            "level": str(cell.level),
+            "model": cell.model,
+            "prompt_mode": cell.prompt_mode.value,
+            "strategy": cell.strategy.format(),
+            "successes": str(cell.successes),
+            "total": str(cell.total),
+            "rate": repr(cell.successes / cell.total),
+        }
+    ]
 
 
 def pytest_collection_modifyitems(config, items):

@@ -18,11 +18,7 @@ from searchbench.cli import config_from_dict, run
 from searchbench.generate import GenSpec, generate
 from searchbench.gateway import MockBackend, ModelGateway
 from searchbench.prompts import PromptMode, default_exemplars, render
-from searchbench.reporting import (
-    aggregate,
-    read_cells_csv,
-    render_report_md,
-)
+from searchbench.reporting import aggregate, render_report_md
 from searchbench.scaling import (
     RunOutcome,
     ScalingKind,
@@ -32,7 +28,7 @@ from searchbench.scaling import (
 from searchbench.solver import Action, SearchMode, enumerate_all, solve
 from searchbench.tasks import TaskKind, Verdict, VerdictStatus
 
-from conftest import ENUMERABLE_LEVELS
+from conftest import ENUMERABLE_LEVELS, cells_csv_mismatches
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 QUIET = lambda s: None
@@ -234,7 +230,7 @@ def test_07_cached_rerun_is_bit_identical_with_zero_backend_calls(tmp_path):
         "concurrency": 2,
     }
     run(config_from_dict(dict(doc, out_dir=str(tmp_path / "one"))), echo=QUIET)
-    run(config_from_dict(dict(doc, out_dir=str(tmp_path / "two"))), echo=QUIET)
+    replay = run(config_from_dict(dict(doc, out_dir=str(tmp_path / "two"))), echo=QUIET)
 
     for name in (
         "report.md",
@@ -251,7 +247,8 @@ def test_07_cached_rerun_is_bit_identical_with_zero_backend_calls(tmp_path):
     stats = meta["cache_stats"]["oracle-replay"]
     assert stats["misses"] == 0, "replay reached the backend"
     assert stats["hits"] > 0
-    assert read_cells_csv(tmp_path / "two" / "cells.csv")
+    assert replay.cells
+    assert cells_csv_mismatches(tmp_path / "two" / "cells.csv", replay.cells) == []
 
 
 def test_08_scaling_contracts_hold_over_randomized_logs():
@@ -356,4 +353,4 @@ def test_09_live_backend_smoke(tmp_path):
     assert len(records) == 5
     assert all(r["final"]["status"] != "BackendError" for r in records)
     assert (tmp_path / "out" / "report.md").exists()
-    assert len(read_cells_csv(tmp_path / "out" / "cells.csv")) == len(report.cells)
+    assert cells_csv_mismatches(tmp_path / "out" / "cells.csv", report.cells) == []

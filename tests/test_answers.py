@@ -132,8 +132,8 @@ def test_block_parse_last_answer_wins(kind):
         + "\n".join(rows[:half]) + "\n\n" + "\n".join(rows[half:]) + "\n"
     )
     report = parse_answer(inst.payload, text)
+    # Rows of the earlier answer would add triples or meetings to the candidate.
     assert report.candidate == inst.ground_truth
-    assert report.matched_lines == tuple(rows)
 
 
 def test_cover_parse_variants():
@@ -460,8 +460,8 @@ def _vocab_and_a_name_in_it(draw):
 @example((("İstanbul", "istanbul"), "ISTANBUL"))
 @example((("i", "İ", "I"), "i"))
 def test_an_exact_name_snaps_as_the_full_scan_does(case):
-    """Text that lower-cases to a vocabulary entry returns before the scan;
-    the regex matcher stands in for the scan it skips."""
+    """Text that lower-cases to a vocabulary entry snaps to that entry, or to
+    the name the regex matcher prefers when several entries spell it."""
     vocabulary, text = case
     assert _match_vocab(text, vocabulary) == _regex_match_vocab(text, vocabulary)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 import threading
@@ -566,6 +567,16 @@ def test_cmd_gen_writes_the_per_spec_loops_bytes(tmp_path, monkeypatch):
     assert Path("gen.jsonl").read_bytes() == Path("loop.jsonl").read_bytes()
 
 
+def test_cmd_gen_writes_a_trip_that_needs_over_100_attempts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "gen", "--task", "TripPlanning", "--level", "10", "--seed", "3040", "--count", "1",
+        "--out", "gen.jsonl",
+    ]) == 0
+    (instance,) = read_instances("gen.jsonl")
+    assert instance == generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=10, seed=3040))
+
+
 def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, capsys):
     """With two CPUs, every spec is generated in a pool worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -574,7 +585,7 @@ def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, 
     config.write_text(json.dumps(_doc(tmp_path, instance_count=4)), encoding="utf-8")
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
-        "error: no usable TripPlanning instance for level 3, seed 1 within 100 attempts\n"
+        "error: no usable TripPlanning instance for level 3, seed 1 within 1000 attempts\n"
     )
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -890,6 +901,13 @@ def test_python_dash_m_searchbench_runs_the_cli_without_warnings():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert (done.returncode, done.stdout.strip(), done.stderr) == (0, __version__, "")
+
+
+def test_python_dash_m_searchbench_prints_the_version_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["searchbench", "--version"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("searchbench", run_name="__main__")
+    assert (exit_info.value.code, capsys.readouterr().out) == (0, "0.1.0\n")
 
 
 def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):

@@ -167,6 +167,32 @@ def test_generate_returns_the_first_accepted_attempt(monkeypatch, failures):
     assert inst.payload != attempt(0)[0]
 
 
+@pytest.mark.parametrize("kind, level, seed, first_accepted", [
+    pytest.param(TaskKind.TRIP_PLANNING, 10, 3040, 102, id="trip without a unique plan"),
+    pytest.param(TaskKind.VERTEX_COVER, 1, 738, 1, id="graph without edges"),
+    pytest.param(TaskKind.MEETING_PLANNING, 1, 103, 1, id="day that meets no friend"),
+])
+def test_generate_retries_a_rejected_candidate_until_one_verifies(
+    kind, level, seed, first_accepted
+):
+    salt, build = generate_module._BUILDERS[kind]
+    accepted = [
+        build(level, random.Random(generate_module._subseed(seed, attempt, salt))) is not None
+        for attempt in range(first_accepted + 1)
+    ]
+    assert accepted == [False] * first_accepted + [True]
+    inst = generate(GenSpec(kind=kind, level=level, seed=seed))
+    assert verify(inst, inst.ground_truth).status is VerdictStatus.SUCCESS
+    if kind is TaskKind.TRIP_PLANNING:
+        assert count_trip_plans(inst.payload, limit=2) == 1
+
+
+@pytest.mark.parametrize("parts, total", [(3, 5), (3, 16)])
+def test_stay_composition_rejects_a_total_its_stays_cannot_fill(parts, total):
+    with pytest.raises(UnsupportedLevelError, match=f"cannot realize {total} days over {parts}"):
+        generate_module._stay_composition(random.Random(0), parts, total)
+
+
 # ---------------------------------------------------------------------------
 # Generating on every usable CPU
 # ---------------------------------------------------------------------------

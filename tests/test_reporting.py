@@ -1,25 +1,28 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
 from searchbench.prompts import PromptMode
 from searchbench.reporting import (
     MODE_COLUMNS,
-    PLOT_CONFIGURATIONS,
     STRATEGY_ROWS,
     TASK_DISPLAY,
     TASK_ORDER,
     AblationCell,
     ReportError,
+    RunReport,
     aggregate,
     emit,
-    read_cells_csv,
     render_report_md,
     write_cells_csv,
+    write_plotdata,
 )
 from searchbench.scaling import RunOutcome, ScalingStrategy
 from searchbench.tasks import TaskKind, Verdict, VerdictStatus
+
+from conftest import cells_csv_mismatches
 
 OK = Verdict(VerdictStatus.SUCCESS)
 BAD = Verdict(VerdictStatus.WRONG_ANSWER, "off by one")
@@ -76,12 +79,31 @@ def test_table_order_and_captions():
     ]
 
 
-def test_plot_configurations_mode_major():
-    assert len(PLOT_CONFIGURATIONS) == 12
-    assert PLOT_CONFIGURATIONS[0] == "Direct-WS"
-    assert PLOT_CONFIGURATIONS[3] == "Direct-IS"
-    assert PLOT_CONFIGURATIONS[4] == "CoT-WS"
-    assert PLOT_CONFIGURATIONS[-1] == "AoT-IS"
+PLOT_LABELS = [
+    "Direct-WS", "Direct-PS", "Direct-SS", "Direct-IS",
+    "CoT-WS", "CoT-PS", "CoT-SS", "CoT-IS",
+    "AoT-WS", "AoT-PS", "AoT-SS", "AoT-IS",
+]
+
+
+def test_plot_configurations_mode_major(tmp_path):
+    cells = [
+        AblationCell(task=TaskKind.THREE_DM, level=level, model=model, prompt_mode=mode,
+                     strategy=ScalingStrategy.parse(spec), successes=1, total=2)
+        for level in (10, 3)
+        for model in ("b", "a")
+        for spec in ("ws", "ps:3", "ss:1", "is")
+        for mode in PromptMode
+    ]
+    random.Random(7).shuffle(cells)
+    (path,) = write_plotdata(RunReport(cells=tuple(cells)), tmp_path)
+    rows = [row.split(",")[:3] for row in path.read_text(encoding="utf-8").splitlines()[1:]]
+    assert rows == [
+        [label, level, model]
+        for level in ("3", "10")
+        for label in PLOT_LABELS
+        for model in ("a", "b")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +272,7 @@ def test_cells_csv_round_trip(tmp_path):
     report = aggregate(outcomes)
     path = tmp_path / "cells.csv"
     write_cells_csv(report, path)
-    assert read_cells_csv(path) == list(report.cells)
+    assert cells_csv_mismatches(path, report.cells) == []
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "task,level,model,prompt_mode,strategy,successes,total,rate"
 
@@ -259,11 +281,14 @@ def test_cells_csv_detects_tampered_rate(tmp_path):
     report = aggregate(_fill(TaskKind.THREE_DM, PromptMode.COT, "ws", 1, 3))
     path = tmp_path / "cells.csv"
     write_cells_csv(report, path)
+    assert cells_csv_mismatches(path, report.cells) == []
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",0.99"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ReportError):
-        read_cells_csv(path)
+    assert cells_csv_mismatches(path, report.cells) == [
+        "row 1: {'task': 'ThreeDM', 'level': '10', 'model': 'm', 'prompt_mode': 'CoT', "
+        "'strategy': 'ws', 'successes': '1', 'total': '3', 'rate': '0.99'}"
+    ]
 
 
 def test_emit_writes_all_artifacts(tmp_path):
@@ -284,7 +309,7 @@ def test_emit_writes_all_artifacts(tmp_path):
     rows = plot_files[0].read_text(encoding="utf-8").splitlines()
     assert rows[0] == "configuration,level,model,rate"
     labels = [r.split(",")[0] for r in rows[1:]]
-    assert labels == list(PLOT_CONFIGURATIONS)
+    assert labels == PLOT_LABELS
     assert all(r.endswith(",0.5") for r in rows[1:])
 
 

@@ -14,6 +14,7 @@ from searchbench.gateway import (
     canonical_digest,
 )
 from searchbench.prompts import PromptMode, default_exemplars, render
+from searchbench.reporting import AblationCell
 from searchbench.scaling import (
     TEMPERATURES,
     ScalingKind,
@@ -23,13 +24,11 @@ from searchbench.scaling import (
     default_matrix,
     execute,
 )
-from searchbench.tasks import VerdictStatus
+from searchbench.tasks import TaskKind, VerdictStatus
 
 
 @pytest.fixture()
 def trip_cell(sample_instances):
-    from searchbench.tasks import TaskKind
-
     inst = sample_instances[TaskKind.TRIP_PLANNING][0]
     bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
     return inst, bundle
@@ -93,9 +92,12 @@ def test_is_0_is_the_is_cell_and_request(trip_cell):
 
 
 def test_short_labels_and_temperatures():
-    assert [ScalingStrategy.parse(s).short_label for s in ("ws", "ps", "ss", "is")] == [
-        "WS", "PS", "SS", "IS",
+    cells = [
+        AblationCell(task=TaskKind.THREE_DM, level=1, model="m", prompt_mode=PromptMode.AOT,
+                     strategy=ScalingStrategy.parse(spec), successes=0, total=1)
+        for spec in ("ws", "ps", "ss", "is")
     ]
+    assert [c.configuration for c in cells] == ["AoT-WS", "AoT-PS", "AoT-SS", "AoT-IS"]
     assert TEMPERATURES[ScalingKind.PARALLEL] == 0.7
     assert all(
         TEMPERATURES[k] == 0.0

@@ -12,6 +12,7 @@ from searchbench.solver import (
     PRUNE_REASONS,
     SearchMode,
     TooLargeError,
+    TraceEvent,
     count_trip_plans,
     enumerate_all,
     matching_witness,
@@ -147,6 +148,14 @@ def test_replay_reconstructs_trip_solution(reference_trip):
     assert [e.move for e in success_path(trace)] == [
         leg.city for leg in trace.solution.legs
     ]
+
+
+def test_replay_rejects_a_backtrack_with_no_expansion(reference_trip):
+    trace = solve(reference_trip, SearchMode.DFS)
+    init, *_ = trace.events
+    unmatched = dataclasses.replace(trace, events=(init, TraceEvent("S1", Action.BACKTRACK)))
+    with pytest.raises(ValueError, match="unmatched pop"):
+        success_path(unmatched)
 
 
 def test_solve_payload_matches_solve(sample_instances):

@@ -12,10 +12,13 @@ from searchbench.tasks import (
     MeetingPayload,
     ProblemInstance,
     TaskKind,
+    ThreeDMPayload,
     TripPayload,
     TripWindow,
+    UnknownCityError,
     Verdict,
     VerdictStatus,
+    VertexCoverPayload,
     instance_from_record,
     instance_to_record,
     minutes_to_clock,
@@ -65,6 +68,8 @@ def test_trip_payload_accessors(reference_trip):
     payload = reference_trip.payload
     assert payload.cities[0] == "Riga"
     assert payload.stay_of("Edinburgh") == 4
+    with pytest.raises(UnknownCityError, match="unknown city: 'Nice'"):
+        payload.stay_of("Nice")
     window = payload.window_of("Vilnius")
     assert (window.start, window.end, window.label) == (10, 14, "workshop")
     assert payload.window_of("Brussels") is None
@@ -119,6 +124,8 @@ def test_meeting_payload_rejects_negative_minutes():
         dataclasses.replace(
             alice, friends=alice.friends + (Friend("alice", "Bayview", 600, 700, 30),)
         )
+    with pytest.raises(UnknownCityError, match="no travel time between 'Bayview' and 'Presidio'"):
+        alice.travel("Bayview", "Presidio")
     # every pair of places the start and the friends name needs a time
     with pytest.raises(ValueError, match="no travel time between 'Bayview' and 'Presidio'"):
         MeetingPayload(
@@ -159,6 +166,21 @@ def test_trip_payload_rejects_inconsistent_inputs(change, message):
         dataclasses.replace(_TRIP, **change)
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: VertexCoverPayload(vertex_count=3, edges=((0, 1), (1, 3)), target_size=1),
+                 r"edge \(1, 3\) outside vertex range", id="edge outside"),
+    pytest.param(lambda: VertexCoverPayload(vertex_count=3, edges=((0, 1), (2, 1)), target_size=1),
+                 r"edge \(2, 1\) must be stored with u < v", id="edge reversed"),
+    pytest.param(lambda: VertexCoverPayload(vertex_count=3, edges=((1, 1),), target_size=1),
+                 r"edge \(1, 1\) must be stored with u < v", id="self loop"),
+    pytest.param(lambda: ThreeDMPayload(n=2, triples=((0, 0, 0), (1, 2, 1))),
+                 r"triple \(1, 2, 1\) outside element range", id="triple outside"),
+])
+def test_graph_payloads_reject_out_of_range_inputs(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def _spoil(field: str, payload: dict) -> None:
     """Break one payload rule, named by ``field``, in a record's payload."""
     if field == "travel":
@@ -182,6 +204,12 @@ def _spoil(field: str, payload: dict) -> None:
         payload["flights"].append([payload["cities"][0], "Atlantis"])
     elif field == "no cities":
         payload.update(cities=[], total_days=1, stays={}, windows={}, flights=[])
+    elif field == "edge outside":
+        payload["edges"][0][1] = payload["vertex_count"]
+    elif field == "edge reversed":
+        payload["edges"][0].reverse()
+    elif field == "triple outside":
+        payload["triples"][0][2] = payload["n"]
     else:
         payload["total_days"] += 1
 
@@ -199,6 +227,9 @@ _SPOILED = {
     "flight elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
     "calendar": (TaskKind.TRIP_PLANNING, "stays fill [0-9]+ days, not total_days"),
     "no cities": (TaskKind.TRIP_PLANNING, "a trip needs at least one city"),
+    "edge outside": (TaskKind.VERTEX_COVER, r"edge \(0, 8\) outside vertex range"),
+    "edge reversed": (TaskKind.VERTEX_COVER, r"edge \(3, 0\) must be stored with u < v"),
+    "triple outside": (TaskKind.THREE_DM, r"triple \(0, 0, 4\) outside element range"),
 }
 
 
