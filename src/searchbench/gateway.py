@@ -27,14 +27,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from .answers import canonical_text
 from .prompts import TARGET_MARKER
 from .tasks import ProblemInstance, TaskError
-
-if TYPE_CHECKING:
-    import http.client
 
 
 class GatewayError(TaskError):
@@ -520,7 +517,7 @@ class HttpBackend:
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
         # loaded only once an http model is built; in-process runs skip them
-        import http.client  # noqa: F401
+        import http.client
         import urllib.parse
         import urllib.request
 
@@ -553,7 +550,8 @@ class HttpBackend:
                 self._path = f"http://{netloc}{self._path}"
         self._local = threading.local()  # ``conn``: the calling thread's connection
         self._lock = threading.Lock()
-        self._open: set[http.client.HTTPConnection] = set()  # for ``close``
+        self._http = http.client
+        self._open: set = set()  # every HTTPConnection opened, for ``close``
 
     def close(self) -> None:
         """Close every connection this backend holds, in any thread."""
@@ -562,14 +560,13 @@ class HttpBackend:
         for conn in conns:
             conn.close()
 
-    def _connect(self) -> http.client.HTTPConnection:
-        import http.client  # loaded by ``__init__``; this only binds the name
-
+    def _connect(self):
+        """A new HTTPConnection, kept as the calling thread's."""
         host, port = self._proxy or self._address
         if self._ssl is None:
-            conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+            conn = self._http.HTTPConnection(host, port, timeout=self.timeout_s)
         else:
-            conn = http.client.HTTPSConnection(
+            conn = self._http.HTTPSConnection(
                 host, port, timeout=self.timeout_s, context=self._ssl
             )
             if self._proxy is not None:
@@ -579,18 +576,14 @@ class HttpBackend:
         self._local.conn = conn
         return conn
 
-    def _post(
-        self, conn: http.client.HTTPConnection, body: bytes, headers: dict[str, str]
-    ) -> tuple[int, str | None, bytes]:
-        """(status, retry-after header, body) of one POST; a connection that
-        raised is closed and dropped."""
-        import http.client  # loaded by ``__init__``; this only binds the name
-
+    def _post(self, conn, body: bytes, headers: dict[str, str]) -> tuple[int, str | None, bytes]:
+        """(status, retry-after header, body) of one POST on the HTTPConnection
+        ``conn``; a connection that raised is closed and dropped."""
         try:
             conn.request("POST", self._path, body, headers)
             reply = conn.getresponse()
             return reply.status, reply.getheader("retry-after"), reply.read()
-        except (OSError, http.client.HTTPException):
+        except (OSError, self._http.HTTPException):
             conn.close()
             self._local.conn = None
             with self._lock:
@@ -598,8 +591,6 @@ class HttpBackend:
             raise
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        import http.client  # loaded by ``__init__``; this only binds the name
-
         api_key = os.environ.get(self.api_key_env, "")
         if not api_key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
@@ -620,7 +611,7 @@ class HttpBackend:
                 reply = self._post(self._connect(), body, headers)
         except TimeoutError as err:
             raise GatewayTimeout(f"no reply within {self.timeout_s}s") from err
-        except (OSError, http.client.HTTPException) as err:
+        except (OSError, self._http.HTTPException) as err:
             raise GatewayTimeout(f"transport failure: {err}") from err
         status, retry_after_header, content = reply
         latency_ms = int((time.monotonic() - started) * 1000)

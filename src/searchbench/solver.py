@@ -467,23 +467,32 @@ def _fmt_vertices(vertices: Iterable[int]) -> str:
     return "[" + ", ".join(f"V{v}" for v in sorted(vertices)) + "]"
 
 
-def _matching_bound(edges: Sequence[tuple[int, int]], covered: set[int]) -> int:
-    """Greedy maximal matching over uncovered edges: each matched edge needs at
-    least one extra cover vertex, so the matching size lower-bounds the work left."""
-    used: set[int] = set()
+def _incidence(payload: VertexCoverPayload) -> tuple[list[tuple[int, int]], list[int]]:
+    """The sorted edges, and each vertex's mask of the indexes of its edges in
+    that order: edge sets are int bitmasks over the sorted edges."""
+    edges = sorted(payload.edges)
+    incident = [0] * payload.vertex_count
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    return edges, incident
+
+
+def _matching_bound(edges: Sequence[tuple[int, int]], incident: Sequence[int], left: int) -> int:
+    """Greedy maximal matching over the uncovered edges ``left``, lowest edge
+    first: each matched edge needs at least one extra cover vertex, so the
+    matching size lower-bounds the work left."""
     count = 0
-    for u, v in edges:
-        if u in covered or v in covered or u in used or v in used:
-            continue
-        used.add(u)
-        used.add(v)
+    while left:
+        u, v = edges[(left & -left).bit_length() - 1]
+        left &= ~(incident[u] | incident[v])
         count += 1
     return count
 
 
 def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
     k = payload.target_size
-    edges = sorted(payload.edges)
+    edges, incident = _incidence(payload)
     m = len(edges)
     tracer = _Tracer(
         detail=(
@@ -492,13 +501,11 @@ def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
         ),
         state=f"(cover=[], uncovered={m}, budget={k})",
     )
-    chosen: set[int] = set()
-
-    def uncovered() -> list[tuple[int, int]]:
-        return [(u, v) for u, v in edges if u not in chosen and v not in chosen]
+    chosen: list[int] = []
+    uncovered = [(1 << m) - 1]  # the uncovered-edge mask at each depth
 
     def goal(label: str) -> CoverSet | None:
-        if uncovered():
+        if uncovered[-1]:
             return None
         _close(
             tracer, label, len(chosen),
@@ -508,28 +515,31 @@ def _cover_dfs(payload: VertexCoverPayload) -> SearchTrace:
         return CoverSet(vertices=frozenset(chosen))
 
     def children() -> Iterator[_Step]:
-        u, v = uncovered()[0]
+        here = uncovered[-1]
+        u, v = edges[(here & -here).bit_length() - 1]
+        depth = len(chosen) + 1
         for x in (u, v):
             transition = f"Add **V{x}** (for edge V{u}-V{v})"
-            depth = len(chosen) + 1
             if depth > k:
                 yield _Step(f"V{x}", transition, f"size budget {k} exhausted", depth, prune="budget")
                 continue
-            chosen.add(x)
-            need = _matching_bound(edges, chosen)
+            left = here & ~incident[x]
+            need = _matching_bound(edges, incident, left)
             if depth + need > k:
-                chosen.discard(x)
                 yield _Step(
                     f"V{x}", transition, f"still needs ≥ {need} more vertices; budget {k}",
                     depth, prune="budget",
                 )
                 continue
+            chosen.append(x)
+            uncovered.append(left)
             yield _Step(
                 f"V{x}", transition,
-                f"cover size {depth}, uncovered edges {len(uncovered())}", depth,
+                f"cover size {depth}, uncovered edges {left.bit_count()}", depth,
                 undo=f"dead end after adding V{x}; remove it",
             )
-            chosen.discard(x)
+            chosen.pop()
+            uncovered.pop()
 
     return tracer.finish(TaskKind.VERTEX_COVER, SearchMode.DFS, _search(tracer, children, goal))
 
@@ -594,34 +604,20 @@ def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple
 
 def _cover_greedy(payload: VertexCoverPayload, dfs: SearchTrace) -> SearchTrace:
     """Commit the depth-first cover's vertices by falling degree, then id."""
-    edges = sorted(payload.edges)
+    edges, incident = _incidence(payload)
     m = len(edges)
     k = payload.target_size
     target = dfs.solution
-    chosen: set[int] = set()
-
-    def covers_now(x: int) -> int:
-        return sum(
-            1
-            for u, v in edges
-            if (u == x or v == x) and u not in chosen and v not in chosen
-        )
-
-    degree = {x: 0 for x in target.vertices}
-    for u, v in edges:
-        if u in degree:
-            degree[u] += 1
-        if v in degree:
-            degree[v] += 1
-    order = sorted(target.vertices, key=lambda x: (-degree[x], x))
+    order = sorted(target.vertices, key=lambda x: (-incident[x].bit_count(), x))
+    left = (1 << m) - 1
     commits = []
     for x in order:
-        gained = covers_now(x)
-        chosen.add(x)
-        left = sum(1 for u, v in edges if u not in chosen and v not in chosen)
-        commits.append(
-            (f"V{x}", f"Add **V{x}**", f"covers {gained} uncovered edges → uncovered {left}")
-        )
+        gained = (left & incident[x]).bit_count()
+        left &= ~incident[x]
+        commits.append((
+            f"V{x}", f"Add **V{x}**",
+            f"covers {gained} uncovered edges → uncovered {left.bit_count()}",
+        ))
     return _narrate(
         TaskKind.VERTEX_COVER,
         (
@@ -1019,15 +1015,15 @@ def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
     if kind is TaskKind.VERTEX_COVER:
         assert isinstance(payload, VertexCoverPayload)
         n = payload.vertex_count
-        for size in range(0, n + 1):
-            covers = [
+        by_size = (
+            [
                 CoverSet(vertices=frozenset(combo))
                 for combo in itertools.combinations(range(n), size)
                 if all(u in combo or v in combo for u, v in payload.edges)
             ]
-            if covers:
-                return covers
-        return []
+            for size in range(n + 1)
+        )
+        return next(covers for covers in by_size if covers)  # all n vertices cover
 
     if kind is TaskKind.THREE_DM:
         assert isinstance(payload, ThreeDMPayload)

@@ -228,8 +228,15 @@ class MeetingPayload:
         for (a, b), minutes in self.travel_minutes.items():
             if minutes < 0:
                 raise ValueError(f"negative travel time between {a!r} and {b!r}: {minutes}")
+        if not 0 <= self.day_start < 24 * 60:
+            raise ValueError(f"day_start {self.day_start} is not a minute of the day in [0, 1439]")
         names: set[str] = set()
         for f in self.friends:
+            if not (0 <= f.avail_start < 24 * 60 and 0 <= f.avail_end < 24 * 60):
+                raise ValueError(
+                    f"window {f.avail_start}-{f.avail_end} of {f.name!r} is not within "
+                    "the minutes of the day [0, 1439]"
+                )
             if f.min_minutes < 0:
                 raise ValueError(f"negative min_minutes for {f.name!r}: {f.min_minutes}")
             if f.name.lower() in names:
@@ -322,8 +329,9 @@ class Verdict:
 
 
 def minutes_to_clock(minutes: int) -> str:
-    """Render minutes-of-day as H:MM (24h, no leading zero on the hour)."""
-    if not (0 <= minutes < 24 * 60):
+    """Render minutes-of-day as H:MM (24h, no leading zero on the hour).  A
+    time worked out past midnight reads on as 24:00, 24:15, ..."""
+    if minutes < 0:
         raise ValueError(f"minutes of day out of range: {minutes}")
     hours, mins = divmod(minutes, 60)
     return f"{hours}:{mins:02d}"

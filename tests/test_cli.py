@@ -23,7 +23,17 @@ from searchbench.cli import (
     run,
     validate_config,
 )
-from searchbench.tasks import TaskKind, read_instances, write_instances
+from searchbench.tasks import (
+    Friend,
+    Meeting,
+    MeetingPayload,
+    MeetingSchedule,
+    ProblemInstance,
+    TaskKind,
+    instance_to_record,
+    read_instances,
+    write_instances,
+)
 
 from conftest import fail_seeds
 
@@ -666,6 +676,61 @@ def test_cmd_verify_flags_failures(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 1
     out = capsys.readouterr().out
     assert "ParseFailure" in out and "unknown instance" in out
+
+
+def _window_past_midnight(payload: dict) -> None:
+    payload["friends"][0]["window"][1] = 1500
+
+
+def _start_before_midnight(payload: dict) -> None:
+    payload["day_start"] = -30
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_window_past_midnight,
+     "window 690-1500 of 'Grace' is not within the minutes of the day [0, 1439]"),
+    (_start_before_midnight, "day_start -30 is not a minute of the day in [0, 1439]"),
+], ids=["window past midnight", "start before midnight"])
+def test_render_exits_2_on_meeting_times_outside_a_day(
+    tmp_path, monkeypatch, capsys, spoil, message
+):
+    monkeypatch.chdir(tmp_path)
+    record = instance_to_record(generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=2, seed=0)))
+    spoil(record["payload"])
+    Path("inst.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main([
+        "render", "--mode", "Direct", "--instances", "inst.jsonl", "--out", "prompts",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: inst.jsonl:1: {message}\n"
+    assert not Path("prompts").exists()
+
+
+def test_verify_judges_an_arrival_after_midnight(tmp_path, monkeypatch, capsys):
+    """Brian's window closes at 23:59, and the earliest arrival from Alice's
+    meeting falls after midnight."""
+    monkeypatch.chdir(tmp_path)
+    payload = MeetingPayload(
+        locations=("Bayview", "Chinatown"), start_location="Bayview", day_start=23 * 60,
+        travel_minutes={("Bayview", "Chinatown"): 30},
+        friends=(Friend("Alice", "Bayview", 23 * 60, 23 * 60 + 30, 30),
+                 Friend("Brian", "Chinatown", 23 * 60 + 20, 23 * 60 + 59, 15)),
+    )
+    alice = Meeting("Alice", "Bayview", 23 * 60, 23 * 60 + 30)
+    write_instances("inst.jsonl", [ProblemInstance(
+        "late", TaskKind.MEETING_PLANNING, 1, 0, payload, MeetingSchedule((alice,)),
+    )])
+    text = ("Meet Alice at Bayview from 23:00 to 23:30.\n"
+            "Meet Brian at Chinatown from 23:40 to 23:59.")
+    Path("answers.jsonl").write_text(
+        json.dumps({"instance_id": "late", "text": text}) + "\n", encoding="utf-8"
+    )
+    assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 1
+    assert capsys.readouterr().out == (
+        "late: ConstraintViolation "
+        "(travel: cannot reach Brian by 23:40 (earliest arrival 24:00))\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,8 @@ from searchbench.solver import (
     SearchMode,
     TooLargeError,
     TraceEvent,
+    _incidence,
+    _matching_bound,
     count_trip_plans,
     enumerate_all,
     matching_witness,
@@ -302,6 +304,40 @@ def test_generated_cover_target_is_the_traced_optimum(level):
         below = dataclasses.replace(payload, target_size=payload.target_size - 1)
         assert not solve_payload(below, SearchMode.DFS).succeeded, seed
         assert solve_payload(payload, SearchMode.DFS).solution == inst.ground_truth, seed
+
+
+def _set_matching_bound(edges, covered):
+    """The bound as a scan of the sorted edges with vertex sets: match each
+    edge that no covered or already matched vertex touches."""
+    used = set()
+    count = 0
+    for u, v in edges:
+        if u in covered or v in covered or u in used or v in used:
+            continue
+        used |= {u, v}
+        count += 1
+    return count
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matching_bound_equals_the_sorted_set_scan(data):
+    n = data.draw(st.integers(2, 24))
+    possible = list(itertools.combinations(range(n), 2))
+    edges = tuple(data.draw(st.lists(st.sampled_from(possible), max_size=80)))
+    covered = data.draw(st.sets(st.integers(0, n - 1)))
+    sorted_edges, incident = _incidence(VertexCoverPayload(n, edges, 0))
+    left = sum(
+        1 << i for i, (u, v) in enumerate(sorted_edges) if u not in covered and v not in covered
+    )
+    expected = _set_matching_bound(sorted_edges, covered)
+    assert _matching_bound(sorted_edges, incident, left) == expected
+
+
+def test_the_empty_graph_is_covered_by_no_vertex():
+    payload = VertexCoverPayload(vertex_count=0, edges=(), target_size=0)
+    assert enumerate_all(payload) == [CoverSet(vertices=frozenset())]
+    assert solve_payload(payload).solution == CoverSet(vertices=frozenset())
 
 
 @st.composite

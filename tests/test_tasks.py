@@ -84,8 +84,9 @@ def test_minutes_to_clock():
     assert minutes_to_clock(13 * 60 + 5) == "13:05"
     assert minutes_to_clock(0) == "0:00"
     assert minutes_to_clock(23 * 60 + 59) == "23:59"
-    with pytest.raises(ValueError):
-        minutes_to_clock(24 * 60)
+    # a time worked out past midnight, such as a late arrival, reads on
+    assert minutes_to_clock(24 * 60) == "24:00"
+    assert minutes_to_clock(24 * 60 + 15) == "24:15"
     with pytest.raises(ValueError):
         minutes_to_clock(-1)
 
@@ -192,6 +193,10 @@ def _spoil(field: str, payload: dict) -> None:
     elif field == "doubled pair":
         a, b, minutes = payload["travel_minutes"][0]
         payload["travel_minutes"].append([b, a, minutes])
+    elif field == "window past midnight":
+        payload["friends"][0]["window"][1] = 1500
+    elif field == "start before midnight":
+        payload["day_start"] = -30
     elif field == "repeated name":
         payload["friends"][1]["name"] = payload["friends"][0]["name"].lower()
     elif field == "repeated city":
@@ -221,6 +226,10 @@ _SPOILED = {
     "missing pair": (TaskKind.MEETING_PLANNING, "no travel time between"),
     "doubled pair": (TaskKind.MEETING_PLANNING, "travel time between .* given twice"),
     "repeated name": (TaskKind.MEETING_PLANNING, "friend name '[a-z]+' repeats, ignoring case"),
+    "window past midnight": (
+        TaskKind.MEETING_PLANNING, "window [0-9]+-1500 of '[A-Za-z]+' is not within the minutes"
+    ),
+    "start before midnight": (TaskKind.MEETING_PLANNING, "day_start -30 is not a minute of"),
     "repeated city": (TaskKind.TRIP_PLANNING, "cities .* repeat or differ from stays"),
     "stay elsewhere": (TaskKind.TRIP_PLANNING, "cities .* differ from stays .*'Atlantis'"),
     "window elsewhere": (TaskKind.TRIP_PLANNING, r"windows or flights name .* \['Atlantis'\]"),
