@@ -481,9 +481,6 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     report = aggregate(outcomes, expected_per_cell=config.instance_count)
     stage("report")
 
-    cache_stats = {
-        name: gw.cache_stats for name, gw in sorted(gateways.items())
-    }
     unexpected_errors = dict.fromkeys(sorted(gateways), 0)
     for outcome in outcomes:
         unexpected_errors[outcome.model] += outcome.unexpected_error
@@ -502,7 +499,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             "max_tokens": config.max_tokens,
             "token_budget": config.token_budget,
         },
-        "cache_stats": cache_stats,
+        "cache_stats": {name: gw.cache_stats for name, gw in sorted(gateways.items())},
         "unexpected_errors": unexpected_errors,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),
@@ -525,9 +522,7 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
         for bundle in bundles.values()
     )
 
-    calls = sum(
-        strategy.max_calls for _, strategy in config.matrix
-    ) * len(instances) * len(config.models)
+    calls = sum(s.max_calls for _, s in config.matrix) * len(instances) * len(config.models)
 
     plan = {
         "instances": len(instances),
@@ -548,9 +543,8 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kinds = list(TaskKind) if args.task == "all" else [TaskKind(args.task)]
-    base_seed = args.seed if args.seed is not None else 0
     instances = generate_all([
-        GenSpec(kind=kind, level=args.level, seed=base_seed + i)
+        GenSpec(kind=kind, level=args.level, seed=args.seed + i)
         for kind in kinds
         for i in range(args.count)
     ])
@@ -581,8 +575,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     mode = PromptMode(args.mode)
-    bundles = render_bundles(read_instances(args.instances), [mode], args.budget)
+    instances = read_instances(args.instances)
     out_dir = Path(args.out or "prompts")
+    for instance in instances:  # an id names a file, which must land in out_dir
+        if (out_dir / f"{instance.id}.{mode.value}.txt").parent != out_dir:
+            raise TaskError(f"instance id {instance.id!r} is not a file name in {out_dir}")
+    bundles = render_bundles(instances, [mode], args.budget)
     out_dir.mkdir(parents=True, exist_ok=True)
     for (instance_id, _), bundle in bundles.items():
         path = out_dir / f"{instance_id}.{mode.value}.txt"
@@ -633,6 +631,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A count or budget flag, which, as in a config, must be an integer >= 1."""
+    if not _is_count(value := int(text)):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output file or directory")
@@ -652,8 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all"] + [k.value for k in TaskKind],
     )
     p_gen.add_argument("--level", type=int, default=DEFAULT_LEVEL)
-    p_gen.add_argument("--count", type=int, default=DEFAULT_COUNT)
-    p_gen.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    p_gen.add_argument("--count", type=_count, default=DEFAULT_COUNT)
+    p_gen.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_solve = sub.add_parser("solve", parents=[out], help="trace the exact solver")
@@ -669,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument(
         "--mode", required=True, choices=[m.value for m in PromptMode]
     )
-    p_render.add_argument("--budget", type=int, default=None,
+    p_render.add_argument("--budget", type=_count, default=None,
                           help="context token budget")
     p_render.set_defaults(func=_cmd_render)
 

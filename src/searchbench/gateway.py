@@ -680,42 +680,29 @@ class MockBackend:
 class OracleBackend:
     """Answers any rendered prompt with the registered instance's exact solution.
 
-    Answers are looked up by the statement text that follows the target
+    Answers are looked up by the statement text that follows the first target
     marker in the first user message, so the oracle exercises the same
     prompt → answer → verify path as a real model — with a guaranteed
-    correct answer.  Each response is built once, at registration, and each
-    distinct first user message is split once.
+    correct answer.  Each response is built once, when the oracle is built;
+    after that it keeps no state, and each call finds the marker anew.
     """
 
     def __init__(self, instances: Sequence[ProblemInstance] = ()) -> None:
         self._answers: dict[str, BackendResponse] = {}
-        self._by_prompt: dict[str, BackendResponse] = {}  # first user message → answer
-        self.calls = 0
-        self._lock = threading.Lock()
         for inst in instances:
-            self.register(inst)
-
-    def register(self, instance: ProblemInstance) -> None:
-        text = canonical_text(instance.payload, instance.ground_truth)
-        self._answers[instance.statement] = BackendResponse(
-            text=text, completion_tokens=len(text) // 4
-        )
+            text = canonical_text(inst.payload, inst.ground_truth)
+            self._answers[inst.statement] = BackendResponse(
+                text=text, completion_tokens=len(text) // 4
+            )
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        with self._lock:
-            self.calls += 1
-        first_user = next(
-            (content for role, content in request.messages if role == "user"), ""
-        )
-        response = self._by_prompt.get(first_user)
+        first_user = next((text for role, text in request.messages if role == "user"), "")
+        cut = first_user.find(TARGET_MARKER)
+        if cut < 0:
+            raise MalformedProviderReply("prompt has no target-question marker")
+        response = self._answers.get(first_user[cut + len(TARGET_MARKER):].strip())
         if response is None:
-            if TARGET_MARKER not in first_user:
-                raise MalformedProviderReply("prompt has no target-question marker")
-            statement = first_user.split(TARGET_MARKER, 1)[1].strip()
-            response = self._answers.get(statement)
-            if response is None:
-                raise MalformedProviderReply("target statement not registered with oracle")
-            self._by_prompt[first_user] = response
+            raise MalformedProviderReply("target statement not registered with oracle")
         return response
 
 

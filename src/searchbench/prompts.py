@@ -74,13 +74,18 @@ class PromptMode(str, Enum):
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """A fully rendered prompt plus the metadata needed to trace it back."""
+    """A rendered prompt, kept as its shared exemplar half and its statement."""
 
     mode: PromptMode
     system_text: str
     exemplar_ids: tuple[str, ...]
-    body: str
+    head: str
+    statement: str
     target_id: str
+
+    @property
+    def body(self) -> str:
+        return self.head + self.statement
 
 
 DIRECT_SHOT_COUNT = 5
@@ -731,19 +736,20 @@ def render(
         if ex.id == instance.id:
             raise ExemplarTargetOverlap(f"{ex.id} is both target and exemplar")
     for k in range(len(shots.drop_order) + 1):
-        body = shots.head(k) + instance.statement
-        if token_budget is None or estimate_tokens(body) <= token_budget:
+        head = shots.head(k)
+        if token_budget is None or estimate_tokens(head + instance.statement) <= token_budget:
             break
     else:
         raise ContextBudgetExceeded(
-            f"{mode.value} body for {instance.id} is ≈{estimate_tokens(body)} tokens "
-            f"after eliding every elidable step; budget {token_budget}"
+            f"{mode.value} body for {instance.id} is ≈{estimate_tokens(head + instance.statement)}"
+            f" tokens after eliding every elidable step; budget {token_budget}"
         )
     return PromptBundle(
         mode=mode,
         system_text=TASK_DESCRIPTIONS[instance.kind],
         exemplar_ids=tuple(ex.id for ex, _ in shots.exemplars),
-        body=body,
+        head=head,
+        statement=instance.statement,
         target_id=instance.id,
     )
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,14 @@ from searchbench import __version__, cli, prompts, scaling
 from searchbench.answers import canonical_text
 from searchbench.gateway import MockBackend, ModelGateway, ResponseCache
 from searchbench.generate import GenSpec, generate
+from searchbench.prompts import PromptMode
 from searchbench.cli import (
     ConfigError,
     ModelConfig,
     config_from_dict,
     dry_run,
     main,
+    render_bundles,
     run,
     validate_config,
 )
@@ -421,6 +425,43 @@ def test_an_oracle_run_builds_each_target_statement_once(tmp_path, monkeypatch):
     assert sorted(map(id, targets)) == sorted(id(inst.payload) for inst in generated)
 
 
+def test_bundles_of_one_task_and_mode_share_one_head_object():
+    """A bundle keeps the exemplar half its (task, mode) shares and the
+    instance's own statement; neither is copied per prompt."""
+    instances = [generate(GenSpec(kind=kind, level=3, seed=seed))
+                 for kind in TaskKind for seed in range(4)]
+    bundles = render_bundles(instances, list(PromptMode), None)
+    heads = {}
+    for instance in instances:
+        for mode in PromptMode:
+            bundle = bundles[(instance.id, mode)]
+            assert bundle.statement is instance.statement
+            assert bundle.head is heads.setdefault((instance.kind, mode), bundle.head)
+            assert bundle.body == bundle.head + instance.statement
+    assert len(heads) == len(TaskKind) * len(PromptMode)
+
+
+def test_rendered_bundles_hold_no_joined_body():
+    """Rendered bundles, with every body read once, retain under a third of
+    the bodies' size: the shared halves, not one body per prompt."""
+    instances = [generate(GenSpec(kind=kind, level=6, seed=seed))
+                 for kind in TaskKind for seed in range(10)]
+    for instance in instances:
+        instance.statement  # the instances' own text, not the bundles'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bundles = render_bundles(instances, list(PromptMode), None)
+        body_bytes = sum(sys.getsizeof(bundle.body) for bundle in bundles.values())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(bundles) == 120
+    assert retained < body_bytes / 3, (retained, body_bytes)
+
+
 def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
     """The verdicts of a run are kept per instance: one cover text is right
     for the first instance and wrong for the second."""
@@ -707,6 +748,22 @@ def test_render_exits_2_on_meeting_times_outside_a_day(
     assert not Path("prompts").exists()
 
 
+@pytest.mark.parametrize("bad_id", ["../escaped/VC", "a/b"])
+def test_render_exits_2_on_an_id_that_is_not_a_file_name(tmp_path, monkeypatch, capsys, bad_id):
+    """An id that would put its prompt file outside ``--out``, or in a
+    directory under it, stops render before any file is written."""
+    monkeypatch.chdir(tmp_path)
+    instance = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=0))
+    write_instances("evil.jsonl", [dataclasses.replace(instance, id=bad_id)])
+    assert main([
+        "render", "--instances", "evil.jsonl", "--mode", "Direct", "--out", "sub/prompts",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: instance id {bad_id!r} is not a file name in sub/prompts\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["evil.jsonl"]
+
+
 def test_verify_judges_an_arrival_after_midnight(tmp_path, monkeypatch, capsys):
     """Brian's window closes at 23:59, and the earliest arrival from Alice's
     meeting falls after midnight."""
@@ -900,6 +957,22 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monke
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--count", "0"],
+    ["gen", "--count", "-2"],
+    ["render", "--instances", "i.jsonl", "--mode", "AoT", "--budget", "0"],
+])
+def test_counts_and_budgets_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    """A config needs ``instance_count`` and ``token_budget`` of at least 1,
+    and so do the flags that stand for them."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"{argv[-2]}: must be an integer >= 1, not {argv[-1]}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -912,7 +912,23 @@ def test_oracle_answers_rendered_prompts(sample_instances):
     request = _request(system_text=bundle.system_text, messages=(("user", bundle.body),))
     reply = oracle.complete(request)
     assert "Here is" in reply.text
-    assert oracle.calls == 1
+
+
+def test_oracle_answers_a_body_joined_anew_and_keeps_no_state(sample_instances):
+    """The oracle reads the statement after the first marker of whatever
+    text arrives, so an equal body that is another object gets the same
+    answer, and no call leaves anything behind."""
+    instances = _flat(sample_instances)
+    oracle = OracleBackend(instances)
+    for inst in instances:
+        for mode in PromptMode:
+            bundle = render(inst, mode, default_exemplars(inst.kind, mode))
+            body = bundle.body.encode().decode()
+            assert body == bundle.body and body is not bundle.body
+            reply = oracle.complete(_request(messages=(("user", body),)))
+            assert reply.text == canonical_text(inst.payload, inst.ground_truth)
+    assert list(vars(oracle)) == ["_answers"]
+    assert len(oracle._answers) == len(instances)
 
 
 def test_oracle_builds_each_answer_once(sample_instances, monkeypatch):
