@@ -63,6 +63,7 @@ from .tasks import (
     TaskKind,
     Verdict,
     VerdictStatus,
+    open_output,
     read_instances,
     read_jsonl,
     write_instances,
@@ -558,7 +559,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     mode = SearchMode(args.search)
     out = Path(args.out or "traces.jsonl")
     instances = read_instances(args.instances)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open_output(out) as fh:
         for instance in instances:
             trace = solve(instance, mode)
             record = {

@@ -152,6 +152,30 @@ def _stay_composition(rng: random.Random, parts: int, total: int) -> list[int]:
     return stays
 
 
+def _reversed_run_order(
+    order: list[str], windows: dict[str, TripWindow], flights: set[tuple[str, str]]
+) -> list[str] | None:
+    """A second plan beside the planted ``order``, or None when this finds none.
+
+    It reverses the first run ``order[i..j]`` (``j > i``) that holds no
+    windowed city and whose ends join their outer neighbours by flights.
+    Every path pair is a flight both ways and the run keeps its day range,
+    so the result keeps every flight and every windowed city's leg.
+    """
+    n = len(order)
+    for i in range(n - 1):
+        if order[i] in windows:
+            continue
+        for j in range(i + 1, n):
+            if order[j] in windows:
+                break
+            if (i == 0 or (order[i - 1], order[j]) in flights) and (
+                j == n - 1 or (order[i], order[j + 1]) in flights
+            ):
+                return order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+    return None
+
+
 def _build_trip(level: int, rng: random.Random) -> tuple[TripPayload, TripPlan] | None:
     row = DIFFICULTY_TABLE[level]
     n = row["trip_cities"]
@@ -184,11 +208,11 @@ def _build_trip(level: int, rng: random.Random) -> tuple[TripPayload, TripPlan] 
     for a, b in zip(order, order[1:]):
         flights.add((a, b))
         flights.add((b, a))
-    path_pairs = {frozenset(p) for p in zip(order, order[1:])}
     for i in range(n):
         for j in range(i + 1, n):
             a, b = cities[i], cities[j]
-            if frozenset((a, b)) in path_pairs:
+            # Each pair comes up once, so (a, b) is a flight yet only on the path.
+            if (a, b) in flights:
                 continue
             if rng.random() >= DISTRACTOR_FLIGHT_DENSITY:
                 continue
@@ -198,6 +222,8 @@ def _build_trip(level: int, rng: random.Random) -> tuple[TripPayload, TripPlan] 
                 flights.add((a, b))
                 flights.add((b, a))
 
+    if _reversed_run_order(order, windows, flights) is not None:
+        return None
     payload = TripPayload(
         cities=cities,
         total_days=total_days,
@@ -358,7 +384,8 @@ def generate_all(specs: Sequence[GenSpec]) -> list[ProblemInstance]:
 
 # ---------------------------------------------------------------------------
 # Exemplar provisioning: worked examples shown inside prompts come from a
-# dedicated seed namespace so they can never collide with target instances.
+# dedicated seed namespace, so their seeds never collide with target seeds.
+# Their content can still equal a target's.
 # ---------------------------------------------------------------------------
 
 EXEMPLAR_LEVEL = 6

@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterable, Mapping, TypeVar, Union
+from typing import Any, Callable, ClassVar, Iterable, Mapping, TextIO, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -323,10 +323,6 @@ class Verdict:
     status: VerdictStatus
     reason: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status is VerdictStatus.SUCCESS
-
 
 def minutes_to_clock(minutes: int) -> str:
     """Render minutes-of-day as H:MM (24h, no leading zero on the hour).  A
@@ -487,10 +483,20 @@ def instance_from_record(record: dict) -> ProblemInstance:
     )
 
 
+def open_output(path: str | Path) -> TextIO:
+    """``path`` opened for writing, after making its directory; a path that
+    still cannot be opened is a TaskError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise TaskError(f"cannot write {path}: {err}") from None
+
+
 def write_instances(path: str | Path, instances: Iterable[ProblemInstance]) -> int:
     """Write instances as line-delimited JSON records; returns the count."""
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for inst in instances:
             fh.write(json.dumps(instance_to_record(inst), sort_keys=True) + "\n")
             count += 1

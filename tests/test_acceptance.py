@@ -82,7 +82,7 @@ def test_02_exact_solver_agrees_with_brute_force_enumeration():
                 agreed = len(trace.solution.meetings) == optimum
             else:  # exact-cover style: the found solution must be enumerated
                 agreed = trace.solution in solutions
-            if not agreed or not verify(inst, trace.solution).ok:
+            if not agreed or verify(inst, trace.solution).status is not VerdictStatus.SUCCESS:
                 mismatches += 1
     assert mismatches == 0
     assert time.monotonic() - started < 300.0
@@ -302,7 +302,7 @@ def test_08_scaling_contracts_hold_over_randomized_logs():
             )
             assert len(backend.calls) == expected_calls
             assert outcome.success == (first_good is not None)
-            assert all(not a.verdict.ok for a in outcome.attempts[:-1])
+            assert all(a.verdict.status is not VerdictStatus.SUCCESS for a in outcome.attempts[:-1])
         else:
             assert len(backend.calls) == 1
             assert outcome.success == plan[0]

@@ -195,7 +195,7 @@ def _trip_plan(payload, order):
 
 
 def test_verify_reference_ground_truth(reference_trip):
-    assert verify(reference_trip, reference_trip.ground_truth).ok
+    assert verify(reference_trip, reference_trip.ground_truth).status is VerdictStatus.SUCCESS
 
 
 def test_verify_trip_swapped_legs_names_the_window(reference_trip):
@@ -348,7 +348,8 @@ def test_verdict_names_the_first_broken_constraint(instance, answer, status, rea
 def test_evaluate_success_and_parse_failure(reference_trip):
     text = canonical_text(reference_trip.payload, reference_trip.ground_truth)
     report, verdict = evaluate(reference_trip, text)
-    assert verdict.ok and report.candidate == reference_trip.ground_truth
+    assert verdict.status is VerdictStatus.SUCCESS
+    assert report.candidate == reference_trip.ground_truth
     report, verdict = evaluate(reference_trip, "no itinerary here")
     assert verdict.status is VerdictStatus.PARSE_FAILURE
     assert report.candidate is None
@@ -364,7 +365,7 @@ def test_evaluate_wrong_but_valid_looking_plan(reference_trip):
         VerdictStatus.CONSTRAINT_VIOLATION,
         VerdictStatus.WRONG_ANSWER,
     )
-    assert not verdict.ok
+    assert verdict.status is not VerdictStatus.SUCCESS
 
 
 def test_evaluate_reads_an_overlong_number_as_a_parse_failure(sample_instances):

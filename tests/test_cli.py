@@ -790,6 +790,30 @@ def test_verify_judges_an_arrival_after_midnight(tmp_path, monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("command", [
+    ["gen", "--task", "ThreeDM", "--level", "2", "--count", "1"],
+    ["solve", "--instances", "inst.jsonl"],
+], ids=["gen", "solve"])
+@pytest.mark.parametrize("out", ["nd/x.jsonl", "taken"], ids=["missing directory", "directory"])
+def test_gen_and_solve_make_the_output_directory_and_exit_2_on_a_directory(
+    tmp_path, monkeypatch, capsys, command, out
+):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").mkdir()
+    write_instances("inst.jsonl", [generate(GenSpec(kind=TaskKind.THREE_DM, level=2, seed=0))])
+    code = main(command + ["--out", out])
+    captured = capsys.readouterr()
+    if out == "taken":
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1, captured.err
+        assert not any(Path("taken").iterdir())
+    else:
+        assert code == 0 and captured.err == ""
+        assert captured.out.endswith(f" to {out}\n")
+        assert len(Path(out).read_text(encoding="utf-8").splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["render", "--mode", "CoT", "--out", "prompts"],
     ["verify", "--answers", "answers.jsonl"],

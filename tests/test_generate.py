@@ -24,8 +24,14 @@ from searchbench.generate import (
     instance_id,
     load_fixture,
 )
-from searchbench.solver import count_trip_plans
-from searchbench.tasks import TaskKind, VerdictStatus, instance_to_record
+from searchbench.solver import count_trip_plans, trip_legs_for_order
+from searchbench.tasks import (
+    ProblemInstance,
+    TaskKind,
+    TripPlan,
+    VerdictStatus,
+    instance_to_record,
+)
 
 from conftest import ENUMERABLE_LEVELS, fail_seeds
 
@@ -94,6 +100,62 @@ def test_trip_plans_are_unique_over_all_orderings():
         for seed in range(3):
             inst = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=level, seed=seed))
             assert count_trip_plans(inst.payload) == 1, (level, seed)
+
+
+def test_a_reversed_run_is_a_second_plan_of_every_candidate_it_settles(monkeypatch):
+    """Every trip candidate of levels 2-10, seeds 0-29, up to the accepted
+    one: the rule is stubbed out so that each candidate reaches the count,
+    and wherever the rule finds a reversed order, that order is another
+    valid plan and the count sees two."""
+    find = generate_module._reversed_run_order
+    found = []  # (planted order, reversed order or None), one per candidate
+    counts = []  # (payload, plans counted up to 2), one per candidate
+
+    def no_rule(order, windows, flights):
+        found.append((order, find(order, windows, flights)))
+        return None
+
+    def counted(payload, limit):
+        counts.append((payload, count_trip_plans(payload, limit)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(generate_module, "_reversed_run_order", no_rule)
+    monkeypatch.setattr(generate_module, "count_trip_plans", counted)
+    for level in range(2, 11):
+        for seed in range(30):
+            generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=level, seed=seed))
+    assert len(found) == len(counts)
+    settled = 0
+    for (order, reversed_order), (payload, plans) in zip(found, counts):
+        if reversed_order is None:
+            continue
+        settled += 1
+        assert reversed_order != order and sorted(reversed_order) == sorted(order)
+        instance = ProblemInstance(
+            id="candidate", kind=TaskKind.TRIP_PLANNING, level=1, seed=0, payload=payload,
+            ground_truth=TripPlan(legs=trip_legs_for_order(payload, order)),
+        )
+        plan = TripPlan(legs=trip_legs_for_order(payload, reversed_order))
+        assert verify(instance, plan).status is VerdictStatus.SUCCESS, (order, reversed_order)
+        assert plans == 2
+    assert settled > len(found) // 2
+
+
+def test_the_reversal_rule_settles_most_paper_sized_trip_candidates(monkeypatch):
+    """The 100 level-10 trips of seeds 1-100 draw 1,378 candidates; only 259
+    of them reach the exact count, the rest have a reversed run as a second
+    plan."""
+    calls = 0
+
+    def counted(payload, limit):
+        nonlocal calls
+        calls += 1
+        return count_trip_plans(payload, limit)
+
+    monkeypatch.setattr(generate_module, "count_trip_plans", counted)
+    for seed in range(1, 101):
+        generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=10, seed=seed))
+    assert calls == 259
 
 
 def test_exemplar_instances_fixed_level_and_distinct():

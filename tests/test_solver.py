@@ -38,6 +38,7 @@ from searchbench.tasks import (
     TripPayload,
     TripPlan,
     TripWindow,
+    VerdictStatus,
     VertexCoverPayload,
 )
 
@@ -226,7 +227,9 @@ def _candidate_space(payload):
 
 def _assert_verify_accepts_exactly_the_enumerated(instance):
     candidates = _candidate_space(instance.payload)
-    accepted = {c for c in candidates if verify(instance, c).ok}
+    accepted = {
+        c for c in candidates if verify(instance, c).status is VerdictStatus.SUCCESS
+    }
     assert accepted == set(enumerate_all(instance)), instance.id
 
 
@@ -600,7 +603,7 @@ def test_friends_named_alike_are_rejected_so_the_optimum_verifies():
         id="two-friends", kind=TaskKind.MEETING_PLANNING, level=1, seed=0,
         payload=payload, ground_truth=best,
     )
-    assert verify(instance, best).ok
+    assert verify(instance, best).status is VerdictStatus.SUCCESS
 
 
 def test_matching_witness_is_the_traced_matching(unsolvable_instances):

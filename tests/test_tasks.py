@@ -16,7 +16,6 @@ from searchbench.tasks import (
     TripPayload,
     TripWindow,
     UnknownCityError,
-    Verdict,
     VerdictStatus,
     VertexCoverPayload,
     instance_from_record,
@@ -251,10 +250,3 @@ def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {message}"):
         read_instances(path)
-
-
-def test_verdict_ok_flag():
-    assert Verdict(status=VerdictStatus.SUCCESS).ok
-    for status in VerdictStatus:
-        if status is not VerdictStatus.SUCCESS:
-            assert not Verdict(status=status).ok
