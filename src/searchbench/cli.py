@@ -544,12 +544,13 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     kinds = list(TaskKind) if args.task == "all" else [TaskKind(args.task)]
+    out = Path(args.out or "instances.jsonl")
+    open_output(out).close()  # an unwritable path fails before anything is generated
     instances = generate_all([
         GenSpec(kind=kind, level=args.level, seed=args.seed + i)
         for kind in kinds
         for i in range(args.count)
     ])
-    out = Path(args.out or "instances.jsonl")
     count = write_instances(out, instances)
     print(f"wrote {count} instance(s) to {out}")
     return 0

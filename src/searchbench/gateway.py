@@ -11,7 +11,7 @@ Backends implement one method, ``complete(request) -> BackendResponse``:
 
 * ``HttpBackend``   -- real providers, in either of two wire dialects.
 * ``OracleBackend`` -- answers with the exact solver's solution for the
-  instance whose statement appears in the prompt (pipeline self-check).
+  instance whose statement the request carries (pipeline self-check).
 * ``MockBackend``   -- scripted replies for tests.
 """
 
@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .answers import canonical_text
-from .prompts import TARGET_MARKER
 from .tasks import ProblemInstance, TaskError
 
 
@@ -71,7 +70,10 @@ class ProviderHTTPError(GatewayError):
 class BackendRequest:
     """One completion request.
 
-    ``messages`` alternates (role, content) pairs, roles "user"/"assistant".
+    The first user message is ``head + statement``, the exemplar half that
+    every target of one (task, mode) shares and the target's own text.
+    ``history`` holds the (role, content) turns after it, as ``ss`` rounds
+    grow them; ``messages`` joins them all for backends that send text.
     ``sample_index`` distinguishes otherwise-identical requests so parallel
     samples get distinct cache entries.  ``digest`` is the request's
     ``canonical_digest``, computed once at construction: the cache key and
@@ -80,7 +82,9 @@ class BackendRequest:
 
     model: str
     system_text: str
-    messages: tuple[tuple[str, str], ...]
+    head: str
+    statement: str
+    history: tuple[tuple[str, str], ...] = ()
     temperature: float = 0.0
     max_tokens: int = 4096
     thinking: bool = False
@@ -90,6 +94,11 @@ class BackendRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "digest", canonical_digest(self))
+
+    @property
+    def messages(self) -> tuple[tuple[str, str], ...]:
+        """Every (role, content) turn, the first user message joined."""
+        return (("user", self.head + self.statement),) + self.history
 
 
 @dataclass(frozen=True)
@@ -110,68 +119,52 @@ def canonical_digest(request: BackendRequest) -> str:
     """Stable content digest of a request (sha256 of its sorted JSON form).
 
     That form begins ``{"max_tokens":M,"messages":[...]``, nearly all of its
-    bytes, and every other key sorts after those two.  So the head is hashed
-    once per ``(max_tokens, messages)`` and each request adds its own tail to
-    a copy: the units of one (instance, mode) share one head.  Keys carry
-    the ``repr`` of their numbers, which tells apart values that compare
-    equal but encode differently (``0``, ``0.0``, ``-0.0``, ``False``).
+    bytes, and every other key sorts after those two.  So the first message
+    is hashed once per ``(max_tokens, head, statement)``, from the state
+    after its head, which every target of one (task, mode) shares; each
+    request adds its own history and tail to a copy.  Keys carry the
+    ``repr`` of their numbers, which tells apart values that compare equal
+    but encode differently (``0``, ``0.0``, ``-0.0``, ``False``).
     """
     numbers = (
         request.temperature, request.thinking, request.thinking_budget, request.sample_index
     )
-    state = _head_state(repr(request.max_tokens), request.max_tokens, request.messages).copy()
+    state = _message_state(
+        repr(request.max_tokens), request.max_tokens, request.head, request.statement
+    ).copy()
+    for turn in request.history:  # a tuple encodes as a JSON array
+        state.update(b"," + json.dumps(turn, separators=(",", ":")).encode("ascii"))
     state.update(_tail(request.model, request.system_text, repr(numbers), numbers))
     return state.hexdigest()
 
 
 @functools.lru_cache(maxsize=16)
-def _head_state(
-    key: str, max_tokens: int, messages: tuple[tuple[str, str], ...]
-) -> hashlib._Hash:
-    """sha256 state after ``{"max_tokens":M,"messages":[...]``, the sorted
-    JSON form of a request up to, not including, its ``,"model"`` key;
-    ``key`` is ``repr(max_tokens)``.
-
-    A first user message that holds ``TARGET_MARKER`` starts from the state
-    after its text up to the marker, the exemplar half that every target of
-    one (task, mode) shares.  JSON escapes one code point at a time, so the
-    halves escaped apart are the bytes of the whole escaped at once.
-    """
-    if messages and messages[0][0] == "user":
-        text = messages[0][1]
-        cut = text.find(TARGET_MARKER)
-        if cut >= 0:
-            cut += len(TARGET_MARKER)
-            state = _prefix_state(key, max_tokens, text[:cut]).copy()
-            later = "".join(
-                "," + json.dumps(list(m), separators=(",", ":")) for m in messages[1:]
-            )
-            # the prefix state holds the opening quote of the first message's text
-            state.update(f"{_encode_str(text[cut:])[1:]}]{later}]".encode("ascii"))
-            return state
-    return hashlib.sha256(_head_json(max_tokens, messages)[:-1].encode("utf-8"))
+def _message_state(key: str, max_tokens: int, head: str, statement: str) -> hashlib._Hash:
+    """sha256 state after ``{"max_tokens":M,"messages":[["user","<head><statement>"]``;
+    ``key`` is ``repr(max_tokens)``.  JSON escapes one code point at a time,
+    so the halves escaped apart are the bytes of the whole escaped at once."""
+    state = _prefix_state(key, max_tokens, head).copy()
+    # the prefix state holds the opening quote of the message's text
+    state.update(f"{_encode_str(statement)[1:]}]".encode("ascii"))
+    return state
 
 
 @functools.lru_cache(maxsize=16)
-def _prefix_state(key: str, max_tokens: int, prefix: str) -> hashlib._Hash:
-    """sha256 state after ``{"max_tokens":M,"messages":[["user","<prefix>``."""
-    head = _head_json(max_tokens, (("user", prefix),))
-    return hashlib.sha256(head[: -len('"]]}')].encode("ascii"))
-
-
-def _head_json(max_tokens: int, messages: tuple[tuple[str, str], ...]) -> str:
-    return json.dumps(
-        {"max_tokens": max_tokens, "messages": [list(m) for m in messages]},
+def _prefix_state(key: str, max_tokens: int, head: str) -> hashlib._Hash:
+    """sha256 state after ``{"max_tokens":M,"messages":[["user","<head>``."""
+    form = json.dumps(
+        {"max_tokens": max_tokens, "messages": [["user", head]]},
         sort_keys=True,
         separators=(",", ":"),
     )
+    return hashlib.sha256(form[: -len('"]]}')].encode("ascii"))
 
 
 @functools.lru_cache(maxsize=64)
 def _tail(model: str, system_text: str, key: str, numbers: tuple) -> bytes:
-    """The sorted JSON form from ``,"model"`` to its end; ``numbers`` are
-    temperature, thinking, thinking budget and sample index, and ``key`` is
-    their ``repr``."""
+    """The sorted JSON form from the ``]`` that ends its messages to its end;
+    ``numbers`` are temperature, thinking, thinking budget and sample index,
+    and ``key`` is their ``repr``."""
     temperature, thinking, thinking_budget, sample_index = numbers
     tail = json.dumps(
         {
@@ -185,7 +178,7 @@ def _tail(model: str, system_text: str, key: str, numbers: tuple) -> bytes:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return b"," + tail[1:].encode("utf-8")
+    return b"]," + tail[1:].encode("utf-8")
 
 
 def _response_to_json(response: BackendResponse) -> dict:
@@ -680,11 +673,10 @@ class MockBackend:
 class OracleBackend:
     """Answers any rendered prompt with the registered instance's exact solution.
 
-    Answers are looked up by the statement text that follows the first target
-    marker in the first user message, so the oracle exercises the same
-    prompt → answer → verify path as a real model — with a guaranteed
-    correct answer.  Each response is built once, when the oracle is built;
-    after that it keeps no state, and each call finds the marker anew.
+    Answers are looked up by the request's statement, so the oracle
+    exercises the same prompt → answer → verify path as a real model — with
+    a guaranteed correct answer.  Each response is built once, when the
+    oracle is built; after that it keeps no state.
     """
 
     def __init__(self, instances: Sequence[ProblemInstance] = ()) -> None:
@@ -696,11 +688,7 @@ class OracleBackend:
             )
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        first_user = next((text for role, text in request.messages if role == "user"), "")
-        cut = first_user.find(TARGET_MARKER)
-        if cut < 0:
-            raise MalformedProviderReply("prompt has no target-question marker")
-        response = self._answers.get(first_user[cut + len(TARGET_MARKER):].strip())
+        response = self._answers.get(request.statement)
         if response is None:
             raise MalformedProviderReply("target statement not registered with oracle")
         return response

@@ -130,14 +130,16 @@ def _request(
     model: str,
     strategy: ScalingStrategy,
     max_tokens: int,
-    messages: tuple[tuple[str, str], ...],
+    history: tuple[tuple[str, str], ...] = (),
     sample_index: int = 0,
 ) -> BackendRequest:
     internal = strategy.kind is ScalingKind.INTERNAL
     return BackendRequest(
         model=model,
         system_text=bundle.system_text,
-        messages=messages,
+        head=bundle.head,
+        statement=bundle.statement,
+        history=history,
         temperature=TEMPERATURES[strategy.kind],
         max_tokens=max_tokens,
         thinking=internal,
@@ -173,9 +175,9 @@ def execute(
         verdicts = {}
 
     def call(
-        messages: tuple[tuple[str, str], ...], round_index: int, sample_index: int = 0
+        history: tuple[tuple[str, str], ...], round_index: int, sample_index: int = 0
     ) -> Attempt:
-        request = _request(bundle, model, strategy, max_tokens, messages, sample_index)
+        request = _request(bundle, model, strategy, max_tokens, history, sample_index)
         response = gateway.complete(request)
         verdict = verdicts.get(response.text)
         if verdict is None:
@@ -190,21 +192,20 @@ def execute(
         attempts.append(attempt)
         return attempt
 
-    base_messages = (("user", bundle.body),)
     unexpected_error = False
     try:
         if strategy.kind is ScalingKind.SEQUENTIAL:
-            messages = base_messages
+            history: tuple[tuple[str, str], ...] = ()
             for round_index in range(strategy.max_calls):
                 if round_index:  # replay the conversation and ask for a re-check
-                    messages += (("assistant", attempt.text), ("user", render_refine(attempt.text)))
-                attempt = call(messages, round_index=round_index)
+                    history += (("assistant", attempt.text), ("user", render_refine(attempt.text)))
+                attempt = call(history, round_index=round_index)
                 if attempt.verdict.status is VerdictStatus.SUCCESS:
                     break
             final = attempt.verdict
         else:  # ws, is and ps: independent samples of the first turn
             for sample_index in range(strategy.max_calls):
-                call(base_messages, round_index=0, sample_index=sample_index)
+                call((), round_index=0, sample_index=sample_index)
             final = next(
                 (a.verdict for a in attempts if a.verdict.status is VerdictStatus.SUCCESS),
                 attempts[-1].verdict,

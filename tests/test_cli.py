@@ -814,6 +814,17 @@ def test_gen_and_solve_make_the_output_directory_and_exit_2_on_a_directory(
         assert len(Path(out).read_text(encoding="utf-8").splitlines()) == 1
 
 
+def test_gen_fails_on_an_unwritable_out_before_it_generates(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("nd").mkdir()
+    calls = []
+    monkeypatch.setattr(cli, "generate_all", lambda specs: calls.append(specs) or [])
+    code = main(["gen", "--task", "VertexCover", "--level", "10", "--count", "100", "--out", "nd"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write nd: ")
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["render", "--mode", "CoT", "--out", "prompts"],
     ["verify", "--answers", "answers.jsonl"],

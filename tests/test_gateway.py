@@ -36,12 +36,19 @@ from searchbench.gateway import (
     ResponseCache,
     RETRY_ATTEMPTS,
     RETRY_BASE_DELAY,
-    TARGET_MARKER,
+    _message_state,
+    _prefix_state,
     call_with_retries,
     canonical_digest,
 )
 from searchbench.answers import canonical_text, evaluate
-from searchbench.prompts import PromptMode, default_exemplars, render, render_refine
+from searchbench.prompts import (
+    TARGET_MARKER,
+    PromptMode,
+    default_exemplars,
+    render,
+    render_refine,
+)
 from searchbench.tasks import TaskKind
 
 
@@ -49,7 +56,8 @@ def _request(**overrides) -> BackendRequest:
     base = dict(
         model="m-1",
         system_text="sys",
-        messages=(("user", "hello"),),
+        head="hel",
+        statement="lo",
         temperature=0.0,
         max_tokens=128,
     )
@@ -183,12 +191,14 @@ def test_digest_is_stable_and_content_addressed():
     [
         {"model": "m-2"},
         {"system_text": "other"},
-        {"messages": (("user", "hello"), ("assistant", "hi"))},
+        {"history": (("assistant", "hi"),)},
         {"temperature": 0.7},
         {"max_tokens": 256},
         {"thinking": True},
         {"thinking_budget": 9000},
         {"sample_index": 1},
+        {"head": "Hel"},
+        {"statement": "lo!"},
     ],
 )
 def test_digest_changes_with_every_field(change):
@@ -203,7 +213,7 @@ def test_request_carries_its_digest_outside_equality_hash_and_repr():
     assert twin == request and hash(twin) == hash(request)
     assert "digest" not in repr(request)
     with pytest.raises(TypeError):
-        BackendRequest(model="m", system_text="", messages=(), digest="x")
+        BackendRequest(model="m", system_text="", head="", statement="", digest="x")
 
 
 def test_replaced_request_gets_a_fresh_digest():
@@ -241,49 +251,60 @@ _TEXT = st.lists(
 ).map("".join)
 
 
-# A first user message holds the target marker zero, one or two times, at
-# its start, in its middle or at its end, with awkward text on either side.
-_FIRST_MESSAGE = st.lists(
+# Text holding the target marker zero, one or two times, at its start, in
+# its middle or at its end, with awkward text on either side: the digest
+# must not care where, or whether, the marker appears.
+_MARKED = st.lists(
     st.one_of(st.just(""), _AWKWARD, _TEXT), min_size=1, max_size=3
 ).map(TARGET_MARKER.join)
 
 
 @st.composite
 def _request_runs(draw):
-    """Requests in the order a unit sends them: several tails per head, and
-    ``ss``-style histories that grow by an (assistant, user) pair a round."""
+    """Requests in the order a unit sends them: random (head, statement,
+    history) triples, heads shared across statements, several tails per
+    first message, and ``ss``-style histories that grow by an (assistant,
+    user) pair a round."""
     requests_ = []
+    heads = draw(st.lists(_MARKED, min_size=1, max_size=2))
     for _ in range(draw(st.integers(1, 4))):
-        history = [("user", draw(_FIRST_MESSAGE))]
-        for _ in range(draw(st.integers(0, 2))):
-            history += [("assistant", draw(_TEXT)), ("user", draw(_TEXT))]
+        head, statement = draw(st.sampled_from(heads)), draw(_MARKED)
         max_tokens = draw(st.sampled_from([1, 128, 4096, 10**9]))
-        for _ in range(draw(st.integers(1, 3))):
-            requests_.append(BackendRequest(
-                model=draw(_TEXT),
-                system_text=draw(_TEXT),
-                messages=tuple(history),
-                temperature=draw(st.one_of(
-                    st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False))),
-                max_tokens=max_tokens,
-                thinking=draw(st.booleans()),
-                thinking_budget=draw(st.sampled_from([None, 0, 1024, 16000])),
-                sample_index=draw(st.integers(0, 5)),
-            ))
+        history: tuple = ()
+        for round_index in range(draw(st.integers(1, 3))):
+            if round_index:
+                history += (("assistant", draw(_MARKED)), ("user", draw(_MARKED)))
+            for _ in range(draw(st.integers(1, 2))):
+                requests_.append(BackendRequest(
+                    model=draw(_TEXT),
+                    system_text=draw(_TEXT),
+                    head=head,
+                    statement=statement,
+                    history=history,
+                    temperature=draw(st.one_of(
+                        st.integers(-3, 3), st.floats(allow_nan=False, allow_infinity=False))),
+                    max_tokens=max_tokens,
+                    thinking=draw(st.booleans()),
+                    thinking_budget=draw(st.sampled_from([None, 0, 1024, 16000])),
+                    sample_index=draw(st.integers(0, 5)),
+                ))
     return requests_
 
 
 @settings(max_examples=200, deadline=None)
 @given(_request_runs())
-@example([_request(messages=()), _request(messages=(), model="m-2")])
 @example([_request(temperature=0), _request(temperature=0.0), _request(temperature=-0.0)])
 @example([_request(temperature=False), _request(temperature=True), _request(temperature=1)])
 @example([_request(sample_index=False), _request(sample_index=0), _request(sample_index=True)])
 @example([_request(max_tokens=v) for v in (True, 1, 1.0, 0.0, -0.0)])
 @example([
-    _request(messages=((role, f"{'ab' * k}{TARGET_MARKER}\u2028x{k}"),) + more)
+    _request(head=head, statement=statement, history=more)
     for k in (1, 2, 1)
-    for role in ("user", "assistant")
+    for head, statement in (
+        (f"{'ab' * k}{TARGET_MARKER}", f"\u2028x{k}"),
+        (f"{'ab' * k}", f"{TARGET_MARKER}\u2028x{k}"),
+        ("", f"{'ab' * k}{TARGET_MARKER}\u2028x{k}"),
+    )
     for more in ((), (("assistant", "a"), ("user", f"{TARGET_MARKER} again")))
 ])
 def test_digest_is_sha256_of_the_sorted_json_request(requests_):
@@ -292,15 +313,20 @@ def test_digest_is_sha256_of_the_sorted_json_request(requests_):
 
 
 def test_digest_holds_across_more_heads_than_are_kept():
-    """Heads and exemplar halves are kept for a few requests only; revisiting
-    one that was dropped, or reusing one with a new tail, still gives the
-    contract."""
-    for body in ("body {i}", "shots {i}" + TARGET_MARKER + " target {i}"):
-        heads = [(("user", body.format(i=i)),) for i in range(40)]
-        order = list(range(40)) + [0, 39, 5, 5, 17, 0] + list(range(39, -1, -3))
-        for turn, i in enumerate(order):
-            request = _request(messages=heads[i], sample_index=turn % 3, model=f"m-{turn % 2}")
-            assert request.digest == _reference_digest(request)
+    """Exemplar halves and first messages are kept for a few requests only;
+    revisiting one that was dropped, or reusing one with a new tail, still
+    gives the contract."""
+    heads = [f"shots {i}\n{TARGET_MARKER}\n" for i in range(40)]
+    order = list(range(40)) + [0, 39, 5, 5, 17, 0] + list(range(39, -1, -3))
+    pairs = [(heads[i], f"target {i}") for i in order]  # more heads than are kept
+    pairs += [(heads[0], f"target {j % 20}") for j in range(40)]  # one head, many statements
+    assert len(set(heads)) > _prefix_state.cache_info().maxsize
+    assert len({(h, s) for h, s in pairs if h == heads[0]}) > _message_state.cache_info().maxsize
+    for turn, (head, statement) in enumerate(pairs):
+        request = _request(
+            head=head, statement=statement, sample_index=turn % 3, model=f"m-{turn % 2}"
+        )
+        assert request.digest == _reference_digest(request)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +728,7 @@ def test_http_backend_happy_path(monkeypatch):
     """Both dialects send their headers and exactly the bytes of
     ``json.dumps(payload, allow_nan=False)``, to the URL's path and query."""
     monkeypatch.setenv("SOME_KEY", "sekrit")
-    request = _request(messages=(("user", "h\u00e9llo \U0001f600"),))
+    request = _request(head="h\u00e9l", statement="lo \U0001f600")
     for dialect, reply in (("anthropic", ANTHROPIC_BODY), ("openai", OPENAI_BODY)):
         with _Provider([(200, json.dumps(reply).encode(), {})]) as provider:
             backend = _http_backend(
@@ -909,23 +935,25 @@ def test_oracle_answers_rendered_prompts(sample_instances):
     oracle = OracleBackend(instances)
     inst = instances[0]
     bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
-    request = _request(system_text=bundle.system_text, messages=(("user", bundle.body),))
+    request = _request(
+        system_text=bundle.system_text, head=bundle.head, statement=bundle.statement
+    )
     reply = oracle.complete(request)
     assert "Here is" in reply.text
 
 
-def test_oracle_answers_a_body_joined_anew_and_keeps_no_state(sample_instances):
-    """The oracle reads the statement after the first marker of whatever
-    text arrives, so an equal body that is another object gets the same
-    answer, and no call leaves anything behind."""
+def test_oracle_answers_an_equal_statement_and_keeps_no_state(sample_instances):
+    """The oracle looks the request's statement up by value, so an equal
+    statement that is another object gets the same answer under any mode's
+    head, and no call leaves anything behind."""
     instances = _flat(sample_instances)
     oracle = OracleBackend(instances)
     for inst in instances:
         for mode in PromptMode:
             bundle = render(inst, mode, default_exemplars(inst.kind, mode))
-            body = bundle.body.encode().decode()
-            assert body == bundle.body and body is not bundle.body
-            reply = oracle.complete(_request(messages=(("user", body),)))
+            statement = bundle.statement.encode().decode()
+            assert statement == bundle.statement and statement is not bundle.statement
+            reply = oracle.complete(_request(head=bundle.head, statement=statement))
             assert reply.text == canonical_text(inst.payload, inst.ground_truth)
     assert list(vars(oracle)) == ["_answers"]
     assert len(oracle._answers) == len(instances)
@@ -945,7 +973,7 @@ def test_oracle_builds_each_answer_once(sample_instances, monkeypatch):
     for inst in instances:
         bundle = render(inst, PromptMode.AOT, default_exemplars(inst.kind, PromptMode.AOT))
         for _ in range(3):
-            reply = oracle.complete(_request(messages=(("user", bundle.body),)))
+            reply = oracle.complete(_request(head=bundle.head, statement=bundle.statement))
             assert reply.text == canonical_text(inst.payload, inst.ground_truth)
     assert len(built) == len(instances)
 
@@ -956,26 +984,36 @@ def test_oracle_reads_first_user_message_in_refine_history(sample_instances):
     inst = instances[0]
     bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
     history = (
-        ("user", bundle.body),
         ("assistant", "a wrong first attempt"),
         ("user", render_refine("a wrong first attempt")),
     )
-    reply = oracle.complete(_request(messages=history))
+    request = _request(head=bundle.head, statement=bundle.statement, history=history)
+    assert request.messages[0] == ("user", bundle.body)
+    reply = oracle.complete(request)
     assert "Here is" in reply.text
 
 
-def test_oracle_rejects_unknown_or_markerless_prompts(sample_instances):
+def test_oracle_rejects_unregistered_statements(sample_instances):
+    """A statement not registered raises, even when a registered one sits
+    in the head or the history: the oracle reads the statement only."""
     instances = _flat(sample_instances)
     oracle = OracleBackend(instances[:1])
-    with pytest.raises(MalformedProviderReply):
-        oracle.complete(_request(messages=(("user", "no marker here"),)))
+    known = instances[0].statement
+    for request in (
+        _request(statement="not registered"),
+        _request(head=f"{TARGET_MARKER}\n{known}", statement=""),
+        _request(statement=known + "\n", history=(("user", known),)),
+    ):
+        with pytest.raises(MalformedProviderReply):
+            oracle.complete(request)
     stranger = instances[-1]
     assert stranger.kind is not instances[0].kind
     bundle = render(
         stranger, PromptMode.DIRECT, default_exemplars(stranger.kind, PromptMode.DIRECT)
     )
     with pytest.raises(MalformedProviderReply):
-        oracle.complete(_request(messages=(("user", bundle.body),)))
+        oracle.complete(_request(head=bundle.head, statement=bundle.statement))
+    assert oracle.complete(_request(statement=known)).text
 
 
 # ---------------------------------------------------------------------------
