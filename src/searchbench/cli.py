@@ -46,6 +46,7 @@ from .generate import (
     generate_all,
 )
 from .prompts import (
+    ContextBudgetExceeded,
     PromptBundle,
     PromptMode,
     Shots,
@@ -308,10 +309,15 @@ def render_bundles(
     instances: Iterable[ProblemInstance],
     modes: Iterable[PromptMode],
     token_budget: int | None,
+    over_budget: dict[tuple[str, PromptMode], str] | None = None,
 ) -> dict[tuple[str, PromptMode], PromptBundle]:
     """Render every (instance, mode) prompt, in ``modes`` order within each
     instance, building each (task, mode) exemplar half once; bundles are
-    keyed by (instance id, mode)."""
+    keyed by (instance id, mode).
+
+    A prompt that cannot meet ``token_budget`` raises ContextBudgetExceeded,
+    or, given ``over_budget``, leaves its message there under its key and
+    gets no bundle."""
     modes = tuple(modes)
     shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
     bundles = {}
@@ -320,9 +326,14 @@ def render_bundles(
             key = (instance.kind, mode)
             if key not in shots:
                 shots[key] = Shots(mode, default_exemplars(instance.kind, mode))
-            bundles[(instance.id, mode)] = render(
-                instance, mode, shots[key], token_budget=token_budget
-            )
+            try:
+                bundles[(instance.id, mode)] = render(
+                    instance, mode, shots[key], token_budget=token_budget
+                )
+            except ContextBudgetExceeded as err:
+                if over_budget is None:
+                    raise
+                over_budget[(instance.id, mode)] = str(err)
     return bundles
 
 
@@ -410,14 +421,16 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
-    # Generation forks a pool worker for each usable CPU, and fork copies
+    # Generation may fork a pool worker for each usable CPU, and fork copies
     # only the calling thread, so it runs before any worker thread exists: a
     # lock held by another thread at the fork would stay held in the child.
     instances = generate_instances(config)
     stage("generate")
 
+    over_budget: dict[tuple[str, PromptMode], str] = {}
     bundles = render_bundles(
-        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
+        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget,
+        over_budget,
     )
     stage("render")
 
@@ -451,6 +464,18 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
     def work(unit) -> RunOutcome:
         model, instance, mode, strategy = unit
+        reason = over_budget.get((instance.id, mode))
+        if reason is not None:  # no prompt to send: the unit fails without a call
+            return RunOutcome(
+                instance_id=instance.id,
+                task=instance.kind,
+                level=instance.level,
+                model=model.name,
+                mode=mode,
+                strategy=strategy,
+                attempts=(),
+                final=Verdict(VerdictStatus.BACKEND_ERROR, reason),
+            )
         return execute(
             gateways[model.name],
             instance,

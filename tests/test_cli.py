@@ -22,6 +22,7 @@ from searchbench.cli import (
     ModelConfig,
     config_from_dict,
     dry_run,
+    generate_instances,
     main,
     render_bundles,
     run,
@@ -629,8 +630,10 @@ def test_cmd_gen_writes_a_trip_that_needs_over_100_attempts(tmp_path, monkeypatc
 
 
 def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, capsys):
-    """With two CPUs, every spec is generated in a pool worker."""
+    """With two CPUs and no break-even, every spec after the first is
+    generated in a pool worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sys.modules["searchbench.generate"], "POOL_BREAK_EVEN_S", 0)
     fail_seeds(monkeypatch, TaskKind.TRIP_PLANNING, (1,))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_doc(tmp_path, instance_count=4)), encoding="utf-8")
@@ -645,7 +648,7 @@ def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, 
 def test_run_prints_each_line_once_with_stdout_piped(tmp_path):
     """stdout to a pipe is block-buffered, so the ``generating`` line is still
     in the buffer when generation forks; a child that flushed its copy on
-    exit would print the line again."""
+    exit would print the line again.  A break-even of 0 makes the run fork."""
     config = tmp_path / "config.json"
     doc = _doc(tmp_path, tasks=[k.value for k in TaskKind], instance_count=3)
     config.write_text(json.dumps(doc), encoding="utf-8")
@@ -653,6 +656,7 @@ def test_run_prints_each_line_once_with_stdout_piped(tmp_path):
         "import os, sys; sys.path[:0] = sys.argv[2:]; "
         "os.sched_getaffinity = lambda pid: {0, 1, 2}; "
         "import searchbench; "
+        "sys.modules['searchbench.generate'].POOL_BREAK_EVEN_S = 0; "
         "sys.exit(searchbench.cli.main(['run', '--config', sys.argv[1]]))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1085,7 +1089,7 @@ def test_python_dash_m_searchbench_prints_the_version_in_process(monkeypatch, ca
 
 def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
     """Modes render in matrix order, so the first body over budget, and the
-    error naming it, do not depend on the interpreter's hash seed."""
+    error a dry run names it in, do not depend on the interpreter's hash seed."""
     config = tmp_path / "config.json"
     doc = _doc(tmp_path, tasks=["MeetingPlanning"], levels=[10], token_budget=1300)
     config.write_text(json.dumps(doc), encoding="utf-8")
@@ -1094,7 +1098,7 @@ def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
     errors = []
     for hash_seed in ("1", "3"):
         done = subprocess.run(
-            [sys.executable, "-m", "searchbench", "run", "--config", str(config)],
+            [sys.executable, "-m", "searchbench", "run", "--config", str(config), "--dry-run"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
         )
@@ -1104,3 +1108,44 @@ def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
         "error: Direct body for MeetingPlanning-L10-s0 is ≈3370 tokens after eliding "
         "every elidable step; budget 1300\n"
     ] * 2
+
+
+def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsys):
+    """At 1300 tokens every CoT and AoT prompt of TripPlanning L3 and L10
+    and of MeetingPlanning L3 fits; no MeetingPlanning L10 prompt does, even
+    elided."""
+    matrix = [["CoT", "ws"], ["AoT", "ss:1"], ["AoT", "is"]]
+    doc = _doc(tmp_path, tasks=["TripPlanning", "MeetingPlanning"], levels=[3, 10],
+               matrix=matrix, token_budget=1300)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 4 * 2 * len(matrix)
+    instances = {i.id: i for i in generate_instances(config_from_dict(doc))}
+    for record in records:
+        instance = instances[record["instance_id"]]
+        if (instance.kind, instance.level) != (TaskKind.MEETING_PLANNING, 10):
+            assert record["final"]["status"] == "Success", record
+            continue
+        mode = PromptMode(record["mode"])
+        with pytest.raises(prompts.ContextBudgetExceeded) as err:
+            prompts.render(instance, mode, prompts.Shots(
+                mode, prompts.default_exemplars(instance.kind, mode)), token_budget=1300)
+        assert record["attempts"] == []
+        assert record["final"] == {"status": "BackendError", "reason": str(err.value)}
+    run_meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert run_meta["unexpected_errors"] == {"m-oracle": 0}
+    successes = sum(record["final"]["status"] == "Success" for record in records)
+    assert successes == 3 * 2 * len(matrix)
+    assert run_meta["cache_stats"]["m-oracle"]["misses"] == successes
+    write_instances(tmp_path / "meet.jsonl", [
+        i for i in instances.values() if i.kind is TaskKind.MEETING_PLANNING
+    ])
+    capsys.readouterr()
+    for argv in (["run", "--config", str(config), "--dry-run"],
+                 ["render", "--instances", str(tmp_path / "meet.jsonl"), "--mode", "CoT",
+                  "--budget", "1300", "--out", str(tmp_path / "prompts")]):
+        assert main(argv) == 2
+        assert "budget 1300" in capsys.readouterr().err

@@ -1,8 +1,12 @@
+import gc
 import importlib
+import itertools
 import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -292,23 +296,34 @@ def cpus(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def eager_pool(monkeypatch):
+    """Hand the specs left to the pool before the second spec, whatever
+    the projection reads."""
+    monkeypatch.setattr(generate_module, "POOL_BREAK_EVEN_S", 0)
+
+
 def _records(instances) -> list[str]:
     return [json.dumps(instance_to_record(inst), sort_keys=True) for inst in instances]
 
 
-# n_extra: the CPUs used beyond the first.  With any, the pool forks one
-# worker per CPU used; with none, the serial loop forks nothing.
+# The first spec is generated in this process.  n_extra: the CPUs used
+# beyond the first for the specs left.  With any, the pool forks one worker
+# per CPU used; with none, the serial loop forks nothing.
 @pytest.mark.parametrize("n_cpus, n_specs, n_extra", [
-    (1, 7, 0), (2, 7, 1), (3, 7, 2), (5, 7, 4), (5, 3, 2), (3, 1, 0), (3, 0, 0),
+    (1, 7, 0), (2, 7, 1), (3, 7, 2), (5, 7, 4), (5, 3, 1), (3, 2, 0), (3, 1, 0),
+    (3, 0, 0),
 ])
-def test_generate_all_writes_the_serial_loops_records(cpus, n_cpus, n_specs, n_extra):
+def test_generate_all_writes_the_serial_loops_records(
+    cpus, eager_pool, n_cpus, n_specs, n_extra
+):
     forks = cpus(n_cpus)
     specs = MIXED_SPECS[:n_specs]
     assert _records(generate_all(specs)) == _records(generate(s) for s in specs)
     assert len(forks) == (n_extra + 1 if n_extra else 0)
 
 
-def test_generate_all_counts_cpus_without_affinity(cpus, monkeypatch):
+def test_generate_all_counts_cpus_without_affinity(cpus, eager_pool, monkeypatch):
     forks = cpus(3)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -316,10 +331,39 @@ def test_generate_all_counts_cpus_without_affinity(cpus, monkeypatch):
     assert len(forks) == 2
 
 
-def test_generate_all_runs_in_process_without_fork(cpus, monkeypatch):
+def test_generate_all_runs_in_process_without_fork(cpus, eager_pool, monkeypatch):
     cpus(4)
     monkeypatch.delattr(os, "fork")
     assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
+
+
+# 4 tasks x 16 specs at level 6, as perfbench's slow-provider workload runs:
+# about 0.016 s in all, well under the pool's break-even.
+SMALL_RUN_SPECS = [
+    GenSpec(kind=kind, level=6, seed=seed) for kind in TaskKind for seed in range(1, 17)
+]
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3, 4, 5])
+def test_generate_all_forks_nothing_for_a_small_run(cpus, n_cpus):
+    forks = cpus(n_cpus)
+    assert _records(generate_all(SMALL_RUN_SPECS)) == _records(map(generate, SMALL_RUN_SPECS))
+    assert forks == []
+
+
+def test_importing_searchbench_leaves_multiprocessing_unloaded():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]; import searchbench; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, src],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _assert_the_first_failure_is_the_serial_loops(specs, named: int) -> None:
@@ -331,19 +375,23 @@ def _assert_the_first_failure_is_the_serial_loops(specs, named: int) -> None:
     assert f"seed {named} within" in str(pooled.value)
 
 
-# Chunks hold ceil(specs / (8 * CPUs)) specs: one each for 6 specs on 3 CPUs.
+# Spec 0 runs in this process, and chunks of the specs left hold
+# ceil(specs / (8 * CPUs)) specs: one each for the 5 left on 3 CPUs.
 @pytest.mark.parametrize("failing, named", [((4, 2), 2), ((3, 1), 1), ((5, 3), 3)])
-def test_generate_all_raises_the_first_failure_in_spec_order(cpus, monkeypatch, failing, named):
+def test_generate_all_raises_the_first_failure_in_spec_order(
+    cpus, eager_pool, monkeypatch, failing, named
+):
     cpus(3)
     fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
     specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(6)]
     _assert_the_first_failure_is_the_serial_loops(specs, named)
 
 
-# 24 specs on 2 CPUs make chunks of two: {0, 1}, {2, 3}, {4, 5}, ...
-@pytest.mark.parametrize("failing, named", [((10, 4), 4), ((23, 5, 4), 4)])
+# Of 24 specs on 2 CPUs, spec 0 runs in this process and the 23 left make
+# chunks of two: {1, 2}, {3, 4}, {5, 6}, ...
+@pytest.mark.parametrize("failing, named", [((10, 4), 4), ((23, 5, 4), 4), ((23, 4, 3), 3)])
 def test_generate_all_raises_the_first_failure_of_chunks_of_several(
-    cpus, monkeypatch, failing, named
+    cpus, eager_pool, monkeypatch, failing, named
 ):
     cpus(2)
     fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
@@ -351,7 +399,7 @@ def test_generate_all_raises_the_first_failure_of_chunks_of_several(
     _assert_the_first_failure_is_the_serial_loops(specs, named)
 
 
-def test_generate_all_turns_a_worker_that_died_into_a_task_error(cpus, monkeypatch):
+def test_generate_all_turns_a_worker_that_died_into_a_task_error(cpus, eager_pool, monkeypatch):
     cpus(2)
     parent = os.getpid()
     salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
@@ -367,7 +415,7 @@ def test_generate_all_turns_a_worker_that_died_into_a_task_error(cpus, monkeypat
         generate_all(specs)
 
 
-def test_generate_all_leaves_no_thread_behind(cpus, monkeypatch):
+def test_generate_all_leaves_no_thread_behind(cpus, eager_pool, monkeypatch):
     cpus(2)
     specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(8)]
     threads = threading.active_count()
@@ -379,11 +427,49 @@ def test_generate_all_leaves_no_thread_behind(cpus, monkeypatch):
     assert threading.active_count() == threads
 
 
+# A clock that reads 0 until its k-th reading after the start: the projection
+# stays 0 before spec k and exceeds any break-even there, so specs 0..k-1
+# run in this process and the pool gets spec k onwards.
+@pytest.mark.parametrize("k, failing, named", [
+    (4, (), None), (1, (), None), (10, (), None),
+    (4, (2, 7), 2), (4, (3,), 3), (4, (9, 4), 4), (4, (11, 6), 6),
+])
+def test_generate_all_hands_off_where_the_projection_says(
+    cpus, monkeypatch, k, failing, named
+):
+    forks = cpus(2)
+    ticks = itertools.count()
+    monkeypatch.setattr(generate_module, "perf_counter", lambda: float(next(ticks) >= k))
+    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
+    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(12)]
+    if named is None:
+        assert _records(generate_all(specs)) == _records(map(generate, specs))
+    else:
+        _assert_the_first_failure_is_the_serial_loops(specs, named)
+    # A failure before spec k is raised in this process, before any fork.
+    assert len(forks) == (0 if named is not None and named < k else 2)
+
+
+# A clock that advances the same step per reading: after spec 1 of 12 the
+# projection is step x 11, and it only falls after that.
+@pytest.mark.parametrize("scale, n_forks", [(1.02, 2), (0.98, 0)])
+def test_generate_all_projects_the_mean_time_times_the_specs_left(
+    cpus, monkeypatch, scale, n_forks
+):
+    forks = cpus(2)
+    step = generate_module.POOL_BREAK_EVEN_S / 11 * scale
+    ticks = itertools.count()
+    monkeypatch.setattr(generate_module, "perf_counter", lambda: next(ticks) * step)
+    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(12)]
+    assert _records(generate_all(specs)) == _records(map(generate, specs))
+    assert len(forks) == n_forks
+
+
 class _Stop(BaseException):
     """Stands for an interrupt that reaches this process mid-generation."""
 
 
-def test_generate_all_reaps_its_children_when_this_process_raises(cpus, monkeypatch):
+def test_generate_all_reaps_its_children_when_this_process_raises(cpus, eager_pool, monkeypatch):
     cpus(3)
     salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
 
@@ -396,9 +482,12 @@ def test_generate_all_reaps_its_children_when_this_process_raises(cpus, monkeypa
 
     monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, slow_build))
     # 60 specs at 20 ms each keep three workers busy for 0.4 s; the interval
-    # timer is not inherited across fork, so only this process is stopped
+    # timer is not inherited across fork, so only this process is stopped.
+    # A handler that runs inside a gc callback (Hypothesis installs one) has
+    # its raise reported and dropped, so no collection may run meanwhile.
     specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(60)]
     previous = signal.signal(signal.SIGALRM, stop)
+    gc.disable()
     try:
         signal.setitimer(signal.ITIMER_REAL, 0.1)
         with pytest.raises(_Stop):
@@ -406,3 +495,4 @@ def test_generate_all_reaps_its_children_when_this_process_raises(cpus, monkeypa
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+        gc.enable()

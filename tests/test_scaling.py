@@ -86,8 +86,8 @@ def test_is_0_is_the_is_cell_and_request(trip_cell):
     _, bundle = trip_cell
     zero, plain = ScalingStrategy.parse("is:0"), ScalingStrategy.parse("is")
     assert zero == plain and zero.arg is None
-    messages = (("user", bundle.body),)
-    requests = [_request(bundle, "m", s, 4096, messages) for s in (zero, plain)]
+    requests = [_request(bundle, "m", s, 4096) for s in (zero, plain)]
+    assert requests[0].messages == (("user", bundle.body),)
     assert canonical_digest(requests[0]) == canonical_digest(requests[1])
 
 
