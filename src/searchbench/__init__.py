@@ -27,8 +27,8 @@ from .tasks import (
     read_instances,
     write_instances,
 )
-from .generate import GenSpec, exemplar_instance, generate, load_fixture
-from .solver import SearchMode, SearchTrace, TraceEvent, enumerate_all, solve
+from .generate import GenSpec, exemplar_instance, generate
+from .solver import SearchMode, SearchTrace, TraceEvent, solve
 from .prompts import (
     PromptBundle,
     PromptMode,
@@ -87,12 +87,10 @@ __all__ = [
     "default_exemplars",
     "default_matrix",
     "emit",
-    "enumerate_all",
     "evaluate",
     "execute",
     "exemplar_instance",
     "generate",
-    "load_fixture",
     "parse_answer",
     "read_instances",
     "render",

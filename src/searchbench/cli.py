@@ -65,6 +65,7 @@ from .tasks import (
     Verdict,
     VerdictStatus,
     open_output,
+    output_dir,
     read_instances,
     read_jsonl,
     write_instances,
@@ -416,8 +417,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         stage_s[name] = round(now - stage_start, 3)
         stage_start = now
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = output_dir(config.out_dir)
+    if config.cache_path is not None:  # a cache that cannot take a line fails before any unit runs
+        open_output(config.cache_path, "a").close()
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
@@ -607,8 +609,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     for instance in instances:  # an id names a file, which must land in out_dir
         if (out_dir / f"{instance.id}.{mode.value}.txt").parent != out_dir:
             raise TaskError(f"instance id {instance.id!r} is not a file name in {out_dir}")
+    output_dir(out_dir)  # an unwritable directory fails before anything is rendered
     bundles = render_bundles(instances, [mode], args.budget)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for (instance_id, _), bundle in bundles.items():
         path = out_dir / f"{instance_id}.{mode.value}.txt"
         path.write_text(bundle_text(bundle), encoding="utf-8")

@@ -249,7 +249,6 @@ class ResponseCache:
         self._entries: dict[str, BackendResponse] = {}
         self.skipped_lines = 0
         self._torn = False  # the file ends inside a line
-        self._dir_made = False  # the file's directory exists
         self._encoded_for: BackendResponse | None = None  # the last response put
         self._encoded = ""  # its JSON encoding
         if self._path is not None and self._path.exists():
@@ -293,10 +292,12 @@ class ResponseCache:
 
     def _append(self, data: bytes) -> None:
         """Write ``data`` at the end of the file; called under the lock."""
-        if not self._dir_made:
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self._path, flags, 0o666)
+        except FileNotFoundError:  # the first line makes the file's directory
             self._path.parent.mkdir(parents=True, exist_ok=True)
-            self._dir_made = True
-        fd = os.open(self._path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            fd = os.open(self._path, flags, 0o666)
         try:
             view = memoryview(data)
             while view:

@@ -44,10 +44,6 @@ class UnsupportedLevelError(TaskError):
     """The difficulty table has no row for the requested level."""
 
 
-class UnknownFixtureError(TaskError):
-    """No bundled fixture has the requested name."""
-
-
 class RegenBudgetExhaustedError(TaskError):
     """No attempt within the regeneration budget produced a well-formed instance."""
 
@@ -425,66 +421,3 @@ EXEMPLAR_LEVEL = 6
 def exemplar_instance(kind: TaskKind, index: int) -> ProblemInstance:
     seed = _subseed(0, index, f"exemplar:{kind.value}")
     return generate(GenSpec(kind=kind, level=EXEMPLAR_LEVEL, seed=seed))
-
-
-# ---------------------------------------------------------------------------
-# Bundled fixtures
-# ---------------------------------------------------------------------------
-
-FIXTURE_NAMES = ("appendixB-task1",)
-
-_TASK1_BIDIRECTIONAL = (
-    ("Edinburgh", "Copenhagen"),
-    ("Vilnius", "Brussels"),
-    ("Copenhagen", "Riga"),
-    ("Milan", "Vilnius"),
-    ("Milan", "Brussels"),
-    ("Edinburgh", "Milan"),
-    ("Edinburgh", "Riga"),
-    ("Edinburgh", "Brussels"),
-    ("Milan", "Copenhagen"),
-    ("Copenhagen", "Brussels"),
-    ("Copenhagen", "Vilnius"),
-    ("Milan", "Riga"),
-    ("Riga", "Brussels"),
-)
-
-_TASK1_ONE_WAY = (("Riga", "Vilnius"),)
-
-
-def load_fixture(name: str) -> ProblemInstance:
-    """Bundled reference instances with known-good solutions."""
-    if name not in FIXTURE_NAMES:
-        raise UnknownFixtureError(f"unknown fixture: {name!r}")
-    flights: set[tuple[str, str]] = set()
-    for a, b in _TASK1_BIDIRECTIONAL:
-        flights.add((a, b))
-        flights.add((b, a))
-    flights.update(_TASK1_ONE_WAY)
-    payload = TripPayload(
-        cities=("Riga", "Edinburgh", "Milan", "Copenhagen", "Vilnius", "Brussels"),
-        total_days=16,
-        stays={
-            "Riga": 3,
-            "Edinburgh": 4,
-            "Milan": 2,
-            "Copenhagen": 4,
-            "Vilnius": 5,
-            "Brussels": 3,
-        },
-        windows={
-            "Milan": TripWindow(start=4, end=5, label="wedding"),
-            "Copenhagen": TripWindow(start=5, end=8, label="visit relatives"),
-            "Vilnius": TripWindow(start=10, end=14, label="workshop"),
-        },
-        flights=frozenset(flights),
-    )
-    order = ("Edinburgh", "Milan", "Copenhagen", "Riga", "Vilnius", "Brussels")
-    return ProblemInstance(
-        id="appendixB-task1",
-        kind=TaskKind.TRIP_PLANNING,
-        level=6,
-        seed=0,
-        payload=payload,
-        ground_truth=TripPlan(legs=trip_legs_for_order(payload, order)),
-    )

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .prompts import PromptMode
 from .scaling import RunOutcome, ScalingKind, ScalingStrategy
-from .tasks import TaskKind, TaskError
+from .tasks import TaskKind, TaskError, output_dir
 
 
 class ReportError(TaskError):
@@ -249,8 +249,7 @@ def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
 
 def emit(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     """Write all four artifacts; volatile data goes only to run_meta.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     report_path = out / "report.md"
     report_path.write_text(render_report_md(report), encoding="utf-8")
     cells_path = out / "cells.csv"

@@ -33,7 +33,6 @@ The protocol:
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from bisect import bisect_left
@@ -51,7 +50,6 @@ from .tasks import (
     Payload,
     ProblemInstance,
     Solution,
-    TaskError,
     TaskKind,
     ThreeDMPayload,
     TripLeg,
@@ -60,10 +58,6 @@ from .tasks import (
     VertexCoverPayload,
     minutes_to_clock,
 )
-
-
-class TooLargeError(TaskError):
-    """The instance exceeds the exhaustive-enumeration guard."""
 
 
 class Action(str, Enum):
@@ -271,21 +265,6 @@ def trip_legs_for_order(payload: TripPayload, order: Sequence[str]) -> tuple[Tri
         legs.append(TripLeg(city=city, day_from=day, day_to=end))
         day = end
     return tuple(legs)
-
-
-def check_trip_order(payload: TripPayload, order: Sequence[str]) -> bool:
-    """Whether an order of all of ``payload.cities`` keeps every flight and
-    window; the payload's stays fill ``total_days``, so every such order ends
-    on the last day."""
-    legs = trip_legs_for_order(payload, order)
-    for prev, cur in zip(order, order[1:]):
-        if not payload.has_flight(prev, cur):
-            return False
-    for leg in legs:
-        w = payload.window_of(leg.city)
-        if w and not (leg.day_from <= w.start and w.end <= leg.day_to):
-            return False
-    return True
 
 
 def _trip_try(
@@ -980,96 +959,6 @@ def solve_payload(payload: Payload, mode: SearchMode = SearchMode.DFS) -> Search
 def solve(instance: ProblemInstance, mode: SearchMode = SearchMode.DFS) -> SearchTrace:
     """Solve an instance from its payload alone (ground truth is never read)."""
     return solve_payload(instance.payload, mode)
-
-
-_ENUM_GUARDS: dict[TaskKind, tuple[str, Callable[..., int], int]] = {
-    TaskKind.TRIP_PLANNING: ("cities", lambda p: len(p.cities), 8),
-    TaskKind.VERTEX_COVER: ("vertices", lambda p: p.vertex_count, 16),
-    TaskKind.THREE_DM: ("elements per axis", lambda p: p.n, 6),
-    TaskKind.MEETING_PLANNING: ("friends", lambda p: len(p.friends), 7),
-}
-
-
-def enumerate_all(instance: ProblemInstance | Payload) -> list[Solution]:
-    """Brute-force enumeration of every valid solution, as an independent oracle.
-
-    No pruning beyond direct constraint checks.  For optimization tasks
-    (VertexCover, MeetingPlanning) "valid" means optimal: all minimum-size
-    covers / all maximum-count canonical schedules.  Raises TooLargeError
-    beyond the per-task size guards.
-    """
-    payload = instance.payload if isinstance(instance, ProblemInstance) else instance
-    kind = payload.kind
-    noun, size, limit = _ENUM_GUARDS[kind]
-    if size(payload) > limit:
-        raise TooLargeError(f"{size(payload)} {noun} exceeds the enumeration guard of {limit}")
-
-    if kind is TaskKind.TRIP_PLANNING:
-        assert isinstance(payload, TripPayload)
-        plans = []
-        for order in itertools.permutations(payload.cities):
-            if check_trip_order(payload, order):
-                plans.append(TripPlan(legs=trip_legs_for_order(payload, order)))
-        return plans
-
-    if kind is TaskKind.VERTEX_COVER:
-        assert isinstance(payload, VertexCoverPayload)
-        n = payload.vertex_count
-        by_size = (
-            [
-                CoverSet(vertices=frozenset(combo))
-                for combo in itertools.combinations(range(n), size)
-                if all(u in combo or v in combo for u, v in payload.edges)
-            ]
-            for size in range(n + 1)
-        )
-        return next(covers for covers in by_size if covers)  # all n vertices cover
-
-    if kind is TaskKind.THREE_DM:
-        assert isinstance(payload, ThreeDMPayload)
-        n = payload.n
-        by_x: dict[int, list[tuple[int, int, int]]] = {}
-        for t in sorted(payload.triples):
-            by_x.setdefault(t[0], []).append(t)
-        matchings: list[Solution] = []
-
-        def extend(x: int, used_y: set[int], used_z: set[int], picked: list) -> None:
-            if x == n:
-                matchings.append(Matching(triples=frozenset(picked)))
-                return
-            for t in by_x.get(x, []):
-                if t[1] in used_y or t[2] in used_z:
-                    continue
-                picked.append(t)
-                extend(x + 1, used_y | {t[1]}, used_z | {t[2]}, picked)
-                picked.pop()
-
-        extend(0, set(), set(), [])
-        return matchings
-
-    assert isinstance(payload, MeetingPayload)
-    friends = sorted(payload.friends, key=lambda f: f.name)
-    schedules: list[tuple[Meeting, ...]] = []
-
-    def walk(loc: str, time: int, met: set[str], sched: list[Meeting]) -> None:
-        schedules.append(tuple(sched))
-        for f in friends:
-            if f.name in met:
-                continue
-            arrive = time + payload.travel(loc, f.location)
-            start = max(arrive, f.avail_start)
-            end = start + f.min_minutes
-            if end > f.avail_end:
-                continue
-            sched.append(Meeting(friend=f.name, location=f.location, start=start, end=end))
-            met.add(f.name)
-            walk(f.location, end, met, sched)
-            met.discard(f.name)
-            sched.pop()
-
-    walk(payload.start_location, payload.day_start, set(), [])
-    best = max(len(s) for s in schedules)
-    return [MeetingSchedule(meetings=s) for s in schedules if len(s) == best]
 
 
 # ---------------------------------------------------------------------------

@@ -483,14 +483,24 @@ def instance_from_record(record: dict) -> ProblemInstance:
     )
 
 
-def open_output(path: str | Path) -> TextIO:
-    """``path`` opened for writing, after making its directory; a path that
+def open_output(path: str | Path, mode: str = "w") -> TextIO:
+    """``path`` opened in ``mode``, after making its directory; a path that
     still cannot be opened is a TaskError."""
     try:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "w", encoding="utf-8")
+        return open(path, mode, encoding="utf-8")
     except OSError as err:
         raise TaskError(f"cannot write {path}: {err}") from None
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made if missing; a path that cannot be one
+    is a TaskError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise TaskError(f"cannot write {path}: {err}") from None
+    return Path(path)
 
 
 def write_instances(path: str | Path, instances: Iterable[ProblemInstance]) -> int:

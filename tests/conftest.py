@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from searchbench.generate import MAX_REGEN, GenSpec, generate, load_fixture
+from searchbench.generate import MAX_REGEN, GenSpec, generate
 from searchbench.tasks import (
     CoverSet,
     Friend,
@@ -19,6 +19,8 @@ from searchbench.tasks import (
     TripPlan,
     VertexCoverPayload,
 )
+
+from reference import appendix_b_task1
 
 TESTS_DIR = Path(__file__).parent
 
@@ -90,8 +92,8 @@ DEAD_END_BELOW_ROOT = ThreeDMPayload(n=3, triples=((0, 0, 0), (0, 1, 1), (1, 1, 
 
 @pytest.fixture(scope="session")
 def reference_trip():
-    """The bundled six-city reference itinerary used across the suite."""
-    return load_fixture("appendixB-task1")
+    """The paper's six-city Appendix B trip, used across the suite."""
+    return appendix_b_task1()
 
 
 @pytest.fixture(scope="session")

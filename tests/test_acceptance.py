@@ -25,10 +25,11 @@ from searchbench.scaling import (
     ScalingStrategy,
     execute,
 )
-from searchbench.solver import Action, SearchMode, enumerate_all, solve
+from searchbench.solver import Action, SearchMode, solve
 from searchbench.tasks import TaskKind, Verdict, VerdictStatus
 
 from conftest import ENUMERABLE_LEVELS, cells_csv_mismatches
+from reference import enumerate_all
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 QUIET = lambda s: None

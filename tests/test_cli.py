@@ -829,6 +829,53 @@ def test_gen_fails_on_an_unwritable_out_before_it_generates(tmp_path, monkeypatc
     assert calls == []
 
 
+@pytest.mark.parametrize("cache", ["afile/c.jsonl", "adir"], ids=["parent is a file", "directory"])
+def test_run_exits_2_on_an_unwritable_cache_before_it_generates(
+    tmp_path, monkeypatch, capsys, cache
+):
+    """A cache that cannot take a line stops the run before any unit runs,
+    rather than failing every unit with a BackendError and exiting 0."""
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("", encoding="utf-8")
+    Path("adir").mkdir()
+    doc = _doc(tmp_path, out_dir="out", cache_path=cache)
+    Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "generate_instances", lambda config: calls.append(config) or [])
+    assert main(["run", "--config", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {cache}: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert calls == []
+    assert not Path("out/outcomes.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--config", "config.json"],
+    ["render", "--instances", "inst.jsonl", "--mode", "AoT"],
+    ["report", "--outcomes", "outcomes.jsonl"],
+], ids=["run", "render", "report"])
+def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("kept\n", encoding="utf-8")
+    Path("config.json").write_text(json.dumps(_doc(tmp_path, cache_path=None)), encoding="utf-8")
+    write_instances("inst.jsonl", [generate(GenSpec(kind=TaskKind.THREE_DM, level=2, seed=0))])
+    Path("outcomes.jsonl").write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "generate_instances", lambda config: calls.append(config) or [])
+    monkeypatch.setattr(cli, "render_bundles", lambda *args: calls.append(args) or {})
+    assert main(command + ["--out", "taken"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write taken: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert calls == []
+    assert Path("taken").read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["render", "--mode", "CoT", "--out", "prompts"],
     ["verify", "--answers", "answers.jsonl"],

@@ -20,13 +20,11 @@ from searchbench.generate import (
     GenerationChildError,
     GenSpec,
     RegenBudgetExhaustedError,
-    UnknownFixtureError,
     UnsupportedLevelError,
     exemplar_instance,
     generate,
     generate_all,
     instance_id,
-    load_fixture,
 )
 from searchbench.solver import count_trip_plans, trip_legs_for_order
 from searchbench.tasks import (
@@ -185,11 +183,6 @@ def test_fixture_contents(reference_trip):
     }
     order = [leg.city for leg in reference_trip.ground_truth.legs]
     assert order == ["Edinburgh", "Milan", "Copenhagen", "Riga", "Vilnius", "Brussels"]
-
-
-def test_unknown_fixture_rejected():
-    with pytest.raises(UnknownFixtureError):
-        load_fixture("no-such-fixture")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import itertools
 import re
@@ -11,12 +12,10 @@ from searchbench.solver import (
     Action,
     PRUNE_REASONS,
     SearchMode,
-    TooLargeError,
     TraceEvent,
     _incidence,
     _matching_bound,
     count_trip_plans,
-    enumerate_all,
     matching_witness,
     min_cover_size,
     optimal_schedule,
@@ -42,7 +41,8 @@ from searchbench.tasks import (
     VertexCoverPayload,
 )
 
-from conftest import DEAD_END_BELOW_ROOT, ENUMERABLE_LEVELS
+from conftest import DEAD_END_BELOW_ROOT, ENUMERABLE_LEVELS, TESTS_DIR
+from reference import TooLargeError, enumerate_all
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,23 @@ def test_enumeration_guards():
     )
     with pytest.raises(TooLargeError):
         enumerate_all(big_graph)
+
+
+def test_reference_imports_nothing_the_searches_prune_with():
+    """The enumerator stays independent of the solvers: from the package it
+    takes only ``searchbench.tasks`` names and ``trip_legs_for_order``."""
+    tree = ast.parse((TESTS_DIR / "reference.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", alias.name) for alias in node.names}
+    beyond_tasks = {
+        (module, name) for module, name in imported
+        if module.split(".")[0] == "searchbench" and (module != "searchbench.tasks" or name is None)
+    }
+    assert beyond_tasks == {("searchbench.solver", "trip_legs_for_order")}
 
 
 # ---------------------------------------------------------------------------
