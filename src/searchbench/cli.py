@@ -21,8 +21,8 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -46,8 +46,8 @@ from .generate import (
     generate_all,
 )
 from .prompts import (
-    ContextBudgetExceeded,
     PromptBundle,
+    PromptError,
     PromptMode,
     Shots,
     bundle_text,
@@ -306,36 +306,57 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
     ])
 
 
+def prompt_lookup(
+    token_budget: int | None,
+    failed: dict[tuple[str, PromptMode], str] | None = None,
+) -> Callable[[ProblemInstance, PromptMode], PromptBundle | None]:
+    """A lookup from (instance, mode) to its prompt, rendered the first time
+    it is asked for and kept; each (task, mode) exemplar half is built the
+    first time one of its prompts is.
+
+    One lock guards each whole lookup, so callers on many threads still
+    reach ``default_exemplars`` once per (task, mode) and ``render`` once per
+    (instance, mode).  A prompt that cannot be rendered raises its
+    PromptError, or, given ``failed``, leaves the message there under its
+    key and looks up as None."""
+    lock = threading.Lock()
+    shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
+    bundles: dict[tuple[str, PromptMode], PromptBundle | None] = {}
+
+    def lookup(instance: ProblemInstance, mode: PromptMode) -> PromptBundle | None:
+        key = (instance.id, mode)
+        with lock:
+            if key in bundles:
+                return bundles[key]
+            head = (instance.kind, mode)
+            try:
+                if head not in shots:
+                    shots[head] = Shots(mode, default_exemplars(instance.kind, mode))
+                bundle = render(instance, mode, shots[head], token_budget=token_budget)
+            except PromptError as err:
+                if failed is None:
+                    raise
+                failed[key] = str(err)
+                bundle = None
+            bundles[key] = bundle
+            return bundle
+
+    return lookup
+
+
 def render_bundles(
     instances: Iterable[ProblemInstance],
     modes: Iterable[PromptMode],
     token_budget: int | None,
-    over_budget: dict[tuple[str, PromptMode], str] | None = None,
 ) -> dict[tuple[str, PromptMode], PromptBundle]:
     """Render every (instance, mode) prompt, in ``modes`` order within each
     instance, building each (task, mode) exemplar half once; bundles are
-    keyed by (instance id, mode).
-
-    A prompt that cannot meet ``token_budget`` raises ContextBudgetExceeded,
-    or, given ``over_budget``, leaves its message there under its key and
-    gets no bundle."""
+    keyed by (instance id, mode).  The first prompt that cannot be rendered
+    raises its PromptError, such as ContextBudgetExceeded."""
     modes = tuple(modes)
-    shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
-    bundles = {}
-    for instance in instances:
-        for mode in modes:
-            key = (instance.kind, mode)
-            if key not in shots:
-                shots[key] = Shots(mode, default_exemplars(instance.kind, mode))
-            try:
-                bundles[(instance.id, mode)] = render(
-                    instance, mode, shots[key], token_budget=token_budget
-                )
-            except ContextBudgetExceeded as err:
-                if over_budget is None:
-                    raise
-                over_budget[(instance.id, mode)] = str(err)
-    return bundles
+    lookup = prompt_lookup(token_budget)
+    return {(instance.id, mode): lookup(instance, mode)
+            for instance in instances for mode in modes}
 
 
 def build_backend(model: ModelConfig, instances: Sequence[ProblemInstance]):
@@ -404,6 +425,46 @@ def read_outcomes(path: str | Path) -> list[RunOutcome]:
     return read_jsonl(path, _outcome_from_record)
 
 
+def run_threaded(work: Callable, items: Sequence, threads: int) -> list:
+    """``[work(item) for item in items]``, on up to ``threads`` plain threads
+    that each take the next (index, item) and store its result at the index.
+
+    Once an item raises, no thread takes another; when every thread has
+    stopped, the exception of the first such item in ``items`` order is
+    raised.  An interrupt of the calling thread stops them the same way."""
+    results: list = [None] * len(items)
+    raised: dict[int, BaseException] = {}
+    todo = enumerate(items)
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def worker() -> None:
+        while True:
+            with lock:
+                taken = None if stop.is_set() else next(todo, None)
+            if taken is None:
+                return
+            index, item = taken
+            try:
+                results[index] = work(item)
+            except BaseException as err:
+                raised[index] = err
+                stop.set()
+
+    pool = [threading.Thread(target=worker) for _ in range(min(threads, len(items)))]
+    for thread in pool:
+        thread.start()
+    try:
+        for thread in pool:
+            thread.join()
+    except BaseException:
+        stop.set()
+        raise
+    if raised:
+        raise raised[min(raised)]
+    return results
+
+
 def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     """Execute the full pipeline described by ``config``."""
     started = time.time()
@@ -420,6 +481,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     out_dir = output_dir(config.out_dir)
     if config.cache_path is not None:  # a cache that cannot take a line fails before any unit runs
         open_output(config.cache_path, "a").close()
+    # so does an output path that a directory or a file already holds
+    open_output(out_dir / "outcomes.jsonl", "a").close()
+    output_dir(out_dir / "plotdata")
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
@@ -428,13 +492,6 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
     # lock held by another thread at the fork would stay held in the child.
     instances = generate_instances(config)
     stage("generate")
-
-    over_budget: dict[tuple[str, PromptMode], str] = {}
-    bundles = render_bundles(
-        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget,
-        over_budget,
-    )
-    stage("render")
 
     cache = ResponseCache(config.cache_path)
     gateways = {}
@@ -460,14 +517,18 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
          + (f"with concurrency {config.concurrency} ..." if pooled
             else "on the calling thread ..."))
 
+    # Each unit renders its prompt when it starts, so a pooled run sends its
+    # first request while later prompts are still unrendered.
+    unrendered: dict[tuple[str, PromptMode], str] = {}
+    prompts = prompt_lookup(config.token_budget, unrendered)
     # evaluate is pure, so each instance's distinct answer texts are judged
     # once; pooled workers share a map, and a race only judges a text twice
     verdicts: dict[str, dict[str, Verdict]] = {instance.id: {} for instance in instances}
 
     def work(unit) -> RunOutcome:
         model, instance, mode, strategy = unit
-        reason = over_budget.get((instance.id, mode))
-        if reason is not None:  # no prompt to send: the unit fails without a call
+        bundle = prompts(instance, mode)
+        if bundle is None:  # no prompt to send: the unit fails without a call
             return RunOutcome(
                 instance_id=instance.id,
                 task=instance.kind,
@@ -476,12 +537,12 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
                 mode=mode,
                 strategy=strategy,
                 attempts=(),
-                final=Verdict(VerdictStatus.BACKEND_ERROR, reason),
+                final=Verdict(VerdictStatus.BACKEND_ERROR, unrendered[(instance.id, mode)]),
             )
         return execute(
             gateways[model.name],
             instance,
-            bundles[(instance.id, mode)],
+            bundle,
             strategy,
             model=model.model,
             max_tokens=config.max_tokens,
@@ -490,9 +551,8 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         )
 
     if pooled:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            outcomes = list(pool.map(work, units))
-        for gateway in gateways.values():  # each pool thread kept a connection open
+        outcomes = run_threaded(work, units, config.concurrency)
+        for gateway in gateways.values():  # each worker thread kept a connection open
             if isinstance(gateway.backend, HttpBackend):
                 gateway.backend.close()
     else:

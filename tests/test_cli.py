@@ -237,7 +237,7 @@ def test_run_oracle_end_to_end(tmp_path):
     assert meta["cache_stats"]["m-oracle"]["misses"] > 0
     assert "started_at" in meta and "duration_s" in meta
     stages = meta["stage_s"]
-    assert list(stages) == ["execute", "generate", "load", "render", "report"]
+    assert list(stages) == ["execute", "generate", "load", "report"]
     assert all(type(v) is float and v >= 0 and round(v, 3) == v for v in stages.values())
 
     lines = (out / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
@@ -376,6 +376,123 @@ def test_pooled_runs_write_pinned_outcome_bytes(tmp_path, monkeypatch):
     assert hashlib.sha256(outcomes).hexdigest() == (
         "1ff54efee46e682126ca7328f9cd2d3f1eae370d7f91f88800fc1630544a20f1"
     )
+
+
+def test_a_pooled_run_sends_its_first_request_before_its_last_render(tmp_path, monkeypatch):
+    """Each unit renders its own prompt, so requests start while later
+    prompts are still unrendered."""
+    events = []
+    render, complete = cli.render, ModelGateway.complete
+
+    def rendering(*args, **kwargs):
+        events.append("render")
+        return render(*args, **kwargs)
+
+    def completing(self, request):
+        events.append("complete")
+        return complete(self, request)
+
+    monkeypatch.setattr(cli, "render", rendering)
+    monkeypatch.setattr(ModelGateway, "complete", completing)
+    doc = _unreachable_http_doc(tmp_path, monkeypatch)
+    doc["tasks"] = [k.value for k in TaskKind]
+    run(config_from_dict(doc), echo=QUIET)
+    assert events.count("render") == 4 * 2 * 3  # 3 distinct modes in the matrix
+    last_render = len(events) - 1 - events[::-1].index("render")
+    assert events.index("complete") < last_render
+
+
+def test_threads_build_each_exemplar_half_and_prompt_once(tmp_path, monkeypatch):
+    """Eight workers switching every microsecond still reach
+    ``default_exemplars`` once per (task, mode) and ``render`` once per
+    (instance, mode), the names the benchmark's tracer wraps."""
+    exemplar_calls, render_calls = [], []
+    default_exemplars, render = cli.default_exemplars, cli.render
+
+    def counted_exemplars(kind, mode):
+        exemplar_calls.append((kind, mode))
+        return default_exemplars(kind, mode)
+
+    def counted_render(instance, mode, *args, **kwargs):
+        render_calls.append((instance.id, mode))
+        return render(instance, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "default_exemplars", counted_exemplars)
+    monkeypatch.setattr(cli, "render", counted_render)
+    doc = _unreachable_http_doc(tmp_path, monkeypatch)
+    doc.update(tasks=[k.value for k in TaskKind], instance_count=3, concurrency=8)
+    del doc["matrix"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run(config_from_dict(doc), echo=QUIET)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(exemplar_calls) == sorted(
+        (kind, mode) for kind in TaskKind for mode in PromptMode
+    )
+    assert len(render_calls) == len(set(render_calls)) == 4 * 3 * len(PromptMode)
+    assert len(_records(tmp_path)) == 4 * 3 * 12
+
+
+def test_a_unit_that_raises_in_a_worker_raises_from_run(tmp_path, monkeypatch):
+    def raising(gateway, instance, bundle, strategy, **kwargs):
+        raise RuntimeError(f"{instance.id} {bundle.mode.value} {strategy.format()}")
+
+    monkeypatch.setattr(cli, "execute", raising)
+    config = config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="^TripPlanning-L3-s0 Direct ws$"):
+        run(config, echo=QUIET)
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out" / "report.md").exists()
+
+
+def test_run_threaded_raises_the_first_failure_in_item_order():
+    """Item 6 raises while item 3 is still running; item 3 then raises
+    too, and no thread takes item 7."""
+    ran = []
+    six_raised = threading.Event()
+
+    def work(item):
+        ran.append(item)
+        if item == 3:
+            assert six_raised.wait(timeout=30)
+            raise ValueError("three")
+        if item == 6:
+            six_raised.set()
+            raise ValueError("six")
+        return item * 10
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^three$"):
+        cli.run_threaded(work, range(8), 2)
+    assert threading.active_count() == threads
+    assert sorted(ran) == list(range(7))
+    assert cli.run_threaded(lambda item: item * 10, range(5), 8) == [0, 10, 20, 30, 40]
+    assert threading.active_count() == threads
+
+
+def test_http_runs_never_load_concurrent_futures(tmp_path, monkeypatch):
+    """An ``http`` run's workers are plain threads; the executor module and
+    the logging it imports are never loaded."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_unreachable_http_doc(tmp_path, monkeypatch)), encoding="utf-8")
+    script = (
+        "import sys; sys.path[:0] = sys.argv[2:]; "
+        "import searchbench; "
+        "code = searchbench.cli.main(['run', '--config', sys.argv[1]]); "
+        "print(code, sorted(m for m in sys.modules "
+        "if m.startswith(('concurrent.futures', 'logging'))))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config), src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert len(_records(tmp_path)) == 8
 
 
 def test_an_oracle_run_judges_each_instance_once(tmp_path, monkeypatch):
@@ -876,6 +993,27 @@ def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
     assert Path("taken").read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("taken, make", [
+    ("out/outcomes.jsonl", Path.mkdir),
+    ("out/plotdata", lambda path: path.write_text("kept\n", encoding="utf-8")),
+], ids=["outcomes is a directory", "plotdata is a file"])
+def test_run_exits_2_on_an_output_it_cannot_write_before_it_generates(
+    tmp_path, monkeypatch, capsys, taken, make
+):
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    make(Path(taken))
+    Path("config.json").write_text(json.dumps(_doc(tmp_path, out_dir="out")), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "generate_instances", lambda config: calls.append(config) or [])
+    assert main(["run", "--config", "config.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {taken}: ")
+    assert captured.err.count("\n") == 1, captured.err
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [
     ["render", "--mode", "CoT", "--out", "prompts"],
     ["verify", "--answers", "answers.jsonl"],
@@ -1196,3 +1334,36 @@ def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsy
                   "--budget", "1300", "--out", str(tmp_path / "prompts")]):
         assert main(argv) == 2
         assert "budget 1300" in capsys.readouterr().err
+
+
+def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
+    tmp_path, capsys
+):
+    """VertexCover L6 at the seed of the second Direct exemplar: that
+    instance's Direct prompt cannot be rendered, so its Direct units fail
+    and every other unit runs; a dry run and ``render`` still exit 2."""
+    exemplar = prompts.exemplar_instance(TaskKind.VERTEX_COVER, 1)
+    doc = _doc(tmp_path, tasks=["VertexCover"], levels=[exemplar.level], seed=exemplar.seed)
+    del doc["matrix"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    reason = f"{exemplar.id} is both target and exemplar"
+    failed = []
+    for record in _records(tmp_path):
+        if record["final"]["status"] == "Success":
+            continue
+        assert record["final"] == {"status": "BackendError", "reason": reason}
+        assert record["attempts"] == []
+        failed.append((record["instance_id"], record["mode"]))
+    assert failed == [(exemplar.id, "Direct")] * 4
+    assert len(_records(tmp_path)) == 2 * 12
+    run_meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert run_meta["unexpected_errors"] == {"m-oracle": 0}
+    write_instances(tmp_path / "inst.jsonl", [exemplar])
+    capsys.readouterr()
+    for argv in (["run", "--config", str(config), "--dry-run"],
+                 ["render", "--instances", str(tmp_path / "inst.jsonl"), "--mode", "Direct",
+                  "--out", str(tmp_path / "prompts")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
