@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import threading
 import time
@@ -176,7 +177,8 @@ _MODEL_CHECKS = {
     "api_key_env": (_is_str, "a string"),
     # a str first: ``in`` raises TypeError on an unhashable value
     "dialect": (lambda v: _is_str(v) and v in DIALECTS, f"one of {sorted(DIALECTS)}"),
-    "timeout_s": (lambda v: _is_number(v) and v > 0, "a number > 0"),
+    # a socket timeout must be finite; JSON reads 1e309 as inf
+    "timeout_s": (lambda v: _is_number(v) and 0 < v < math.inf, "a finite number > 0"),
     "requests_per_second": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
 }
 
@@ -306,40 +308,19 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
     ])
 
 
-def prompt_lookup(
-    token_budget: int | None,
-    failed: dict[tuple[str, PromptMode], str] | None = None,
-) -> Callable[[ProblemInstance, PromptMode], PromptBundle | None]:
-    """A lookup from (instance, mode) to its prompt, rendered the first time
-    it is asked for and kept; each (task, mode) exemplar half is built the
-    first time one of its prompts is.
-
-    One lock guards each whole lookup, so callers on many threads still
-    reach ``default_exemplars`` once per (task, mode) and ``render`` once per
-    (instance, mode).  A prompt that cannot be rendered raises its
-    PromptError, or, given ``failed``, leaves the message there under its
-    key and looks up as None."""
+def exemplar_lookup() -> Callable[[TaskKind, PromptMode], Shots]:
+    """A lookup from (task, mode) to its exemplar half, built through
+    ``default_exemplars`` the first time it is asked for and kept.  One lock
+    guards each whole lookup, so callers on many threads still build each
+    (task, mode) half once."""
     lock = threading.Lock()
     shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
-    bundles: dict[tuple[str, PromptMode], PromptBundle | None] = {}
 
-    def lookup(instance: ProblemInstance, mode: PromptMode) -> PromptBundle | None:
-        key = (instance.id, mode)
+    def lookup(kind: TaskKind, mode: PromptMode) -> Shots:
         with lock:
-            if key in bundles:
-                return bundles[key]
-            head = (instance.kind, mode)
-            try:
-                if head not in shots:
-                    shots[head] = Shots(mode, default_exemplars(instance.kind, mode))
-                bundle = render(instance, mode, shots[head], token_budget=token_budget)
-            except PromptError as err:
-                if failed is None:
-                    raise
-                failed[key] = str(err)
-                bundle = None
-            bundles[key] = bundle
-            return bundle
+            if (kind, mode) not in shots:
+                shots[kind, mode] = Shots(mode, default_exemplars(kind, mode))
+            return shots[kind, mode]
 
     return lookup
 
@@ -354,8 +335,9 @@ def render_bundles(
     keyed by (instance id, mode).  The first prompt that cannot be rendered
     raises its PromptError, such as ContextBudgetExceeded."""
     modes = tuple(modes)
-    lookup = prompt_lookup(token_budget)
-    return {(instance.id, mode): lookup(instance, mode)
+    shots = exemplar_lookup()
+    return {(instance.id, mode): render(instance, mode, shots(instance.kind, mode),
+                                        token_budget=token_budget)
             for instance in instances for mode in modes}
 
 
@@ -504,59 +486,52 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         )
     stage("load")
 
-    units = [
-        (model, instance, mode, strategy)
-        for model in config.models
-        for instance in instances
-        for mode, strategy in config.matrix
-    ]
+    jobs = [(model, instance) for model in config.models for instance in instances]
     # Oracle and mock answers are CPU work in this process, so worker threads
     # would overlap nothing and only hand the interpreter lock back and forth.
     pooled = any(model.backend == "http" for model in config.models)
-    echo(f"executing {len(units)} cell-instance unit(s) "
+    echo(f"executing {len(jobs) * len(config.matrix)} cell-instance unit(s) "
          + (f"with concurrency {config.concurrency} ..." if pooled
             else "on the calling thread ..."))
 
-    # Each unit renders its prompt when it starts, so a pooled run sends its
-    # first request while later prompts are still unrendered.
-    unrendered: dict[tuple[str, PromptMode], str] = {}
-    prompts = prompt_lookup(config.token_budget, unrendered)
-    # evaluate is pure, so each instance's distinct answer texts are judged
-    # once; pooled workers share a map, and a race only judges a text twice
-    verdicts: dict[str, dict[str, Verdict]] = {instance.id: {} for instance in instances}
+    shots = exemplar_lookup()
 
-    def work(unit) -> RunOutcome:
-        model, instance, mode, strategy = unit
-        bundle = prompts(instance, mode)
-        if bundle is None:  # no prompt to send: the unit fails without a call
-            return RunOutcome(
-                instance_id=instance.id,
-                task=instance.kind,
-                level=instance.level,
-                model=model.name,
-                mode=mode,
-                strategy=strategy,
-                attempts=(),
-                final=Verdict(VerdictStatus.BACKEND_ERROR, unrendered[(instance.id, mode)]),
-            )
-        return execute(
-            gateways[model.name],
-            instance,
-            bundle,
-            strategy,
-            model=model.model,
-            max_tokens=config.max_tokens,
-            name=model.name,
-            verdicts=verdicts[instance.id],
-        )
+    def job(pair: tuple[ModelConfig, ProblemInstance]) -> list[RunOutcome]:
+        """The matrix's units for one model on one instance, in matrix order.
+        Each mode's prompt is rendered when its first unit starts, so a
+        pooled run sends its first request while later prompts are still
+        unrendered; evaluate is pure, so each distinct answer text is judged
+        once."""
+        model, instance = pair
+        bundles: dict[PromptMode, PromptBundle | Verdict] = {}
+        verdicts: dict[str, Verdict] = {}
+        outcomes = []
+        for mode, strategy in config.matrix:
+            if mode not in bundles:
+                try:
+                    bundles[mode] = render(instance, mode, shots(instance.kind, mode),
+                                           token_budget=config.token_budget)
+                except PromptError as err:  # no prompt to send: its units fail without a call
+                    bundles[mode] = Verdict(VerdictStatus.BACKEND_ERROR, str(err))
+            bundle = bundles[mode]
+            if isinstance(bundle, Verdict):
+                outcomes.append(RunOutcome(
+                    instance_id=instance.id, task=instance.kind, level=instance.level,
+                    model=model.name, mode=mode, strategy=strategy, attempts=(), final=bundle,
+                ))
+            else:
+                outcomes.append(execute(gateways[model.name], instance, bundle, strategy,
+                                        model=model.model, max_tokens=config.max_tokens,
+                                        name=model.name, verdicts=verdicts))
+        return outcomes
 
-    if pooled:
-        outcomes = run_threaded(work, units, config.concurrency)
+    try:
+        done = run_threaded(job, jobs, config.concurrency) if pooled else map(job, jobs)
+        outcomes = [outcome for job_outcomes in done for outcome in job_outcomes]
+    finally:
         for gateway in gateways.values():  # each worker thread kept a connection open
             if isinstance(gateway.backend, HttpBackend):
                 gateway.backend.close()
-    else:
-        outcomes = [work(unit) for unit in units]
     stage("execute")
 
     with open(out_dir / "outcomes.jsonl", "w", encoding="utf-8") as fh:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -194,7 +195,9 @@ def _response_to_json(response: BackendResponse) -> dict:
 
 
 def _response_from_json(data: dict) -> BackendResponse:
-    return BackendResponse(
+    """Inverse of ``_response_to_json``; a TypeError unless each field holds
+    the JSON type it was written with (a count is an int, not a bool)."""
+    response = BackendResponse(
         text=data["text"],
         thinking_text=data.get("thinking_text", ""),
         prompt_tokens=data.get("prompt_tokens", 0),
@@ -203,6 +206,12 @@ def _response_from_json(data: dict) -> BackendResponse:
         latency_ms=data.get("latency_ms", 0),
         provider_meta=data.get("provider_meta", {}),
     )
+    if not (type(response.text) is type(response.thinking_text) is str
+            and type(response.prompt_tokens) is type(response.completion_tokens)
+            is type(response.thinking_tokens) is type(response.latency_ms) is int
+            and type(response.provider_meta) is dict):
+        raise TypeError("a response field holds the wrong JSON type")
+    return response
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -237,9 +246,9 @@ class ResponseCache:
     Writes are serialized through one lock; reads go against the in-memory
     snapshot without locking.  Each response is one line, appended with a
     single write to a file opened for appending, so a killed run loses at
-    most the line it was writing.  Corrupt lines (not UTF-8, not JSON, or
-    not a record) are skipped on load so a damaged cache degrades to misses,
-    never to errors.  A torn last line is ended before the first append, so
+    most the line it was writing.  Corrupt lines (not UTF-8, not JSON, not
+    a record, or a response field of the wrong JSON type) are skipped on
+    load so a damaged cache degrades to misses, never to errors.  A torn last line is ended before the first append, so
     it cannot swallow the next entry.
     """
 
@@ -379,6 +388,13 @@ def call_with_retries(
 DEFAULT_THINKING_BUDGET = 16000
 
 
+def _usage_count(usage: Mapping, key: str) -> int:
+    """A token count of a reply's usage block; a value that is not an int
+    reads as 0, so the reply's cache line reads back as written."""
+    count = usage.get(key, 0)
+    return count if type(count) is int else 0
+
+
 class AnthropicDialect:
     """Messages-style wire format: x-api-key header, content blocks."""
 
@@ -422,8 +438,8 @@ class AnthropicDialect:
             return BackendResponse(
                 text=text,
                 thinking_text=thinking,
-                prompt_tokens=usage.get("input_tokens", 0),
-                completion_tokens=usage.get("output_tokens", 0),
+                prompt_tokens=_usage_count(usage, "input_tokens"),
+                completion_tokens=_usage_count(usage, "output_tokens"),
                 latency_ms=latency_ms,
                 provider_meta={"stop_reason": data.get("stop_reason")},
             )
@@ -466,11 +482,15 @@ class OpenAIDialect:
         try:
             message = data["choices"][0]["message"]
             usage = data.get("usage", {})
+            text = message.get("content") or ""
+            thinking = message.get("reasoning_content") or ""
+            if not isinstance(text, str) or not isinstance(thinking, str):
+                raise TypeError("message content is not a string")
             return BackendResponse(
-                text=message.get("content") or "",
-                thinking_text=message.get("reasoning_content") or "",
-                prompt_tokens=usage.get("prompt_tokens", 0),
-                completion_tokens=usage.get("completion_tokens", 0),
+                text=text,
+                thinking_text=thinking,
+                prompt_tokens=_usage_count(usage, "prompt_tokens"),
+                completion_tokens=_usage_count(usage, "completion_tokens"),
                 latency_ms=latency_ms,
                 provider_meta={
                     "finish_reason": data["choices"][0].get("finish_reason")
@@ -612,13 +632,13 @@ class HttpBackend:
         if status in (401, 403):
             raise AuthError(f"provider rejected credentials ({status})")
         if status == 429:
-            retry_after = None
-            if retry_after_header:
-                try:
-                    retry_after = float(retry_after_header)
-                except ValueError:
-                    retry_after = None
-            raise RateLimited("provider rate limit (429)", retry_after=retry_after)
+            try:
+                retry_after = float(retry_after_header)
+            except (TypeError, ValueError):  # absent, or an HTTP date
+                retry_after = math.nan
+            # only a finite number of seconds >= 0 is a delay time.sleep can take
+            raise RateLimited("provider rate limit (429)",
+                              retry_after=retry_after if 0 <= retry_after < math.inf else None)
         if status >= 500 or status == 408:
             raise GatewayTimeout(f"provider unavailable ({status})")
         if status != 200:

@@ -14,7 +14,7 @@ import pytest
 
 from searchbench import __version__, cli, prompts, scaling
 from searchbench.answers import canonical_text
-from searchbench.gateway import MockBackend, ModelGateway, ResponseCache
+from searchbench.gateway import HttpBackend, MockBackend, ModelGateway, ResponseCache
 from searchbench.generate import GenSpec, generate
 from searchbench.prompts import PromptMode
 from searchbench.cli import (
@@ -159,6 +159,8 @@ def test_a_model_block_takes_exactly_the_model_config_fields():
         # an http backend speaks http:// or https:// only
         ({"models": [{"name": "m", "backend": "http", "url": "localhost:8080/v1"}]},
          "models[0].url"),
+        # valid JSON that parses to inf, which no socket timeout takes
+        ({"models": [{**ORACLE, "timeout_s": json.loads("1e309")}]}, "models[0].timeout_s"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
@@ -367,7 +369,7 @@ def test_http_models_execute_on_the_worker_pool(tmp_path, monkeypatch):
 
 def test_pooled_runs_write_pinned_outcome_bytes(tmp_path, monkeypatch):
     """An unreachable ``http`` model puts the run on the worker pool, so the
-    oracle's units share each instance's verdicts across threads."""
+    oracle's jobs run on worker threads too."""
     doc = _unreachable_http_doc(tmp_path, monkeypatch)
     doc["models"].append({"name": "m-oracle", "backend": "oracle"})
     doc["tasks"] = ["TripPlanning", "VertexCover"]
@@ -379,8 +381,8 @@ def test_pooled_runs_write_pinned_outcome_bytes(tmp_path, monkeypatch):
 
 
 def test_a_pooled_run_sends_its_first_request_before_its_last_render(tmp_path, monkeypatch):
-    """Each unit renders its own prompt, so requests start while later
-    prompts are still unrendered."""
+    """Each job renders a mode's prompt when that mode's first unit needs
+    it, so requests start while later prompts are still unrendered."""
     events = []
     render, complete = cli.render, ModelGateway.complete
 
@@ -446,6 +448,24 @@ def test_a_unit_that_raises_in_a_worker_raises_from_run(tmp_path, monkeypatch):
         run(config, echo=QUIET)
     assert threading.active_count() == threads
     assert not (tmp_path / "out" / "report.md").exists()
+
+
+def test_a_pooled_run_closes_its_http_backends_when_a_job_raises(tmp_path, monkeypatch):
+    closed = []
+    close = HttpBackend.close
+
+    def closing(self):
+        closed.append(self)
+        close(self)
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(HttpBackend, "close", closing)
+    monkeypatch.setattr(cli, "execute", raising)
+    with pytest.raises(RuntimeError, match="^boom$"):
+        run(config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch)), echo=QUIET)
+    assert len(closed) == 1
 
 
 def test_run_threaded_raises_the_first_failure_in_item_order():
@@ -581,8 +601,8 @@ def test_rendered_bundles_hold_no_joined_body():
 
 
 def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
-    """The verdicts of a run are kept per instance: one cover text is right
-    for the first instance and wrong for the second."""
+    """Each (model, instance) job keeps its own verdicts: one cover text is
+    right for the first instance and wrong for the second."""
     first, second = (generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=s))
                      for s in (0, 1))
     text = canonical_text(first.payload, first.ground_truth)
@@ -593,6 +613,26 @@ def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
     for record in _records(tmp_path):
         finals.setdefault(record["instance_id"], set()).add(record["final"]["status"])
     assert finals == {first.id: {"Success"}, second.id: {"ConstraintViolation"}}
+
+
+def test_a_warm_run_asks_again_for_a_cached_reply_of_the_wrong_type(tmp_path):
+    """A cache line whose ``text`` is not a string is a miss, not an entry:
+    the warm run calls the backend for it and every unit succeeds."""
+    doc = _doc(tmp_path, tasks=["TripPlanning", "VertexCover"])
+    run(config_from_dict(doc), echo=QUIET)
+    cache = tmp_path / "cache.jsonl"
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["response"]["text"] = 5
+    lines[0] = json.dumps(record, sort_keys=True)
+    cache.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert ResponseCache(cache).skipped_lines == 1
+
+    report = run(config_from_dict(doc), echo=QUIET)
+    assert all(c.successes == c.total == 2 for c in report.cells)
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    assert meta["unexpected_errors"] == {"m-oracle": 0}
+    assert meta["cache_stats"]["m-oracle"]["misses"] == 1
 
 
 def test_cold_in_process_runs_write_the_same_cache_bytes(tmp_path):

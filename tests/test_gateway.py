@@ -382,6 +382,29 @@ def test_cache_skips_corrupt_lines(tmp_path):
     assert reloaded.get(canonical_digest(other)).text == "also good"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("text", 5),
+    ("thinking_text", None),
+    ("prompt_tokens", True),
+    ("completion_tokens", "7"),
+    ("thinking_tokens", 1.0),
+    ("latency_ms", [3]),
+    ("provider_meta", []),
+])
+def test_cache_skips_a_reply_field_of_the_wrong_type(tmp_path, field, value):
+    path = tmp_path / "replies.jsonl"
+    request, other = _request(), _request(model="m-2")
+    ResponseCache(path).put(request.digest, request, BackendResponse(text="good"))
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"digest": other.digest, "model": "m-2",
+                             "response": {"text": "bad", field: value}}) + "\n")
+
+    reloaded = ResponseCache(path)
+    assert reloaded.skipped_lines == 1
+    assert len(reloaded) == 1 and reloaded.get(other.digest) is None
+    assert reloaded.get(request.digest).text == "good"
+
+
 def test_cache_passes_over_blank_lines_without_counting_them(tmp_path):
     path = tmp_path / "replies.jsonl"
     request = _request()
@@ -708,6 +731,26 @@ def test_openai_payload_and_parse():
         dialect.parse({"choices": []}, latency_ms=0)
 
 
+@pytest.mark.parametrize("dialect, body, keys", [
+    (AnthropicDialect(), ANTHROPIC_BODY, ("input_tokens", "output_tokens")),
+    (OpenAIDialect(), OPENAI_BODY, ("prompt_tokens", "completion_tokens")),
+])
+def test_a_reply_parses_to_a_response_its_cache_line_gives_back(tmp_path, dialect, body, keys):
+    """A usage count that is not an int reads as 0, so a warm replay finds
+    the line a cold run wrote instead of skipping it."""
+    body = {**body, "usage": dict(zip(keys, (None, 2.5)))}
+    parsed = dialect.parse(body, latency_ms=7)
+    assert (parsed.prompt_tokens, parsed.completion_tokens) == (0, 0)
+    request = _request()
+    ResponseCache(tmp_path / "replies.jsonl").put(request.digest, request, parsed)
+    reloaded = ResponseCache(tmp_path / "replies.jsonl")
+    assert reloaded.skipped_lines == 0 and reloaded.get(request.digest) == parsed
+    if isinstance(dialect, OpenAIDialect):
+        message = {"content": [{"type": "text", "text": "the answer"}]}
+        with pytest.raises(MalformedProviderReply, match="not a string"):
+            dialect.parse({"choices": [{"message": message}]}, latency_ms=0)
+
+
 def test_http_backend_rejects_unknown_dialect():
     with pytest.raises(ValueError):
         HttpBackend("http://x", dialect="grpc")
@@ -791,6 +834,17 @@ def test_http_backend_reads_a_retry_after_date_as_none(monkeypatch):
     monkeypatch.setenv("SOME_KEY", "sekrit")
     date = {"retry-after": "Wed, 21 Oct 2015 07:28:00 GMT"}
     with _Provider([(429, b"slow down", date)]) as provider:
+        backend = _http_backend(provider.url())
+        with pytest.raises(RateLimited) as info:
+            backend.complete(_request())
+        backend.close()
+    assert info.value.retry_after is None
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1"])
+def test_http_backend_reads_a_retry_after_no_sleep_can_last_as_none(monkeypatch, value):
+    monkeypatch.setenv("SOME_KEY", "sekrit")
+    with _Provider([(429, b"slow down", {"retry-after": value})]) as provider:
         backend = _http_backend(provider.url())
         with pytest.raises(RateLimited) as info:
             backend.complete(_request())
