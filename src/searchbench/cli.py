@@ -60,6 +60,7 @@ from .reporting import ReportError, RunReport, aggregate, emit
 from .scaling import RunOutcome, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
+    InputFileError,
     ProblemInstance,
     TaskError,
     TaskKind,
@@ -690,7 +691,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    paths = emit(aggregate(read_outcomes(args.outcomes)), args.out or "out")
+    """Re-emit a run's reports.  With the ``run_meta.json`` of its run beside
+    the log, flag each cell short of that run's ``instance_count``, and
+    write that run's metadata again rather than an empty one."""
+    path = Path(args.outcomes).with_name("run_meta.json")
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        expected = meta["config"]["instance_count"]
+        if not _is_count(expected):
+            raise ValueError(f"instance_count {expected!r} is not an integer >= 1")
+    except FileNotFoundError:
+        meta, expected = {}, None
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise InputFileError(f"cannot read {path}: {err!r}") from None
+    meta.pop("incomplete_cells", None)
+    report = aggregate(read_outcomes(args.outcomes), expected)
+    paths = emit(dataclasses.replace(report, run_meta=meta), args.out or "out")
     print(f"report written to {paths['report']}")
     return 0
 

@@ -388,10 +388,12 @@ def call_with_retries(
 DEFAULT_THINKING_BUDGET = 16000
 
 
-def _usage_count(usage: Mapping, key: str) -> int:
-    """A token count of a reply's usage block; a value that is not an int
-    reads as 0, so the reply's cache line reads back as written."""
-    count = usage.get(key, 0)
+def _usage_count(data: dict, key: str) -> int:
+    """A token count of a reply's usage block; a usage block that is not an
+    object reads as empty and a value that is not an int as 0, so the reply's
+    cache line reads back as written."""
+    usage = data.get("usage")
+    count = usage.get(key, 0) if isinstance(usage, dict) else 0
     return count if type(count) is int else 0
 
 
@@ -434,12 +436,11 @@ class AnthropicDialect:
             thinking = "".join(
                 b.get("thinking", "") for b in blocks if b.get("type") == "thinking"
             )
-            usage = data.get("usage", {})
             return BackendResponse(
                 text=text,
                 thinking_text=thinking,
-                prompt_tokens=_usage_count(usage, "input_tokens"),
-                completion_tokens=_usage_count(usage, "output_tokens"),
+                prompt_tokens=_usage_count(data, "input_tokens"),
+                completion_tokens=_usage_count(data, "output_tokens"),
                 latency_ms=latency_ms,
                 provider_meta={"stop_reason": data.get("stop_reason")},
             )
@@ -481,7 +482,6 @@ class OpenAIDialect:
     def parse(self, data: dict, latency_ms: int) -> BackendResponse:
         try:
             message = data["choices"][0]["message"]
-            usage = data.get("usage", {})
             text = message.get("content") or ""
             thinking = message.get("reasoning_content") or ""
             if not isinstance(text, str) or not isinstance(thinking, str):
@@ -489,8 +489,8 @@ class OpenAIDialect:
             return BackendResponse(
                 text=text,
                 thinking_text=thinking,
-                prompt_tokens=_usage_count(usage, "prompt_tokens"),
-                completion_tokens=_usage_count(usage, "completion_tokens"),
+                prompt_tokens=_usage_count(data, "prompt_tokens"),
+                completion_tokens=_usage_count(data, "completion_tokens"),
                 latency_ms=latency_ms,
                 provider_meta={
                     "finish_reason": data["choices"][0].get("finish_reason")

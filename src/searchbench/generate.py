@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
 
-from .solver import (
-    count_trip_plans,
-    matching_witness,
-    min_cover_size,
-    optimal_schedule,
-    solve_payload,  # noqa: F401 -- perfbench/tracing.py wraps this name here
-    trip_legs_for_order,
-)
+from .cover import min_cover_size
+from .meeting import optimal_schedule
+from .solver import solve_payload  # noqa: F401 -- perfbench/tracing.py wraps this name here
+from .threedm import matching_witness
+from .trip import count_trip_plans, trip_legs_for_order
 from .tasks import (
     Friend,
     MeetingPayload,
@@ -394,6 +391,7 @@ def generate_all(specs: Sequence[GenSpec]) -> list[ProblemInstance]:
     from concurrent.futures.process import BrokenProcessPool
 
     left = specs[done:]
+    running = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
     try:
         # Several chunks per worker, so that no worker gets a whole task
@@ -407,6 +405,11 @@ def generate_all(specs: Sequence[GenSpec]) -> list[ProblemInstance]:
         ) from err
     finally:
         pool.shutdown(cancel_futures=True)
+        # The manager thread joins the workers, but it starts only once all
+        # are forked: a pool stopped in between leaves its workers waiting.
+        for worker in set(multiprocessing.active_children()) - running:
+            worker.kill()
+            worker.join()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .prompts import PromptMode
 from .scaling import RunOutcome, ScalingKind, ScalingStrategy
-from .tasks import TaskKind, TaskError, output_dir
+from .tasks import TaskKind, TaskError, family, output_dir
 
 
 class ReportError(TaskError):
@@ -38,13 +38,6 @@ TASK_ORDER = (
     TaskKind.THREE_DM,
     TaskKind.MEETING_PLANNING,
 )
-
-TASK_DISPLAY = {
-    TaskKind.VERTEX_COVER: "Vertex Cover",
-    TaskKind.TRIP_PLANNING: "Trip Planning",
-    TaskKind.THREE_DM: "3-Dimensional Matching (3DM)",
-    TaskKind.MEETING_PLANNING: "Meeting Planning",
-}
 
 STRATEGY_ROWS = {
     ScalingKind.NO_SCALING: "No Scaling (Base Model)",
@@ -171,7 +164,7 @@ def render_report_md(report: RunReport) -> str:
 
     for table_no, ((task, level), cells) in enumerate(tables.items(), 1):
         lines.append(
-            f"## Table {table_no}: Performance on *{TASK_DISPLAY[task]}* "
+            f"## Table {table_no}: Performance on *{family(task).DISPLAY}* "
             f"(Difficulty Level = {level})"
         )
         lines.append("")

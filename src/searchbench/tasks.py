@@ -10,9 +10,11 @@ exactly checkable answers:
 * ``MeetingPlanning`` -- meet as many friends as possible under travel times and
                          availability windows.
 
-Everything here is an immutable value object; solvers, generators, renderers and
-verifiers live in sibling modules and only consume these types.  Every payload
-and solution class names its task in the class attribute ``kind``.
+Everything here is an immutable value object.  Each task's statement, answer
+format, parser, verifier and searches live in its own family module
+(``trip``, ``cover``, ``threedm``, ``meeting``), which :func:`family` finds
+by kind; the shared pipeline modules reach a task only through it.  Every
+payload and solution class names its task in the class attribute ``kind``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import ModuleType
 from typing import Any, Callable, ClassVar, Iterable, Mapping, TextIO, TypeVar, Union
 
 T = TypeVar("T")
@@ -48,6 +51,33 @@ class TaskKind(str, Enum):
     THREE_DM = "ThreeDM"
     TRIP_PLANNING = "TripPlanning"
     MEETING_PLANNING = "MeetingPlanning"
+
+
+@functools.cache
+def family(kind: TaskKind) -> ModuleType:
+    """The module that holds everything particular to task ``kind``.
+
+    Each family module defines the same names:
+
+    - ``KIND``: its ``TaskKind``;
+    - ``DISPLAY``, ``DESCRIPTION``: its report caption and its prompts' system text;
+    - ``PREVIEW_HEADER``, ``STATE_DEFINITIONS``: a search step's preview label and
+      an exemplar's state lines;
+    - ``statement(payload)``, ``objective(payload)``, ``constraints(payload)``:
+      the question and an exemplar's sections;
+    - ``canonical_text(payload, solution)``, ``output(payload, solution)``: an
+      answer as exemplars write it, and an exemplar's output phase;
+    - ``parse(text, payload)``, ``verify(payload, truth, candidate)``: a
+      ``ParseReport`` from model text and a ``Verdict`` on a candidate;
+    - ``dfs(payload)``, ``greedy(payload)``: its traced searches.
+
+    Each also holds its exact ground-truth solver, which ``generate``'s
+    builders call.  They import the pipeline modules, so they are imported
+    here on first use.
+    """
+    from . import cover, meeting, threedm, trip
+
+    return {task.KIND: task for task in (cover, meeting, threedm, trip)}[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +352,17 @@ class VerdictStatus(str, Enum):
 class Verdict:
     status: VerdictStatus
     reason: str = ""
+
+
+_NUMBER_WORDS = (
+    "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+    "nine", "ten", "eleven", "twelve", "thirteen", "fourteen", "fifteen",
+    "sixteen", "seventeen", "eighteen", "nineteen", "twenty",
+)
+
+
+def number_word(n: int) -> str:
+    return _NUMBER_WORDS[n] if 0 <= n < len(_NUMBER_WORDS) else str(n)
 
 
 def minutes_to_clock(minutes: int) -> str:

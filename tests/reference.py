@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from searchbench.solver import trip_legs_for_order
+from searchbench.trip import trip_legs_for_order
 from searchbench.tasks import (
     CoverSet,
     Matching,

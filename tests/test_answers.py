@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from searchbench.answers import (
     _match_vocab,
-    answer_lines,
     canonical_text,
     evaluate,
     parse_answer,
@@ -27,6 +26,7 @@ from searchbench.tasks import (
     TripPayload,
     TripPlan,
     VerdictStatus,
+    family,
 )
 
 from conftest import ENUMERABLE_LEVELS
@@ -123,8 +123,9 @@ def test_trip_parse_last_answer_wins(reference_trip):
 @pytest.mark.parametrize("kind", [TaskKind.THREE_DM, TaskKind.MEETING_PLANNING])
 def test_block_parse_last_answer_wins(kind):
     inst = generate(GenSpec(kind=kind, level=6, seed=0))
-    rows = answer_lines(inst.ground_truth).splitlines()
-    earlier = answer_lines(generate(GenSpec(kind=kind, level=6, seed=1)).ground_truth)
+    rows = family(kind).output(inst.payload, inst.ground_truth).splitlines()
+    other = generate(GenSpec(kind=kind, level=6, seed=1))
+    earlier = family(kind).output(other.payload, other.ground_truth)
     assert len(rows) >= 2 and earlier.splitlines() != rows
     half = len(rows) // 2
     text = (

@@ -1092,6 +1092,36 @@ def test_cmd_run_and_report_round_trip(tmp_path, capsys):
         assert (rebuilt / name).read_text(encoding="utf-8") == original, name
 
 
+def test_cmd_report_flags_the_cells_a_partial_log_leaves_short(tmp_path, capsys):
+    """With its run's run_meta.json beside it, a log that lost lines lists
+    the cells they leave short, as the run itself would have."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_doc(tmp_path)), encoding="utf-8")
+    assert main(["run", "--config", str(config_path)]) == 0
+    log = tmp_path / "out" / "outcomes.jsonl"
+    lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text("".join(lines[1:-1]), encoding="utf-8")
+    rebuilt = tmp_path / "rebuilt"
+    assert main(["report", "--outcomes", str(log), "--out", str(rebuilt)]) == 0
+    short = [
+        f"- {r['task']}/L{r['level']}/{r['model']}/{r['mode']}/{r['strategy']}: 1 of 2 instances"
+        for r in map(json.loads, (lines[0], lines[-1]))
+    ]
+    text = (rebuilt / "report.md").read_text(encoding="utf-8")
+    assert "**Incomplete cells:**" in text
+    assert sorted(line for line in text.splitlines() if line.startswith("- ")) == sorted(short)
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    rebuilt_meta = json.loads((rebuilt / "run_meta.json").read_text(encoding="utf-8"))
+    assert rebuilt_meta == {**meta, "incomplete_cells": rebuilt_meta["incomplete_cells"]}
+    # Re-emitted in place, twice, the run keeps its metadata and its flags.
+    for _ in range(2):
+        assert main(["report", "--outcomes", str(log), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "report.md").read_text(encoding="utf-8") == text
+    (tmp_path / "out" / "run_meta.json").write_text("{}", encoding="utf-8")
+    assert main(["report", "--outcomes", str(log), "--out", str(rebuilt)]) == 2
+    assert "run_meta.json: KeyError('config')" in capsys.readouterr().err
+
+
 _RECORD = {
     "attempts": [], "final": {"reason": "", "status": "Success"},
     "instance_id": "TripPlanning-L3-s0", "level": 3, "mode": "CoT", "model": "m",

@@ -751,6 +751,17 @@ def test_a_reply_parses_to_a_response_its_cache_line_gives_back(tmp_path, dialec
             dialect.parse({"choices": [{"message": message}]}, latency_ms=0)
 
 
+@pytest.mark.parametrize("usage", [None, "10 in, 4 out", [10, 4]])
+@pytest.mark.parametrize("dialect, body", [
+    (AnthropicDialect(), ANTHROPIC_BODY), (OpenAIDialect(), OPENAI_BODY),
+])
+def test_a_usage_block_that_is_not_an_object_reads_as_empty(dialect, body, usage):
+    """The answer of a reply with a malformed usage block is kept."""
+    parsed = dialect.parse({**body, "usage": usage}, latency_ms=7)
+    assert (parsed.text, parsed.thinking_text) == ("the answer", "mull it over")
+    assert (parsed.prompt_tokens, parsed.completion_tokens) == (0, 0)
+
+
 def test_http_backend_rejects_unknown_dialect():
     with pytest.raises(ValueError):
         HttpBackend("http://x", dialect="grpc")

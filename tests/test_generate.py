@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import json
+import multiprocessing
 import os
 import random
 import signal
@@ -26,7 +27,7 @@ from searchbench.generate import (
     generate_all,
     instance_id,
 )
-from searchbench.solver import count_trip_plans, trip_legs_for_order
+from searchbench.trip import count_trip_plans, trip_legs_for_order
 from searchbench.tasks import (
     ProblemInstance,
     TaskKind,
@@ -268,25 +269,38 @@ MIXED_SPECS = [
 ]
 
 
+class _Stop(BaseException):
+    """Stands for an interrupt that reaches this process mid-generation."""
+
+
 @pytest.fixture
 def cpus(monkeypatch):
-    """Report ``n`` usable CPUs; count the forks; check that none is left
-    unreaped after the test."""
+    """Report ``n`` usable CPUs; count the forks, raising ``_Stop`` in this
+    process in place of the fork after ``stop_at`` of them; check that none
+    is left unreaped after the test."""
     forks = []
     fork = os.fork
 
-    def counted_fork():
+    def counted_fork(stop_at: int | None):
+        if len(forks) == stop_at:
+            raise _Stop
         forks.append(1)
         return fork()
 
-    def report(n: int) -> list:
+    def report(n: int, stop_at: int | None = None) -> list:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "fork", lambda: counted_fork(stop_at))
         return forks
 
     yield report
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    try:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    finally:
+        # Kill what a failed check left running, so that the run can exit.
+        for child in multiprocessing.active_children():
+            child.kill()
+            child.join()
 
 
 @pytest.fixture
@@ -458,8 +472,13 @@ def test_generate_all_projects_the_mean_time_times_the_specs_left(
     assert len(forks) == n_forks
 
 
-class _Stop(BaseException):
-    """Stands for an interrupt that reaches this process mid-generation."""
+def test_generate_all_reaps_the_workers_of_a_pool_stopped_while_it_forks(cpus, eager_pool):
+    """A fork pool starts the manager thread that joins its workers only
+    once it has forked them all; a stop in between must still reap them."""
+    forks = cpus(3, stop_at=1)
+    with pytest.raises(_Stop):
+        generate_all(MIXED_SPECS)
+    assert len(forks) == 1
 
 
 def test_generate_all_reaps_its_children_when_this_process_raises(cpus, eager_pool, monkeypatch):

@@ -8,7 +8,6 @@ from searchbench.prompts import PromptMode
 from searchbench.reporting import (
     MODE_COLUMNS,
     STRATEGY_ROWS,
-    TASK_DISPLAY,
     TASK_ORDER,
     AblationCell,
     ReportError,
@@ -20,7 +19,7 @@ from searchbench.reporting import (
     write_plotdata,
 )
 from searchbench.scaling import RunOutcome, ScalingStrategy
-from searchbench.tasks import TaskKind, Verdict, VerdictStatus
+from searchbench.tasks import TaskKind, Verdict, VerdictStatus, family
 
 from conftest import cells_csv_mismatches
 
@@ -65,7 +64,7 @@ def test_table_order_and_captions():
         TaskKind.THREE_DM,
         TaskKind.MEETING_PLANNING,
     )
-    assert TASK_DISPLAY[TaskKind.THREE_DM] == "3-Dimensional Matching (3DM)"
+    assert family(TaskKind.THREE_DM).DISPLAY == "3-Dimensional Matching (3DM)"
     assert list(STRATEGY_ROWS.values()) == [
         "No Scaling (Base Model)",
         "Parallel Scaling (Best-of-N)",

@@ -8,22 +8,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from searchbench.answers import verify
 from searchbench.generate import GenSpec, generate
+from searchbench import meeting
+from searchbench.cover import _incidence, _matching_bound, min_cover_size
+from searchbench.meeting import optimal_schedule
 from searchbench.solver import (
     Action,
     PRUNE_REASONS,
     SearchMode,
     TraceEvent,
-    _incidence,
-    _matching_bound,
-    count_trip_plans,
-    matching_witness,
-    min_cover_size,
-    optimal_schedule,
     solve,
     solve_payload,
     success_path,
-    trip_legs_for_order,
 )
+from searchbench.threedm import matching_witness
+from searchbench.trip import count_trip_plans, trip_legs_for_order
 from searchbench.tasks import (
     CoverSet,
     Friend,
@@ -273,7 +271,7 @@ def test_reference_imports_nothing_the_searches_prune_with():
         (module, name) for module, name in imported
         if module.split(".")[0] == "searchbench" and (module != "searchbench.tasks" or name is None)
     }
-    assert beyond_tasks == {("searchbench.solver", "trip_legs_for_order")}
+    assert beyond_tasks == {("searchbench.trip", "trip_legs_for_order")}
 
 
 # ---------------------------------------------------------------------------
@@ -637,15 +635,13 @@ def test_matching_witness_is_the_traced_matching(unsolvable_instances):
 
 @pytest.mark.parametrize("mode", list(SearchMode))
 def test_meeting_solve_computes_the_optimum_once(monkeypatch, mode, unsolvable_instances):
-    from searchbench import solver
-
     calls = []
 
     def counted(payload):
         calls.append(payload)
         return optimal_schedule(payload)
 
-    monkeypatch.setattr(solver, "optimal_schedule", counted)
+    monkeypatch.setattr(meeting, "optimal_schedule", counted)
     unsolvable = next(i for i in unsolvable_instances if i.kind is TaskKind.MEETING_PLANNING)
     for inst in (generate(GenSpec(kind=TaskKind.MEETING_PLANNING, level=6, seed=0)), unsolvable):
         calls.clear()

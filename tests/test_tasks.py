@@ -1,9 +1,13 @@
+import ast
 import dataclasses
+import importlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from searchbench import tasks
 from searchbench.generate import GenSpec, generate
 from searchbench.tasks import (
     Friend,
@@ -18,6 +22,7 @@ from searchbench.tasks import (
     UnknownCityError,
     VerdictStatus,
     VertexCoverPayload,
+    family,
     instance_from_record,
     instance_to_record,
     minutes_to_clock,
@@ -29,6 +34,40 @@ from searchbench.tasks import (
 def test_task_kind_values_round_trip():
     for kind in TaskKind:
         assert TaskKind(kind.value) is kind
+
+
+def test_every_kind_resolves_to_a_family_module_with_every_family_name():
+    """The names ``family``'s docstring lists, each a bullet's head."""
+    heads = [line.split(":")[0] for line in family.__doc__.splitlines()
+             if line.lstrip().startswith("- ``")]
+    names = {name for head in heads for name in re.findall(r"``(\w+)", head)}
+    assert len(names) == 14
+    modules = {kind: family(kind) for kind in TaskKind}
+    assert len(set(modules.values())) == len(TaskKind)
+    for kind, module in modules.items():
+        assert module.KIND is kind and family(kind) is module
+        assert {n for n in names if callable(getattr(module, n, None)) == n.islower()} == names
+
+
+# Every class whose ``kind`` names a task, and the unions of them.
+TASK_CLASSES = {
+    name for name, value in vars(tasks).items()
+    if isinstance(getattr(value, "kind", None), TaskKind) and isinstance(value, type)
+} | {"Payload", "Solution"}
+
+
+@pytest.mark.parametrize("module", ["answers", "prompts", "solver", "reporting"])
+def test_shared_modules_test_no_payload_or_solution_class(module):
+    """The pipeline modules reach a task only through ``family``."""
+    path = importlib.import_module(f"searchbench.{module}").__file__
+    tree = ast.parse(Path(path).read_text(encoding="utf-8"))
+    tested = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            for part in ast.walk(node.args[1]):
+                tested.add(getattr(part, "id", None) or getattr(part, "attr", None))
+    assert len(TASK_CLASSES) == 10
+    assert tested & TASK_CLASSES == set()
 
 
 def test_payload_and_solution_kinds_agree(sample_instances):
