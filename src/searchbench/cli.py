@@ -43,8 +43,7 @@ from .generate import (
     MAX_LEVEL,
     MIN_LEVEL,
     GenSpec,
-    generate,  # noqa: F401 -- perfbench/tracing.py wraps this name here
-    generate_all,
+    generate,
 )
 from .prompts import (
     PromptBundle,
@@ -301,12 +300,12 @@ def validate_config(path: str | Path) -> RunConfig:
 
 
 def generate_instances(config: RunConfig) -> list[ProblemInstance]:
-    return generate_all([
-        GenSpec(kind=kind, level=level, seed=config.seed + i)
+    return [
+        generate(GenSpec(kind=kind, level=level, seed=config.seed + i))
         for kind in config.tasks
         for level in config.levels
         for i in range(config.instance_count)
-    ])
+    ]
 
 
 def exemplar_lookup() -> Callable[[TaskKind, PromptMode], Shots]:
@@ -470,9 +469,6 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
     echo(f"generating {len(config.tasks)} task(s) x {len(config.levels)} level(s) "
          f"x {config.instance_count} instance(s) ...")
-    # Generation may fork a pool worker for each usable CPU, and fork copies
-    # only the calling thread, so it runs before any worker thread exists: a
-    # lock held by another thread at the fork would stay held in the child.
     instances = generate_instances(config)
     stage("generate")
 
@@ -609,11 +605,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     kinds = list(TaskKind) if args.task == "all" else [TaskKind(args.task)]
     out = Path(args.out or "instances.jsonl")
     open_output(out).close()  # an unwritable path fails before anything is generated
-    instances = generate_all([
-        GenSpec(kind=kind, level=args.level, seed=args.seed + i)
+    instances = [
+        generate(GenSpec(kind=kind, level=args.level, seed=args.seed + i))
         for kind in kinds
         for i in range(args.count)
-    ])
+    ]
     count = write_instances(out, instances)
     print(f"wrote {count} instance(s) to {out}")
     return 0

@@ -226,14 +226,14 @@ def greedy(payload: VertexCoverPayload) -> SearchTrace:
 
 
 def _mis(adj: Sequence[int], cand: int) -> int:
-    """Size of a maximum independent set of the subgraph induced on ``cand``.
+    """A maximum independent set of the subgraph induced on ``cand``.
 
     Vertex sets are int bitmasks and ``adj[v]`` is the neighbour mask of v.  A
     vertex with at most one neighbour left lies in some maximum set, so it is
     taken outright; otherwise the search branches on a vertex of highest
     degree, leaving it out or taking it and dropping its neighbours.
     """
-    size = 0
+    taken = 0
     while cand:
         pick, most = 0, -1
         rest = cand
@@ -249,10 +249,12 @@ def _mis(adj: Sequence[int], cand: int) -> int:
         cand &= ~pick
         if_taken = cand & ~adj[pick.bit_length() - 1]
         if most > 1:
-            return size + max(_mis(adj, cand), 1 + _mis(adj, if_taken))
-        size += 1
+            left_out = _mis(adj, cand)
+            with_pick = _mis(adj, if_taken) | pick
+            return taken | max(left_out, with_pick, key=int.bit_count)
+        taken |= pick
         cand = if_taken
-    return size
+    return taken
 
 
 def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple[int, CoverSet]:
@@ -266,18 +268,29 @@ def min_cover_size(vertex_count: int, edges: Sequence[tuple[int, int]]) -> tuple
     otherwise.  Branching reaches every cover containing the current one, and
     the traced bound prunes only subtrees with no cover of optimum size, so
     the traced search's first leaf is the one this walk reaches.
+
+    The walk keeps a witness: a maximum independent set outside the cover so
+    far.  A witness without u answers for u at once, so only an edge whose u
+    it holds costs a search.  When that search finds a smaller set, v is
+    added and the witness stays: it holds u, so it cannot hold v.
     """
     adj = [0] * vertex_count
     for u, v in edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     full = (1 << vertex_count) - 1
-    mis = _mis(adj, full)
+    witness = _mis(adj, full)
+    mis = witness.bit_count()
     cover = 0
     for u, v in sorted(edges):
         if not (cover >> u | cover >> v) & 1:
-            with_u = cover | 1 << u
-            cover = with_u if _mis(adj, full & ~with_u) == mis else cover | 1 << v
+            if witness >> u & 1:
+                found = _mis(adj, full & ~(cover | 1 << u))
+                if found.bit_count() < mis:
+                    cover |= 1 << v
+                    continue
+                witness = found
+            cover |= 1 << u
     return vertex_count - mis, CoverSet(
         vertices=frozenset(x for x in range(vertex_count) if cover >> x & 1)
     )

@@ -11,12 +11,8 @@ determinism survives regeneration.
 from __future__ import annotations
 
 import hashlib
-import math
-import os
 import random
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Sequence
 
 from .cover import min_cover_size
 from .meeting import optimal_schedule
@@ -327,89 +323,6 @@ def generate(spec: GenSpec) -> ProblemInstance:
         f"no usable {spec.kind.value} instance for level {spec.level}, "
         f"seed {spec.seed} within {MAX_REGEN} attempts"
     )
-
-
-# ---------------------------------------------------------------------------
-# Generating many instances, on every usable CPU once that pays
-# ---------------------------------------------------------------------------
-
-
-class GenerationChildError(TaskError):
-    """A generation worker process died before sending its instances."""
-
-
-#: Projected in-process seconds beyond which the specs left go to a fork pool.
-#: A pool of w workers turns T seconds of generation into about S + T / w,
-#: where S is its start-up and teardown, so it pays once T > S * w / (w - 1).
-#: S, the ``multiprocessing`` import included, measured 0.037 s: the median
-#: time of the pool on 8 level-6 specs less half their serial time (11 fresh
-#: processes each after ``import searchbench``, 2 workers, Python 3.11.7 on 2
-#: vCPUs).  w = 2 gives the largest break-even, 2 S.
-POOL_BREAK_EVEN_S = 0.075
-
-
-def generate_all(specs: Sequence[GenSpec]) -> list[ProblemInstance]:
-    """``[generate(s) for s in specs]``, handed to a fork pool once one pays.
-
-    Specs are generated in this process, in order.  Before each spec after
-    the first, the mean time per spec so far times the specs left projects
-    the in-process time still to come.  Once that exceeds
-    ``POOL_BREAK_EVEN_S``, the specs left go in chunks to a process pool of
-    forked workers, one per usable CPU and at most one per spec left.  With
-    fewer than two such workers, or without ``os.fork``, the loop stays in
-    this process, and ``multiprocessing`` is imported only when a pool
-    starts.  ``map`` yields in spec order and a chunk stops at its first
-    failure, so the records and the first failure raised are the serial
-    loop's.  Every worker is reaped before this returns or raises.
-
-    A fork-context pool forks all its workers before it starts its manager
-    thread (CPython issue 90622), and fork copies only the calling thread, so
-    call this before any other thread starts: a lock another thread holds at
-    the fork stays held in the child for good.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    if not hasattr(os, "fork"):
-        cpus = 1
-    instances: list[ProblemInstance] = []
-    started = perf_counter()
-    for spec in specs:
-        done = len(instances)
-        width = min(cpus, len(specs) - done)
-        if done and width >= 2 and (
-            (perf_counter() - started) / done * (len(specs) - done) > POOL_BREAK_EVEN_S
-        ):
-            break
-        instances.append(generate(spec))
-    else:
-        return instances
-
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    left = specs[done:]
-    running = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(width, mp_context=multiprocessing.get_context("fork"))
-    try:
-        # Several chunks per worker, so that no worker gets a whole task
-        # of a task-ordered spec list.
-        return instances + list(
-            pool.map(generate, left, chunksize=math.ceil(len(left) / (8 * width)))
-        )
-    except BrokenProcessPool as err:
-        raise GenerationChildError(
-            "a generation worker died before sending its instances"
-        ) from err
-    finally:
-        pool.shutdown(cancel_futures=True)
-        # The manager thread joins the workers, but it starts only once all
-        # are forked: a pool stopped in between leaves its workers waiting.
-        for worker in set(multiprocessing.active_children()) - running:
-            worker.kill()
-            worker.join()
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,11 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     bound the meetings a schedule can add.  A node is cut when that bound
     cannot beat the best count, or can only tie it while already finishing
     later, since a finish only grows along a path.
+
+    A node is also cut when an earlier node met the same friends, ended at
+    the same place and was no later.  Paths are visited in lexicographic
+    order, so that node's path is the smaller one: every way on from here
+    is open from there, ends no later and wins the name tie-break.
     """
     friends = sorted(payload.friends, key=lambda f: f.name)
     n = len(friends)
@@ -248,6 +253,8 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
     starts: list[int] = []
     # (count, finish, path, starts) of the best schedule
     best: list = [0, payload.day_start, (), ()]
+    # per friend met last: the met set -> the earliest clock seen there
+    earliest: list[dict[int, int]] = [{} for _ in friends]
 
     def visit(p: int, time: int, met: int) -> None:
         depth = len(path)
@@ -270,6 +277,10 @@ def optimal_schedule(payload: MeetingPayload) -> tuple[int, MeetingSchedule]:
             end = start + lasts[k]
             if end > closes[k]:
                 continue
+            seen = earliest[k]
+            if seen.get(met | bit, end + 1) <= end:
+                continue
+            seen[met | bit] = end
             path.append(k)
             starts.append(start)
             visit(k + 1, end, met | bit)

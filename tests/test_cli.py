@@ -786,11 +786,7 @@ def test_cmd_gen_writes_a_trip_that_needs_over_100_attempts(tmp_path, monkeypatc
     assert instance == generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=10, seed=3040))
 
 
-def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, capsys):
-    """With two CPUs and no break-even, every spec after the first is
-    generated in a pool worker."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sys.modules["searchbench.generate"], "POOL_BREAK_EVEN_S", 0)
+def test_run_exits_2_naming_a_seed_that_fails(tmp_path, monkeypatch, capsys):
     fail_seeds(monkeypatch, TaskKind.TRIP_PLANNING, (1,))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_doc(tmp_path, instance_count=4)), encoding="utf-8")
@@ -798,22 +794,52 @@ def test_run_exits_2_naming_a_seed_that_fails_in_a_child(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == (
         "error: no usable TripPlanning instance for level 3, seed 1 within 1000 attempts\n"
     )
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_paper_sized_run_never_forks(tmp_path, monkeypatch):
+    """Every target of a paper-sized run (4 tasks x 100 level-10 instances x
+    12 cells, oracle) is generated in this process."""
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    doc = _doc(tmp_path, tasks=[k.value for k in TaskKind], levels=[10], instance_count=100)
+    del doc["matrix"]
+    report = run(config_from_dict(doc), echo=QUIET)
+    assert len(report.cells) == 4 * 12
+    assert all(c.successes == c.total == 100 for c in report.cells)
+
+
+def test_a_run_generates_every_target_through_cli_generate(tmp_path, monkeypatch):
+    """The benchmark's tracer times generation by wrapping ``cli.generate``
+    (see ``perfbench/tracing.py``), so a run must call it once per target,
+    in config order, in this process."""
+    calls = []
+
+    def wrapped(spec):
+        calls.append((spec.kind, spec.seed, os.getpid()))
+        return generate(spec)
+
+    monkeypatch.setattr(cli, "generate", wrapped)
+    doc = _doc(tmp_path, tasks=["VertexCover", "MeetingPlanning"], instance_count=3, seed=5)
+    run(config_from_dict(doc), echo=QUIET)
+    assert calls == [
+        (kind, seed, os.getpid())
+        for kind in (TaskKind.VERTEX_COVER, TaskKind.MEETING_PLANNING)
+        for seed in (5, 6, 7)
+    ]
 
 
 def test_run_prints_each_line_once_with_stdout_piped(tmp_path):
-    """stdout to a pipe is block-buffered, so the ``generating`` line is still
-    in the buffer when generation forks; a child that flushed its copy on
-    exit would print the line again.  A break-even of 0 makes the run fork."""
+    """stdout to a pipe is block-buffered; each progress line still reaches
+    it exactly once."""
     config = tmp_path / "config.json"
     doc = _doc(tmp_path, tasks=[k.value for k in TaskKind], instance_count=3)
     config.write_text(json.dumps(doc), encoding="utf-8")
     script = (
-        "import os, sys; sys.path[:0] = sys.argv[2:]; "
-        "os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+        "import sys; sys.path[:0] = sys.argv[2:]; "
         "import searchbench; "
-        "sys.modules['searchbench.generate'].POOL_BREAK_EVEN_S = 0; "
         "sys.exit(searchbench.cli.main(['run', '--config', sys.argv[1]]))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -979,7 +1005,7 @@ def test_gen_fails_on_an_unwritable_out_before_it_generates(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     Path("nd").mkdir()
     calls = []
-    monkeypatch.setattr(cli, "generate_all", lambda specs: calls.append(specs) or [])
+    monkeypatch.setattr(cli, "generate", lambda spec: calls.append(spec))
     code = main(["gen", "--task", "VertexCover", "--level", "10", "--count", "100", "--out", "nd"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: cannot write nd: ")

@@ -1,15 +1,9 @@
-import gc
 import importlib
-import itertools
 import json
-import multiprocessing
 import os
 import random
-import signal
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 
@@ -18,13 +12,11 @@ from searchbench.generate import (
     DIFFICULTY_TABLE,
     EXEMPLAR_LEVEL,
     MAX_REGEN,
-    GenerationChildError,
     GenSpec,
     RegenBudgetExhaustedError,
     UnsupportedLevelError,
     exemplar_instance,
     generate,
-    generate_all,
     instance_id,
 )
 from searchbench.trip import count_trip_plans, trip_legs_for_order
@@ -33,10 +25,9 @@ from searchbench.tasks import (
     TaskKind,
     TripPlan,
     VerdictStatus,
-    instance_to_record,
 )
 
-from conftest import ENUMERABLE_LEVELS, fail_seeds
+from conftest import ENUMERABLE_LEVELS
 
 # The package re-exports the function ``generate`` under the module's name.
 generate_module = importlib.import_module("searchbench.generate")
@@ -254,257 +245,35 @@ def test_stay_composition_rejects_a_total_its_stays_cannot_fill(parts, total):
 
 
 # ---------------------------------------------------------------------------
-# Generating on every usable CPU
+# Generation in the calling process
 # ---------------------------------------------------------------------------
 
-# Seven cheap specs of all four kinds, so every stripe mixes kinds.
-MIXED_SPECS = [
-    GenSpec(kind=kind, level=level, seed=seed)
-    for kind, level, seed in [
-        (TaskKind.TRIP_PLANNING, 4, 0), (TaskKind.VERTEX_COVER, 5, 1),
-        (TaskKind.THREE_DM, 4, 2), (TaskKind.MEETING_PLANNING, 5, 3),
-        (TaskKind.TRIP_PLANNING, 5, 4), (TaskKind.VERTEX_COVER, 3, 5),
-        (TaskKind.MEETING_PLANNING, 2, 6),
-    ]
-]
 
-
-class _Stop(BaseException):
-    """Stands for an interrupt that reaches this process mid-generation."""
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Report ``n`` usable CPUs; count the forks, raising ``_Stop`` in this
-    process in place of the fork after ``stop_at`` of them; check that none
-    is left unreaped after the test."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork(stop_at: int | None):
-        if len(forks) == stop_at:
-            raise _Stop
-        forks.append(1)
-        return fork()
-
-    def report(n: int, stop_at: int | None = None) -> list:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "fork", lambda: counted_fork(stop_at))
-        return forks
-
-    yield report
-    try:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    finally:
-        # Kill what a failed check left running, so that the run can exit.
-        for child in multiprocessing.active_children():
-            child.kill()
-            child.join()
-
-
-@pytest.fixture
-def eager_pool(monkeypatch):
-    """Hand the specs left to the pool before the second spec, whatever
-    the projection reads."""
-    monkeypatch.setattr(generate_module, "POOL_BREAK_EVEN_S", 0)
-
-
-def _records(instances) -> list[str]:
-    return [json.dumps(instance_to_record(inst), sort_keys=True) for inst in instances]
-
-
-# The first spec is generated in this process.  n_extra: the CPUs used
-# beyond the first for the specs left.  With any, the pool forks one worker
-# per CPU used; with none, the serial loop forks nothing.
-@pytest.mark.parametrize("n_cpus, n_specs, n_extra", [
-    (1, 7, 0), (2, 7, 1), (3, 7, 2), (5, 7, 4), (5, 3, 1), (3, 2, 0), (3, 1, 0),
-    (3, 0, 0),
-])
-def test_generate_all_writes_the_serial_loops_records(
-    cpus, eager_pool, n_cpus, n_specs, n_extra
-):
-    forks = cpus(n_cpus)
-    specs = MIXED_SPECS[:n_specs]
-    assert _records(generate_all(specs)) == _records(generate(s) for s in specs)
-    assert len(forks) == (n_extra + 1 if n_extra else 0)
-
-
-def test_generate_all_counts_cpus_without_affinity(cpus, eager_pool, monkeypatch):
-    forks = cpus(3)
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
-    assert len(forks) == 2
-
-
-def test_generate_all_runs_in_process_without_fork(cpus, eager_pool, monkeypatch):
-    cpus(4)
-    monkeypatch.delattr(os, "fork")
-    assert _records(generate_all(MIXED_SPECS)) == _records(map(generate, MIXED_SPECS))
-
-
-# 4 tasks x 16 specs at level 6, as perfbench's slow-provider workload runs:
-# about 0.016 s in all, well under the pool's break-even.
-SMALL_RUN_SPECS = [
-    GenSpec(kind=kind, level=6, seed=seed) for kind in TaskKind for seed in range(1, 17)
-]
-
-
-@pytest.mark.parametrize("n_cpus", [2, 3, 4, 5])
-def test_generate_all_forks_nothing_for_a_small_run(cpus, n_cpus):
-    forks = cpus(n_cpus)
-    assert _records(generate_all(SMALL_RUN_SPECS)) == _records(map(generate, SMALL_RUN_SPECS))
-    assert forks == []
-
-
-def test_importing_searchbench_leaves_multiprocessing_unloaded():
+def test_importing_searchbench_leaves_multiprocessing_unloaded(tmp_path):
+    """Neither ``import searchbench`` nor a whole oracle run over all four
+    tasks loads ``multiprocessing`` or ``concurrent.futures``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "tasks": [kind.value for kind in TaskKind],
+        "levels": [4],
+        "instance_count": 3,
+        "models": [{"name": "m-oracle", "backend": "oracle"}],
+        "out_dir": str(tmp_path / "out"),
+        "cache_path": str(tmp_path / "cache.jsonl"),
+    }), encoding="utf-8")
     script = (
-        "import sys; sys.path[:0] = sys.argv[1:]; import searchbench; "
-        "print(sorted(m for m in sys.modules "
-        "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))"
+        "import sys; sys.path[:0] = sys.argv[2:]; import searchbench; "
+        "loaded = lambda: sorted(m for m in sys.modules "
+        "if m.startswith(('multiprocessing', 'concurrent.futures'))); "
+        "imported = loaded(); "
+        "code = searchbench.cli.main(['run', '--config', sys.argv[1]]); "
+        "print(imported, code, loaded())"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     done = subprocess.run(
-        [sys.executable, "-c", script, src],
+        [sys.executable, "-c", script, str(config), src],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
-
-
-def _assert_the_first_failure_is_the_serial_loops(specs, named: int) -> None:
-    with pytest.raises(RegenBudgetExhaustedError) as serial:
-        [generate(s) for s in specs]
-    with pytest.raises(RegenBudgetExhaustedError) as pooled:
-        generate_all(specs)
-    assert str(pooled.value) == str(serial.value)
-    assert f"seed {named} within" in str(pooled.value)
-
-
-# Spec 0 runs in this process, and chunks of the specs left hold
-# ceil(specs / (8 * CPUs)) specs: one each for the 5 left on 3 CPUs.
-@pytest.mark.parametrize("failing, named", [((4, 2), 2), ((3, 1), 1), ((5, 3), 3)])
-def test_generate_all_raises_the_first_failure_in_spec_order(
-    cpus, eager_pool, monkeypatch, failing, named
-):
-    cpus(3)
-    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
-    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(6)]
-    _assert_the_first_failure_is_the_serial_loops(specs, named)
-
-
-# Of 24 specs on 2 CPUs, spec 0 runs in this process and the 23 left make
-# chunks of two: {1, 2}, {3, 4}, {5, 6}, ...
-@pytest.mark.parametrize("failing, named", [((10, 4), 4), ((23, 5, 4), 4), ((23, 4, 3), 3)])
-def test_generate_all_raises_the_first_failure_of_chunks_of_several(
-    cpus, eager_pool, monkeypatch, failing, named
-):
-    cpus(2)
-    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
-    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(24)]
-    _assert_the_first_failure_is_the_serial_loops(specs, named)
-
-
-def test_generate_all_turns_a_worker_that_died_into_a_task_error(cpus, eager_pool, monkeypatch):
-    cpus(2)
-    parent = os.getpid()
-    salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
-
-    def die_in_a_child(level, rng):
-        if os.getpid() != parent:
-            os._exit(3)
-        return build(level, rng)
-
-    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, die_in_a_child))
-    specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(4)]
-    with pytest.raises(GenerationChildError, match="died before sending its instances"):
-        generate_all(specs)
-
-
-def test_generate_all_leaves_no_thread_behind(cpus, eager_pool, monkeypatch):
-    cpus(2)
-    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(8)]
-    threads = threading.active_count()
-    generate_all(specs)
-    assert threading.active_count() == threads
-    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, (5,))
-    with pytest.raises(RegenBudgetExhaustedError):
-        generate_all(specs)
-    assert threading.active_count() == threads
-
-
-# A clock that reads 0 until its k-th reading after the start: the projection
-# stays 0 before spec k and exceeds any break-even there, so specs 0..k-1
-# run in this process and the pool gets spec k onwards.
-@pytest.mark.parametrize("k, failing, named", [
-    (4, (), None), (1, (), None), (10, (), None),
-    (4, (2, 7), 2), (4, (3,), 3), (4, (9, 4), 4), (4, (11, 6), 6),
-])
-def test_generate_all_hands_off_where_the_projection_says(
-    cpus, monkeypatch, k, failing, named
-):
-    forks = cpus(2)
-    ticks = itertools.count()
-    monkeypatch.setattr(generate_module, "perf_counter", lambda: float(next(ticks) >= k))
-    fail_seeds(monkeypatch, TaskKind.VERTEX_COVER, failing)
-    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(12)]
-    if named is None:
-        assert _records(generate_all(specs)) == _records(map(generate, specs))
-    else:
-        _assert_the_first_failure_is_the_serial_loops(specs, named)
-    # A failure before spec k is raised in this process, before any fork.
-    assert len(forks) == (0 if named is not None and named < k else 2)
-
-
-# A clock that advances the same step per reading: after spec 1 of 12 the
-# projection is step x 11, and it only falls after that.
-@pytest.mark.parametrize("scale, n_forks", [(1.02, 2), (0.98, 0)])
-def test_generate_all_projects_the_mean_time_times_the_specs_left(
-    cpus, monkeypatch, scale, n_forks
-):
-    forks = cpus(2)
-    step = generate_module.POOL_BREAK_EVEN_S / 11 * scale
-    ticks = itertools.count()
-    monkeypatch.setattr(generate_module, "perf_counter", lambda: next(ticks) * step)
-    specs = [GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=seed) for seed in range(12)]
-    assert _records(generate_all(specs)) == _records(map(generate, specs))
-    assert len(forks) == n_forks
-
-
-def test_generate_all_reaps_the_workers_of_a_pool_stopped_while_it_forks(cpus, eager_pool):
-    """A fork pool starts the manager thread that joins its workers only
-    once it has forked them all; a stop in between must still reap them."""
-    forks = cpus(3, stop_at=1)
-    with pytest.raises(_Stop):
-        generate_all(MIXED_SPECS)
-    assert len(forks) == 1
-
-
-def test_generate_all_reaps_its_children_when_this_process_raises(cpus, eager_pool, monkeypatch):
-    cpus(3)
-    salt, build = generate_module._BUILDERS[TaskKind.THREE_DM]
-
-    def slow_build(level, rng):
-        time.sleep(0.02)
-        return build(level, rng)
-
-    def stop(signum, frame):
-        raise _Stop
-
-    monkeypatch.setitem(generate_module._BUILDERS, TaskKind.THREE_DM, (salt, slow_build))
-    # 60 specs at 20 ms each keep three workers busy for 0.4 s; the interval
-    # timer is not inherited across fork, so only this process is stopped.
-    # A handler that runs inside a gc callback (Hypothesis installs one) has
-    # its raise reported and dropped, so no collection may run meanwhile.
-    specs = [GenSpec(kind=TaskKind.THREE_DM, level=3, seed=seed) for seed in range(60)]
-    previous = signal.signal(signal.SIGALRM, stop)
-    gc.disable()
-    try:
-        signal.setitimer(signal.ITIMER_REAL, 0.1)
-        with pytest.raises(_Stop):
-            generate_all(specs)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-        gc.enable()
+    assert done.stdout.splitlines()[-1] == "[] 0 []"
+    assert (tmp_path / "out" / "report.md").exists()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from searchbench.answers import verify
 from searchbench.generate import GenSpec, generate
 from searchbench import meeting
-from searchbench.cover import _incidence, _matching_bound, min_cover_size
+from searchbench.cover import _incidence, _matching_bound, _mis, min_cover_size
 from searchbench.meeting import optimal_schedule
 from searchbench.solver import (
     Action,
@@ -311,6 +311,36 @@ def test_min_cover_size_matches_brute_force(graph):
     assert cover.vertices == trace.solution.vertices
 
 
+def _walked_cover(edges, covers):
+    """The cover ``min_cover_size``'s walk reaches, read off the optimum
+    ``covers``: at each uncovered edge (u, v) in sorted order, u if some
+    optimum cover holds the cover so far plus u, else v."""
+    chosen: set[int] = set()
+    for u, v in sorted(edges):
+        if u not in chosen and v not in chosen:
+            chosen.add(u if any(chosen | {u} <= c.vertices for c in covers) else v)
+    return frozenset(chosen)
+
+
+def test_min_cover_size_searches_again_when_its_witness_holds_u():
+    """On the path V0-V1-V2-V3 the first maximum independent set found is
+    {V0, V2}.  At edge V0-V1 it holds V0, and V0 still lies in the optimum
+    cover {V0, V2}, so the walk searches again and keeps the set it finds,
+    {V1, V3}.  A walk that kept {V0, V2} would take V1 at edge V1-V2 and
+    end with three vertices."""
+    n, edges = 4, ((0, 1), (1, 2), (2, 3))
+    adj = [0b0010, 0b0101, 0b1010, 0b0100]
+    assert _mis(adj, 0b1111) == 0b0101
+    assert _mis(adj, 0b1110) == 0b1010
+    size, cover = min_cover_size(n, edges)
+    assert (size, cover.vertices) == (2, frozenset({0, 2}))
+    payload = VertexCoverPayload(vertex_count=n, edges=edges, target_size=size)
+    assert cover == solve_payload(payload, SearchMode.DFS).solution
+    covers = enumerate_all(payload)
+    assert {len(c.vertices) for c in covers} == {size}
+    assert cover.vertices == _walked_cover(edges, covers)
+
+
 @pytest.mark.parametrize("level", [7, 8, 9, 10])
 def test_generated_cover_target_is_the_traced_optimum(level):
     # Past the brute-force guard: the traced search, which shares no code
@@ -558,6 +588,30 @@ def test_optimal_schedule_matches_enumeration():
             s.meetings[-1].end if s.meetings else payload.day_start,
             tuple(m.friend for m in s.meetings),
         ))
+
+
+def test_optimal_schedule_cuts_only_a_later_clock_at_a_state_seen_before():
+    """All three friends meet for 15 minutes, with windows open all day.
+    Path Brian, Alice, Carol reaches (all met, at Carol) at 10:15, after
+    Alice, Brian, Carol did at 10:10, so it is cut.  Path Carol, Alice, Brian
+    reaches (all met, at Brian) at 10:00, after Alice, Carol, Brian did at
+    10:10: it comes later but is earlier, and it is the optimum."""
+    payload = _meeting(
+        [(name, place, 540, 1000, 15) for name, place in
+         [("Alice", "Chinatown"), ("Brian", "Nob Hill"), ("Carol", "Presidio")]],
+        {("Bayview", "Chinatown"): 10, ("Bayview", "Nob Hill"): 20,
+         ("Bayview", "Presidio"): 5, ("Chinatown", "Nob Hill"): 5,
+         ("Chinatown", "Presidio"): 5, ("Nob Hill", "Presidio"): 10},
+    )
+    count, best = optimal_schedule(payload)
+    assert [(m.friend, m.start, m.end) for m in best.meetings] == [
+        ("Carol", 545, 560), ("Alice", 565, 580), ("Brian", 585, 600),
+    ]
+    everything = enumerate_all(payload)
+    assert {len(s.meetings) for s in everything} == {count}
+    assert best == min(everything, key=lambda s: (
+        s.meetings[-1].end, tuple(m.friend for m in s.meetings),
+    ))
 
 
 @st.composite
