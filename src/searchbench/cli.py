@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 import threading
 import time
@@ -32,12 +31,15 @@ from . import __version__
 from .answers import evaluate
 from .gateway import (
     DIALECTS,
+    MAX_WAIT_S,
+    GatewayError,
     HttpBackend,
     MockBackend,
     ModelGateway,
     OracleBackend,
     RateLimiter,
     ResponseCache,
+    split_http_url,
 )
 from .generate import (
     MAX_LEVEL,
@@ -177,9 +179,11 @@ _MODEL_CHECKS = {
     "api_key_env": (_is_str, "a string"),
     # a str first: ``in`` raises TypeError on an unhashable value
     "dialect": (lambda v: _is_str(v) and v in DIALECTS, f"one of {sorted(DIALECTS)}"),
-    # a socket timeout must be finite; JSON reads 1e309 as inf
-    "timeout_s": (lambda v: _is_number(v) and 0 < v < math.inf, "a finite number > 0"),
-    "requests_per_second": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+    # every wait is at most MAX_WAIT_S; JSON reads 1e309 as inf
+    "timeout_s": (lambda v: _is_number(v) and 0 < v <= MAX_WAIT_S,
+                  f"a number in (0, {MAX_WAIT_S:g}]"),
+    "requests_per_second": (lambda v: _is_number(v) and (v == 0 or v >= 1 / MAX_WAIT_S),
+                            f"0 or a number >= 1/{MAX_WAIT_S:g}"),
 }
 
 
@@ -195,9 +199,11 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
     defaults = dict(_MODEL_DEFAULTS, model=name)
     values = {key: _checked(doc, key, defaults[key], *check, where + ".")
               for key, check in _MODEL_CHECKS.items()}
-    url = values["url"].lower()
-    if values["backend"] == "http" and not url.startswith(("http://", "https://")):
-        raise ConfigError(f"{where}.url: an http:// or https:// URL is required for http backends")
+    if values["backend"] == "http":
+        try:
+            split_http_url(values["url"])
+        except GatewayError as err:
+            raise ConfigError(f"{where}.url: {err}") from err
     values.update(
         timeout_s=float(values["timeout_s"]),
         requests_per_second=float(values["requests_per_second"]),
@@ -560,6 +566,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             "token_budget": config.token_budget,
         },
         "cache_stats": {name: gw.cache_stats for name, gw in sorted(gateways.items())},
+        "cache_skipped_lines": cache.skipped_lines,
         "unexpected_errors": unexpected_errors,
         "started_at": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
         "duration_s": round(time.time() - started, 3),

@@ -20,12 +20,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
 import random
 import re
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
@@ -60,6 +60,25 @@ class MalformedProviderReply(GatewayError):
 
 class ProviderHTTPError(GatewayError):
     """An HTTP status outside the taxonomy above; not retried."""
+
+
+#: The longest wait, in seconds, a run takes: a socket timeout, the spacing
+#: of a rate limit or a provider's Retry-After.  ``time.sleep`` and socket
+#: timeouts overflow a little above 9.2e9 s.
+MAX_WAIT_S = 86_400.0
+
+
+def split_http_url(url: str, what: str = "url") -> urllib.parse.SplitResult:
+    """``url`` split, when it has an http or https scheme, a host and a port
+    that can be read; otherwise a GatewayError that names it as ``what``."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # a port that is not a number in [0, 65535] raises ValueError
+    except ValueError as err:
+        raise GatewayError(f"{what} {url!r} is not a URL: {err}") from err
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise GatewayError(f"{what} {url!r} is not an http:// or https:// URL")
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +348,8 @@ class RateLimiter:
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ) -> None:
-        if requests_per_second < 0:
-            raise ValueError("requests_per_second must be >= 0")
+        if not (requests_per_second == 0 or requests_per_second >= 1 / MAX_WAIT_S):
+            raise ValueError(f"requests_per_second must be 0 or >= 1/{MAX_WAIT_S:g}")
         self._interval = 1.0 / requests_per_second if requests_per_second else 0.0
         self._clock = clock
         self._sleeper = sleeper
@@ -526,18 +545,17 @@ class HttpBackend:
     ) -> None:
         if dialect not in DIALECTS:
             raise ValueError(f"unknown dialect {dialect!r}; know {sorted(DIALECTS)}")
+        if not 0 < timeout_s <= MAX_WAIT_S:
+            raise ValueError(f"timeout_s must be in (0, {MAX_WAIT_S:g}]")
         self.url = url
         self.dialect = DIALECTS[dialect]()
         self.api_key_env = api_key_env
         self.timeout_s = timeout_s
         # loaded only once an http model is built; in-process runs skip them
         import http.client
-        import urllib.parse
         import urllib.request
 
-        target = urllib.parse.urlsplit(url)
-        if target.scheme not in ("http", "https") or not target.hostname:
-            raise GatewayError(f"url {url!r} is not an http:// or https:// URL")
+        target = split_http_url(url)
         netloc = target.netloc.rpartition("@")[2]
         self._address = (target.hostname, target.port)
         self._path = urllib.parse.urlunsplit(("", "", target.path or "/", target.query, ""))
@@ -550,8 +568,9 @@ class HttpBackend:
         self._proxy_auth: dict[str, str] = {}
         proxy = urllib.request.getproxies().get(target.scheme)
         if proxy and not urllib.request.proxy_bypass(netloc):
-            via = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            if via.scheme != "http" or not via.hostname:
+            via = split_http_url(proxy if "://" in proxy else "http://" + proxy,
+                                 f"{target.scheme} proxy")
+            if via.scheme != "http":
                 raise GatewayError(f"{target.scheme} proxy {proxy!r} is not an http:// URL")
             self._proxy = (via.hostname, via.port)
             if via.username is not None:
@@ -635,10 +654,10 @@ class HttpBackend:
             try:
                 retry_after = float(retry_after_header)
             except (TypeError, ValueError):  # absent, or an HTTP date
-                retry_after = math.nan
-            # only a finite number of seconds >= 0 is a delay time.sleep can take
+                retry_after = -1.0
+            # a delay outside [0, MAX_WAIT_S], nan included, is none to wait for
             raise RateLimited("provider rate limit (429)",
-                              retry_after=retry_after if 0 <= retry_after < math.inf else None)
+                              retry_after=retry_after if 0 <= retry_after <= MAX_WAIT_S else None)
         if status >= 500 or status == 408:
             raise GatewayTimeout(f"provider unavailable ({status})")
         if status != 200:

@@ -149,7 +149,6 @@ class _Section:
 
 def _sections(
     header: str,
-    rooted: bool,
     events: Sequence[TraceEvent],
     success_label: str,
     on_path: set[str],
@@ -158,10 +157,11 @@ def _sections(
     """Phase 3 in one pass over the search events.
 
     The trace is split at its start-city roots (``S0`` events); a trace with
-    no roots is one section with root ``""``.  An Expansion off the accepting
-    path (``on_path`` holds its labels) opens a unit that runs to the
-    Backtrack that pairs it; every other event is a unit of its own, and of
-    those only Prunes are ever elided.
+    no roots is one section with root ``""``, whose steps name their parent
+    in full.  An Expansion off the accepting path (``on_path`` holds its
+    labels) opens a unit that runs to the Backtrack that pairs it; every
+    other event is a unit of its own, and of those only Prunes are ever
+    elided.
     """
     sections: list[_Section] = []
     closing = None  # the label whose Backtrack closes the open unit
@@ -180,7 +180,7 @@ def _sections(
             )
             continue
         section.expanded |= event.action is Action.EXPANSION
-        block = _event_block(header, rooted, event, success_label)
+        block = _event_block(header, bool(section.root), event, success_label)
         step = int(event.action is not Action.BACKTRACK)
         if closing is not None:
             blocks, steps, depth = section.units[-1]
@@ -208,18 +208,13 @@ def _section_title(index: int, section: _Section, accepting: bool) -> str:
     return f"3-{_letters(index + 1)}. {section.root}-rooted {qualifier}"
 
 
-def _search_phase(
-    mode: PromptMode,
-    rooted: bool,
-    sections: list[_Section],
-    dropped: set,
-) -> str:
+def _search_phase(mode: PromptMode, sections: list[_Section], dropped: set) -> str:
     """Phase 3 without the ``dropped`` items: section indices ``i`` and unit
     indices ``(i, j)``, each run of them replaced by a count of its steps.
-    The sections of a rooted trace are titled."""
+    A section with a root is titled."""
     blocks: list[str] = [f"3. {SEARCH_PHASE_TITLES[mode]}"]
     for i, section in enumerate(sections):
-        if rooted:
+        if section.root:
             blocks.append(_section_title(i, section, i == len(sections) - 1))
         if i in dropped:
             blocks.append(
@@ -242,7 +237,6 @@ def _exemplar(
     instance: ProblemInstance,
     trace: SearchTrace,
     mode: PromptMode,
-    rooted: bool,
 ) -> tuple[str, list[_Section], str]:
     """The worked exemplar as (text before phase 3, phase 3's sections,
     text after it); phase 3 is assembled separately so elision can
@@ -250,9 +244,10 @@ def _exemplar(
     payload = instance.payload
     task = family(payload.kind)
     init, *core, _, found = trace.events
-    # A rooted trace folds its first start city into the initial state when
-    # that city is kept.
-    fold = rooted and core[0].action is Action.EXPANSION
+    # Only a depth-first trip trace splits at start-city roots (``S0``
+    # events), and it starts with one; that first city, when kept, is
+    # folded into the initial state.
+    fold = core[0].step_label == "S0" and core[0].action is Action.EXPANSION
     if fold:
         root = core[0].move
         span = payload.stay_of(root)
@@ -264,7 +259,7 @@ def _exemplar(
         verb = "Initial state" if mode is PromptMode.COT else "Pick an initial state"
         init_line = f"{verb}: {init.state_summary} # {init.detail.split('; ')[-1]}"
     sections = _sections(
-        task.PREVIEW_HEADER, rooted, core, found.step_label,
+        task.PREVIEW_HEADER, core, found.step_label,
         {e.step_label for e in success_path(trace)}, fold,
     )
     state_lines = "\n".join(task.STATE_DEFINITIONS)
@@ -327,17 +322,13 @@ class Shots:
         if mode is PromptMode.DIRECT:
             parts = [f"{len(exemplars)}-Shot In-Context Examples:"]
             for i, (ex, trace) in enumerate(exemplars, start=1):
-                parts.append(f"### Task{i} ###\n{statement_text(ex.payload)}")
+                parts.append(f"### Task{i} ###\n{ex.statement}")
                 parts.append(
                     f"### Solution{i} ###\n{canonical_text(ex.payload, trace.solution)}"
                 )
             self._heads = {0: "\n\n".join(parts) + "\n\n" + _TARGET_HEADER}
             return
-        ex, trace = exemplars[0]
-        # Only a depth-first trip trace splits at start-city roots (``S0``
-        # events), and it starts with one.
-        self._rooted = trace.events[1].step_label == "S0"
-        self._prefix, sections, suffix = _exemplar(ex, trace, mode, self._rooted)
+        self._prefix, sections, suffix = _exemplar(*exemplars[0], mode)
         self._sections, self._suffix = sections, f"{suffix}\n\n{_TARGET_HEADER}"
         # The search stops at its first solution, so the accepting section is
         # the last: earlier sections go first, then the accepting section's
@@ -354,9 +345,7 @@ class Shots:
     def head(self, k: int) -> str:
         head = self._heads.get(k)
         if head is None:
-            phase3 = _search_phase(
-                self.mode, self._rooted, self._sections, set(self.drop_order[:k])
-            )
+            phase3 = _search_phase(self.mode, self._sections, set(self.drop_order[:k]))
             head = self._heads.setdefault(
                 k, f"{THINKING_HEADERS[self.mode]}\n\n{self._prefix}{phase3}{self._suffix}"
             )

@@ -333,11 +333,9 @@ class ProblemInstance:
 
     @functools.cached_property
     def statement(self) -> str:
-        """``prompts.statement_text`` of the payload, built on first use: a
-        run renders it into every mode's prompt and the oracle keys on it."""
-        from .prompts import statement_text  # prompts imports this module
-
-        return statement_text(self.payload)
+        """The family's question for the payload, built on first use: a run
+        renders it into every mode's prompt and the oracle keys on it."""
+        return family(self.kind).statement(self.payload)
 
 
 class VerdictStatus(str, Enum):

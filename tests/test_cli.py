@@ -35,6 +35,7 @@ from searchbench.tasks import (
     MeetingSchedule,
     ProblemInstance,
     TaskKind,
+    family,
     instance_to_record,
     read_instances,
     write_instances,
@@ -161,6 +162,20 @@ def test_a_model_block_takes_exactly_the_model_config_fields():
          "models[0].url"),
         # valid JSON that parses to inf, which no socket timeout takes
         ({"models": [{**ORACLE, "timeout_s": json.loads("1e309")}]}, "models[0].timeout_s"),
+        # a URL needs a host and a port that can be read
+        ({"models": [{"name": "m", "backend": "http", "url": "http:///v1"}]}, "models[0].url"),
+        ({"models": [{"name": "m", "backend": "http", "url": "http://h:abc/v1"}]},
+         "models[0].url"),
+        ({"models": [{"name": "m", "backend": "http", "url": "http://h:99999/v1"}]},
+         "models[0].url"),
+        ({"models": [{"name": "m", "backend": "http", "url": "http://[::1/v1"}]},
+         "models[0].url"),
+        # waits longer than a day: a socket timeout and rate-limit spacing
+        ({"models": [{**ORACLE, "timeout_s": 1e10}]}, "models[0].timeout_s"),
+        ({"models": [{**ORACLE, "requests_per_second": 1e-320}]},
+         "models[0].requests_per_second"),
+        ({"models": [{**ORACLE, "requests_per_second": 1e-300}]},
+         "models[0].requests_per_second"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
@@ -197,6 +212,40 @@ def test_run_with_bad_config_exits_2(tmp_path, capsys, doc, prefix):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["run", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]])
+@pytest.mark.parametrize("model, key", [
+    ({"name": "m", "backend": "http", "url": "http://127.0.0.1:abc/v1"}, "url"),
+    ({"name": "m", "backend": "http", "url": "http://[::1/v1"}, "url"),
+    ({**ORACLE, "timeout_s": 1e10}, "timeout_s"),
+    ({**ORACLE, "requests_per_second": 1e-320}, "requests_per_second"),
+])
+def test_a_model_no_run_can_use_exits_2_before_generation(
+    tmp_path, monkeypatch, capsys, dry_run, model, key
+):
+    def generate_nothing(config):
+        raise AssertionError("generated for a config the validator should refuse")
+
+    monkeypatch.setattr(cli, "generate_instances", generate_nothing)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_doc(tmp_path, models=[model])), encoding="utf-8")
+    assert main(["run", "--config", str(path), *dry_run]) == 2
+    assert capsys.readouterr().err.startswith(f"error: models[0].{key}: ")
+
+
+def test_run_exits_2_naming_a_proxy_it_cannot_reach(tmp_path, monkeypatch, capsys):
+    """A proxy comes from the environment, so it is judged when the backend
+    is built, after generation; a port it cannot read is a TaskError."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("http_proxy", "http://proxy:bad")
+    model = {"name": "m", "backend": "http", "url": "http://provider.test/v1"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_doc(tmp_path, models=[model])), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: http proxy 'http://proxy:bad' ")
 
 
 def test_validate_config_file_errors(tmp_path):
@@ -539,13 +588,16 @@ def test_an_oracle_run_builds_each_target_statement_once(tmp_path, monkeypatch):
     """Every mode's prompt and the oracle's answer key share one statement
     text per target instance."""
     built = []
-    statement_text = prompts.statement_text
 
-    def counting(payload):
-        built.append(payload)
-        return statement_text(payload)
+    def counting(statement):
+        def wrapped(payload):
+            built.append(payload)
+            return statement(payload)
+        return wrapped
 
-    monkeypatch.setattr(prompts, "statement_text", counting)
+    for kind in TaskKind:
+        task = family(kind)
+        monkeypatch.setattr(task, "statement", counting(task.statement))
     generated = []
     generate_instances = cli.generate_instances
 
@@ -617,7 +669,8 @@ def test_one_text_keeps_each_instance_its_own_verdict(tmp_path):
 
 def test_a_warm_run_asks_again_for_a_cached_reply_of_the_wrong_type(tmp_path):
     """A cache line whose ``text`` is not a string is a miss, not an entry:
-    the warm run calls the backend for it and every unit succeeds."""
+    the warm run calls the backend for it, every unit succeeds, and
+    ``run_meta.json`` counts the skipped line."""
     doc = _doc(tmp_path, tasks=["TripPlanning", "VertexCover"])
     run(config_from_dict(doc), echo=QUIET)
     cache = tmp_path / "cache.jsonl"
@@ -633,6 +686,7 @@ def test_a_warm_run_asks_again_for_a_cached_reply_of_the_wrong_type(tmp_path):
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
     assert meta["unexpected_errors"] == {"m-oracle": 0}
     assert meta["cache_stats"]["m-oracle"]["misses"] == 1
+    assert meta["cache_skipped_lines"] == 1
 
 
 def test_cold_in_process_runs_write_the_same_cache_bytes(tmp_path):

@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 import socket
@@ -22,6 +23,7 @@ from searchbench.gateway import (
     BackendRequest,
     BackendResponse,
     DIALECTS,
+    MAX_WAIT_S,
     GatewayError,
     GatewayTimeout,
     HttpBackend,
@@ -42,6 +44,7 @@ from searchbench.gateway import (
     canonical_digest,
 )
 from searchbench.answers import canonical_text, evaluate
+from searchbench.cli import ConfigError, config_from_dict
 from searchbench.prompts import (
     TARGET_MARKER,
     PromptMode,
@@ -609,6 +612,8 @@ def test_rate_limiter_disabled_at_zero():
 def test_rate_limiter_rejects_negative():
     with pytest.raises(ValueError):
         RateLimiter(-1.0)
+    with pytest.raises(ValueError):  # a spacing of about 1e320 s, which no sleep can last
+        RateLimiter(1e-320)
 
 
 def test_retries_transient_then_succeeds():
@@ -852,7 +857,7 @@ def test_http_backend_reads_a_retry_after_date_as_none(monkeypatch):
     assert info.value.retry_after is None
 
 
-@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1", "1e10"])
 def test_http_backend_reads_a_retry_after_no_sleep_can_last_as_none(monkeypatch, value):
     monkeypatch.setenv("SOME_KEY", "sekrit")
     with _Provider([(429, b"slow down", {"retry-after": value})]) as provider:
@@ -974,6 +979,51 @@ def test_http_backend_rejects_urls_and_proxies_it_cannot_reach(monkeypatch):
     monkeypatch.setenv("https_proxy", "socks5://127.0.0.1:1080")
     with pytest.raises(GatewayError, match="proxy"):
         HttpBackend("https://provider.test/v1/messages")
+    monkeypatch.setenv("http_proxy", "http://proxy:bad")
+    with pytest.raises(GatewayError, match="^http proxy 'http://proxy:bad' "):
+        HttpBackend("http://provider.test/v1/messages")
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, 1e10, math.inf, math.nan])
+def test_http_backend_rejects_a_timeout_no_socket_can_wait(timeout_s):
+    with pytest.raises(ValueError, match="timeout_s"):
+        HttpBackend("http://provider.test/v1/messages", timeout_s=timeout_s)
+
+
+_WAITS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-320, 1e-300, 1 / MAX_WAIT_S, MAX_WAIT_S,
+                     MAX_WAIT_S * 1.5, 1e10, 1e308, math.inf, -math.inf, math.nan, -1.0]),
+    st.floats(),
+)
+_URLS = st.builds(
+    "{}{}{}/v1".format,
+    st.sampled_from(["http://", "https://", "HTTP://", "ftp://", ""]),
+    st.sampled_from(["", "provider.test", "127.0.0.1", "[::1]", "[::1", "::1]", "[not-ip]"]),
+    st.sampled_from(["", ":", ":0", ":8080", ":65535", ":65536", ":99999", ":-1", ":abc"]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(timeout_s=_WAITS, rps=_WAITS, url=_URLS)
+@example(timeout_s=1e10, rps=1.0, url="http://provider.test/v1")
+@example(timeout_s=1.0, rps=1e-320, url="http://provider.test/v1")
+@example(timeout_s=1.0, rps=1.0, url="http://h:abc/v1")
+@example(timeout_s=1.0, rps=1.0, url="http://[::1/v1")
+def test_every_http_model_the_validator_accepts_can_be_built_and_waited_on(timeout_s, rps, url):
+    """Each drawn value, in an otherwise valid model block, is refused naming
+    its key, or the model's timeout fits a socket, its rate builds a limiter
+    and its URL builds a backend."""
+    base = {"name": "m", "backend": "http", "url": "http://provider.test/v1"}
+    for key, value in (("url", url), ("timeout_s", timeout_s), ("requests_per_second", rps)):
+        try:
+            (model,) = config_from_dict({"models": [{**base, key: value}]}).models
+        except ConfigError as err:
+            assert str(err).startswith(f"models[0].{key}: "), err
+            continue
+        with socket.socket() as sock:
+            sock.settimeout(model.timeout_s)
+        RateLimiter(model.requests_per_second)
+        HttpBackend(model.url, timeout_s=model.timeout_s).close()
 
 
 # ---------------------------------------------------------------------------
