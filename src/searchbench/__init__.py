@@ -32,6 +32,7 @@ from .solver import SearchMode, SearchTrace, TraceEvent, solve
 from .prompts import (
     PromptBundle,
     PromptMode,
+    Shots,
     bundle_text,
     default_exemplars,
     render,
@@ -75,6 +76,7 @@ __all__ = [
     "ScalingStrategy",
     "SearchMode",
     "SearchTrace",
+    "Shots",
     "TaskError",
     "TaskKind",
     "TraceEvent",

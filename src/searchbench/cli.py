@@ -315,17 +315,21 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
 
 
 def exemplar_lookup() -> Callable[[TaskKind, PromptMode], Shots]:
-    """A lookup from (task, mode) to its exemplar half, built through
-    ``default_exemplars`` the first time it is asked for and kept.  One lock
-    guards each whole lookup, so callers on many threads still build each
-    (task, mode) half once."""
+    """A lookup from (task, mode) to its exemplar half, cut the first time
+    it is asked for and kept.  A task's exemplar set is built through
+    ``default_exemplars`` when the first of its modes is asked for, and only
+    that mode's half is cut then.  One lock guards each whole lookup, so
+    callers on many threads still build each set and each half once."""
     lock = threading.Lock()
+    sets: dict[TaskKind, list] = {}
     shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
 
     def lookup(kind: TaskKind, mode: PromptMode) -> Shots:
         with lock:
             if (kind, mode) not in shots:
-                shots[kind, mode] = Shots(mode, default_exemplars(kind, mode))
+                if kind not in sets:
+                    sets[kind] = default_exemplars(kind)
+                shots[kind, mode] = Shots(mode, sets[kind])
             return shots[kind, mode]
 
     return lookup
@@ -342,7 +346,7 @@ def render_bundles(
     raises its PromptError, such as ContextBudgetExceeded."""
     modes = tuple(modes)
     shots = exemplar_lookup()
-    return {(instance.id, mode): render(instance, mode, shots(instance.kind, mode),
+    return {(instance.id, mode): render(instance, shots(instance.kind, mode),
                                         token_budget=token_budget)
             for instance in instances for mode in modes}
 
@@ -512,7 +516,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         for mode, strategy in config.matrix:
             if mode not in bundles:
                 try:
-                    bundles[mode] = render(instance, mode, shots(instance.kind, mode),
+                    bundles[mode] = render(instance, shots(instance.kind, mode),
                                            token_budget=config.token_budget)
                 except PromptError as err:  # no prompt to send: its units fail without a call
                     bundles[mode] = Verdict(VerdictStatus.BACKEND_ERROR, str(err))
@@ -675,9 +679,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _answer(record: Mapping) -> tuple[str, str]:
+    """An answers line as (instance id, text); each must be a JSON string."""
+    for key in ("instance_id", "text"):
+        if not _is_str(record[key]):
+            raise ValueError(f"{key} must be a string, not {record[key]!r}")
+    return record["instance_id"], record["text"]
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     instances = {inst.id: inst for inst in read_instances(args.instances)}
-    answers = read_jsonl(args.answers, lambda r: (str(r["instance_id"]), str(r["text"])))
+    answers = read_jsonl(args.answers, _answer)
     failures = 0
     for instance_id, text in answers:
         instance = instances.get(instance_id)

@@ -12,9 +12,11 @@ The exemplar reasoning section always has the same five numbered phases
 (State definition / Initialization / Search / Solution path / Output Format),
 and every search step is rendered with the same four fields (Step /
 Transition tried / preview & test / Outcome).  Formats are fixed: rendering
-is a pure function of the instance, mode and exemplars.  Every body is a
-target-independent exemplar half, ending in the target marker, followed by
-the target's statement; ``Shots`` renders that half once per (task, mode).
+is a pure function of the instance, mode and exemplars.  Each task has one
+exemplar set, five instances with their depth-first traces; every body is a
+target-independent exemplar half cut from it, ending in the target marker,
+followed by the target's statement.  ``Shots`` renders that half once per
+(task, mode).
 
 A token budget elides only the AoT search phase, never the accepting path.
 The search stops at its first solution, so the accepting root section is the
@@ -40,14 +42,6 @@ class PromptError(TaskError):
     """Base class for prompt-rendering failures."""
 
 
-class WrongTraceMode(PromptError):
-    """The exemplar trace's search mode does not fit the prompt mode."""
-
-
-class TraceNotSuccessful(PromptError):
-    """Worked exemplars must come from traces that found a solution."""
-
-
 class ExemplarTargetOverlap(PromptError):
     """The target instance may never appear among its own exemplars."""
 
@@ -68,10 +62,8 @@ class PromptBundle:
 
     mode: PromptMode
     system_text: str
-    exemplar_ids: tuple[str, ...]
     head: str
     statement: str
-    target_id: str
 
     @property
     def body(self) -> str:
@@ -79,7 +71,6 @@ class PromptBundle:
 
 
 DIRECT_SHOT_COUNT = 5
-WORKED_SHOT_COUNT = 1
 
 SEARCH_PHASE_TITLES: dict[PromptMode, str] = {
     PromptMode.COT: "Greedy Search",
@@ -291,6 +282,11 @@ class Shots:
     """The target-independent half of every prompt body of one (task, mode):
     the exemplar text up to and including the target marker.
 
+    It is cut from one task's exemplar set, instances with their successful
+    depth-first traces (``default_exemplars``): Direct shows every solution,
+    AoT narrates exemplar 0's trace and CoT a greedy trace of exemplar 0.
+    ``exemplars`` keeps the (instance, trace) pairs the half shows.
+
     ``head(k)`` is the half with the first ``k`` items of ``drop_order``
     elided; each is assembled the first time a target needs it, so one
     ``Shots`` serves every target of its task and mode.  Only AoT has
@@ -302,24 +298,10 @@ class Shots:
         mode: PromptMode,
         exemplars: Sequence[tuple[ProblemInstance, SearchTrace]],
     ) -> None:
-        if mode is PromptMode.DIRECT:
-            if not exemplars:
-                raise PromptError("Direct mode needs at least one exemplar")
-        elif len(exemplars) != WORKED_SHOT_COUNT:
-            raise PromptError(f"{mode.value} mode uses exactly one worked exemplar")
-        for ex, trace in exemplars:
-            if trace.kind is not ex.kind:
-                raise PromptError(f"trace kind {trace.kind.value} does not match {ex.id}")
-            if mode is PromptMode.COT and trace.mode is not SearchMode.GREEDY:
-                raise WrongTraceMode("CoT requires a greedy trace")
-            if mode is PromptMode.AOT and trace.mode is not SearchMode.DFS:
-                raise WrongTraceMode("AoT requires a depth-first trace")
-            if not trace.succeeded:
-                raise TraceNotSuccessful(f"exemplar trace for {ex.id} found no solution")
         self.mode = mode
-        self.exemplars = tuple(exemplars)
         self.drop_order: list = []
         if mode is PromptMode.DIRECT:
+            self.exemplars = tuple(exemplars)
             parts = [f"{len(exemplars)}-Shot In-Context Examples:"]
             for i, (ex, trace) in enumerate(exemplars, start=1):
                 parts.append(f"### Task{i} ###\n{ex.statement}")
@@ -328,7 +310,11 @@ class Shots:
                 )
             self._heads = {0: "\n\n".join(parts) + "\n\n" + _TARGET_HEADER}
             return
-        self._prefix, sections, suffix = _exemplar(*exemplars[0], mode)
+        ex, trace = exemplars[0]
+        if mode is PromptMode.COT:
+            trace = solve(ex, SearchMode.GREEDY)
+        self.exemplars = ((ex, trace),)
+        self._prefix, sections, suffix = _exemplar(ex, trace, mode)
         self._sections, self._suffix = sections, f"{suffix}\n\n{_TARGET_HEADER}"
         # The search stops at its first solution, so the accepting section is
         # the last: earlier sections go first, then the accepting section's
@@ -354,25 +340,19 @@ class Shots:
 
 def render(
     instance: ProblemInstance,
-    mode: PromptMode,
-    exemplars: Shots | Sequence[tuple[ProblemInstance, SearchTrace]],
+    shots: Shots,
     token_budget: int | None = None,
 ) -> PromptBundle:
-    """Render the full prompt for ``instance``.
+    """Render the full prompt for ``instance`` in ``shots.mode``.
 
-    ``exemplars`` pairs worked instances with their traces: any number of
-    successful traces for Direct, exactly one greedy trace for CoT, exactly
-    one depth-first trace for AoT; a ``Shots`` built from them for ``mode``
-    shares its rendered half across targets.  When ``token_budget`` is given
-    and the body estimate exceeds it, AoT elides earlier root sections first,
-    in trace order, then the accepting section's pruned steps and dead
-    subtrees, shallowest first and in trace order within a depth; the
-    accepting path itself is never cut.  ContextBudgetExceeded is raised if
-    even the fully elided body is too big.
+    ``shots`` is the exemplar half of the instance's task, shared across
+    targets.  When ``token_budget`` is given and the body estimate exceeds
+    it, AoT elides earlier root sections first, in trace order, then the
+    accepting section's pruned steps and dead subtrees, shallowest first and
+    in trace order within a depth; the accepting path itself is never cut.
+    ContextBudgetExceeded is raised if even the fully elided body is too big.
     """
-    shots = exemplars if isinstance(exemplars, Shots) else Shots(mode, exemplars)
-    if shots.mode is not mode:
-        raise PromptError(f"{shots.mode.value} exemplars cannot render a {mode.value} prompt")
+    mode = shots.mode
     for ex, _ in shots.exemplars:
         if ex.kind is not instance.kind:
             raise PromptError(
@@ -392,10 +372,8 @@ def render(
     return PromptBundle(
         mode=mode,
         system_text=family(instance.kind).DESCRIPTION,
-        exemplar_ids=tuple(ex.id for ex, _ in shots.exemplars),
         head=head,
         statement=instance.statement,
-        target_id=instance.id,
     )
 
 
@@ -419,17 +397,13 @@ def render_refine(previous_text: str) -> str:
     return "Your previous answer was:\n\n<<<\n" + quoted + "\n>>>\n\n" + REFINE_INSTRUCTION
 
 
-def default_exemplars(
-    kind: TaskKind, mode: PromptMode
-) -> list[tuple[ProblemInstance, SearchTrace]]:
-    """Stock exemplars: fixed mid-difficulty instances from a reserved seed
-    namespace, solved in the trace mode the prompt mode calls for."""
-    count = DIRECT_SHOT_COUNT if mode is PromptMode.DIRECT else WORKED_SHOT_COUNT
-    search = SearchMode.GREEDY if mode is PromptMode.COT else SearchMode.DFS
+def default_exemplars(kind: TaskKind) -> list[tuple[ProblemInstance, SearchTrace]]:
+    """The task's exemplar set: fixed mid-difficulty instances from a
+    reserved seed namespace, each with its depth-first trace."""
     out = []
-    for index in range(count):
+    for index in range(DIRECT_SHOT_COUNT):
         ex = exemplar_instance(kind, index)
-        out.append((ex, solve(ex, search)))
+        out.append((ex, solve(ex, SearchMode.DFS)))
     return out
 
 

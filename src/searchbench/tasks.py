@@ -183,6 +183,8 @@ class VertexCoverPayload:
     target_size: int
 
     def __post_init__(self) -> None:
+        if not 0 <= self.target_size <= self.vertex_count:
+            raise ValueError(f"target_size {self.target_size} outside [0, {self.vertex_count}]")
         for u, v in self.edges:
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) outside vertex range")
@@ -511,6 +513,11 @@ def instance_to_record(instance: ProblemInstance) -> dict:
 
 
 def instance_from_record(record: dict) -> ProblemInstance:
+    """An instance from its record; an ``id`` that is not a string, or a
+    ``level`` or ``seed`` that is not an integer, is a ValueError."""
+    for key, want in (("id", str), ("level", int), ("seed", int)):
+        if type(record[key]) is not want:  # a bool is not an integer here
+            raise ValueError(f"{key} must be {want.__name__}, not {record[key]!r}")
     kind = TaskKind(record["kind"])
     return ProblemInstance(
         id=record["id"],

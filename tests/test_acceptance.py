@@ -17,7 +17,7 @@ from searchbench.answers import canonical_text, evaluate, parse_answer, verify
 from searchbench.cli import config_from_dict, run
 from searchbench.generate import GenSpec, generate
 from searchbench.gateway import MockBackend, ModelGateway
-from searchbench.prompts import PromptMode, default_exemplars, render
+from searchbench.prompts import PromptMode, Shots, default_exemplars, render
 from searchbench.reporting import aggregate, render_report_md
 from searchbench.scaling import (
     RunOutcome,
@@ -207,9 +207,7 @@ def test_06_prompt_goldens_byte_identical(reference_trip):
         (PromptMode.COT, "appendixB-task1.cot.txt"),
         (PromptMode.AOT, "appendixB-task1.aot.txt"),
     ):
-        bundle = render(
-            reference_trip, mode, default_exemplars(reference_trip.kind, mode)
-        )
+        bundle = render(reference_trip, Shots(mode, default_exemplars(reference_trip.kind)))
         golden = (DOCS / name).read_text(encoding="utf-8")
         rendered = f"{bundle.system_text}\n\n{bundle.body}\n"
         assert rendered == golden, f"{name} drifted"
@@ -260,7 +258,7 @@ def test_08_scaling_contracts_hold_over_randomized_logs():
         for seed in range(3)
     ]
     bundles = {
-        inst.id: render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
+        inst.id: render(inst, Shots(PromptMode.COT, default_exemplars(inst.kind)))
         for inst in pool
     }
     rights = {inst.id: canonical_text(inst.payload, inst.ground_truth) for inst in pool}

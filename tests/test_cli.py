@@ -17,6 +17,7 @@ from searchbench.answers import canonical_text
 from searchbench.gateway import HttpBackend, MockBackend, ModelGateway, ResponseCache
 from searchbench.generate import GenSpec, generate
 from searchbench.prompts import PromptMode
+from searchbench.solver import SearchMode
 from searchbench.cli import (
     ConfigError,
     ModelConfig,
@@ -455,18 +456,18 @@ def test_a_pooled_run_sends_its_first_request_before_its_last_render(tmp_path, m
 
 def test_threads_build_each_exemplar_half_and_prompt_once(tmp_path, monkeypatch):
     """Eight workers switching every microsecond still reach
-    ``default_exemplars`` once per (task, mode) and ``render`` once per
+    ``default_exemplars`` once per task and ``render`` once per
     (instance, mode), the names the benchmark's tracer wraps."""
     exemplar_calls, render_calls = [], []
     default_exemplars, render = cli.default_exemplars, cli.render
 
-    def counted_exemplars(kind, mode):
-        exemplar_calls.append((kind, mode))
-        return default_exemplars(kind, mode)
+    def counted_exemplars(kind):
+        exemplar_calls.append(kind)
+        return default_exemplars(kind)
 
-    def counted_render(instance, mode, *args, **kwargs):
-        render_calls.append((instance.id, mode))
-        return render(instance, mode, *args, **kwargs)
+    def counted_render(instance, shots, *args, **kwargs):
+        render_calls.append((instance.id, shots.mode))
+        return render(instance, shots, *args, **kwargs)
 
     monkeypatch.setattr(cli, "default_exemplars", counted_exemplars)
     monkeypatch.setattr(cli, "render", counted_render)
@@ -479,11 +480,44 @@ def test_threads_build_each_exemplar_half_and_prompt_once(tmp_path, monkeypatch)
         run(config_from_dict(doc), echo=QUIET)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(exemplar_calls) == sorted(
-        (kind, mode) for kind in TaskKind for mode in PromptMode
-    )
+    assert sorted(exemplar_calls) == sorted(TaskKind)
     assert len(render_calls) == len(set(render_calls)) == 4 * 3 * len(PromptMode)
     assert len(_records(tmp_path)) == 4 * 3 * 12
+
+
+def test_one_exemplar_set_per_task_serves_its_three_halves(monkeypatch):
+    """All 12 (task, mode) halves from one lookup generate the 20 exemplar
+    instances once and trace them 24 times: five depth-first traces per task
+    and one greedy trace of its exemplar 0.  The first mode asked cuts only
+    its own half, and a task's AoT and Direct halves show exemplar 0's one
+    depth-first trace."""
+    generated, traced = [], []
+    exemplar_instance, solve = prompts.exemplar_instance, prompts.solve
+
+    def counted_instance(kind, index):
+        generated.append((kind, index))
+        return exemplar_instance(kind, index)
+
+    def counted_solve(instance, search):
+        traced.append((instance.id, search))
+        return solve(instance, search)
+
+    monkeypatch.setattr(prompts, "exemplar_instance", counted_instance)
+    monkeypatch.setattr(prompts, "solve", counted_solve)
+    shots = cli.exemplar_lookup()
+    shots(TaskKind.TRIP_PLANNING, PromptMode.AOT)
+    assert (len(generated), len(traced)) == (5, 5)
+    for kind in TaskKind:
+        for mode in PromptMode:
+            assert shots(kind, mode).mode is mode
+    assert len(generated) == len(set(generated)) == 20
+    assert len(traced) == len(set(traced)) == 24
+    assert sum(search is SearchMode.GREEDY for _, search in traced) == 4
+    for kind in TaskKind:
+        (aot,) = shots(kind, PromptMode.AOT).exemplars
+        direct = shots(kind, PromptMode.DIRECT).exemplars
+        assert aot[1] is direct[0][1]
+        assert shots(kind, PromptMode.COT).exemplars[0][0] is direct[0][0]
 
 
 def test_a_unit_that_raises_in_a_worker_raises_from_run(tmp_path, monkeypatch):
@@ -958,6 +992,23 @@ def test_cmd_verify_flags_failures(tmp_path, monkeypatch, capsys):
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 1
     out = capsys.readouterr().out
     assert "ParseFailure" in out and "unknown instance" in out
+
+
+@pytest.mark.parametrize("key", ["instance_id", "text"])
+@pytest.mark.parametrize("value", [None, 5, ["x"]], ids=["null", "5", "list"])
+def test_verify_exits_2_on_an_answer_field_that_is_not_a_string(
+    tmp_path, monkeypatch, capsys, key, value
+):
+    """An instance id or answer text that is not a JSON string is an input
+    error naming its line, not a text judged as ``str(value)``."""
+    monkeypatch.chdir(tmp_path)
+    write_instances("inst.jsonl", [generate(GenSpec(kind=TaskKind.THREE_DM, level=2, seed=0))])
+    answer = {"instance_id": "ThreeDM-L2-s0", "text": "garbage", key: value}
+    Path("answers.jsonl").write_text(json.dumps(answer) + "\n", encoding="utf-8")
+    assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: answers.jsonl:1: {key} must be a string, not {value!r}\n"
 
 
 def _window_past_midnight(payload: dict) -> None:
@@ -1466,8 +1517,8 @@ def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsy
             continue
         mode = PromptMode(record["mode"])
         with pytest.raises(prompts.ContextBudgetExceeded) as err:
-            prompts.render(instance, mode, prompts.Shots(
-                mode, prompts.default_exemplars(instance.kind, mode)), token_budget=1300)
+            prompts.render(instance, prompts.Shots(
+                mode, prompts.default_exemplars(instance.kind)), token_budget=1300)
         assert record["attempts"] == []
         assert record["final"] == {"status": "BackendError", "reason": str(err.value)}
     run_meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))

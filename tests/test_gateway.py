@@ -48,6 +48,7 @@ from searchbench.cli import ConfigError, config_from_dict
 from searchbench.prompts import (
     TARGET_MARKER,
     PromptMode,
+    Shots,
     default_exemplars,
     render,
     render_refine,
@@ -1049,7 +1050,7 @@ def test_oracle_answers_rendered_prompts(sample_instances):
     instances = _flat(sample_instances)
     oracle = OracleBackend(instances)
     inst = instances[0]
-    bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
+    bundle = render(inst, Shots(PromptMode.COT, default_exemplars(inst.kind)))
     request = _request(
         system_text=bundle.system_text, head=bundle.head, statement=bundle.statement
     )
@@ -1065,7 +1066,7 @@ def test_oracle_answers_an_equal_statement_and_keeps_no_state(sample_instances):
     oracle = OracleBackend(instances)
     for inst in instances:
         for mode in PromptMode:
-            bundle = render(inst, mode, default_exemplars(inst.kind, mode))
+            bundle = render(inst, Shots(mode, default_exemplars(inst.kind)))
             statement = bundle.statement.encode().decode()
             assert statement == bundle.statement and statement is not bundle.statement
             reply = oracle.complete(_request(head=bundle.head, statement=statement))
@@ -1086,7 +1087,7 @@ def test_oracle_builds_each_answer_once(sample_instances, monkeypatch):
     oracle = OracleBackend(instances)
     assert len(built) == len(instances)
     for inst in instances:
-        bundle = render(inst, PromptMode.AOT, default_exemplars(inst.kind, PromptMode.AOT))
+        bundle = render(inst, Shots(PromptMode.AOT, default_exemplars(inst.kind)))
         for _ in range(3):
             reply = oracle.complete(_request(head=bundle.head, statement=bundle.statement))
             assert reply.text == canonical_text(inst.payload, inst.ground_truth)
@@ -1097,7 +1098,7 @@ def test_oracle_reads_first_user_message_in_refine_history(sample_instances):
     instances = _flat(sample_instances)
     oracle = OracleBackend(instances)
     inst = instances[0]
-    bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
+    bundle = render(inst, Shots(PromptMode.COT, default_exemplars(inst.kind)))
     history = (
         ("assistant", "a wrong first attempt"),
         ("user", render_refine("a wrong first attempt")),
@@ -1123,9 +1124,7 @@ def test_oracle_rejects_unregistered_statements(sample_instances):
             oracle.complete(request)
     stranger = instances[-1]
     assert stranger.kind is not instances[0].kind
-    bundle = render(
-        stranger, PromptMode.DIRECT, default_exemplars(stranger.kind, PromptMode.DIRECT)
-    )
+    bundle = render(stranger, Shots(PromptMode.DIRECT, default_exemplars(stranger.kind)))
     with pytest.raises(MalformedProviderReply):
         oracle.complete(_request(head=bundle.head, statement=bundle.statement))
     assert oracle.complete(_request(statement=known)).text

@@ -51,6 +51,7 @@ from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
     ContextBudgetExceeded,
     PromptMode,
+    Shots,
     bundle_text,
     default_exemplars,
     estimate_tokens,
@@ -96,8 +97,9 @@ def prompt_digests() -> dict[str, str]:
     out = {}
     for kind in TaskKind:
         target = generate(GenSpec(kind=kind, level=3, seed=0))
+        exemplars = default_exemplars(kind)
         for mode in PromptMode:
-            bundle = render(target, mode, default_exemplars(kind, mode))
+            bundle = render(target, Shots(mode, exemplars))
             out[f"{kind.value}.{mode.value}"] = _digest(bundle_text(bundle))
     return out
 
@@ -105,9 +107,9 @@ def prompt_digests() -> dict[str, str]:
 BUDGET_LADDER_RUNGS = 40
 
 
-def _budgeted(target, mode, exemplars, budget: int) -> str:
+def _budgeted(target, shots, budget: int) -> str:
     try:
-        return _digest(bundle_text(render(target, mode, exemplars, token_budget=budget)))
+        return _digest(bundle_text(render(target, shots, token_budget=budget)))
     except ContextBudgetExceeded:
         return "ContextBudgetExceeded"
 
@@ -119,24 +121,25 @@ def budget_digests() -> dict[str, str]:
     out = {}
     for kind in TaskKind:
         target = generate(GenSpec(kind=kind, level=3, seed=0))
-        aot = default_exemplars(kind, PromptMode.AOT)
-        body = render(target, PromptMode.AOT, aot).body
+        exemplars = default_exemplars(kind)
+        aot = Shots(PromptMode.AOT, exemplars)
+        body = render(target, aot).body
         budgets = set()
         while body is not None:
             size = estimate_tokens(body)
             budgets.update((size, size - 1))
             try:
-                body = render(target, PromptMode.AOT, aot, token_budget=size - 1).body
+                body = render(target, aot, token_budget=size - 1).body
             except ContextBudgetExceeded:
                 body = None
         top, bottom = max(budgets), min(budgets) - 1
         budgets.update(range(top, bottom, -max(1, (top - bottom) // BUDGET_LADDER_RUNGS)))
-        ladder = [[b, _budgeted(target, PromptMode.AOT, aot, b)] for b in sorted(budgets)]
+        ladder = [[b, _budgeted(target, aot, b)] for b in sorted(budgets)]
         out[f"{kind.value}.AoT"] = _digest(ladder)
 
-        cot = default_exemplars(kind, PromptMode.COT)
-        size = estimate_tokens(render(target, PromptMode.COT, cot).body)
-        boundary = [[b, _budgeted(target, PromptMode.COT, cot, b)] for b in (size, size - 1)]
+        cot = Shots(PromptMode.COT, exemplars)
+        size = estimate_tokens(render(target, cot).body)
+        boundary = [[b, _budgeted(target, cot, b)] for b in (size, size - 1)]
         out[f"{kind.value}.CoT"] = _digest(boundary)
     return out
 
@@ -362,18 +365,18 @@ def bundle_digests(monkeypatch) -> dict[str, str]:
     AoT under a budget every CoT body fits and that elides the AoT bodies by
     different amounts or not at all.  Every exemplar set must come through
     ``cli.default_exemplars`` and every bundle through ``cli.render``, the
-    names the benchmark's tracer wraps: one call per (task, mode) and one per
+    names the benchmark's tracer wraps: one call per task and one per
     (instance, mode)."""
     exemplar_calls, bundles = [], []
     default_exemplars, render = cli.default_exemplars, cli.render
 
-    def counted_exemplars(kind, mode):
-        exemplar_calls.append((kind, mode))
-        return default_exemplars(kind, mode)
+    def counted_exemplars(kind):
+        exemplar_calls.append(kind)
+        return default_exemplars(kind)
 
-    def kept_render(*args, **kwargs):
-        bundles.append(render(*args, **kwargs))
-        return bundles[-1]
+    def kept_render(instance, *args, **kwargs):
+        bundles.append((instance, render(instance, *args, **kwargs)))
+        return bundles[-1][1]
 
     monkeypatch.setattr(cli, "default_exemplars", counted_exemplars)
     monkeypatch.setattr(cli, "render", kept_render)
@@ -390,13 +393,12 @@ def bundle_digests(monkeypatch) -> dict[str, str]:
         exemplar_calls.clear()
         bundles.clear()
         cli.render_bundles(instances, modes, budget)
-        assert exemplar_calls == [(kind, mode) for kind in TaskKind for mode in modes]
-        assert [(b.target_id, b.mode) for b in bundles] == [
+        assert exemplar_calls == list(TaskKind)
+        assert [(inst.id, b.mode) for inst, b in bundles] == [
             (inst.id, mode) for inst in instances for mode in modes
         ]
-        for bundle in bundles:
-            kind = bundle.target_id.split("-", 1)[0]
-            key = f"{kind}.{bundle.mode.value}" + (f"@{budget}" if budget else "")
+        for inst, bundle in bundles:
+            key = f"{inst.kind.value}.{bundle.mode.value}" + (f"@{budget}" if budget else "")
             out.setdefault(key, []).append(_digest(bundle_text(bundle)))
     return {key: _digest(texts) for key, texts in out.items()}
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from searchbench.answers import parse_answer
-from searchbench.generate import EXEMPLAR_LEVEL, GenSpec, exemplar_instance, generate
+from searchbench.generate import EXEMPLAR_LEVEL, GenSpec, generate
 from searchbench.prompts import (
     ContextBudgetExceeded,
     ExemplarTargetOverlap,
@@ -12,8 +12,6 @@ from searchbench.prompts import (
     PromptMode,
     REFINE_INSTRUCTION,
     Shots,
-    TraceNotSuccessful,
-    WrongTraceMode,
     bundle_text,
     default_exemplars,
     estimate_tokens,
@@ -45,7 +43,7 @@ def _golden(name: str) -> str:
     ],
 )
 def test_reference_bundles_match_goldens(reference_trip, mode, filename):
-    bundle = render(reference_trip, mode, default_exemplars(reference_trip.kind, mode))
+    bundle = render(reference_trip, Shots(mode, default_exemplars(reference_trip.kind)))
     assert bundle_text(bundle) == _golden(filename)
 
 
@@ -58,9 +56,7 @@ def test_cot_has_no_prune_lines_aot_does(reference_trip):
 
 
 def test_bundle_text_layout(reference_trip):
-    bundle = render(
-        reference_trip, PromptMode.COT, default_exemplars(reference_trip.kind, PromptMode.COT)
-    )
+    bundle = render(reference_trip, Shots(PromptMode.COT, default_exemplars(reference_trip.kind)))
     text = bundle_text(bundle)
     assert text == f"{bundle.system_text}\n\n{bundle.body}\n"
     assert text.endswith("\n") and not text.endswith("\n\n")
@@ -72,28 +68,33 @@ def test_bundle_text_layout(reference_trip):
 
 
 def test_direct_bundle_fields(reference_trip):
-    exemplars = default_exemplars(reference_trip.kind, PromptMode.DIRECT)
-    bundle = render(reference_trip, PromptMode.DIRECT, exemplars)
+    shots = Shots(PromptMode.DIRECT, default_exemplars(reference_trip.kind))
+    bundle = render(reference_trip, shots)
     assert bundle.mode is PromptMode.DIRECT
-    assert bundle.target_id == reference_trip.id
-    assert len(bundle.exemplar_ids) == 5
-    assert all(f"L{EXEMPLAR_LEVEL}" in ex_id for ex_id in bundle.exemplar_ids)
+    assert len(shots.exemplars) == 5
+    assert all(f"L{EXEMPLAR_LEVEL}" in ex.id for ex, _ in shots.exemplars)
     assert bundle.body.count("### Task") == 5
     assert bundle.body.count("### Solution") == 5
     assert bundle.body.count("### Target Question ###") == 1
 
 
 def test_worked_modes_use_one_exemplar(reference_trip):
-    for mode in (PromptMode.COT, PromptMode.AOT):
-        bundle = render(reference_trip, mode, default_exemplars(reference_trip.kind, mode))
-        assert len(bundle.exemplar_ids) == 1
+    """CoT and AoT narrate exemplar 0 of the set: CoT a greedy trace of it,
+    AoT the set's own depth-first trace."""
+    exemplars = default_exemplars(reference_trip.kind)
+    for mode, search in ((PromptMode.COT, SearchMode.GREEDY), (PromptMode.AOT, SearchMode.DFS)):
+        shots = Shots(mode, exemplars)
+        bundle = render(reference_trip, shots)
+        ((ex, trace),) = shots.exemplars
+        assert ex is exemplars[0][0] and trace.mode is search
         assert bundle.body.count("### Target Question ###") == 1
         assert "Thinking Process:" in bundle.body
 
 
 def test_target_statement_is_verbatim(reference_trip):
+    exemplars = default_exemplars(reference_trip.kind)
     for mode in PromptMode:
-        bundle = render(reference_trip, mode, default_exemplars(reference_trip.kind, mode))
+        bundle = render(reference_trip, Shots(mode, exemplars))
         marker = "### Target Question ###\n"
         tail = bundle.body.split(marker, 1)[1]
         assert tail == statement_text(reference_trip.payload)
@@ -124,11 +125,10 @@ def test_statements_say_none_for_an_empty_list():
 
 def test_exemplar_solution_parses_back():
     for kind in TaskKind:
-        ex, trace = default_exemplars(kind, PromptMode.COT)[0]
+        shots = Shots(PromptMode.COT, default_exemplars(kind))
+        ((ex, trace),) = shots.exemplars
         assert trace.succeeded
-        body = render(
-            generate(GenSpec(kind=kind, level=3, seed=21)), PromptMode.COT, [(ex, trace)]
-        ).body
+        body = render(generate(GenSpec(kind=kind, level=3, seed=21)), shots).body
         report = parse_answer(ex.payload, body.split("### Target Question ###")[0])
         assert report.candidate is not None
 
@@ -138,56 +138,19 @@ def test_exemplar_solution_parses_back():
 # ---------------------------------------------------------------------------
 
 
-def test_wrong_trace_mode_rejected(reference_trip):
-    ex = exemplar_instance(reference_trip.kind, 0)
-    greedy, dfs = solve(ex, SearchMode.GREEDY), solve(ex, SearchMode.DFS)
-    with pytest.raises(WrongTraceMode):
-        render(reference_trip, PromptMode.COT, [(ex, dfs)])
-    with pytest.raises(WrongTraceMode):
-        render(reference_trip, PromptMode.AOT, [(ex, greedy)])
-
-
-def test_unsuccessful_trace_rejected(reference_trip):
-    ex = exemplar_instance(reference_trip.kind, 0)
-    trace = solve(ex, SearchMode.DFS)
-    failed = type(trace)(
-        kind=trace.kind,
-        mode=trace.mode,
-        events=trace.events[:-1],
-        solution=None,
-        explored_count=trace.explored_count,
-    )
-    assert not failed.succeeded
-    with pytest.raises(TraceNotSuccessful):
-        render(reference_trip, PromptMode.AOT, [(ex, failed)])
-
-
 def test_target_as_own_exemplar_rejected(reference_trip):
     trace = solve(reference_trip, SearchMode.DFS)
-    with pytest.raises(ExemplarTargetOverlap):
-        render(reference_trip, PromptMode.AOT, [(reference_trip, trace)])
+    for mode in PromptMode:
+        with pytest.raises(ExemplarTargetOverlap):
+            render(reference_trip, Shots(mode, [(reference_trip, trace)]))
 
 
-def test_kind_and_count_mismatches_rejected(reference_trip):
-    other = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=1))
-    with pytest.raises(PromptError):
-        render(reference_trip, PromptMode.AOT, [(other, solve(other, SearchMode.DFS))])
-    with pytest.raises(PromptError):
-        render(reference_trip, PromptMode.DIRECT, [])
-    two = default_exemplars(reference_trip.kind, PromptMode.AOT) * 2
-    with pytest.raises(PromptError):
-        render(reference_trip, PromptMode.AOT, two)
-    aot = Shots(PromptMode.AOT, default_exemplars(reference_trip.kind, PromptMode.AOT))
-    with pytest.raises(PromptError):
-        render(reference_trip, PromptMode.COT, aot)
-
-
-def test_a_trace_of_another_kind_is_rejected(reference_trip):
-    ex = exemplar_instance(reference_trip.kind, 0)
-    other = generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=3, seed=1))
-    with pytest.raises(PromptError) as info:
-        Shots(PromptMode.AOT, [(ex, solve(other, SearchMode.DFS))])
-    assert str(info.value) == f"trace kind VertexCover does not match {ex.id}"
+def test_exemplars_of_another_task_are_rejected(reference_trip):
+    other = default_exemplars(TaskKind.VERTEX_COVER)
+    message = f"exemplar {other[0][0].id} is VertexCover, target is TripPlanning"
+    for mode in PromptMode:
+        with pytest.raises(PromptError, match=f"^{message}$"):
+            render(reference_trip, Shots(mode, other))
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +166,10 @@ def test_estimate_tokens_scale():
 
 
 def test_aot_truncation_preserves_accepting_path(reference_trip):
-    exemplars = default_exemplars(reference_trip.kind, PromptMode.AOT)
-    full = render(reference_trip, PromptMode.AOT, exemplars)
+    shots = Shots(PromptMode.AOT, default_exemplars(reference_trip.kind))
+    full = render(reference_trip, shots)
     full_tokens = estimate_tokens(full.body)
-    squeezed = render(
-        reference_trip, PromptMode.AOT, exemplars, token_budget=full_tokens - 50
-    )
+    squeezed = render(reference_trip, shots, token_budget=full_tokens - 50)
     assert estimate_tokens(squeezed.body) <= full_tokens - 50
     assert "Success" in squeezed.body
     assert "### Target Question ###" in squeezed.body
@@ -216,27 +177,24 @@ def test_aot_truncation_preserves_accepting_path(reference_trip):
 
 
 def test_budget_too_small_raises(reference_trip):
+    exemplars = default_exemplars(reference_trip.kind)
     for mode in PromptMode:
         with pytest.raises(ContextBudgetExceeded):
-            render(
-                reference_trip, mode,
-                default_exemplars(reference_trip.kind, mode),
-                token_budget=20,
-            )
+            render(reference_trip, Shots(mode, exemplars), token_budget=20)
 
 
 def test_cot_budget_all_or_nothing(reference_trip):
-    exemplars = default_exemplars(reference_trip.kind, PromptMode.COT)
-    full = render(reference_trip, PromptMode.COT, exemplars)
+    shots = Shots(PromptMode.COT, default_exemplars(reference_trip.kind))
+    full = render(reference_trip, shots)
     need = estimate_tokens(full.body)
-    assert render(reference_trip, PromptMode.COT, exemplars, token_budget=need).body == full.body
+    assert render(reference_trip, shots, token_budget=need).body == full.body
     with pytest.raises(ContextBudgetExceeded):
-        render(reference_trip, PromptMode.COT, exemplars, token_budget=need - 1)
+        render(reference_trip, shots, token_budget=need - 1)
 
 
-def _outcome(target, mode, exemplars, budget):
+def _outcome(target, shots, budget):
     try:
-        return render(target, mode, exemplars, token_budget=budget)
+        return render(target, shots, token_budget=budget)
     except ContextBudgetExceeded as err:
         return str(err)
 
@@ -245,25 +203,25 @@ def _outcome(target, mode, exemplars, budget):
 def test_a_shared_half_renders_what_a_fresh_one_does(kind):
     """One ``Shots`` per mode serves targets of different statement lengths
     in shuffled order, so a target may need fewer drops than the one before
-    it; every body, or budget error, must match a render from a plain
-    exemplar list.  Budgets: each AoT elision step's size and one token
-    below it, the CoT size and one below, the Direct size, and none."""
+    it; every body, or budget error, must match a render from a fresh
+    ``Shots``.  Budgets: each AoT elision step's size and one token below
+    it, the CoT size and one below, the Direct size, and none."""
+    exemplars = default_exemplars(kind)
     targets = [generate(GenSpec(kind=kind, level=level, seed=0)) for level in (1, 3, 10)]
     cases = []
     for mode in PromptMode:
-        exemplars = default_exemplars(kind, mode)
         for target in targets:
-            budgets, outcome = {None}, render(target, mode, exemplars)
+            budgets, outcome = {None}, render(target, Shots(mode, exemplars))
             while not isinstance(outcome, str):
                 size = estimate_tokens(outcome.body)
                 budgets.update((size, size - 1))
-                outcome = _outcome(target, mode, exemplars, size - 1)
-            cases += [(mode, exemplars, target, budget) for budget in budgets]
+                outcome = _outcome(target, Shots(mode, exemplars), size - 1)
+            cases += [(mode, target, budget) for budget in budgets]
     random.Random(0).shuffle(cases)
-    shared = {mode: Shots(mode, default_exemplars(kind, mode)) for mode in PromptMode}
-    for mode, exemplars, target, budget in cases:
-        fresh = _outcome(target, mode, exemplars, budget)
-        assert _outcome(target, mode, shared[mode], budget) == fresh
+    shared = {mode: Shots(mode, exemplars) for mode in PromptMode}
+    for mode, target, budget in cases:
+        fresh = _outcome(target, Shots(mode, exemplars), budget)
+        assert _outcome(target, shared[mode], budget) == fresh
 
 
 # x1 has ten candidate triples, so the accepting label is A10a3 and A1 is the
@@ -281,18 +239,16 @@ def _ten_children_prompt():
         id="ThreeDM-ten-children", kind=TaskKind.THREE_DM, level=0, seed=0,
         payload=TEN_CHILDREN, ground_truth=trace.solution,
     )
-    return generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5)), exemplar, trace
+    target = generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5))
+    return target, Shots(PromptMode.AOT, [(exemplar, trace)])
 
 
 def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
-    target, exemplar, trace = _ten_children_prompt()
-    body = render(target, PromptMode.AOT, [(exemplar, trace)]).body
+    target, shots = _ten_children_prompt()
+    body = render(target, shots).body
     while True:  # shrink the budget to the smallest body that still fits
         try:
-            body = render(
-                target, PromptMode.AOT, [(exemplar, trace)],
-                token_budget=estimate_tokens(body) - 1,
-            ).body
+            body = render(target, shots, token_budget=estimate_tokens(body) - 1).body
         except ContextBudgetExceeded:
             break
     assert "Step: A1\n" not in body
@@ -302,13 +258,13 @@ def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
 def test_aot_elision_order_is_depth_then_trace_order():
     # The dead subtrees A1..A9 hang at one depth, so they go in trace order:
     # A1 first, although its label shares two characters with A10a3.
-    target, exemplar, trace = _ten_children_prompt()
+    target, shots = _ten_children_prompt()
     dead = [f"A{i}" for i in range(1, 10)]
     elided: dict[str, int] = {}  # label -> body tokens once it is gone
-    budget = estimate_tokens(render(target, PromptMode.AOT, [(exemplar, trace)]).body)
+    budget = estimate_tokens(render(target, shots).body)
     while True:  # one token at a time, down to the smallest body that fits
         try:
-            body = render(target, PromptMode.AOT, [(exemplar, trace)], token_budget=budget).body
+            body = render(target, shots, token_budget=budget).body
         except ContextBudgetExceeded:
             break
         for label in dead:
@@ -325,9 +281,8 @@ def test_one_city_trip_section_is_the_accepting_search(seed):
     exemplar = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=1, seed=seed))
     (city,) = exemplar.payload.cities
     target = generate(GenSpec(kind=TaskKind.TRIP_PLANNING, level=2, seed=seed))
-    body = render(
-        target, PromptMode.AOT, [(exemplar, solve(exemplar, SearchMode.DFS))]
-    ).body
+    shots = Shots(PromptMode.AOT, [(exemplar, solve(exemplar, SearchMode.DFS))])
+    body = render(target, shots).body
     assert f"\n\n3-A. {city}-rooted search (full trace)\n\n4. " in body
     assert "subtree" not in body
 

@@ -13,7 +13,7 @@ from searchbench.gateway import (
     ResponseCache,
     canonical_digest,
 )
-from searchbench.prompts import PromptMode, default_exemplars, render
+from searchbench.prompts import PromptMode, Shots, default_exemplars, render
 from searchbench.reporting import AblationCell
 from searchbench.scaling import (
     TEMPERATURES,
@@ -30,7 +30,7 @@ from searchbench.tasks import TaskKind, VerdictStatus
 @pytest.fixture()
 def trip_cell(sample_instances):
     inst = sample_instances[TaskKind.TRIP_PLANNING][0]
-    bundle = render(inst, PromptMode.COT, default_exemplars(inst.kind, PromptMode.COT))
+    bundle = render(inst, Shots(PromptMode.COT, default_exemplars(inst.kind)))
     return inst, bundle
 
 
@@ -287,7 +287,7 @@ def test_every_strategy_succeeds_against_oracle(sample_instances):
     gateway = ModelGateway(oracle)
     inst = instances[0]
     for mode, strategy in default_matrix():
-        bundle = render(inst, mode, default_exemplars(inst.kind, mode))
+        bundle = render(inst, Shots(mode, default_exemplars(inst.kind)))
         outcome = execute(gateway, inst, bundle, strategy, model="m")
         assert outcome.success, (mode, strategy.format())
 

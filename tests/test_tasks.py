@@ -214,6 +214,10 @@ def test_trip_payload_rejects_inconsistent_inputs(change, message):
                  r"edge \(1, 1\) must be stored with u < v", id="self loop"),
     pytest.param(lambda: ThreeDMPayload(n=2, triples=((0, 0, 0), (1, 2, 1))),
                  r"triple \(1, 2, 1\) outside element range", id="triple outside"),
+    pytest.param(lambda: VertexCoverPayload(vertex_count=3, edges=((0, 1),), target_size=4),
+                 r"target_size 4 outside \[0, 3\]", id="cover larger than the graph"),
+    pytest.param(lambda: VertexCoverPayload(vertex_count=3, edges=((0, 1),), target_size=-1),
+                 r"target_size -1 outside \[0, 3\]", id="negative cover size"),
 ])
 def test_graph_payloads_reject_out_of_range_inputs(build, message):
     with pytest.raises(ValueError, match=message):
@@ -253,6 +257,8 @@ def _spoil(field: str, payload: dict) -> None:
         payload["edges"][0].reverse()
     elif field == "triple outside":
         payload["triples"][0][2] = payload["n"]
+    elif field == "target size":
+        payload["target_size"] = 99
     else:
         payload["total_days"] += 1
 
@@ -277,6 +283,7 @@ _SPOILED = {
     "edge outside": (TaskKind.VERTEX_COVER, r"edge \(0, 8\) outside vertex range"),
     "edge reversed": (TaskKind.VERTEX_COVER, r"edge \(3, 0\) must be stored with u < v"),
     "triple outside": (TaskKind.THREE_DM, r"triple \(0, 0, 4\) outside element range"),
+    "target size": (TaskKind.VERTEX_COVER, r"target_size 99 outside \[0, 8\]"),
 }
 
 
@@ -288,4 +295,25 @@ def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
     path = tmp_path / "instances.jsonl"
     path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {message}"):
+        read_instances(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("id", 7, "id must be str, not 7"),
+    ("id", None, "id must be str, not None"),
+    ("level", "2", "level must be int, not '2'"),
+    ("level", True, "level must be int, not True"),
+    ("seed", None, "seed must be int, not None"),
+    ("seed", 1.0, "seed must be int, not 1.0"),
+])
+def test_reading_an_instance_id_level_or_seed_of_the_wrong_type_names_path_and_line(
+    tmp_path, key, value, message
+):
+    """An id names output files and outcome records, and a level and seed
+    name the generator's input; none may be taken as some other JSON type."""
+    record = instance_to_record(generate(GenSpec(kind=TaskKind.VERTEX_COVER, level=2, seed=0)))
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({**record, key: value}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(InputFileError, match=rf"^{re.escape(str(path))}:2: {re.escape(message)}$"):
         read_instances(path)
