@@ -57,7 +57,7 @@ from .prompts import (
     estimate_tokens,
     render,
 )
-from .reporting import ReportError, RunReport, aggregate, emit
+from .reporting import RunReport, aggregate, emit
 from .scaling import RunOutcome, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
@@ -67,8 +67,10 @@ from .tasks import (
     TaskKind,
     Verdict,
     VerdictStatus,
+    COUNT,
     open_output,
     output_dir,
+    read_field,
     read_instances,
     read_jsonl,
     write_instances,
@@ -133,56 +135,23 @@ def _reject_unknown(doc: Mapping, allowed: Mapping, where: str) -> None:
             raise ConfigError(f"{where}{key}: unknown key")
 
 
-def _checked(doc: Mapping, key: str, default, ok: Callable[[object], bool],
-             want: str, where: str = ""):
-    """``doc[key]``, or ``default`` when absent; a ConfigError unless ``ok``."""
-    value = doc.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"{where}{key}: must be {want}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return type(value) is int  # not a bool, which is a subclass of int
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, list)
-
-
 def _reject_duplicates(where: str, items: Sequence, field: str = "") -> None:
     for i, item in enumerate(items):
         if item in items[:i]:
             raise ConfigError(f"{where}[{i}]{field}: duplicate {item!r}")
 
 
-#: model key -> (check, what the check wants); ``name`` is checked on its own
-_MODEL_CHECKS = {
+#: model key -> its type (see ``read_field``); ``name`` is read on its own
+_MODEL_FIELDS = {"backend": str, "script": [str], "model": str, "url": str, "api_key_env": str,
+                 "dialect": str, "timeout_s": float, "requests_per_second": float}
+
+#: model key -> (rule on its value, what the rule wants)
+_MODEL_RULES = {
     "backend": (lambda v: v in _BACKEND_KINDS, f"one of {_BACKEND_KINDS}"),
-    # the default is the tuple the field holds; JSON gives lists
-    "script": (lambda v: isinstance(v, (list, tuple)) and all(_is_str(s) for s in v),
-               "a list of strings"),
-    "model": (_is_str, "a string"),
-    "url": (_is_str, "a string"),
-    "api_key_env": (_is_str, "a string"),
-    # a str first: ``in`` raises TypeError on an unhashable value
-    "dialect": (lambda v: _is_str(v) and v in DIALECTS, f"one of {sorted(DIALECTS)}"),
+    "dialect": (lambda v: v in DIALECTS, f"one of {sorted(DIALECTS)}"),
     # every wait is at most MAX_WAIT_S; JSON reads 1e309 as inf
-    "timeout_s": (lambda v: _is_number(v) and 0 < v <= MAX_WAIT_S,
-                  f"a number in (0, {MAX_WAIT_S:g}]"),
-    "requests_per_second": (lambda v: _is_number(v) and (v == 0 or v >= 1 / MAX_WAIT_S),
+    "timeout_s": (lambda v: 0 < v <= MAX_WAIT_S, f"a number in (0, {MAX_WAIT_S:g}]"),
+    "requests_per_second": (lambda v: v == 0 or v >= 1 / MAX_WAIT_S,
                             f"0 or a number >= 1/{MAX_WAIT_S:g}"),
 }
 
@@ -190,20 +159,21 @@ _MODEL_CHECKS = {
 def _model_config(doc: Mapping, where: str) -> ModelConfig:
     """A model block; ``model`` defaults to ``name``, every other key to its
     ``ModelConfig`` default."""
-    if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where}: expected an object")
-    _reject_unknown(doc, _MODEL_DEFAULTS, where + ".")
-    name = doc.get("name")
-    if not name or not isinstance(name, str):
-        raise ConfigError(f"{where}.name: required string")
+    _reject_unknown(doc, _MODEL_DEFAULTS, where)
+    name = read_field(doc, "name", str, "", where=where)
+    if not name:
+        raise ConfigError(f"{where}name: required string")
     defaults = dict(_MODEL_DEFAULTS, model=name)
-    values = {key: _checked(doc, key, defaults[key], *check, where + ".")
-              for key, check in _MODEL_CHECKS.items()}
+    values = {key: read_field(doc, key, want, defaults[key], where=where)
+              for key, want in _MODEL_FIELDS.items()}
+    for key, (ok, want) in _MODEL_RULES.items():
+        if not ok(values[key]):
+            raise ConfigError(f"{where}{key}: must be {want}")
     if values["backend"] == "http":
         try:
             split_http_url(values["url"])
         except GatewayError as err:
-            raise ConfigError(f"{where}.url: {err}") from err
+            raise ConfigError(f"{where}url: {err}") from err
     values.update(
         timeout_s=float(values["timeout_s"]),
         requests_per_second=float(values["requests_per_second"]),
@@ -212,61 +182,49 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
     return ModelConfig(name=name, **values)
 
 
-#: scalar key -> (check, what the check wants); defaults are ``RunConfig``'s
-_SCALAR_KEYS = {
-    "instance_count": (_is_count, "an integer >= 1"),
-    "seed": (_is_int, "an integer"),
-    "concurrency": (_is_count, "an integer >= 1"),
-    "cache_path": (lambda v: v is None or _is_str(v), "a string or null"),
-    "out_dir": (_is_str, "a string"),
-    "max_tokens": (_is_count, "an integer >= 1"),
-    "token_budget": (lambda v: v is None or _is_count(v), "an integer >= 1 or null"),
-}
+#: scalar key -> its type; defaults are ``RunConfig``'s, and a key whose
+#: default is None may also be null
+_SCALAR_FIELDS = {"instance_count": COUNT, "seed": int, "concurrency": COUNT, "cache_path": str,
+                  "out_dir": str, "max_tokens": COUNT, "token_budget": COUNT}
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
-    """Validate a parsed config document; unknown keys are errors."""
+    """Validate a parsed config document; unknown keys are errors, and so
+    is a value of the wrong type, named by its key path."""
     if not isinstance(doc, Mapping):
         raise ConfigError("config root: expected an object")
-    _reject_unknown(doc, _RUN_DEFAULTS, "")
-
-    tasks_doc = _checked(doc, "tasks", [k.value for k in TaskKind], _is_list, "a list")
     try:
-        tasks = tuple(TaskKind(t) for t in tasks_doc)
-    except ValueError as err:
-        raise ConfigError(f"tasks: {err}") from err
+        return _config(doc)
+    except ValueError as err:  # from ``read_field``
+        raise ConfigError(str(err)) from None
+
+
+def _config(doc: Mapping) -> RunConfig:
+    _reject_unknown(doc, _RUN_DEFAULTS, "")
+    tasks = tuple(read_field(doc, "tasks", [TaskKind], list(TaskKind)))
     if not tasks:
         raise ConfigError("tasks: must name at least one task")
-    _reject_duplicates("tasks", tasks_doc)
+    _reject_duplicates("tasks", [kind.value for kind in tasks])
 
-    levels = tuple(_checked(
-        doc, "levels", [DEFAULT_LEVEL],
-        lambda v: _is_list(v) and v
-        and all(_is_int(l) and MIN_LEVEL <= l <= MAX_LEVEL for l in v),
-        f"a non-empty list of integers in [{MIN_LEVEL}, {MAX_LEVEL}]",
-    ))
+    levels = tuple(read_field(doc, "levels", [int], [DEFAULT_LEVEL]))
+    if not levels or not all(MIN_LEVEL <= level <= MAX_LEVEL for level in levels):
+        raise ConfigError(f"levels: must be a non-empty list of integers in "
+                          f"[{MIN_LEVEL}, {MAX_LEVEL}]")
     _reject_duplicates("levels", levels)
 
-    models = tuple(
-        _model_config(m, f"models[{i}]")
-        for i, m in enumerate(_checked(
-            doc, "models", None, lambda v: _is_list(v) and v, "a non-empty list of models"
-        ))
-    )
+    models = tuple(_model_config(m, f"models[{i}].")
+                   for i, m in enumerate(read_field(doc, "models", [dict], [])))
+    if not models:
+        raise ConfigError("models: must be a non-empty list of models")
     _reject_duplicates("models", [m.name for m in models], ".name")
     _reject_duplicates("models", [m.model for m in models], ".model")
 
     if "matrix" in doc:
         matrix = []
-        for i, pair in enumerate(_checked(doc, "matrix", None, _is_list, "a list")):
+        for i, (mode, spec) in enumerate(read_field(doc, "matrix", [(PromptMode, str)])):
             try:
-                mode_name, strategy_spec = pair
-                if not isinstance(strategy_spec, str):
-                    raise TypeError(f"strategy {strategy_spec!r} is not a string")
-                matrix.append(
-                    (PromptMode(mode_name), ScalingStrategy.parse(strategy_spec))
-                )
-            except (TypeError, ValueError, TaskError) as err:
+                matrix.append((mode, ScalingStrategy.parse(spec)))
+            except TaskError as err:
                 raise ConfigError(f"matrix[{i}]: {err}") from err
         matrix = tuple(matrix)
     else:
@@ -283,8 +241,8 @@ def config_from_dict(doc: Mapping) -> RunConfig:
         levels=levels,
         models=models,
         matrix=matrix,
-        **{key: _checked(doc, key, _RUN_DEFAULTS[key], *check)
-           for key, check in _SCALAR_KEYS.items()},
+        **{key: read_field(doc, key, want, _RUN_DEFAULTS[key])
+           for key, want in _SCALAR_FIELDS.items()},
     )
 
 
@@ -390,25 +348,19 @@ def _outcome_record(outcome: RunOutcome) -> dict:
 
 
 def _outcome_from_record(record) -> RunOutcome:
-    """Inverse of ``_outcome_record`` without the attempts; a ReportError
-    names the key that is missing or holds an unknown value."""
-
-    def get(key: str, convert: Callable, doc=record):
-        try:
-            return convert(doc[key])
-        except (TypeError, ValueError, TaskError) as err:
-            raise ReportError(f"{key}: {err}") from None
-
-    final = get("final", dict)
+    """Inverse of ``_outcome_record`` without the attempts; a field of the
+    wrong JSON type is a ValueError (see ``read_field``)."""
+    final = read_field(record, "final", dict)
     return RunOutcome(
-        instance_id=get("instance_id", str),
-        task=get("task", TaskKind),
-        level=get("level", int),
-        model=get("model", str),
-        mode=get("mode", PromptMode),
-        strategy=get("strategy", lambda v: ScalingStrategy.parse(str(v))),
+        instance_id=read_field(record, "instance_id", str),
+        task=read_field(record, "task", TaskKind),
+        level=read_field(record, "level", int),
+        model=read_field(record, "model", str),
+        mode=read_field(record, "mode", PromptMode),
+        strategy=ScalingStrategy.parse(read_field(record, "strategy", str)),
         attempts=(),
-        final=Verdict(get("status", VerdictStatus, final), final.get("reason", "")),
+        final=Verdict(read_field(final, "status", VerdictStatus, where="final."),
+                      read_field(final, "reason", str, "", where="final.")),
     )
 
 
@@ -679,17 +631,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _answer(record: Mapping) -> tuple[str, str]:
-    """An answers line as (instance id, text); each must be a JSON string."""
-    for key in ("instance_id", "text"):
-        if not _is_str(record[key]):
-            raise ValueError(f"{key} must be a string, not {record[key]!r}")
-    return record["instance_id"], record["text"]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     instances = {inst.id: inst for inst in read_instances(args.instances)}
-    answers = read_jsonl(args.answers, _answer)
+    answers = read_jsonl(args.answers, lambda record: (
+        read_field(record, "instance_id", str), read_field(record, "text", str)
+    ))
     failures = 0
     for instance_id, text in answers:
         instance = instances.get(instance_id)
@@ -712,9 +658,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.outcomes).with_name("run_meta.json")
     try:
         meta = json.loads(path.read_text(encoding="utf-8"))
-        expected = meta["config"]["instance_count"]
-        if not _is_count(expected):
-            raise ValueError(f"instance_count {expected!r} is not an integer >= 1")
+        expected = read_field(read_field(meta, "config", dict), "instance_count", COUNT,
+                              where="config.")
     except FileNotFoundError:
         meta, expected = {}, None
     except (OSError, ValueError, KeyError, TypeError) as err:
@@ -728,7 +673,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _count(text: str) -> int:
     """A count or budget flag, which, as in a config, must be an integer >= 1."""
-    if not _is_count(value := int(text)):
+    if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
     return value
 

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 
 from .prompts import PromptMode
 from .scaling import RunOutcome, ScalingKind, ScalingStrategy
-from .tasks import TaskKind, TaskError, family, output_dir
+from .tasks import TaskKind, TaskError, VerdictStatus, family, output_dir
 
 
 class ReportError(TaskError):
@@ -111,8 +111,12 @@ def aggregate(
 ) -> RunReport:
     """Group outcomes into cells; count an outcome once per cell.
 
-    ``expected_per_cell`` flags under-filled cells in ``incomplete``
-    (reported, not fatal), so partial runs still produce a report.
+    A ``BackendError`` outcome is unjudged: its prompt could not be rendered
+    or a call it needed failed, which says nothing about the answer.  So it
+    is left out of its cell's n, and ``incomplete`` counts it.
+    ``expected_per_cell`` also flags there the cells that hold another
+    number of outcomes (reported, not fatal), so partial runs still produce
+    a report.
     """
     groups: dict[tuple, dict[str, RunOutcome]] = {}
     for outcome in outcomes:
@@ -122,9 +126,9 @@ def aggregate(
             raise ReportError(f"duplicate outcome for {key + (outcome.instance_id,)}")
         group[outcome.instance_id] = outcome
 
-    cells = []
-    incomplete = []
+    noted = []  # (cell, its incomplete note or "")
     for (task, level, model, mode, strategy), group in groups.items():
+        unjudged = sum(o.final.status is VerdictStatus.BACKEND_ERROR for o in group.values())
         cell = AblationCell(
             task=task,
             level=level,
@@ -132,16 +136,19 @@ def aggregate(
             prompt_mode=mode,
             strategy=strategy,
             successes=sum(1 for o in group.values() if o.success),
-            total=len(group),
+            total=len(group) - unjudged,
         )
-        cells.append(cell)
-        if expected_per_cell is not None and cell.total != expected_per_cell:
-            incomplete.append(
-                f"{task.value}/L{level}/{model}/{mode.value}/{strategy.format()}: "
-                f"{cell.total} of {expected_per_cell} instances"
-            )
-    cells.sort(key=AblationCell.sort_key)
-    return RunReport(cells=tuple(cells), incomplete=tuple(incomplete))
+        notes = []
+        if expected_per_cell is not None and len(group) != expected_per_cell:
+            notes.append(f"{len(group)} of {expected_per_cell} instances")
+        if unjudged:
+            notes.append(f"{unjudged} of {len(group)} unjudged (BackendError), left out of n; "
+                         "a re-run with the same cache re-asks only the calls that failed")
+        where = f"{task.value}/L{level}/{model}/{mode.value}/{strategy.format()}: "
+        noted.append((cell, where + "; ".join(notes) if notes else ""))
+    noted.sort(key=lambda pair: pair[0].sort_key())  # notes in table order, however outcomes came
+    return RunReport(cells=tuple(cell for cell, _ in noted),
+                     incomplete=tuple(note for _, note in noted if note))
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,11 @@ def execute(
 
     Requests carry the provider id ``model``; the outcome is filed under the
     table name ``name`` (default ``model``).  A ``TaskError`` on the way
-    becomes a ``BackendError`` verdict with no attempts, and so does any
-    other ``Exception``, with the reason ``"<Type>: <message>"`` and
-    ``unexpected_error`` set.
+    becomes a ``BackendError`` verdict that keeps the attempts made before
+    it, and so does any other ``Exception``, with the reason
+    ``"<Type>: <message>"`` and ``unexpected_error`` set.  Such a unit is
+    unjudged, even where an earlier attempt succeeded: ``aggregate`` leaves
+    it out of its cell's n.
 
     ``verdicts`` maps answer texts already judged against ``instance`` to
     their verdicts; ``evaluate`` runs only on a text it lacks, and adds it.
@@ -211,10 +213,8 @@ def execute(
                 attempts[-1].verdict,
             )
     except TaskError as err:
-        attempts.clear()
         final = Verdict(VerdictStatus.BACKEND_ERROR, reason=str(err))
     except Exception as err:  # a fault in the program or a backend ends this unit only
-        attempts.clear()
         final = Verdict(VerdictStatus.BACKEND_ERROR, reason=f"{type(err).__name__}: {err}")
         unexpected_error = True
 

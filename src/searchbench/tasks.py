@@ -378,6 +378,61 @@ def minutes_to_clock(minutes: int) -> str:
 # Serialization: one self-describing JSON record per instance, one per line
 # ---------------------------------------------------------------------------
 
+#: ``read_field``'s ``want`` for an integer >= 1
+COUNT = "an integer >= 1"
+_REQUIRED = object()
+_WANTS = {str: "a string", int: "an integer", float: "a number", dict: "an object", COUNT: COUNT}
+
+
+def read_field(doc, key, want, default=_REQUIRED, where: str = ""):
+    """``doc[key]`` read as ``want``, from a JSON object or, by index, an array:
+
+    - ``str`` or ``dict``: a JSON string or object, as it is; ``int``: an
+      integer, which ``true`` is not; ``COUNT``: one >= 1; ``float``: any number;
+    - an Enum class: the member whose value it is;
+    - ``[item]``: an array, each element read as ``item``, as a list;
+      ``(first, ...)``: an array of one element per entry, as a tuple.
+
+    An absent key reads as ``default``, and so does null when ``default`` is
+    None; with no default it is a KeyError.  Any other value is a ValueError
+    naming ``where`` + ``key``, which ``read_jsonl`` reports as ``path:line``.
+    """
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise
+        return default
+    if type(value) is want:  # a bool's type is not int
+        return value
+    if value is None and default is None:
+        return None
+    return _read(value, want, f"{where}[{key}]" if type(key) is int else f"{where}{key}")
+
+
+def _read(value, want, name: str):
+    """The rest of ``read_field``, apart so that the common field, of the
+    exact type, takes a small and fast frame."""
+    if type(want) is list:
+        if type(value) is list:
+            return [read_field(value, i, want[0], where=name) for i in range(len(value))]
+        what = "a list"
+    elif type(want) is tuple:
+        if type(value) is list and len(value) == len(want):
+            return tuple(read_field(value, i, w, where=name) for i, w in enumerate(want))
+        what = f"a list of {len(want)}"
+    elif isinstance(want, type) and issubclass(want, Enum):
+        for member in want:
+            if type(value) is type(member.value) and value == member.value:
+                return member
+        what = f"one of {[m.value for m in want]}"
+    else:
+        if (want is float and type(value) is int
+                or want is COUNT and type(value) is int and value >= 1):
+            return value
+        what = _WANTS[want]
+    raise ValueError(f"{name}: must be {what}, not {value!r}")
+
 
 def _payload_to_json(payload: Payload) -> dict:
     if isinstance(payload, TripPayload):
@@ -419,41 +474,47 @@ def _payload_to_json(payload: Payload) -> dict:
 
 
 def _payload_from_json(kind: TaskKind, data: dict) -> Payload:
+    at = "payload."
     if kind is TaskKind.TRIP_PLANNING:
+        stays = read_field(data, "stays", dict, where=at)
+        windows = read_field(data, "windows", dict, where=at)
         return TripPayload(
-            cities=tuple(data["cities"]),
-            total_days=data["total_days"],
-            stays=dict(data["stays"]),
+            cities=tuple(read_field(data, "cities", [str], where=at)),
+            total_days=read_field(data, "total_days", int, where=at),
+            stays={c: read_field(stays, c, int, where=at + "stays.") for c in stays},
             windows={
-                c: TripWindow(start=w[0], end=w[1], label=w[2])
-                for c, w in data["windows"].items()
+                c: TripWindow(*read_field(windows, c, (int, int, str), where=at + "windows."))
+                for c in windows
             },
-            flights=frozenset((a, b) for a, b in data["flights"]),
+            flights=frozenset(read_field(data, "flights", [(str, str)], where=at)),
         )
     if kind is TaskKind.VERTEX_COVER:
         return VertexCoverPayload(
-            vertex_count=data["vertex_count"],
-            edges=tuple((u, v) for u, v in data["edges"]),
-            target_size=data["target_size"],
+            vertex_count=read_field(data, "vertex_count", int, where=at),
+            edges=tuple(read_field(data, "edges", [(int, int)], where=at)),
+            target_size=read_field(data, "target_size", int, where=at),
         )
     if kind is TaskKind.THREE_DM:
         return ThreeDMPayload(
-            n=data["n"], triples=tuple((x, y, z) for x, y, z in data["triples"])
+            n=read_field(data, "n", int, where=at),
+            triples=tuple(read_field(data, "triples", [(int, int, int)], where=at)),
         )
+    friends = read_field(data, "friends", [dict], where=at)
     return MeetingPayload(
-        locations=tuple(data["locations"]),
-        start_location=data["start_location"],
-        day_start=data["day_start"],
-        travel_minutes=_travel_from_json(data["travel_minutes"]),
+        locations=tuple(read_field(data, "locations", [str], where=at)),
+        start_location=read_field(data, "start_location", str, where=at),
+        day_start=read_field(data, "day_start", int, where=at),
+        travel_minutes=_travel_from_json(
+            read_field(data, "travel_minutes", [(str, str, int)], where=at)
+        ),
         friends=tuple(
             Friend(
-                name=f["name"],
-                location=f["location"],
-                avail_start=f["window"][0],
-                avail_end=f["window"][1],
-                min_minutes=f["min_minutes"],
+                read_field(f, "name", str, where=f"{at}friends[{i}]."),
+                read_field(f, "location", str, where=f"{at}friends[{i}]."),
+                *read_field(f, "window", (int, int), where=f"{at}friends[{i}]."),
+                read_field(f, "min_minutes", int, where=f"{at}friends[{i}]."),
             )
-            for f in data["friends"]
+            for i, f in enumerate(friends)
         ),
     )
 
@@ -485,20 +546,20 @@ def _solution_to_json(solution: Solution) -> dict:
 
 
 def _solution_from_json(kind: TaskKind, data: dict) -> Solution:
+    at = "ground_truth."
     if kind is TaskKind.TRIP_PLANNING:
-        return TripPlan(
-            legs=tuple(TripLeg(city=c, day_from=a, day_to=b) for c, a, b in data["legs"])
-        )
+        return TripPlan(legs=tuple(
+            TripLeg(*leg) for leg in read_field(data, "legs", [(str, int, int)], where=at)
+        ))
     if kind is TaskKind.VERTEX_COVER:
-        return CoverSet(vertices=frozenset(data["vertices"]))
+        return CoverSet(vertices=frozenset(read_field(data, "vertices", [int], where=at)))
     if kind is TaskKind.THREE_DM:
-        return Matching(triples=frozenset((x, y, z) for x, y, z in data["triples"]))
-    return MeetingSchedule(
-        meetings=tuple(
-            Meeting(friend=f, location=l, start=s, end=e)
-            for f, l, s, e in data["meetings"]
-        )
-    )
+        return Matching(triples=frozenset(
+            read_field(data, "triples", [(int, int, int)], where=at)
+        ))
+    return MeetingSchedule(meetings=tuple(
+        Meeting(*m) for m in read_field(data, "meetings", [(str, str, int, int)], where=at)
+    ))
 
 
 def instance_to_record(instance: ProblemInstance) -> dict:
@@ -513,19 +574,16 @@ def instance_to_record(instance: ProblemInstance) -> dict:
 
 
 def instance_from_record(record: dict) -> ProblemInstance:
-    """An instance from its record; an ``id`` that is not a string, or a
-    ``level`` or ``seed`` that is not an integer, is a ValueError."""
-    for key, want in (("id", str), ("level", int), ("seed", int)):
-        if type(record[key]) is not want:  # a bool is not an integer here
-            raise ValueError(f"{key} must be {want.__name__}, not {record[key]!r}")
-    kind = TaskKind(record["kind"])
+    """An instance from its record; a field of the wrong JSON type is a
+    ValueError (see ``read_field``)."""
+    kind = read_field(record, "kind", TaskKind)
     return ProblemInstance(
-        id=record["id"],
+        id=read_field(record, "id", str),
         kind=kind,
-        level=record["level"],
-        seed=record["seed"],
-        payload=_payload_from_json(kind, record["payload"]),
-        ground_truth=_solution_from_json(kind, record["ground_truth"]),
+        level=read_field(record, "level", int),
+        seed=read_field(record, "seed", int),
+        payload=_payload_from_json(kind, read_field(record, "payload", dict)),
+        ground_truth=_solution_from_json(kind, read_field(record, "ground_truth", dict)),
     )
 
 
@@ -560,10 +618,10 @@ def write_instances(path: str | Path, instances: Iterable[ProblemInstance]) -> i
 
 
 def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
-    """``convert`` applied to each non-blank JSON line of ``path``.
+    """``convert`` applied to each non-blank line of ``path``, a JSON object.
 
-    A file that cannot be opened, or a line that is not JSON or that
-    ``convert`` rejects with a missing key or a bad value, is an
+    A file that cannot be opened, or a line that is not a JSON object or
+    that ``convert`` rejects with a missing key or a bad value, is an
     InputFileError naming ``path:line``.
     """
     out = []
@@ -573,7 +631,10 @@ def read_jsonl(path: str | Path, convert: Callable[[Any], T]) -> list[T]:
                 if not line.strip():
                     continue
                 try:
-                    out.append(convert(json.loads(line)))
+                    record = json.loads(line)
+                    if type(record) is not dict:
+                        raise ValueError(f"not a JSON object: {line.strip()[:80]}")
+                    out.append(convert(record))
                 except json.JSONDecodeError as err:
                     raise InputFileError(f"{path}:{number}: not JSON ({err})") from None
                 except KeyError as err:

@@ -189,8 +189,8 @@ def test_config_rejects_bad_documents(doc, fragment):
     "doc, message",
     [
         (["not", "an", "object"], "config root: expected an object"),
-        ({"models": ["oracle"]}, "models[0]: expected an object"),
-        ({"models": [ORACLE], "matrix": [["CoT", 3]]}, "matrix[0]: strategy 3 is not a string"),
+        ({"models": ["oracle"]}, "models[0]: must be an object, not 'oracle'"),
+        ({"models": [ORACLE], "matrix": [["CoT", 3]]}, "matrix[0][1]: must be a string, not 3"),
     ],
 )
 def test_config_rejects_documents_of_the_wrong_shape(doc, message):
@@ -338,8 +338,14 @@ def _records(tmp_path) -> list[dict]:
 
 
 def test_run_isolates_backend_failures(tmp_path, monkeypatch):
+    """A unit whose call fails is unjudged: its cell's n leaves it out, and
+    the incomplete list counts it."""
     report = run(config_from_dict(_unreachable_http_doc(tmp_path, monkeypatch)), echo=QUIET)
-    assert all(c.successes == 0 and c.total == 2 for c in report.cells)
+    assert all(c.successes == 0 and c.total == 0 for c in report.cells)
+    assert len(report.incomplete) == len(report.cells)
+    assert all(note.endswith(": 2 of 2 unjudged (BackendError), left out of n; a re-run with "
+                             "the same cache re-asks only the calls that failed")
+               for note in report.incomplete)
     records = [
         json.loads(l)
         for l in (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
@@ -369,7 +375,11 @@ def test_run_turns_an_unexpected_exception_into_one_verdict(tmp_path, monkeypatc
     assert len(records) == 60
     errors = [r for r in records if r["final"]["status"] == "BackendError"]
     assert [r["final"]["reason"] for r in errors] == ["KeyError: 'boom'"]
-    assert errors[0]["attempts"] == []
+    # the fault met the third sample of a ps:3 unit, which keeps the two before it
+    assert errors[0]["strategy"] == "ps:3"
+    assert [(a["sample"], a["status"]) for a in errors[0]["attempts"]] == [
+        (0, "ParseFailure"), (1, "ParseFailure")
+    ]
     meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
     assert meta["unexpected_errors"] == {"m-mock": 1}
     cache_lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
@@ -1008,7 +1018,7 @@ def test_verify_exits_2_on_an_answer_field_that_is_not_a_string(
     assert main(["verify", "--instances", "inst.jsonl", "--answers", "answers.jsonl"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: answers.jsonl:1: {key} must be a string, not {value!r}\n"
+    assert captured.err == f"error: answers.jsonl:1: {key}: must be a string, not {value!r}\n"
 
 
 def _window_past_midnight(payload: dict) -> None:
@@ -1263,10 +1273,10 @@ _RECORD = {
 @pytest.mark.parametrize("line, message", [
     ("{not json", ":2: not JSON"),
     (json.dumps({k: v for k, v in _RECORD.items() if k != "level"}), ":2: missing key 'level'"),
-    (json.dumps({**_RECORD, "final": {"status": "Maybe"}}), ":2: status: 'Maybe'"),
-    (json.dumps({**_RECORD, "strategy": "qq:1"}), ":2: strategy: bad strategy 'qq:1'"),
+    (json.dumps({**_RECORD, "final": {"status": "Maybe"}}), ":2: final.status: must be one of"),
+    (json.dumps({**_RECORD, "strategy": "qq:1"}), ":2: bad strategy 'qq:1'"),
     (json.dumps({**_RECORD, "level": "high"}), ":2: level:"),
-    ("[1, 2]", ":2: final:"),
+    ("[1, 2]", ":2: not a JSON object: [1, 2]"),
 ], ids=["bad-json", "no-level", "unknown-status", "unknown-strategy", "level-not-int",
         "not-an-object"])
 def test_cmd_report_rejects_unreadable_records(tmp_path, capsys, line, message):
@@ -1568,3 +1578,82 @@ def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
                   "--out", str(tmp_path / "prompts")]):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_units_that_meet_a_provider_fault_are_unjudged_and_keep_their_attempts(
+    tmp_path, monkeypatch
+):
+    """A loopback provider answers every request with the instance's
+    canonical answer, but truncates the JSON body of about one reply in
+    four, chosen by a hash of the request and how often it was sent.  Every judged unit succeeds; the
+    unjudged units are exactly the calls that met a fault, since a unit
+    ends at its first; they are left out of n and counted as incomplete,
+    and keep the attempts made before the fault."""
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    from searchbench import gateway
+
+    monkeypatch.setattr(gateway, "RETRY_BASE_DELAY", 0.0)
+    monkeypatch.setenv("FAULT_KEY", "k")
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    doc = _doc(tmp_path, tasks=["VertexCover", "ThreeDM"], levels=[4], instance_count=10,
+               matrix=[["AoT", "ws"], ["AoT", "ps:3"], ["AoT", "ss:1"], ["AoT", "is"]])
+    answers = {i.statement: canonical_text(i.payload, i.ground_truth)
+               for i in generate_instances(config_from_dict(doc))}
+    faults, sent = [], {}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["content-length"]))
+            content = json.loads(body)["messages"][0]["content"]
+            (text,) = [a for s, a in answers.items() if content.endswith(s)]
+            data = json.dumps({"content": [{"type": "text", "text": text}],
+                               "usage": {"input_tokens": 1, "output_tokens": 1}}).encode()
+            with lock:  # ps samples send one body, so its n-th sending counts too
+                sent[body] = sent.get(body, 0) + 1
+                if hashlib.sha256(body + b"#%d" % sent[body]).digest()[0] < 64:
+                    data = data[: len(data) // 2]
+                    faults.append(body)
+            self.send_response(200)
+            self.send_header("content-length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        doc["models"] = [{"name": "m-http", "backend": "http", "api_key_env": "FAULT_KEY",
+                          "url": f"http://{host}:{port}/v1/messages"}]
+        report = run(config_from_dict(doc), echo=QUIET)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+    records = _records(tmp_path)
+    unjudged = [r for r in records if r["final"]["status"] == "BackendError"]
+    assert 0 < len(unjudged) == len(faults) < len(records)
+    assert all(r["final"]["status"] == "Success" for r in records if r not in unjudged)
+    assert all(r["final"]["reason"] == "reply body is not JSON" for r in unjudged)
+    kept = [a for r in unjudged for a in r["attempts"]]
+    assert kept and all(a["status"] == "Success" for a in kept)
+    assert sum(c.total for c in report.cells) == len(records) - len(unjudged)
+    assert all(c.successes == c.total for c in report.cells)
+    counted = sum(int(note.split(": ")[1].split(" of ")[0]) for note in report.incomplete)
+    assert counted == len(unjudged)
+    # the log rebuilds the same tables, the incomplete list included
+    assert main(["report", "--outcomes", str(tmp_path / "out" / "outcomes.jsonl"),
+                 "--out", str(tmp_path / "rebuilt")]) == 0
+    for name in ("report.md", "cells.csv"):
+        assert ((tmp_path / "rebuilt" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes())

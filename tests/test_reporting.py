@@ -193,6 +193,31 @@ def test_aggregate_flags_incomplete_cells():
     assert report.cells[0].total == 3  # still reported
 
 
+def test_aggregate_leaves_unjudged_outcomes_out_of_n_and_notes_them_in_table_order():
+    """A BackendError outcome says nothing about the answer, so it is not a
+    failure: it leaves n, even where an earlier attempt succeeded, and the
+    incomplete list counts it, cells in table order."""
+    fault = Verdict(VerdictStatus.BACKEND_ERROR, "reply body is not JSON")
+
+    def cell(task, mode, strategy, finals):
+        return [dataclasses.replace(_outcome(f"{task.value}-s{i}", task, mode, strategy),
+                                    final=final) for i, final in enumerate(finals)]
+
+    outcomes = (cell(TaskKind.TRIP_PLANNING, PromptMode.AOT, "ps:3", [fault, fault, OK, OK])
+                + cell(TaskKind.VERTEX_COVER, PromptMode.COT, "ws", [fault, BAD, BAD, BAD]))
+    report = aggregate(outcomes, expected_per_cell=4)
+    assert [c.label for c in report.cells] == ["0/3 = 0%", "2/2 = 100%"]
+    rerun = "left out of n; a re-run with the same cache re-asks only the calls that failed"
+    assert report.incomplete == (
+        f"VertexCover/L10/m/CoT/ws: 1 of 4 unjudged (BackendError), {rerun}",
+        f"TripPlanning/L10/m/AoT/ps:3: 2 of 4 unjudged (BackendError), {rerun}",
+    )
+    short = aggregate(outcomes[:3], expected_per_cell=4)
+    assert short.incomplete == (
+        f"TripPlanning/L10/m/AoT/ps:3: 3 of 4 instances; 2 of 3 unjudged (BackendError), {rerun}",
+    )
+
+
 def test_aggregate_keys_cells_by_level():
     outcomes = (
         _fill(TaskKind.TRIP_PLANNING, PromptMode.COT, "ws", 2, 2, level=4)

@@ -299,12 +299,12 @@ def test_reading_negative_meeting_minutes_names_path_and_line(tmp_path, field):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("id", 7, "id must be str, not 7"),
-    ("id", None, "id must be str, not None"),
-    ("level", "2", "level must be int, not '2'"),
-    ("level", True, "level must be int, not True"),
-    ("seed", None, "seed must be int, not None"),
-    ("seed", 1.0, "seed must be int, not 1.0"),
+    ("id", 7, "id: must be a string, not 7"),
+    ("id", None, "id: must be a string, not None"),
+    ("level", "2", "level: must be an integer, not '2'"),
+    ("level", True, "level: must be an integer, not True"),
+    ("seed", None, "seed: must be an integer, not None"),
+    ("seed", 1.0, "seed: must be an integer, not 1.0"),
 ])
 def test_reading_an_instance_id_level_or_seed_of_the_wrong_type_names_path_and_line(
     tmp_path, key, value, message
