@@ -32,6 +32,7 @@ from .answers import evaluate
 from .gateway import (
     DIALECTS,
     MAX_WAIT_S,
+    MIN_ANTHROPIC_THINKING_BUDGET,
     GatewayError,
     HttpBackend,
     MockBackend,
@@ -58,7 +59,7 @@ from .prompts import (
     render,
 )
 from .reporting import RunReport, aggregate, emit
-from .scaling import RunOutcome, ScalingStrategy, default_matrix, execute
+from .scaling import RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
     InputFileError,
@@ -174,12 +175,7 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
             split_http_url(values["url"])
         except GatewayError as err:
             raise ConfigError(f"{where}url: {err}") from err
-    values.update(
-        timeout_s=float(values["timeout_s"]),
-        requests_per_second=float(values["requests_per_second"]),
-        script=tuple(values["script"]),
-    )
-    return ModelConfig(name=name, **values)
+    return ModelConfig(name=name, **dict(values, script=tuple(values["script"])))
 
 
 #: scalar key -> its type; defaults are ``RunConfig``'s, and a key whose
@@ -235,6 +231,13 @@ def _config(doc: Mapping) -> RunConfig:
     _reject_duplicates(
         "matrix", [(mode.value, s.kind.value) for mode, s in matrix], " (mode, strategy kind)"
     )
+    if any(m.backend == "http" and m.dialect == "anthropic" for m in models):
+        for i, (_, s) in enumerate(matrix):
+            if s.kind is ScalingKind.INTERNAL and s.arg and s.arg < MIN_ANTHROPIC_THINKING_BUDGET:
+                raise ConfigError(
+                    f"matrix[{i}]: {s.format()} is a thinking budget below "
+                    f"{MIN_ANTHROPIC_THINKING_BUDGET} tokens, which the anthropic dialect refuses"
+                )
 
     return RunConfig(
         tasks=tasks,

@@ -4,11 +4,12 @@ vertex cover of a graph; ground truth from ``min_cover_size``."""
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .answers import _OK, ParseReport, _bad, _clean, _wrong
 from .solver import SearchMode, SearchTrace, _close, _narrate, _no_commits, _search, _Step, _Tracer
-from .tasks import CoverSet, TaskKind, Verdict, VertexCoverPayload
+from .tasks import TaskKind, Verdict, read_field
 
 KIND = TaskKind.VERTEX_COVER
 DISPLAY = "Vertex Cover"
@@ -23,6 +24,53 @@ STATE_DEFINITIONS = (
     "uncovered  edges with no chosen endpoint yet",
     "budget  total number of vertices allowed",
 )
+
+
+@dataclass(frozen=True)
+class VertexCoverPayload:
+    """An undirected graph plus the target cover size (the known optimum)."""
+
+    kind: ClassVar[TaskKind] = KIND
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+    target_size: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.target_size <= self.vertex_count:
+            raise ValueError(f"target_size {self.target_size} outside [0, {self.vertex_count}]")
+        for u, v in self.edges:
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range")
+            if u >= v:
+                raise ValueError(f"edge ({u}, {v}) must be stored with u < v")
+
+
+@dataclass(frozen=True)
+class CoverSet:
+    kind: ClassVar[TaskKind] = KIND
+    vertices: frozenset[int]
+
+
+def payload_to_json(payload: VertexCoverPayload) -> dict:
+    return {"vertex_count": payload.vertex_count, "edges": [list(e) for e in payload.edges],
+            "target_size": payload.target_size}
+
+
+def payload_from_json(data: dict) -> VertexCoverPayload:
+    return VertexCoverPayload(
+        vertex_count=read_field(data, "vertex_count", int, where="payload."),
+        edges=tuple(read_field(data, "edges", [(int, int)], where="payload.")),
+        target_size=read_field(data, "target_size", int, where="payload."),
+    )
+
+
+def solution_to_json(solution: CoverSet) -> dict:
+    return {"vertices": sorted(solution.vertices)}
+
+
+def solution_from_json(data: dict) -> CoverSet:
+    return CoverSet(vertices=frozenset(read_field(data, "vertices", [int], where="ground_truth.")))
+
 
 
 def statement(payload: VertexCoverPayload) -> str:

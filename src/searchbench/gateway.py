@@ -399,6 +399,8 @@ def call_with_retries(
 # ---------------------------------------------------------------------------
 
 DEFAULT_THINKING_BUDGET = 16000
+#: Anthropic's extended thinking takes ``budget_tokens`` of at least this many
+MIN_ANTHROPIC_THINKING_BUDGET = 1024
 
 
 def _usage_count(data: dict, key: str) -> int:
@@ -434,10 +436,11 @@ class AnthropicDialect:
         if request.system_text:
             doc["system"] = request.system_text
         if request.thinking:
-            doc["thinking"] = {
-                "type": "enabled",
-                "budget_tokens": request.thinking_budget or DEFAULT_THINKING_BUDGET,
-            }
+            budget = request.thinking_budget or DEFAULT_THINKING_BUDGET
+            # the wire's max_tokens counts thinking too and must exceed its
+            # budget, so the answer keeps request.max_tokens of its own
+            doc["max_tokens"] += budget
+            doc["thinking"] = {"type": "enabled", "budget_tokens": budget}
         else:
             doc["temperature"] = request.temperature
         return doc

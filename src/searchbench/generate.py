@@ -14,23 +14,15 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .cover import min_cover_size
-from .meeting import optimal_schedule
-from .solver import solve_payload  # noqa: F401 -- perfbench/tracing.py wraps this name here
-from .threedm import matching_witness
-from .trip import count_trip_plans, trip_legs_for_order
-from .tasks import (
-    Friend,
-    MeetingPayload,
-    ProblemInstance,
-    TaskError,
-    TaskKind,
-    ThreeDMPayload,
-    TripPayload,
-    TripPlan,
-    TripWindow,
-    VertexCoverPayload,
-)
+# The builders stay here, not in the family modules: perfbench/tracing.py
+# wraps min_cover_size, count_trip_plans, optimal_schedule and solve_payload
+# as this module's globals, and the builders call the solvers through them.
+from .cover import VertexCoverPayload, min_cover_size
+from .meeting import Friend, MeetingPayload, optimal_schedule
+from .solver import solve_payload  # noqa: F401
+from .threedm import ThreeDMPayload, matching_witness
+from .trip import TripPayload, TripPlan, TripWindow, count_trip_plans, trip_legs_for_order
+from .tasks import ProblemInstance, TaskError, TaskKind
 
 
 class UnsupportedLevelError(TaskError):

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .answers import _OK, ParseReport, _bad, _clean, _last_run, _match_vocab, _wrong
 from .solver import Action, SearchMode, SearchTrace, _close, _narrate, _no_commits, _search, _Step, _Tracer
-from .tasks import Friend, Meeting, MeetingPayload, MeetingSchedule, TaskKind, Verdict, minutes_to_clock, number_word
+from .tasks import TaskKind, UnknownCityError, Verdict, minutes_to_clock, number_word, read_field
 
 KIND = TaskKind.MEETING_PLANNING
 DISPLAY = "Meeting Planning"
@@ -24,6 +25,147 @@ STATE_DEFINITIONS = (
     "clock  the current time of day",
     "met  friends already met",
 )
+
+
+@dataclass(frozen=True)
+class Friend:
+    name: str
+    location: str
+    avail_start: int  # minutes of day
+    avail_end: int
+    min_minutes: int
+
+
+@dataclass(frozen=True)
+class MeetingPayload:
+    """A one-day meeting tour.
+
+    Times are minutes of day in [0, 1439].  The tour begins at ``day_start``
+    at ``start_location``; travel times are symmetric and given per unordered
+    location pair, for every pair of places the start and the friends name.
+    No two friend names are alike once lower-cased, so a name the verifier
+    reads names one friend.
+    """
+
+    kind: ClassVar[TaskKind] = KIND
+    locations: tuple[str, ...]
+    start_location: str
+    day_start: int
+    travel_minutes: Mapping[tuple[str, str], int]
+    friends: tuple[Friend, ...]
+
+    def __post_init__(self) -> None:
+        # The exact solvers' bounds assume the clock never runs backwards.
+        for (a, b), minutes in self.travel_minutes.items():
+            if minutes < 0:
+                raise ValueError(f"negative travel time between {a!r} and {b!r}: {minutes}")
+        if not 0 <= self.day_start < 24 * 60:
+            raise ValueError(f"day_start {self.day_start} is not a minute of the day in [0, 1439]")
+        names: set[str] = set()
+        for f in self.friends:
+            if not (0 <= f.avail_start < 24 * 60 and 0 <= f.avail_end < 24 * 60):
+                raise ValueError(
+                    f"window {f.avail_start}-{f.avail_end} of {f.name!r} is not within "
+                    "the minutes of the day [0, 1439]"
+                )
+            if f.min_minutes < 0:
+                raise ValueError(f"negative min_minutes for {f.name!r}: {f.min_minutes}")
+            if f.name.lower() in names:
+                raise ValueError(f"friend name {f.name!r} repeats, ignoring case")
+            names.add(f.name.lower())
+        places = sorted({self.start_location, *(f.location for f in self.friends)})
+        for i, a in enumerate(places):
+            for b in places[i + 1:]:
+                if (a, b) not in self.travel_minutes:
+                    raise ValueError(f"no travel time between {a!r} and {b!r}")
+
+    def travel(self, a: str, b: str) -> int:
+        if a == b:
+            return 0
+        key = (a, b) if a <= b else (b, a)
+        try:
+            return self.travel_minutes[key]
+        except KeyError:
+            raise UnknownCityError(f"no travel time between {a!r} and {b!r}") from None
+
+    def friends_by_name(self) -> dict[str, Friend]:
+        """Each friend under their lower-cased name, which no other friend's
+        name shares."""
+        return {f.name.lower(): f for f in self.friends}
+
+
+@dataclass(frozen=True)
+class Meeting:
+    friend: str
+    location: str
+    start: int
+    end: int
+
+
+@dataclass(frozen=True)
+class MeetingSchedule:
+    kind: ClassVar[TaskKind] = KIND
+    meetings: tuple[Meeting, ...]
+
+
+def payload_to_json(payload: MeetingPayload) -> dict:
+    return {
+        "locations": list(payload.locations),
+        "start_location": payload.start_location,
+        "day_start": payload.day_start,
+        "travel_minutes": [[a, b, t] for (a, b), t in sorted(payload.travel_minutes.items())],
+        "friends": [
+            {"name": f.name, "location": f.location,
+             "window": [f.avail_start, f.avail_end], "min_minutes": f.min_minutes}
+            for f in payload.friends
+        ],
+    }
+
+
+def payload_from_json(data: dict) -> MeetingPayload:
+    at = "payload."
+    friends = read_field(data, "friends", [dict], where=at)
+    return MeetingPayload(
+        locations=tuple(read_field(data, "locations", [str], where=at)),
+        start_location=read_field(data, "start_location", str, where=at),
+        day_start=read_field(data, "day_start", int, where=at),
+        travel_minutes=_travel_from_json(
+            read_field(data, "travel_minutes", [(str, str, int)], where=at)
+        ),
+        friends=tuple(
+            Friend(
+                read_field(f, "name", str, where=f"{at}friends[{i}]."),
+                read_field(f, "location", str, where=f"{at}friends[{i}]."),
+                *read_field(f, "window", (int, int), where=f"{at}friends[{i}]."),
+                read_field(f, "min_minutes", int, where=f"{at}friends[{i}]."),
+            )
+            for i, f in enumerate(friends)
+        ),
+    )
+
+
+def _travel_from_json(rows) -> dict[tuple[str, str], int]:
+    """Travel times keyed by sorted place pair, as ``MeetingPayload.travel``
+    looks them up; a pair given twice, in either order, is a ValueError."""
+    travel: dict[tuple[str, str], int] = {}
+    for a, b, minutes in rows:
+        key = (a, b) if a <= b else (b, a)
+        if key in travel:
+            raise ValueError(f"travel time between {a!r} and {b!r} given twice")
+        travel[key] = minutes
+    return travel
+
+
+def solution_to_json(solution: MeetingSchedule) -> dict:
+    return {"meetings": [[m.friend, m.location, m.start, m.end] for m in solution.meetings]}
+
+
+def solution_from_json(data: dict) -> MeetingSchedule:
+    return MeetingSchedule(meetings=tuple(
+        Meeting(*m)
+        for m in read_field(data, "meetings", [(str, str, int, int)], where="ground_truth.")
+    ))
+
 
 
 def statement(payload: MeetingPayload) -> str:

@@ -6,7 +6,8 @@ into an output directory:
 
 * ``report.md``          -- one success-rate table per (task, level),
   strategy rows by prompt-mode columns, one row block per model.
-* ``cells.csv``          -- one row per cell, raw counts plus the ratio.
+* ``cells.csv``          -- one row per cell, raw counts plus the ratio, which
+  is empty for a cell with no judged instance.
 * ``plotdata/<task>.csv`` -- per-task line-graph series over the twelve
   mode-strategy configurations, one series per (level, model).
 * ``run_meta.json``      -- config snapshot, seeds, cache statistics and
@@ -75,13 +76,20 @@ class AblationCell:
             )
 
     @property
-    def rate(self) -> float:
-        return self.successes / self.total if self.total else 0.0
+    def rate(self) -> float | None:
+        """Successes over judged instances; None when none was judged."""
+        return self.successes / self.total if self.total else None
+
+    @property
+    def rate_text(self) -> str:
+        """``rate`` as the CSV files write it: empty when there is none."""
+        return "" if self.rate is None else repr(self.rate)
 
     @property
     def label(self) -> str:
-        """The rendered cell, e.g. ``21/100 = 21%``."""
-        return f"{self.successes}/{self.total} = {round(100 * self.rate)}%"
+        """The rendered cell, e.g. ``21/100 = 21%``, or ``0/0 = n/a``."""
+        rate = "n/a" if self.rate is None else f"{round(100 * self.rate)}%"
+        return f"{self.successes}/{self.total} = {rate}"
 
     @property
     def configuration(self) -> str:
@@ -217,7 +225,7 @@ def write_cells_csv(report: RunReport, path: Path) -> None:
                     cell.strategy.format(),
                     cell.successes,
                     cell.total,
-                    repr(cell.rate),
+                    cell.rate_text,
                 ]
             )
 
@@ -242,7 +250,7 @@ def write_plotdata(report: RunReport, directory: Path) -> list[Path]:
             writer = csv.writer(fh)
             writer.writerow(["configuration", "level", "model", "rate"])
             for cell in rows:
-                writer.writerow([cell.configuration, cell.level, cell.model, repr(cell.rate)])
+                writer.writerow([cell.configuration, cell.level, cell.model, cell.rate_text])
         written.append(path)
     return written
 

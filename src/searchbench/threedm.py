@@ -4,11 +4,12 @@ triples covering three element axes; ground truth from ``matching_witness``."""
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from dataclasses import dataclass
+from typing import ClassVar, Iterator
 
 from .answers import _OK, ParseReport, _bad, _last_run, _wrong
 from .solver import SearchMode, SearchTrace, _close, _narrate_path, _no_commits, _search, _Step, _Tracer
-from .tasks import Matching, TaskKind, ThreeDMPayload, Verdict, number_word
+from .tasks import TaskKind, Verdict, number_word, read_field
 
 KIND = TaskKind.THREE_DM
 DISPLAY = "3-Dimensional Matching (3DM)"
@@ -23,6 +24,46 @@ STATE_DEFINITIONS = (
     "used  y and z elements already taken",
     "next  the smallest x element still unmatched",
 )
+
+
+@dataclass(frozen=True)
+class ThreeDMPayload:
+    """Triples over three disjoint axes x/y/z, each axis of size ``n``."""
+
+    kind: ClassVar[TaskKind] = KIND
+    n: int
+    triples: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        for t in self.triples:
+            if any(not (0 <= c < self.n) for c in t):
+                raise ValueError(f"triple {t} outside element range")
+
+
+@dataclass(frozen=True)
+class Matching:
+    kind: ClassVar[TaskKind] = KIND
+    triples: frozenset[tuple[int, int, int]]
+
+
+def payload_to_json(payload: ThreeDMPayload) -> dict:
+    return {"n": payload.n, "triples": [list(t) for t in payload.triples]}
+
+
+def payload_from_json(data: dict) -> ThreeDMPayload:
+    return ThreeDMPayload(
+        n=read_field(data, "n", int, where="payload."),
+        triples=tuple(read_field(data, "triples", [(int, int, int)], where="payload.")),
+    )
+
+
+def solution_to_json(solution: Matching) -> dict:
+    return {"triples": sorted(list(t) for t in solution.triples)}
+
+
+def solution_from_json(data: dict) -> Matching:
+    return Matching(triples=frozenset(read_field(data, "triples", [(int, int, int)], where="ground_truth.")))
+
 
 
 def statement(payload: ThreeDMPayload) -> str:

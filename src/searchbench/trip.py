@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Iterator, Mapping, Sequence
 
 from .answers import _OK, ParseReport, _bad, _clean, _match_vocab
 from .solver import Action, SearchMode, SearchTrace, _close, _narrate_path, _no_commits, _search, _Step, _Tracer
-from .tasks import TaskKind, TripLeg, TripPayload, TripPlan, Verdict, number_word
+from .tasks import TaskKind, UnknownCityError, Verdict, number_word, read_field
 
 KIND = TaskKind.TRIP_PLANNING
 DISPLAY = "Trip Planning"
@@ -25,6 +26,126 @@ STATE_DEFINITIONS = (
     "start  calendar start-day of the last city",
     "used  set of visited cities",
 )
+
+
+@dataclass(frozen=True)
+class TripWindow:
+    """A fixed event window: the stay at ``city`` must cover days [start, end]."""
+
+    start: int
+    end: int
+    label: str
+
+
+@dataclass(frozen=True)
+class TripPayload:
+    """An itinerary puzzle over direct flights.
+
+    Day ranges are closed intervals starting at day 1, and consecutive cities
+    share their transition day: the flight day is the last day of one stay and
+    the first day of the next.
+
+    ``cities`` carries the statement/declaration order, which is meaningful:
+    solvers iterate start candidates in this order.  ``flights`` holds
+    *directed* pairs; a bidirectional route simply appears twice.
+
+    It needs at least one city.  Its cities must be distinct and be the keys
+    of ``stays``, its windows and flights may name no other city, and
+    ``total_days == 1 + Σ(stay − 1)``, so every ordering ends on the last
+    day: solvers and verifier assume all five.
+    """
+
+    kind: ClassVar[TaskKind] = KIND
+    cities: tuple[str, ...]
+    total_days: int
+    stays: Mapping[str, int]
+    windows: Mapping[str, TripWindow]
+    flights: frozenset[tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        if not self.cities:
+            raise ValueError("a trip needs at least one city")
+        known = set(self.cities)
+        if len(known) != len(self.cities) or known != self.stays.keys():
+            raise ValueError(
+                f"cities {list(self.cities)} repeat or differ from stays {sorted(self.stays)}"
+            )
+        unknown = ({c for pair in self.flights for c in pair} | self.windows.keys()) - known
+        if unknown:
+            raise ValueError(f"windows or flights name unknown cities {sorted(unknown)}")
+        days = 1 + sum(stay - 1 for stay in self.stays.values())
+        if days != self.total_days:
+            raise ValueError(f"stays fill {days} days, not total_days {self.total_days}")
+
+    def stay_of(self, city: str) -> int:
+        try:
+            return self.stays[city]
+        except KeyError:
+            raise UnknownCityError(f"unknown city: {city!r}") from None
+
+    def window_of(self, city: str) -> TripWindow | None:
+        return self.windows.get(city)
+
+    def has_flight(self, origin: str, dest: str) -> bool:
+        return (origin, dest) in self.flights
+
+
+@dataclass(frozen=True)
+class TripLeg:
+    city: str
+    day_from: int
+    day_to: int
+
+    @property
+    def span(self) -> int:
+        return self.day_to - self.day_from + 1
+
+
+@dataclass(frozen=True)
+class TripPlan:
+    kind: ClassVar[TaskKind] = KIND
+    legs: tuple[TripLeg, ...]
+
+    @property
+    def cities(self) -> tuple[str, ...]:
+        return tuple(leg.city for leg in self.legs)
+
+
+def payload_to_json(payload: TripPayload) -> dict:
+    return {
+        "cities": list(payload.cities),
+        "total_days": payload.total_days,
+        "stays": {c: payload.stays[c] for c in payload.cities},
+        "windows": {c: [w.start, w.end, w.label] for c, w in sorted(payload.windows.items())},
+        "flights": sorted(list(pair) for pair in payload.flights),
+    }
+
+
+def payload_from_json(data: dict) -> TripPayload:
+    at = "payload."
+    stays = read_field(data, "stays", dict, where=at)
+    windows = read_field(data, "windows", dict, where=at)
+    return TripPayload(
+        cities=tuple(read_field(data, "cities", [str], where=at)),
+        total_days=read_field(data, "total_days", int, where=at),
+        stays={c: read_field(stays, c, int, where=at + "stays.") for c in stays},
+        windows={
+            c: TripWindow(*read_field(windows, c, (int, int, str), where=at + "windows."))
+            for c in windows
+        },
+        flights=frozenset(read_field(data, "flights", [(str, str)], where=at)),
+    )
+
+
+def solution_to_json(solution: TripPlan) -> dict:
+    return {"legs": [[l.city, l.day_from, l.day_to] for l in solution.legs]}
+
+
+def solution_from_json(data: dict) -> TripPlan:
+    return TripPlan(legs=tuple(
+        TripLeg(*leg) for leg in read_field(data, "legs", [(str, int, int)], where="ground_truth.")
+    ))
+
 
 _WINDOW_SENTENCES: dict[str, str] = {
     "wedding": "You are going to attend a wedding in {city} between day {a} and day {b}.",

@@ -6,19 +6,11 @@ from pathlib import Path
 import pytest
 
 from searchbench.generate import MAX_REGEN, GenSpec, generate
-from searchbench.tasks import (
-    CoverSet,
-    Friend,
-    Matching,
-    MeetingPayload,
-    MeetingSchedule,
-    ProblemInstance,
-    TaskKind,
-    ThreeDMPayload,
-    TripPayload,
-    TripPlan,
-    VertexCoverPayload,
-)
+from searchbench.cover import CoverSet, VertexCoverPayload
+from searchbench.meeting import Friend, MeetingPayload, MeetingSchedule
+from searchbench.threedm import Matching, ThreeDMPayload
+from searchbench.trip import TripPayload, TripPlan
+from searchbench.tasks import ProblemInstance, TaskKind
 
 from reference import appendix_b_task1
 

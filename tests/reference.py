@@ -12,20 +12,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Sequence
 
-from searchbench.trip import trip_legs_for_order
-from searchbench.tasks import (
-    CoverSet,
-    Matching,
-    Meeting,
-    MeetingSchedule,
-    Payload,
-    ProblemInstance,
-    Solution,
-    TaskKind,
-    TripPayload,
-    TripPlan,
-    TripWindow,
-)
+from searchbench.cover import CoverSet
+from searchbench.meeting import Meeting, MeetingSchedule
+from searchbench.tasks import Payload, ProblemInstance, Solution, TaskKind
+from searchbench.threedm import Matching
+from searchbench.trip import TripPayload, TripPlan, TripWindow, trip_legs_for_order
 
 
 class TooLargeError(Exception):

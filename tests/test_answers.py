@@ -12,19 +12,14 @@ from searchbench.answers import (
     verify,
 )
 from searchbench.generate import GenSpec, generate
+from searchbench.cover import CoverSet
+from searchbench.meeting import Friend, Meeting, MeetingPayload, MeetingSchedule
+from searchbench.threedm import Matching
+from searchbench.trip import TripLeg, TripPayload, TripPlan
 from searchbench.tasks import (
-    CoverSet,
-    Friend,
     KindMismatchError,
-    Matching,
-    Meeting,
-    MeetingPayload,
-    MeetingSchedule,
     ProblemInstance,
     TaskKind,
-    TripLeg,
-    TripPayload,
-    TripPlan,
     VerdictStatus,
     family,
 )

@@ -29,11 +29,8 @@ from searchbench.cli import (
     run,
     validate_config,
 )
+from searchbench.meeting import Friend, Meeting, MeetingPayload, MeetingSchedule
 from searchbench.tasks import (
-    Friend,
-    Meeting,
-    MeetingPayload,
-    MeetingSchedule,
     ProblemInstance,
     TaskKind,
     family,
@@ -177,6 +174,13 @@ def test_a_model_block_takes_exactly_the_model_config_fields():
          "models[0].requests_per_second"),
         ({"models": [{**ORACLE, "requests_per_second": 1e-300}]},
          "models[0].requests_per_second"),
+        # JSON integers too large for a float
+        ({"models": [{**ORACLE, "timeout_s": 10**400}]}, "models[0].timeout_s"),
+        ({"models": [{**ORACLE, "requests_per_second": 10**400}]},
+         "models[0].requests_per_second"),
+        # anthropic's extended thinking takes a budget of 1024 tokens or more
+        ({"models": [{"name": "m", "backend": "http", "url": "http://h:80/v1"}],
+          "matrix": [["AoT", "ws"], ["AoT", "is:512"]]}, "matrix[1]"),
     ],
 )
 def test_config_rejects_bad_documents(doc, fragment):
@@ -221,6 +225,7 @@ def test_run_with_bad_config_exits_2(tmp_path, capsys, doc, prefix):
     ({"name": "m", "backend": "http", "url": "http://[::1/v1"}, "url"),
     ({**ORACLE, "timeout_s": 1e10}, "timeout_s"),
     ({**ORACLE, "requests_per_second": 1e-320}, "requests_per_second"),
+    ({**ORACLE, "requests_per_second": 10**400}, "requests_per_second"),
 ])
 def test_a_model_no_run_can_use_exits_2_before_generation(
     tmp_path, monkeypatch, capsys, dry_run, model, key
@@ -233,6 +238,26 @@ def test_a_model_no_run_can_use_exits_2_before_generation(
     path.write_text(json.dumps(_doc(tmp_path, models=[model])), encoding="utf-8")
     assert main(["run", "--config", str(path), *dry_run]) == 2
     assert capsys.readouterr().err.startswith(f"error: models[0].{key}: ")
+
+
+def test_an_is_budget_anthropic_refuses_exits_2_only_beside_an_anthropic_http_model(
+    tmp_path, capsys
+):
+    """Anthropic's extended thinking takes ``budget_tokens`` >= 1024; no
+    other backend or dialect has that floor, and ``is:0`` sets no budget."""
+    http = {"name": "m", "backend": "http", "url": "http://127.0.0.1:9/v1"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_doc(tmp_path, models=[ORACLE, {**http, "name": "h"}],
+                                    matrix=[["CoT", "ws"], ["AoT", "is:512"]])),
+                    encoding="utf-8")
+    assert main(["run", "--config", str(path), "--dry-run"]) == 2
+    assert capsys.readouterr().err == (
+        "error: matrix[1]: is:512 is a thinking budget below 1024 tokens, "
+        "which the anthropic dialect refuses\n"
+    )
+    for models, spec in [([http], "is:1024"), ([http], "is:0"), ([http], "is"),
+                         ([{**http, "dialect": "openai"}], "is:512"), ([ORACLE], "is:512")]:
+        config_from_dict({"models": models, "matrix": [["AoT", spec]]})
 
 
 def test_run_exits_2_naming_a_proxy_it_cannot_reach(tmp_path, monkeypatch, capsys):
@@ -352,6 +377,20 @@ def test_run_isolates_backend_failures(tmp_path, monkeypatch):
     ]
     assert all(r["final"]["status"] == "BackendError" for r in records)
     assert all("NO_SUCH_KEY_EVER" in r["final"]["reason"] for r in records)
+    # a cell that judged nothing has no rate, so no table or plot reads it as 0%
+    out = tmp_path / "out"
+    assert all(c.rate is None for c in report.cells)
+    cells = (out / "cells.csv").read_text(encoding="utf-8").splitlines()
+    assert len(cells) == 1 + len(report.cells) and all(row.endswith(",0,0,") for row in cells[1:])
+    plot_rows = [row for f in (out / "plotdata").iterdir()
+                 for row in f.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(plot_rows) == len(report.cells) and all(row.endswith(",") for row in plot_rows)
+    text = (out / "report.md").read_text(encoding="utf-8")
+    assert text.count("0/0 = n/a") == len(report.cells) and "%" not in text
+    assert main(["report", "--outcomes", str(out / "outcomes.jsonl"), "--out",
+                 str(tmp_path / "again")]) == 0
+    for name in ["report.md", "cells.csv", *(f"plotdata/{f.name}" for f in (out / "plotdata").iterdir())]:
+        assert (tmp_path / "again" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_run_turns_an_unexpected_exception_into_one_verdict(tmp_path, monkeypatch):

@@ -703,6 +703,25 @@ def test_anthropic_payload_plain_and_thinking():
     assert budgeted["thinking"]["budget_tokens"] == 2048
 
 
+@pytest.mark.parametrize("budget", [None, 1024, 2048])
+def test_is_requests_keep_their_answer_budget_in_both_dialects(budget):
+    """``max_tokens`` is the answer's budget.  Anthropic's wire limit counts
+    thinking too and must exceed ``budget_tokens``, so it carries both; the
+    openai dialect sends thinking as a server-side template option."""
+    request = _request(thinking=True, thinking_budget=budget, max_tokens=4096)
+    wire = AnthropicDialect().payload(request)
+    thinking = budget or DEFAULT_THINKING_BUDGET
+    assert wire["thinking"] == {"type": "enabled", "budget_tokens": thinking}
+    assert wire["max_tokens"] == 4096 + thinking > thinking
+    assert AnthropicDialect().payload(_request(max_tokens=4096))["max_tokens"] == 4096
+    wire = OpenAIDialect().payload(request)
+    assert wire["max_tokens"] == 4096
+    assert wire["chat_template_kwargs"] == (
+        {"enable_thinking": True, "thinking_budget": budget} if budget else {"enable_thinking": True}
+    )
+    assert request.digest == _request(thinking=True, thinking_budget=budget, max_tokens=4096).digest
+
+
 def test_anthropic_headers_and_parse():
     dialect = AnthropicDialect()
     headers = dialect.headers("sekrit")

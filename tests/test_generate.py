@@ -19,13 +19,8 @@ from searchbench.generate import (
     generate,
     instance_id,
 )
-from searchbench.trip import count_trip_plans, trip_legs_for_order
-from searchbench.tasks import (
-    ProblemInstance,
-    TaskKind,
-    TripPlan,
-    VerdictStatus,
-)
+from searchbench.trip import TripPlan, count_trip_plans, trip_legs_for_order
+from searchbench.tasks import ProblemInstance, TaskKind, VerdictStatus
 
 from conftest import ENUMERABLE_LEVELS
 

@@ -58,13 +58,9 @@ from searchbench.prompts import (
     render,
 )
 from searchbench.solver import SearchMode, solve, solve_payload, trace_to_records
-from searchbench.tasks import (
-    MeetingPayload,
-    TaskKind,
-    TripPayload,
-    VerdictStatus,
-    instance_to_record,
-)
+from searchbench.meeting import MeetingPayload
+from searchbench.trip import TripPayload
+from searchbench.tasks import TaskKind, VerdictStatus, instance_to_record
 
 from conftest import DEAD_END_BELOW_ROOT
 

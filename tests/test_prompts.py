@@ -20,7 +20,9 @@ from searchbench.prompts import (
     statement_text,
 )
 from searchbench.solver import SearchMode, solve, solve_payload
-from searchbench.tasks import MeetingPayload, ProblemInstance, TaskKind, ThreeDMPayload
+from searchbench.meeting import MeetingPayload
+from searchbench.threedm import ThreeDMPayload
+from searchbench.tasks import ProblemInstance, TaskKind
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 

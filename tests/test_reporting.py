@@ -138,12 +138,15 @@ def test_cell_rejects_impossible_counts():
         )
 
 
-def test_empty_cell_rate_is_zero():
+def test_empty_cell_rate_is_none_and_reads_n_a():
+    """A cell with no judged instance measured nothing, so no plot may draw
+    it as 0%."""
     cell = AblationCell(
         task=TaskKind.VERTEX_COVER, level=10, model="m", prompt_mode=PromptMode.COT,
         strategy=ScalingStrategy.parse("ws"), successes=0, total=0,
     )
-    assert cell.rate == 0.0
+    assert cell.rate is None and cell.rate_text == ""
+    assert cell.label == "0/0 = n/a"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import itertools
 import re
 
@@ -9,8 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from searchbench.answers import verify
 from searchbench.generate import GenSpec, generate
 from searchbench import meeting
-from searchbench.cover import _incidence, _matching_bound, _mis, min_cover_size
-from searchbench.meeting import optimal_schedule
+from searchbench.cover import (
+    CoverSet,
+    VertexCoverPayload,
+    _incidence,
+    _matching_bound,
+    _mis,
+    min_cover_size,
+)
+from searchbench.meeting import Friend, Meeting, MeetingPayload, MeetingSchedule, optimal_schedule
 from searchbench.solver import (
     Action,
     PRUNE_REASONS,
@@ -20,24 +28,9 @@ from searchbench.solver import (
     solve_payload,
     success_path,
 )
-from searchbench.threedm import matching_witness
-from searchbench.trip import count_trip_plans, trip_legs_for_order
-from searchbench.tasks import (
-    CoverSet,
-    Friend,
-    Matching,
-    Meeting,
-    MeetingPayload,
-    MeetingSchedule,
-    ProblemInstance,
-    TaskKind,
-    ThreeDMPayload,
-    TripPayload,
-    TripPlan,
-    TripWindow,
-    VerdictStatus,
-    VertexCoverPayload,
-)
+from searchbench.threedm import Matching, ThreeDMPayload, matching_witness
+from searchbench.trip import TripPayload, TripPlan, TripWindow, count_trip_plans, trip_legs_for_order
+from searchbench.tasks import ProblemInstance, TaskKind, VerdictStatus, family
 
 from conftest import DEAD_END_BELOW_ROOT, ENUMERABLE_LEVELS, TESTS_DIR
 from reference import TooLargeError, enumerate_all
@@ -259,7 +252,8 @@ def test_enumeration_guards():
 
 def test_reference_imports_nothing_the_searches_prune_with():
     """The enumerator stays independent of the solvers: from the package it
-    takes only ``searchbench.tasks`` names and ``trip_legs_for_order``."""
+    takes only ``searchbench.tasks`` names, the classes the family modules
+    define and ``trip_legs_for_order``."""
     tree = ast.parse((TESTS_DIR / "reference.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -267,11 +261,19 @@ def test_reference_imports_nothing_the_searches_prune_with():
             imported |= {(alias.name, None) for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported |= {(node.module or "", alias.name) for alias in node.names}
-    beyond_tasks = {
+    families = {family(kind).__name__ for kind in TaskKind}
+
+    def is_family_class(module: str, name: str | None) -> bool:
+        value = getattr(importlib.import_module(module), name or "", None)
+        return module in families and isinstance(value, type) and value.__module__ == module
+
+    beyond_types = {
         (module, name) for module, name in imported
-        if module.split(".")[0] == "searchbench" and (module != "searchbench.tasks" or name is None)
+        if module.split(".")[0] == "searchbench"
+        and (module != "searchbench.tasks" or name is None)
+        and not is_family_class(module, name)
     }
-    assert beyond_tasks == {("searchbench.trip", "trip_legs_for_order")}
+    assert beyond_types == {("searchbench.trip", "trip_legs_for_order")}
 
 
 # ---------------------------------------------------------------------------

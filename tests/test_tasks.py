@@ -7,21 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from searchbench import tasks
 from searchbench.generate import GenSpec, generate
+from searchbench.cover import VertexCoverPayload
+from searchbench.meeting import Friend, MeetingPayload
+from searchbench.threedm import ThreeDMPayload
+from searchbench.trip import TripPayload, TripWindow
 from searchbench.tasks import (
-    Friend,
     InputFileError,
     KindMismatchError,
-    MeetingPayload,
     ProblemInstance,
     TaskKind,
-    ThreeDMPayload,
-    TripPayload,
-    TripWindow,
     UnknownCityError,
     VerdictStatus,
-    VertexCoverPayload,
     family,
     instance_from_record,
     instance_to_record,
@@ -41,7 +38,7 @@ def test_every_kind_resolves_to_a_family_module_with_every_family_name():
     heads = [line.split(":")[0] for line in family.__doc__.splitlines()
              if line.lstrip().startswith("- ``")]
     names = {name for head in heads for name in re.findall(r"``(\w+)", head)}
-    assert len(names) == 14
+    assert len(names) == 18
     modules = {kind: family(kind) for kind in TaskKind}
     assert len(set(modules.values())) == len(TaskKind)
     for kind, module in modules.items():
@@ -49,16 +46,19 @@ def test_every_kind_resolves_to_a_family_module_with_every_family_name():
         assert {n for n in names if callable(getattr(module, n, None)) == n.islower()} == names
 
 
-# Every class whose ``kind`` names a task, and the unions of them.
+# Every class whose ``kind`` names a task, each defined in its family module,
+# and the two names that annotate any of them.
 TASK_CLASSES = {
-    name for name, value in vars(tasks).items()
+    name for kind in TaskKind for name, value in vars(family(kind)).items()
     if isinstance(getattr(value, "kind", None), TaskKind) and isinstance(value, type)
 } | {"Payload", "Solution"}
 
 
-@pytest.mark.parametrize("module", ["answers", "prompts", "solver", "reporting"])
+@pytest.mark.parametrize(
+    "module", ["answers", "prompts", "solver", "reporting", "tasks", "generate"]
+)
 def test_shared_modules_test_no_payload_or_solution_class(module):
-    """The pipeline modules reach a task only through ``family``."""
+    """The shared modules reach a task only through ``family``."""
     path = importlib.import_module(f"searchbench.{module}").__file__
     tree = ast.parse(Path(path).read_text(encoding="utf-8"))
     tested = set()
@@ -141,6 +141,16 @@ def test_jsonl_file_round_trip(tmp_path, sample_instances):
     flat = [inst for group in sample_instances.values() for inst in group]
     assert write_instances(path, flat) == len(flat)
     assert list(read_instances(path)) == flat
+
+
+def test_instance_file_rewrites_to_the_same_bytes(tmp_path):
+    """Each family's record writer and reader are inverses on every level:
+    a file read back and written again is byte for byte the file."""
+    first, again = tmp_path / "first.jsonl", tmp_path / "again.jsonl"
+    write_instances(first, [generate(GenSpec(kind=kind, level=level, seed=3))
+                            for kind in TaskKind for level in range(1, 11)])
+    assert write_instances(again, read_instances(first)) == 4 * 10
+    assert again.read_bytes() == first.read_bytes()
 
 
 def _meeting_with(travel: int, min_minutes: int) -> MeetingPayload:
