@@ -25,7 +25,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__
 from .answers import evaluate
@@ -59,7 +59,7 @@ from .prompts import (
     render,
 )
 from .reporting import RunReport, aggregate, emit
-from .scaling import RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
+from .scaling import Attempt, RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
 from .solver import SearchMode, solve, trace_to_records
 from .tasks import (
     InputFileError,
@@ -275,41 +275,31 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
     ]
 
 
-def exemplar_lookup() -> Callable[[TaskKind, PromptMode], Shots]:
-    """A lookup from (task, mode) to its exemplar half, cut the first time
-    it is asked for and kept.  A task's exemplar set is built through
-    ``default_exemplars`` when the first of its modes is asked for, and only
-    that mode's half is cut then.  One lock guards each whole lookup, so
-    callers on many threads still build each set and each half once."""
+def prompt_lookup(token_budget: int | None) -> Callable[[ProblemInstance, PromptMode],
+                                                       PromptBundle | Verdict]:
+    """A lookup from (instance, mode) to its prompt under ``token_budget``,
+    or, where ``render`` raises a PromptError, to the BackendError verdict
+    its units get without a call.  Each task's exemplar set (through
+    ``default_exemplars``) and each (task, mode) half is built on first
+    use, once under one lock, so many threads can share it."""
     lock = threading.Lock()
     sets: dict[TaskKind, list] = {}
-    shots: dict[tuple[TaskKind, PromptMode], Shots] = {}
+    halves: dict[tuple[TaskKind, PromptMode], Shots] = {}
 
-    def lookup(kind: TaskKind, mode: PromptMode) -> Shots:
+    def prompt(instance: ProblemInstance, mode: PromptMode) -> PromptBundle | Verdict:
+        kind = instance.kind
         with lock:
-            if (kind, mode) not in shots:
+            if (kind, mode) not in halves:
                 if kind not in sets:
                     sets[kind] = default_exemplars(kind)
-                shots[kind, mode] = Shots(mode, sets[kind])
-            return shots[kind, mode]
+                halves[kind, mode] = Shots(mode, sets[kind])
+            shots = halves[kind, mode]
+        try:
+            return render(instance, shots, token_budget=token_budget)
+        except PromptError as err:
+            return Verdict(VerdictStatus.BACKEND_ERROR, str(err))
 
-    return lookup
-
-
-def render_bundles(
-    instances: Iterable[ProblemInstance],
-    modes: Iterable[PromptMode],
-    token_budget: int | None,
-) -> dict[tuple[str, PromptMode], PromptBundle]:
-    """Render every (instance, mode) prompt, in ``modes`` order within each
-    instance, building each (task, mode) exemplar half once; bundles are
-    keyed by (instance id, mode).  The first prompt that cannot be rendered
-    raises its PromptError, such as ContextBudgetExceeded."""
-    modes = tuple(modes)
-    shots = exemplar_lookup()
-    return {(instance.id, mode): render(instance, shots(instance.kind, mode),
-                                        token_budget=token_budget)
-            for instance in instances for mode in modes}
+    return prompt
 
 
 def build_backend(model: ModelConfig, instances: Sequence[ProblemInstance]):
@@ -351,9 +341,13 @@ def _outcome_record(outcome: RunOutcome) -> dict:
 
 
 def _outcome_from_record(record) -> RunOutcome:
-    """Inverse of ``_outcome_record`` without the attempts; a field of the
-    wrong JSON type is a ValueError (see ``read_field``)."""
-    final = read_field(record, "final", dict)
+    """Inverse of ``_outcome_record``; a field of the wrong JSON type is a
+    ValueError (see ``read_field``)."""
+    def verdict(doc: Mapping, where: str) -> Verdict:
+        return Verdict(read_field(doc, "status", VerdictStatus, where=where),
+                       read_field(doc, "reason", str, "", where=where))
+
+    attempts = read_field(record, "attempts", [dict])
     return RunOutcome(
         instance_id=read_field(record, "instance_id", str),
         task=read_field(record, "task", TaskKind),
@@ -361,9 +355,13 @@ def _outcome_from_record(record) -> RunOutcome:
         model=read_field(record, "model", str),
         mode=read_field(record, "mode", PromptMode),
         strategy=ScalingStrategy.parse(read_field(record, "strategy", str)),
-        attempts=(),
-        final=Verdict(read_field(final, "status", VerdictStatus, where="final."),
-                      read_field(final, "reason", str, "", where="final.")),
+        attempts=tuple(Attempt(
+            round_index=read_field(a, "round", int, where=f"attempts[{i}]."),
+            sample_index=read_field(a, "sample", int, where=f"attempts[{i}]."),
+            request_digest=read_field(a, "digest", str, where=f"attempts[{i}]."),
+            verdict=verdict(a, f"attempts[{i}]."),
+        ) for i, a in enumerate(attempts)),
+        final=verdict(read_field(record, "final", dict), "final."),
     )
 
 
@@ -456,7 +454,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
          + (f"with concurrency {config.concurrency} ..." if pooled
             else "on the calling thread ..."))
 
-    shots = exemplar_lookup()
+    prompt = prompt_lookup(config.token_budget)
 
     def job(pair: tuple[ModelConfig, ProblemInstance]) -> list[RunOutcome]:
         """The matrix's units for one model on one instance, in matrix order.
@@ -470,13 +468,9 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
         outcomes = []
         for mode, strategy in config.matrix:
             if mode not in bundles:
-                try:
-                    bundles[mode] = render(instance, shots(instance.kind, mode),
-                                           token_budget=config.token_budget)
-                except PromptError as err:  # no prompt to send: its units fail without a call
-                    bundles[mode] = Verdict(VerdictStatus.BACKEND_ERROR, str(err))
+                bundles[mode] = prompt(instance, mode)
             bundle = bundles[mode]
-            if isinstance(bundle, Verdict):
+            if isinstance(bundle, Verdict):  # no prompt to send: its units fail without a call
                 outcomes.append(RunOutcome(
                     instance_id=instance.id, task=instance.kind, level=instance.level,
                     model=model.name, mode=mode, strategy=strategy, attempts=(), final=bundle,
@@ -538,17 +532,20 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
 
 def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
-    """Render everything and estimate cost without touching any backend."""
+    """Plan what ``run`` does, with no backend call: calls and prompt tokens
+    count only the prompts that render, as ``run`` sends no other."""
     instances = generate_instances(config)
-    bundles = render_bundles(
-        instances, dict.fromkeys(mode for mode, _ in config.matrix), config.token_budget
-    )
-    prompt_tokens = sum(
-        estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)
-        for bundle in bundles.values()
-    )
-
-    calls = sum(s.max_calls for _, s in config.matrix) * len(instances) * len(config.models)
+    prompt = prompt_lookup(config.token_budget)
+    calls = prompt_tokens = 0
+    unrenderable = []  # the reason of each prompt that cannot be rendered
+    for instance in instances:
+        for mode in dict.fromkeys(mode for mode, _ in config.matrix):
+            bundle = prompt(instance, mode)
+            if isinstance(bundle, Verdict):
+                unrenderable.append(bundle.reason)
+                continue
+            calls += sum(s.max_calls for m, s in config.matrix if m is mode) * len(config.models)
+            prompt_tokens += estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)
 
     plan = {
         "instances": len(instances),
@@ -556,7 +553,10 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
         "matrix_cells": len(config.matrix),
         "max_backend_calls": calls,
         "prompt_tokens_estimate": prompt_tokens,
+        "unrenderable_prompts": len(unrenderable),
     }
+    if unrenderable:
+        plan["first_unrenderable"] = unrenderable[0]
     for key, value in plan.items():
         echo(f"{key}: {value}")
     return plan
@@ -608,9 +608,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if (out_dir / f"{instance.id}.{mode.value}.txt").parent != out_dir:
             raise TaskError(f"instance id {instance.id!r} is not a file name in {out_dir}")
     output_dir(out_dir)  # an unwritable directory fails before anything is rendered
-    bundles = render_bundles(instances, [mode], args.budget)
-    for (instance_id, _), bundle in bundles.items():
-        path = out_dir / f"{instance_id}.{mode.value}.txt"
+    prompt = prompt_lookup(args.budget)
+    bundles = [prompt(instance, mode) for instance in instances]
+    for bundle in bundles:  # a prompt that cannot be rendered fails the command, before any file
+        if isinstance(bundle, Verdict):
+            raise PromptError(bundle.reason)
+    for instance, bundle in zip(instances, bundles):
+        path = out_dir / f"{instance.id}.{mode.value}.txt"
         path.write_text(bundle_text(bundle), encoding="utf-8")
     print(f"wrote {len(bundles)} prompt(s) to {out_dir}")
     return 0

@@ -25,20 +25,12 @@ from typing import Iterable, Mapping
 
 from .prompts import PromptMode
 from .scaling import RunOutcome, ScalingKind, ScalingStrategy
-from .tasks import TaskKind, TaskError, VerdictStatus, family, output_dir
+from .tasks import TASK_ORDER, TaskKind, TaskError, VerdictStatus, family, output_dir
 
 
 class ReportError(TaskError):
     """Raised when an aggregate cannot be assembled coherently."""
 
-
-#: Tables appear in this task order.
-TASK_ORDER = (
-    TaskKind.VERTEX_COVER,
-    TaskKind.TRIP_PLANNING,
-    TaskKind.THREE_DM,
-    TaskKind.MEETING_PLANNING,
-)
 
 STRATEGY_ROWS = {
     ScalingKind.NO_SCALING: "No Scaling (Base Model)",

@@ -96,12 +96,12 @@ class ScalingStrategy:
 
 @dataclass(frozen=True)
 class Attempt:
-    """One model call inside a strategy."""
+    """One model call inside a strategy, as ``outcomes.jsonl`` holds it; the
+    reply text stays in the response cache under ``request_digest``."""
 
     round_index: int
     sample_index: int
     request_digest: str
-    text: str
     verdict: Verdict
 
 
@@ -178,21 +178,19 @@ def execute(
 
     def call(
         history: tuple[tuple[str, str], ...], round_index: int, sample_index: int = 0
-    ) -> Attempt:
+    ) -> str:
         request = _request(bundle, model, strategy, max_tokens, history, sample_index)
-        response = gateway.complete(request)
-        verdict = verdicts.get(response.text)
+        text = gateway.complete(request).text
+        verdict = verdicts.get(text)
         if verdict is None:
-            verdict = verdicts[response.text] = evaluate(instance, response.text)[1]
-        attempt = Attempt(
+            verdict = verdicts[text] = evaluate(instance, text)[1]
+        attempts.append(Attempt(
             round_index=round_index,
             sample_index=sample_index,
             request_digest=request.digest,
-            text=response.text,
             verdict=verdict,
-        )
-        attempts.append(attempt)
-        return attempt
+        ))
+        return text
 
     unexpected_error = False
     try:
@@ -200,11 +198,11 @@ def execute(
             history: tuple[tuple[str, str], ...] = ()
             for round_index in range(strategy.max_calls):
                 if round_index:  # replay the conversation and ask for a re-check
-                    history += (("assistant", attempt.text), ("user", render_refine(attempt.text)))
-                attempt = call(history, round_index=round_index)
-                if attempt.verdict.status is VerdictStatus.SUCCESS:
+                    history += (("assistant", text), ("user", render_refine(text)))
+                text = call(history, round_index=round_index)
+                if attempts[-1].verdict.status is VerdictStatus.SUCCESS:
                     break
-            final = attempt.verdict
+            final = attempts[-1].verdict
         else:  # ws, is and ps: independent samples of the first turn
             for sample_index in range(strategy.max_calls):
                 call((), round_index=0, sample_index=sample_index)

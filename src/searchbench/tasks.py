@@ -53,6 +53,16 @@ class TaskKind(str, Enum):
     MEETING_PLANNING = "MeetingPlanning"
 
 
+#: The order of the tasks in reports.  The enum's own order sets the order
+#: of generation, and with it the bytes of a run's cache.
+TASK_ORDER = (
+    TaskKind.VERTEX_COVER,
+    TaskKind.TRIP_PLANNING,
+    TaskKind.THREE_DM,
+    TaskKind.MEETING_PLANNING,
+)
+
+
 @functools.cache
 def family(kind: TaskKind) -> ModuleType:
     """The module that holds everything particular to task ``kind``.

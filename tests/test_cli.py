@@ -25,7 +25,7 @@ from searchbench.cli import (
     dry_run,
     generate_instances,
     main,
-    render_bundles,
+    prompt_lookup,
     run,
     validate_config,
 )
@@ -535,13 +535,14 @@ def test_threads_build_each_exemplar_half_and_prompt_once(tmp_path, monkeypatch)
 
 
 def test_one_exemplar_set_per_task_serves_its_three_halves(monkeypatch):
-    """All 12 (task, mode) halves from one lookup generate the 20 exemplar
-    instances once and trace them 24 times: five depth-first traces per task
-    and one greedy trace of its exemplar 0.  The first mode asked cuts only
-    its own half, and a task's AoT and Direct halves show exemplar 0's one
-    depth-first trace."""
-    generated, traced = [], []
-    exemplar_instance, solve = prompts.exemplar_instance, prompts.solve
+    """All 12 (task, mode) prompts of one target per task from one lookup
+    generate the 20 exemplar instances once and trace them 24 times: five
+    depth-first traces per task and one greedy trace of its exemplar 0.  The
+    first mode asked cuts only its own half, each half is cut once, and a
+    task's AoT and Direct halves show exemplar 0's one depth-first trace."""
+    targets = {kind: generate(GenSpec(kind=kind, level=3, seed=0)) for kind in TaskKind}
+    generated, traced, cut = [], [], {}
+    exemplar_instance, solve, shots = prompts.exemplar_instance, prompts.solve, cli.Shots
 
     def counted_instance(kind, index):
         generated.append((kind, index))
@@ -551,22 +552,30 @@ def test_one_exemplar_set_per_task_serves_its_three_halves(monkeypatch):
         traced.append((instance.id, search))
         return solve(instance, search)
 
+    def kept_shots(mode, exemplars):
+        key = exemplars[0][0].kind, mode
+        assert key not in cut
+        cut[key] = shots(mode, exemplars)
+        return cut[key]
+
     monkeypatch.setattr(prompts, "exemplar_instance", counted_instance)
     monkeypatch.setattr(prompts, "solve", counted_solve)
-    shots = cli.exemplar_lookup()
-    shots(TaskKind.TRIP_PLANNING, PromptMode.AOT)
+    monkeypatch.setattr(cli, "Shots", kept_shots)
+    prompt = prompt_lookup(None)
+    prompt(targets[TaskKind.TRIP_PLANNING], PromptMode.AOT)
     assert (len(generated), len(traced)) == (5, 5)
     for kind in TaskKind:
         for mode in PromptMode:
-            assert shots(kind, mode).mode is mode
+            assert prompt(targets[kind], mode).mode is mode
     assert len(generated) == len(set(generated)) == 20
     assert len(traced) == len(set(traced)) == 24
     assert sum(search is SearchMode.GREEDY for _, search in traced) == 4
+    assert len(cut) == len(TaskKind) * len(PromptMode)
     for kind in TaskKind:
-        (aot,) = shots(kind, PromptMode.AOT).exemplars
-        direct = shots(kind, PromptMode.DIRECT).exemplars
+        (aot,) = cut[kind, PromptMode.AOT].exemplars
+        direct = cut[kind, PromptMode.DIRECT].exemplars
         assert aot[1] is direct[0][1]
-        assert shots(kind, PromptMode.COT).exemplars[0][0] is direct[0][0]
+        assert cut[kind, PromptMode.COT].exemplars[0][0] is direct[0][0]
 
 
 def test_a_unit_that_raises_in_a_worker_raises_from_run(tmp_path, monkeypatch):
@@ -703,11 +712,11 @@ def test_bundles_of_one_task_and_mode_share_one_head_object():
     instance's own statement; neither is copied per prompt."""
     instances = [generate(GenSpec(kind=kind, level=3, seed=seed))
                  for kind in TaskKind for seed in range(4)]
-    bundles = render_bundles(instances, list(PromptMode), None)
+    prompt = prompt_lookup(None)
     heads = {}
     for instance in instances:
         for mode in PromptMode:
-            bundle = bundles[(instance.id, mode)]
+            bundle = prompt(instance, mode)
             assert bundle.statement is instance.statement
             assert bundle.head is heads.setdefault((instance.kind, mode), bundle.head)
             assert bundle.body == bundle.head + instance.statement
@@ -725,8 +734,10 @@ def test_rendered_bundles_hold_no_joined_body():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        bundles = render_bundles(instances, list(PromptMode), None)
-        body_bytes = sum(sys.getsizeof(bundle.body) for bundle in bundles.values())
+        prompt = prompt_lookup(None)
+        bundles = [prompt(instance, mode) for instance in instances for mode in PromptMode]
+        del prompt  # and with it the exemplar sets and halves, which no bundle needs
+        body_bytes = sum(sys.getsizeof(bundle.body) for bundle in bundles)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -845,17 +856,38 @@ def test_dry_run_counts_without_backend_calls(tmp_path):
 
 
 def test_dry_run_call_bound_is_what_a_failing_run_spends(tmp_path):
-    doc = _doc(tmp_path, models=[{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}])
-    doc.pop("matrix")
-    config = config_from_dict(doc)
-    plan = dry_run(config, echo=QUIET)
-    run(config, echo=QUIET)
-    records = [
-        json.loads(line)
-        for line in (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
-    ]
-    assert records and all(r["final"]["status"] != "Success" for r in records)
-    assert sum(len(r["attempts"]) for r in records) == plan["max_backend_calls"]
+    """Also under a budget no VertexCover L4 Direct prompt fits: the bound
+    leaves out the units of the three prompts that cannot be rendered."""
+    mock = [{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}]
+    tight = {"tasks": ["VertexCover"], "levels": [4], "instance_count": 3, "token_budget": 900}
+    for over, unrenderable in (({}, 0), (tight, 3)):
+        doc = _doc(tmp_path, models=mock, **over)
+        doc.pop("matrix")
+        config = config_from_dict(doc)
+        plan = dry_run(config, echo=QUIET)
+        run(config, echo=QUIET)
+        records = _records(tmp_path)
+        assert records and all(r["final"]["status"] != "Success" for r in records)
+        assert sum(len(r["attempts"]) for r in records) == plan["max_backend_calls"]
+        assert plan["unrenderable_prompts"] == unrenderable
+    assert plan["max_backend_calls"] == 3 * 2 * (1 + 3 + 2 + 1)
+    assert sum(r["attempts"] == [] for r in records) == 3 * 4
+
+
+def test_an_outcome_log_reads_back_as_it_was_written(tmp_path):
+    """Every field of every line, attempts included, survives
+    ``read_outcomes``: the ss and ps units of an oracle and of a mock that
+    answers wrongly make attempts of several rounds and samples."""
+    models = [ORACLE, {"name": "m-mock", "backend": "mock", "script": ["nonsense"]}]
+    matrix = [["Direct", "ws"], ["CoT", "ps:3"], ["AoT", "ss:2"], ["CoT", "is:2048"]]
+    run(config_from_dict(_doc(tmp_path, models=models, matrix=matrix)), echo=QUIET)
+    records = _records(tmp_path)
+    attempts = [a for r in records for a in r["attempts"]]
+    assert {(a["round"], a["sample"]) for a in attempts} == {
+        (0, 0), (0, 1), (0, 2), (1, 0), (2, 0)}
+    assert {a["status"] for a in attempts} == {"Success", "ParseFailure"}
+    outcomes = cli.read_outcomes(tmp_path / "out" / "outcomes.jsonl")
+    assert [cli._outcome_record(o) for o in outcomes] == records
 
 
 # ---------------------------------------------------------------------------
@@ -1203,7 +1235,7 @@ def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
     Path("outcomes.jsonl").write_text("", encoding="utf-8")
     calls = []
     monkeypatch.setattr(cli, "generate_instances", lambda config: calls.append(config) or [])
-    monkeypatch.setattr(cli, "render_bundles", lambda *args: calls.append(args) or {})
+    monkeypatch.setattr(cli, "render", lambda *args, **kwargs: calls.append(args))
     assert main(command + ["--out", "taken"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1524,31 +1556,31 @@ def test_python_dash_m_searchbench_prints_the_version_in_process(monkeypatch, ca
 
 def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
     """Modes render in matrix order, so the first body over budget, and the
-    error a dry run names it in, do not depend on the interpreter's hash seed."""
+    line a dry run names it in, do not depend on the interpreter's hash seed."""
     config = tmp_path / "config.json"
     doc = _doc(tmp_path, tasks=["MeetingPlanning"], levels=[10], token_budget=1300)
     config.write_text(json.dumps(doc), encoding="utf-8")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    errors = []
+    lines = []
     for hash_seed in ("1", "3"):
         done = subprocess.run(
             [sys.executable, "-m", "searchbench", "run", "--config", str(config), "--dry-run"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
         )
-        assert done.returncode == 2
-        errors.append(done.stderr)
-    assert errors == [
-        "error: Direct body for MeetingPlanning-L10-s0 is ≈3370 tokens after eliding "
-        "every elidable step; budget 1300\n"
+        assert (done.returncode, done.stderr) == (0, "")
+        lines.append(done.stdout.splitlines()[-1])
+    assert lines == [
+        "first_unrenderable: Direct body for MeetingPlanning-L10-s0 is ≈3370 tokens after "
+        "eliding every elidable step; budget 1300"
     ] * 2
 
 
 def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsys):
     """At 1300 tokens every CoT and AoT prompt of TripPlanning L3 and L10
     and of MeetingPlanning L3 fits; no MeetingPlanning L10 prompt does, even
-    elided."""
+    elided.  A dry run counts those four prompts, and ``render`` exits 2."""
     matrix = [["CoT", "ws"], ["AoT", "ss:1"], ["AoT", "is"]]
     doc = _doc(tmp_path, tasks=["TripPlanning", "MeetingPlanning"], levels=[3, 10],
                matrix=matrix, token_budget=1300)
@@ -1579,11 +1611,14 @@ def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsy
         i for i in instances.values() if i.kind is TaskKind.MEETING_PLANNING
     ])
     capsys.readouterr()
-    for argv in (["run", "--config", str(config), "--dry-run"],
-                 ["render", "--instances", str(tmp_path / "meet.jsonl"), "--mode", "CoT",
-                  "--budget", "1300", "--out", str(tmp_path / "prompts")]):
-        assert main(argv) == 2
-        assert "budget 1300" in capsys.readouterr().err
+    assert main(["run", "--config", str(config), "--dry-run"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "unrenderable_prompts: 4" in out
+    assert out[-1].startswith("first_unrenderable: ") and out[-1].endswith("budget 1300")
+    assert main(["render", "--instances", str(tmp_path / "meet.jsonl"), "--mode", "CoT",
+                 "--budget", "1300", "--out", str(tmp_path / "prompts")]) == 2
+    assert "budget 1300" in capsys.readouterr().err
+    assert list((tmp_path / "prompts").iterdir()) == []
 
 
 def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
@@ -1591,7 +1626,8 @@ def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
 ):
     """VertexCover L6 at the seed of the second Direct exemplar: that
     instance's Direct prompt cannot be rendered, so its Direct units fail
-    and every other unit runs; a dry run and ``render`` still exit 2."""
+    and every other unit runs; a dry run counts that prompt and names why,
+    and ``render`` exits 2."""
     exemplar = prompts.exemplar_instance(TaskKind.VERTEX_COVER, 1)
     doc = _doc(tmp_path, tasks=["VertexCover"], levels=[exemplar.level], seed=exemplar.seed)
     del doc["matrix"]
@@ -1612,11 +1648,12 @@ def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
     assert run_meta["unexpected_errors"] == {"m-oracle": 0}
     write_instances(tmp_path / "inst.jsonl", [exemplar])
     capsys.readouterr()
-    for argv in (["run", "--config", str(config), "--dry-run"],
-                 ["render", "--instances", str(tmp_path / "inst.jsonl"), "--mode", "Direct",
-                  "--out", str(tmp_path / "prompts")]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {reason}\n"
+    assert main(["run", "--config", str(config), "--dry-run"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["unrenderable_prompts: 1", f"first_unrenderable: {reason}"]
+    assert main(["render", "--instances", str(tmp_path / "inst.jsonl"), "--mode", "Direct",
+                 "--out", str(tmp_path / "prompts")]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_units_that_meet_a_provider_fault_are_unjudged_and_keep_their_attempts(

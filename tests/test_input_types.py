@@ -151,12 +151,11 @@ def _outcome_line() -> dict:
 
 
 def test_every_outcome_field_of_the_wrong_type_names_path_line_and_key(tmp_path):
-    """The attempts are not read, so they are not mistyped here."""
     path = tmp_path / "outcomes.jsonl"
     path.write_text(json.dumps(_outcome_line()) + "\n", encoding="utf-8")
     assert len(read_outcomes(path)) == 1
-    cases = list(_mistypes(_outcome_line(), skip={("attempts",)}))
-    assert len(cases) == 38
+    cases = list(_mistypes(_outcome_line()))
+    assert len(cases) == 38 + 31
 
     def read(changed):
         path.write_text(json.dumps(changed) + "\n", encoding="utf-8")
@@ -164,6 +163,28 @@ def test_every_outcome_field_of_the_wrong_type_names_path_line_and_key(tmp_path)
 
     expect = lambda p: (InputFileError, f"{path}:1: {_name(p)}: must be ")  # noqa: E731
     assert _refused(read, cases, expect) == []
+
+
+def test_every_attempt_field_of_the_wrong_type_exits_2_naming_path_line_and_key(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    line = _outcome_line()
+    cases = [(path, changed) for path, changed in _mistypes(line) if path[0] == "attempts"]
+    assert len(cases) == 31
+
+    def read(changed):
+        Path("outcomes.jsonl").write_text(json.dumps(changed) + "\n", encoding="utf-8")
+        code = main(["report", "--outcomes", "outcomes.jsonl", "--out", "rep"])
+        out, err = capsys.readouterr()
+        if code != 2 or out:
+            return
+        raise InputFileError(err)
+
+    assert _refused(read, cases, lambda p: (
+        InputFileError, f"error: outcomes.jsonl:1: {_name(p)}: must be "
+    )) == []
+    assert not Path("rep").exists()
 
 
 def test_a_run_meta_instance_count_of_the_wrong_type_is_an_error_naming_file_and_key(

@@ -31,7 +31,7 @@ Each digest changes only with a format change recorded in CHANGES.md:
   instances;
 * ``cache.jsonl`` of an ``oracle`` run of every task over the default
   matrix, the response cache a cold run appends line by line;
-* every bundle ``render_bundles`` builds for one target per task at levels
+* every bundle ``cli.prompt_lookup`` gives for one target per task at levels
   1, 3 and 10, with and without a token budget.
 
 A prompt change alters every request digest and orphans existing response
@@ -356,7 +356,7 @@ BUNDLE_BUDGET = 1700
 
 
 def bundle_digests(monkeypatch) -> dict[str, str]:
-    """Per (task, mode): the bundle texts ``render_bundles`` builds for one
+    """Per (task, mode): the bundle texts ``cli.prompt_lookup`` gives for one
     target per task at levels 1, 3 and 10, all modes unbudgeted, then CoT and
     AoT under a budget every CoT body fits and that elides the AoT bodies by
     different amounts or not at all.  Every exemplar set must come through
@@ -388,7 +388,10 @@ def bundle_digests(monkeypatch) -> dict[str, str]:
     for budget, modes in ((None, list(PromptMode)), (BUNDLE_BUDGET, budgeted)):
         exemplar_calls.clear()
         bundles.clear()
-        cli.render_bundles(instances, modes, budget)
+        prompt = cli.prompt_lookup(budget)
+        for inst in instances:
+            for mode in modes:
+                prompt(inst, mode)
         assert exemplar_calls == list(TaskKind)
         assert [(inst.id, b.mode) for inst, b in bundles] == [
             (inst.id, mode) for inst in instances for mode in modes

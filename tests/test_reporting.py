@@ -8,7 +8,6 @@ from searchbench.prompts import PromptMode
 from searchbench.reporting import (
     MODE_COLUMNS,
     STRATEGY_ROWS,
-    TASK_ORDER,
     AblationCell,
     ReportError,
     RunReport,
@@ -19,7 +18,7 @@ from searchbench.reporting import (
     write_plotdata,
 )
 from searchbench.scaling import RunOutcome, ScalingStrategy
-from searchbench.tasks import TaskKind, Verdict, VerdictStatus, family
+from searchbench.tasks import TASK_ORDER, TaskKind, Verdict, VerdictStatus, family
 
 from conftest import cells_csv_mismatches
 
