@@ -533,7 +533,8 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 
 def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
     """Plan what ``run`` does, with no backend call: calls and prompt tokens
-    count only the prompts that render, as ``run`` sends no other."""
+    count only the prompts that render, as ``run`` sends no other, each once
+    per call that can send it (a lower bound: ``ss`` rounds add the replies)."""
     instances = generate_instances(config)
     prompt = prompt_lookup(config.token_budget)
     calls = prompt_tokens = 0
@@ -544,8 +545,11 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
             if isinstance(bundle, Verdict):
                 unrenderable.append(bundle.reason)
                 continue
-            calls += sum(s.max_calls for m, s in config.matrix if m is mode) * len(config.models)
-            prompt_tokens += estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)
+            mode_calls = len(config.models) * sum(
+                s.max_calls for m, s in config.matrix if m is mode)
+            calls += mode_calls
+            tokens = estimate_tokens(bundle.system_text) + estimate_tokens(bundle.body)
+            prompt_tokens += mode_calls * tokens
 
     plan = {
         "instances": len(instances),

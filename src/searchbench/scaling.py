@@ -160,6 +160,9 @@ def execute(
 ) -> RunOutcome:
     """Run one strategy for one instance and judge every answer it produces.
 
+    Only ``ss`` stops at its first success; the final verdict is the first
+    successful attempt's, else the last attempt's.
+
     Requests carry the provider id ``model``; the outcome is filed under the
     table name ``name`` (default ``model``).  A ``TaskError`` on the way
     becomes a ``BackendError`` verdict that keeps the attempts made before
@@ -175,41 +178,27 @@ def execute(
     attempts: list[Attempt] = []
     if verdicts is None:
         verdicts = {}
-
-    def call(
-        history: tuple[tuple[str, str], ...], round_index: int, sample_index: int = 0
-    ) -> str:
-        request = _request(bundle, model, strategy, max_tokens, history, sample_index)
-        text = gateway.complete(request).text
-        verdict = verdicts.get(text)
-        if verdict is None:
-            verdict = verdicts[text] = evaluate(instance, text)[1]
-        attempts.append(Attempt(
-            round_index=round_index,
-            sample_index=sample_index,
-            request_digest=request.digest,
-            verdict=verdict,
-        ))
-        return text
-
+    sequential = strategy.kind is ScalingKind.SEQUENTIAL
+    history: tuple[tuple[str, str], ...] = ()
     unexpected_error = False
     try:
-        if strategy.kind is ScalingKind.SEQUENTIAL:
-            history: tuple[tuple[str, str], ...] = ()
-            for round_index in range(strategy.max_calls):
-                if round_index:  # replay the conversation and ask for a re-check
-                    history += (("assistant", text), ("user", render_refine(text)))
-                text = call(history, round_index=round_index)
-                if attempts[-1].verdict.status is VerdictStatus.SUCCESS:
-                    break
-            final = attempts[-1].verdict
-        else:  # ws, is and ps: independent samples of the first turn
-            for sample_index in range(strategy.max_calls):
-                call((), round_index=0, sample_index=sample_index)
-            final = next(
-                (a.verdict for a in attempts if a.verdict.status is VerdictStatus.SUCCESS),
-                attempts[-1].verdict,
-            )
+        # Call i is round i of an ss conversation, else sample i of the first turn.
+        for i in range(strategy.max_calls):
+            if sequential and i:  # replay the conversation and ask for a re-check
+                history += (("assistant", text), ("user", render_refine(text)))
+            round_index, sample_index = (i, 0) if sequential else (0, i)
+            request = _request(bundle, model, strategy, max_tokens, history, sample_index)
+            text = gateway.complete(request).text
+            verdict = verdicts.get(text)
+            if verdict is None:
+                verdict = verdicts[text] = evaluate(instance, text)[1]
+            attempts.append(Attempt(round_index, sample_index, request.digest, verdict))
+            if sequential and verdict.status is VerdictStatus.SUCCESS:
+                break
+        final = next(
+            (a.verdict for a in attempts if a.verdict.status is VerdictStatus.SUCCESS),
+            attempts[-1].verdict,
+        )
     except TaskError as err:
         final = Verdict(VerdictStatus.BACKEND_ERROR, reason=str(err))
     except Exception as err:  # a fault in the program or a backend ends this unit only

@@ -83,11 +83,14 @@ class SearchTrace:
     mode: SearchMode
     events: tuple[TraceEvent, ...]
     solution: Solution | None
-    explored_count: int
 
     @property
     def succeeded(self) -> bool:
         return self.solution is not None
+
+    @property
+    def explored_count(self) -> int:
+        return sum(e.action is Action.EXPANSION for e in self.events)
 
 
 class _Tracer:
@@ -95,7 +98,6 @@ class _Tracer:
 
     def __init__(self, detail: str, state: str) -> None:
         self.events = [TraceEvent("", Action.INITIALIZATION, detail=detail, state_summary=state)]
-        self.explored = 0
 
     def emit(
         self,
@@ -107,12 +109,10 @@ class _Tracer:
         state: str = "",
         depth: int = 0,
     ) -> None:
-        if action is Action.EXPANSION:
-            self.explored += 1
         self.events.append(TraceEvent(label, action, reason, move, detail, state, depth))
 
     def finish(self, kind: TaskKind, mode: SearchMode, solution: Solution | None) -> SearchTrace:
-        return SearchTrace(kind, mode, tuple(self.events), solution, self.explored)
+        return SearchTrace(kind, mode, tuple(self.events), solution)
 
 
 def _letters(index: int, alphabet: str = string.ascii_uppercase) -> str:
@@ -235,7 +235,7 @@ def _narrate_path(dfs: SearchTrace, init: tuple[str, str]) -> SearchTrace:
 def _no_commits(dfs: SearchTrace) -> SearchTrace:
     """Without a solution there is nothing to commit to: the greedy trace is the
     search's Initialization alone, with no Success."""
-    return SearchTrace(dfs.kind, SearchMode.GREEDY, dfs.events[:1], None, 0)
+    return SearchTrace(dfs.kind, SearchMode.GREEDY, dfs.events[:1], None)
 
 
 def solve_payload(payload: Payload, mode: SearchMode = SearchMode.DFS) -> SearchTrace:
@@ -276,18 +276,16 @@ def success_path(trace: SearchTrace) -> tuple[TraceEvent, ...]:
 
 
 def trace_to_records(trace: SearchTrace) -> list[dict]:
-    records = []
-    for e in trace.events:
-        records.append(
-            {
-                "step": e.step_label,
-                "action": e.action.value,
-                "reason": e.reason or None,
-                "move": e.move,
-                "detail": e.detail,
-                "state": e.state_summary,
-                "depth": e.depth,
-            }
-        )
-    return records
+    return [
+        {
+            "step": e.step_label,
+            "action": e.action.value,
+            "reason": e.reason or None,
+            "move": e.move,
+            "detail": e.detail,
+            "state": e.state_summary,
+            "depth": e.depth,
+        }
+        for e in trace.events
+    ]
 

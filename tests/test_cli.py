@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -874,6 +875,23 @@ def test_dry_run_call_bound_is_what_a_failing_run_spends(tmp_path):
     assert sum(r["attempts"] == [] for r in records) == 3 * 4
 
 
+def test_dry_run_counts_each_prompt_once_per_call_it_can_be_sent_in(tmp_path):
+    """A prompt is sent once per call its mode's cells can make, for every
+    model: 7 calls per mode in the default matrix, 14 with two models."""
+    tight = {"tasks": ["VertexCover"], "levels": [4], "instance_count": 3}
+    oracle = [{"name": "m-oracle", "backend": "oracle"}]
+    mock = [{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}]
+    plans = []
+    for over in ({"token_budget": 900, "models": oracle}, {"models": oracle + mock}):
+        doc = _doc(tmp_path, **tight, **over)
+        doc.pop("matrix")
+        plans.append(dry_run(config_from_dict(doc), echo=QUIET))
+    budget, two_models = plans
+    assert (budget["max_backend_calls"], budget["prompt_tokens_estimate"]) == (42, 7 * 4798)
+    assert (two_models["max_backend_calls"], two_models["prompt_tokens_estimate"]) == (
+        126, 14 * 12501)
+
+
 def test_an_outcome_log_reads_back_as_it_was_written(tmp_path):
     """Every field of every line, attempts included, survives
     ``read_outcomes``: the ss and ps units of an oracle and of a mock that
@@ -1659,12 +1677,17 @@ def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(
 def test_units_that_meet_a_provider_fault_are_unjudged_and_keep_their_attempts(
     tmp_path, monkeypatch
 ):
-    """A loopback provider answers every request with the instance's
-    canonical answer, but truncates the JSON body of about one reply in
-    four, chosen by a hash of the request and how often it was sent.  Every judged unit succeeds; the
-    unjudged units are exactly the calls that met a fault, since a unit
-    ends at its first; they are left out of n and counted as incomplete,
-    and keep the attempts made before the fault."""
+    """A loopback ``anthropic``-dialect provider answers every request with
+    the instance's canonical answer and injects a fault into some sendings,
+    drawn from a hash of the request body and how often it was sent.  A
+    retried fault (429 with ``Retry-After: 0``, 500, 408, or a connection
+    closed before any reply) comes at most three times in a row for one
+    body, so its call recovers within ``RETRY_ATTEMPTS``.  A truncated body
+    or a text block that is not a string is final: its unit is unjudged,
+    left out of n and counted as incomplete, and keeps the attempts made
+    before it.  A ``usage: null`` reply is judged.  The server answers 400
+    unless Anthropic's documented thinking rule holds (1024 <= budget_tokens
+    < max_tokens), and the default ``is`` cells still read 100%."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     from searchbench import gateway
@@ -1676,29 +1699,66 @@ def test_units_that_meet_a_provider_fault_are_unjudged_and_keep_their_attempts(
             monkeypatch.delenv(name)
     doc = _doc(tmp_path, tasks=["VertexCover", "ThreeDM"], levels=[4], instance_count=10,
                matrix=[["AoT", "ws"], ["AoT", "ps:3"], ["AoT", "ss:1"], ["AoT", "is"]])
-    answers = {i.statement: canonical_text(i.payload, i.ground_truth)
+    answers = {i.statement: (i.id, canonical_text(i.payload, i.ground_truth))
                for i in generate_instances(config_from_dict(doc))}
-    faults, sent = [], {}
+    retried = ("429", "500", "408", "closed")
+    final = {"truncated": "reply body is not JSON", "text not a string": "unexpected reply shape: "}
     lock = threading.Lock()
+    sent, in_a_row, ended = {}, {}, {}
+    met = []  # (instance id, strategy, fault or "") of every sending, in order
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        disable_nagle_algorithm = True
 
-        def do_POST(self):
-            body = self.rfile.read(int(self.headers["content-length"]))
-            content = json.loads(body)["messages"][0]["content"]
-            (text,) = [a for s, a in answers.items() if content.endswith(s)]
-            data = json.dumps({"content": [{"type": "text", "text": text}],
-                               "usage": {"input_tokens": 1, "output_tokens": 1}}).encode()
-            with lock:  # ps samples send one body, so its n-th sending counts too
-                sent[body] = sent.get(body, 0) + 1
-                if hashlib.sha256(body + b"#%d" % sent[body]).digest()[0] < 64:
-                    data = data[: len(data) // 2]
-                    faults.append(body)
-            self.send_response(200)
+        def reply(self, status, data=b"", headers=()):
+            self.send_response(status)
+            for header in headers:
+                self.send_header(*header)
             self.send_header("content-length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
+
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["content-length"]))
+            request = json.loads(body)
+            thinking, messages = request.get("thinking"), request["messages"]
+            if thinking and not 1024 <= thinking["budget_tokens"] < request["max_tokens"]:
+                return self.reply(400, b'{"type": "error"}')
+            ((instance_id, text),) = [
+                a for s, a in answers.items() if messages[0]["content"].endswith(s)]
+            with lock:  # ps samples send one body, so its n-th sending counts too
+                sent[body] = sent.get(body, 0) + 1
+                draw = hashlib.sha256(body + b"#%d" % sent[body]).digest()
+                if thinking:
+                    unit = "is"
+                elif len(messages) > 1:
+                    unit = "ss:1"
+                elif request["temperature"]:
+                    unit = "ps:3"
+                else:  # ws goes first; ss round 0 sends its body only after a final fault
+                    unit = ("ws", "ss:1")[ended.get(body, 0)]
+                if draw[0] < 80 and in_a_row.get(body, 0) < 3:
+                    fault = retried[draw[1] % 4]
+                    in_a_row[body] = in_a_row.get(body, 0) + 1
+                else:
+                    fault = ("truncated", "text not a string", "usage null", "")[
+                        min(draw[1] // 16, 3)]
+                    in_a_row[body], ended[body] = 0, ended.get(body, 0) + 1
+                met.append((instance_id, unit, fault))
+            if fault == "429":
+                return self.reply(429, headers=[("retry-after", "0")])
+            if fault in ("500", "408"):
+                return self.reply(int(fault))
+            if fault == "closed":
+                self.close_connection = True
+                return
+            data = {"content": [{"type": "text", "text": 7 if fault == "text not a string"
+                                 else text}],
+                    "usage": None if fault == "usage null"
+                    else {"input_tokens": 1, "output_tokens": 1}}
+            raw = json.dumps(data).encode()
+            self.reply(200, raw[: len(raw) // 2] if fault == "truncated" else raw)
 
         def log_message(self, *args):
             pass
@@ -1707,25 +1767,45 @@ def test_units_that_meet_a_provider_fault_are_unjudged_and_keep_their_attempts(
     thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
     thread.start()
     try:
-        host, port = server.server_address[:2]
+        url = "http://%s:%d/v1/messages" % server.server_address[:2]
         doc["models"] = [{"name": "m-http", "backend": "http", "api_key_env": "FAULT_KEY",
-                          "url": f"http://{host}:{port}/v1/messages"}]
-        report = run(config_from_dict(doc), echo=QUIET)
+                          "url": url}]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        too_small = gateway.BackendRequest(model="m", system_text="", head="", statement="s",
+                                           max_tokens=4096, thinking=True, thinking_budget=512)
+        probe = HttpBackend(url, api_key_env="FAULT_KEY")
+        with pytest.raises(gateway.ProviderHTTPError, match="unexpected status 400"):
+            probe.complete(too_small)
+        probe.close()
     finally:
         server.shutdown()
         server.server_close()
         thread.join()
 
-    records = _records(tmp_path)
-    unjudged = [r for r in records if r["final"]["status"] == "BackendError"]
-    assert 0 < len(unjudged) == len(faults) < len(records)
-    assert all(r["final"]["status"] == "Success" for r in records if r not in unjudged)
-    assert all(r["final"]["reason"] == "reply body is not JSON" for r in unjudged)
-    kept = [a for r in unjudged for a in r["attempts"]]
+    records = {(r["instance_id"], r["strategy"]): r for r in _records(tmp_path)}
+    assert len(records) == 2 * 10 * 4
+    unjudged = {key: r for key, r in records.items() if r["final"]["status"] == "BackendError"}
+    assert all(r["final"]["status"] == "Success" for key, r in records.items()
+               if key not in unjudged)
+    faulted = {(i, unit): fault for i, unit, fault in met if fault in final}
+    assert 0 < len(faulted) == sum(fault in final for *_, fault in met) < len(records)
+    assert faulted.keys() == unjudged.keys()
+    assert all(unjudged[key]["final"]["reason"].startswith(final[fault])
+               for key, fault in faulted.items())
+    kept = [a for r in unjudged.values() for a in r["attempts"]]
     assert kept and all(a["status"] == "Success" for a in kept)
-    assert sum(c.total for c in report.cells) == len(records) - len(unjudged)
-    assert all(c.successes == c.total for c in report.cells)
-    counted = sum(int(note.split(": ")[1].split(" of ")[0]) for note in report.incomplete)
+    assert {fault for *_, fault in met} == {*retried, *final, "usage null", ""}
+    for judged_after in (retried, ("usage null",)):
+        assert {(i, unit) for i, unit, fault in met if fault in judged_after} - unjudged.keys()
+    with open(tmp_path / "out" / "cells.csv", encoding="utf-8", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert len(cells) == 2 * 4 and all(0 < int(c["total"]) == int(c["successes"]) for c in cells)
+    assert sum(int(c["total"]) for c in cells) == len(records) - len(unjudged)
+    run_meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+    counted = sum(int(note.split(": ")[1].split(" of ")[0])
+                  for note in run_meta["incomplete_cells"])
     assert counted == len(unjudged)
     # the log rebuilds the same tables, the incomplete list included
     assert main(["report", "--outcomes", str(tmp_path / "out" / "outcomes.jsonl"),
