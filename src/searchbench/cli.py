@@ -30,6 +30,7 @@ from typing import Callable, Mapping, Sequence
 from . import __version__
 from .answers import evaluate
 from .gateway import (
+    DEFAULT_THINKING_BUDGET,
     DIALECTS,
     MAX_WAIT_S,
     MIN_ANTHROPIC_THINKING_BUDGET,
@@ -57,6 +58,7 @@ from .prompts import (
     default_exemplars,
     estimate_tokens,
     render,
+    written_search_tokens,
 )
 from .reporting import RunReport, aggregate, emit
 from .scaling import Attempt, RunOutcome, ScalingKind, ScalingStrategy, default_matrix, execute
@@ -117,7 +119,6 @@ class RunConfig:
     cache_path: str | None = None
     out_dir: str = "out"
     max_tokens: int = 4096
-    token_budget: int | None = None
 
 
 def _defaults(cls) -> dict:
@@ -181,7 +182,7 @@ def _model_config(doc: Mapping, where: str) -> ModelConfig:
 #: scalar key -> its type; defaults are ``RunConfig``'s, and a key whose
 #: default is None may also be null
 _SCALAR_FIELDS = {"instance_count": COUNT, "seed": int, "concurrency": COUNT, "cache_path": str,
-                  "out_dir": str, "max_tokens": COUNT, "token_budget": COUNT}
+                  "out_dir": str, "max_tokens": COUNT}
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
@@ -275,10 +276,9 @@ def generate_instances(config: RunConfig) -> list[ProblemInstance]:
     ]
 
 
-def prompt_lookup(token_budget: int | None) -> Callable[[ProblemInstance, PromptMode],
-                                                       PromptBundle | Verdict]:
-    """A lookup from (instance, mode) to its prompt under ``token_budget``,
-    or, where ``render`` raises a PromptError, to the BackendError verdict
+def prompt_lookup() -> Callable[[ProblemInstance, PromptMode], PromptBundle | Verdict]:
+    """A lookup from (instance, mode) to its prompt or, where ``render``
+    raises a PromptError, to the BackendError verdict
     its units get without a call.  Each task's exemplar set (through
     ``default_exemplars``) and each (task, mode) half is built on first
     use, once under one lock, so many threads can share it."""
@@ -295,7 +295,7 @@ def prompt_lookup(token_budget: int | None) -> Callable[[ProblemInstance, Prompt
                 halves[kind, mode] = Shots(mode, sets[kind])
             shots = halves[kind, mode]
         try:
-            return render(instance, shots, token_budget=token_budget)
+            return render(instance, shots)
         except PromptError as err:
             return Verdict(VerdictStatus.BACKEND_ERROR, str(err))
 
@@ -454,7 +454,7 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
          + (f"with concurrency {config.concurrency} ..." if pooled
             else "on the calling thread ..."))
 
-    prompt = prompt_lookup(config.token_budget)
+    prompt = prompt_lookup()
 
     def job(pair: tuple[ModelConfig, ProblemInstance]) -> list[RunOutcome]:
         """The matrix's units for one model on one instance, in matrix order.
@@ -516,7 +516,6 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
             ],
             "matrix": [[mode.value, s.format()] for mode, s in config.matrix],
             "max_tokens": config.max_tokens,
-            "token_budget": config.token_budget,
         },
         "cache_stats": {name: gw.cache_stats for name, gw in sorted(gateways.items())},
         "cache_skipped_lines": cache.skipped_lines,
@@ -534,9 +533,14 @@ def run(config: RunConfig, echo: Callable[[str], None] = print) -> RunReport:
 def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
     """Plan what ``run`` does, with no backend call: calls and prompt tokens
     count only the prompts that render, as ``run`` sends no other, each once
-    per call that can send it (a lower bound: ``ss`` rounds add the replies)."""
+    per call that can send it (a lower bound: ``ss`` rounds add the replies).
+
+    Per (task, level), it also counts the targets whose own depth-first
+    search, written as the AoT exemplar writes one (``written_search_tokens``),
+    fits each answer allowance the matrix uses: ``max_tokens``, plus the
+    thinking budget of an ``is`` cell."""
     instances = generate_instances(config)
-    prompt = prompt_lookup(config.token_budget)
+    prompt = prompt_lookup()
     calls = prompt_tokens = 0
     unrenderable = []  # the reason of each prompt that cannot be rendered
     for instance in instances:
@@ -557,8 +561,21 @@ def dry_run(config: RunConfig, echo: Callable[[str], None] = print) -> dict:
         "matrix_cells": len(config.matrix),
         "max_backend_calls": calls,
         "prompt_tokens_estimate": prompt_tokens,
-        "unrenderable_prompts": len(unrenderable),
     }
+    allowances = sorted({
+        config.max_tokens + ((s.arg or DEFAULT_THINKING_BUDGET)
+                             if s.kind is ScalingKind.INTERNAL else 0)
+        for _, s in config.matrix
+    })
+    count = config.instance_count
+    for start in range(0, len(instances), count):  # one (task, level) in config order
+        targets = instances[start:start + count]
+        lengths = [written_search_tokens(target) for target in targets]
+        plan[f"written_search_fits[{targets[0].kind.value} L{targets[0].level}]"] = "; ".join(
+            f"{sum(n <= allowance for n in lengths)}/{count} within {allowance}"
+            for allowance in allowances
+        )
+    plan["unrenderable_prompts"] = len(unrenderable)
     if unrenderable:
         plan["first_unrenderable"] = unrenderable[0]
     for key, value in plan.items():
@@ -612,7 +629,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if (out_dir / f"{instance.id}.{mode.value}.txt").parent != out_dir:
             raise TaskError(f"instance id {instance.id!r} is not a file name in {out_dir}")
     output_dir(out_dir)  # an unwritable directory fails before anything is rendered
-    prompt = prompt_lookup(args.budget)
+    prompt = prompt_lookup()
     bundles = [prompt(instance, mode) for instance in instances]
     for bundle in bundles:  # a prompt that cannot be rendered fails the command, before any file
         if isinstance(bundle, Verdict):
@@ -683,7 +700,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _count(text: str) -> int:
-    """A count or budget flag, which, as in a config, must be an integer >= 1."""
+    """A count flag, which, as in a config, must be an integer >= 1."""
     if (value := int(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
     return value
@@ -725,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument(
         "--mode", required=True, choices=[m.value for m in PromptMode]
     )
-    p_render.add_argument("--budget", type=_count, default=None,
-                          help="context token budget")
     p_render.set_defaults(func=_cmd_render)
 
     p_run = sub.add_parser("run", parents=[out], help="full pipeline")
@@ -760,7 +775,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TaskError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -123,8 +123,9 @@ def test_a_model_block_takes_exactly_the_model_config_fields():
         ({"models": [ORACLE], "seed": "x"}, "seed"),
         ({"models": [ORACLE], "out_dir": 5}, "out_dir"),
         ({"models": [ORACLE], "cache_path": 5}, "cache_path"),
-        ({"models": [ORACLE], "token_budget": "abc"}, "token_budget"),
-        ({"models": [ORACLE], "token_budget": 0}, "token_budget"),
+        # prompts are never cut to a length, so no key caps it
+        ({"models": [ORACLE], "token_budget": 900}, "token_budget"),
+        ({"models": [ORACLE], "token_budget": None}, "token_budget"),
         ({"models": [ORACLE], "max_tokens": -1}, "max_tokens"),
         ({"models": [ORACLE], "levels": 5}, "levels"),
         ({"models": [ORACLE], "levels": [11]}, "levels"),
@@ -211,6 +212,8 @@ def test_config_rejects_documents_of_the_wrong_shape(doc, message):
         ({"models": [ORACLE], "timeout_s": 1}, "error: timeout_s: unknown key"),
         ({"models": [{**ORACLE, "timeout_s": "x"}]}, "error: models[0].timeout_s:"),
         ({"models": [{**ORACLE, "dialect": "foo"}]}, "error: models[0].dialect:"),
+        # prompts are never cut to a length, so no key caps it
+        ({"models": [ORACLE], "token_budget": 2000}, "error: token_budget: unknown key\n"),
     ],
 )
 def test_run_with_bad_config_exits_2(tmp_path, capsys, doc, prefix):
@@ -562,7 +565,7 @@ def test_one_exemplar_set_per_task_serves_its_three_halves(monkeypatch):
     monkeypatch.setattr(prompts, "exemplar_instance", counted_instance)
     monkeypatch.setattr(prompts, "solve", counted_solve)
     monkeypatch.setattr(cli, "Shots", kept_shots)
-    prompt = prompt_lookup(None)
+    prompt = prompt_lookup()
     prompt(targets[TaskKind.TRIP_PLANNING], PromptMode.AOT)
     assert (len(generated), len(traced)) == (5, 5)
     for kind in TaskKind:
@@ -713,7 +716,7 @@ def test_bundles_of_one_task_and_mode_share_one_head_object():
     instance's own statement; neither is copied per prompt."""
     instances = [generate(GenSpec(kind=kind, level=3, seed=seed))
                  for kind in TaskKind for seed in range(4)]
-    prompt = prompt_lookup(None)
+    prompt = prompt_lookup()
     heads = {}
     for instance in instances:
         for mode in PromptMode:
@@ -735,7 +738,7 @@ def test_rendered_bundles_hold_no_joined_body():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        prompt = prompt_lookup(None)
+        prompt = prompt_lookup()
         bundles = [prompt(instance, mode) for instance in instances for mode in PromptMode]
         del prompt  # and with it the exemplar sets and halves, which no bundle needs
         body_bytes = sum(sys.getsizeof(bundle.body) for bundle in bundles)
@@ -857,11 +860,12 @@ def test_dry_run_counts_without_backend_calls(tmp_path):
 
 
 def test_dry_run_call_bound_is_what_a_failing_run_spends(tmp_path):
-    """Also under a budget no VertexCover L4 Direct prompt fits: the bound
-    leaves out the units of the three prompts that cannot be rendered."""
+    """Also when a VertexCover L6 target is the second Direct exemplar: the
+    bound leaves out the units of the one prompt that cannot be rendered."""
     mock = [{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}]
-    tight = {"tasks": ["VertexCover"], "levels": [4], "instance_count": 3, "token_budget": 900}
-    for over, unrenderable in (({}, 0), (tight, 3)):
+    overlap = {"tasks": ["VertexCover"], "levels": [6], "instance_count": 3,
+               "seed": prompts.exemplar_instance(TaskKind.VERTEX_COVER, 1).seed}
+    for over, unrenderable in (({}, 0), (overlap, 1)):
         doc = _doc(tmp_path, models=mock, **over)
         doc.pop("matrix")
         config = config_from_dict(doc)
@@ -871,23 +875,29 @@ def test_dry_run_call_bound_is_what_a_failing_run_spends(tmp_path):
         assert records and all(r["final"]["status"] != "Success" for r in records)
         assert sum(len(r["attempts"]) for r in records) == plan["max_backend_calls"]
         assert plan["unrenderable_prompts"] == unrenderable
-    assert plan["max_backend_calls"] == 3 * 2 * (1 + 3 + 2 + 1)
-    assert sum(r["attempts"] == [] for r in records) == 3 * 4
+    assert plan["max_backend_calls"] == (3 * 3 - 1) * (1 + 3 + 2 + 1)
+    assert sum(r["attempts"] == [] for r in records) == 4
 
 
 def test_dry_run_counts_each_prompt_once_per_call_it_can_be_sent_in(tmp_path):
     """A prompt is sent once per call its mode's cells can make, for every
-    model: 7 calls per mode in the default matrix, 14 with two models."""
-    tight = {"tasks": ["VertexCover"], "levels": [4], "instance_count": 3}
+    model: 7 calls per mode in the default matrix, 14 with two models.  At
+    the seed of the second VertexCover exemplar, its one Direct prompt is
+    not sent."""
     oracle = [{"name": "m-oracle", "backend": "oracle"}]
     mock = [{"name": "m-mock", "backend": "mock", "script": ["nonsense"]}]
+    overlap = {"tasks": ["VertexCover"], "levels": [6], "instance_count": 3,
+               "seed": 15735530717821978019, "models": oracle}
+    two = {"tasks": ["VertexCover"], "levels": [4], "instance_count": 3,
+           "models": oracle + mock}
     plans = []
-    for over in ({"token_budget": 900, "models": oracle}, {"models": oracle + mock}):
-        doc = _doc(tmp_path, **tight, **over)
+    for over in (overlap, two):
+        doc = _doc(tmp_path, **over)
         doc.pop("matrix")
         plans.append(dry_run(config_from_dict(doc), echo=QUIET))
-    budget, two_models = plans
-    assert (budget["max_backend_calls"], budget["prompt_tokens_estimate"]) == (42, 7 * 4798)
+    one_model, two_models = plans
+    assert (one_model["max_backend_calls"], one_model["prompt_tokens_estimate"],
+            one_model["unrenderable_prompts"]) == (56, 82656, 1)
     assert (two_models["max_backend_calls"], two_models["prompt_tokens_estimate"]) == (
         126, 14 * 12501)
 
@@ -1431,6 +1441,26 @@ def test_cmd_run_dry_run_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_dry_run_counts_the_targets_whose_written_search_fits_each_answer_allowance(
+    tmp_path, capsys
+):
+    """Per (task, level) in config order, before the unrenderable count: how
+    many targets' own depth-first search, written as AoT writes one, fits
+    ``max_tokens`` and ``max_tokens`` plus each ``is`` cell's thinking budget,
+    16,000 for a bare ``is``."""
+    matrix = [["AoT", "ws"], ["AoT", "is:300"], ["CoT", "is"], ["Direct", "ss:1"]]
+    doc = _doc(tmp_path, tasks=["VertexCover", "ThreeDM"], levels=[4], instance_count=5,
+               max_tokens=700, matrix=matrix)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--dry-run"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "written_search_fits[VertexCover L4]: 3/5 within 700; 5/5 within 1000; 5/5 within 16700",
+        "written_search_fits[ThreeDM L4]: 1/5 within 700; 3/5 within 1000; 5/5 within 16700",
+        "unrenderable_prompts: 0",
+    ]
+
+
 def test_cmd_run_seed_and_out_overrides(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(_doc(tmp_path)), encoding="utf-8")
@@ -1475,6 +1505,7 @@ def test_main_exit_codes(tmp_path, capsys):
     ["render", "--instances", "i.jsonl", "--mode", "AoT", "--seed", "1"],
     ["report", "--outcomes", "o.jsonl", "--dry-run"],
     ["report", "--outcomes", "o.jsonl", "--level", "3"],
+    ["render", "--instances", "i.jsonl", "--mode", "AoT", "--budget", "900"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -1487,11 +1518,10 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, tmp_path, monke
 @pytest.mark.parametrize("argv", [
     ["gen", "--count", "0"],
     ["gen", "--count", "-2"],
-    ["render", "--instances", "i.jsonl", "--mode", "AoT", "--budget", "0"],
 ])
 def test_counts_and_budgets_below_one_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
-    """A config needs ``instance_count`` and ``token_budget`` of at least 1,
-    and so do the flags that stand for them."""
+    """A config needs an ``instance_count`` of at least 1, and so does the
+    flag that stands for it."""
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -1570,73 +1600,6 @@ def test_python_dash_m_searchbench_prints_the_version_in_process(monkeypatch, ca
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_module("searchbench", run_name="__main__")
     assert (exit_info.value.code, capsys.readouterr().out) == (0, "0.1.0\n")
-
-
-def test_a_budget_failure_reads_the_same_under_every_hash_seed(tmp_path):
-    """Modes render in matrix order, so the first body over budget, and the
-    line a dry run names it in, do not depend on the interpreter's hash seed."""
-    config = tmp_path / "config.json"
-    doc = _doc(tmp_path, tasks=["MeetingPlanning"], levels=[10], token_budget=1300)
-    config.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    lines = []
-    for hash_seed in ("1", "3"):
-        done = subprocess.run(
-            [sys.executable, "-m", "searchbench", "run", "--config", str(config), "--dry-run"],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        lines.append(done.stdout.splitlines()[-1])
-    assert lines == [
-        "first_unrenderable: Direct body for MeetingPlanning-L10-s0 is ≈3370 tokens after "
-        "eliding every elidable step; budget 1300"
-    ] * 2
-
-
-def test_a_prompt_over_budget_fails_its_units_and_the_run_stands(tmp_path, capsys):
-    """At 1300 tokens every CoT and AoT prompt of TripPlanning L3 and L10
-    and of MeetingPlanning L3 fits; no MeetingPlanning L10 prompt does, even
-    elided.  A dry run counts those four prompts, and ``render`` exits 2."""
-    matrix = [["CoT", "ws"], ["AoT", "ss:1"], ["AoT", "is"]]
-    doc = _doc(tmp_path, tasks=["TripPlanning", "MeetingPlanning"], levels=[3, 10],
-               matrix=matrix, token_budget=1300)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["run", "--config", str(config)]) == 0
-    records = [json.loads(line) for line in
-               (tmp_path / "out" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()]
-    assert len(records) == 4 * 2 * len(matrix)
-    instances = {i.id: i for i in generate_instances(config_from_dict(doc))}
-    for record in records:
-        instance = instances[record["instance_id"]]
-        if (instance.kind, instance.level) != (TaskKind.MEETING_PLANNING, 10):
-            assert record["final"]["status"] == "Success", record
-            continue
-        mode = PromptMode(record["mode"])
-        with pytest.raises(prompts.ContextBudgetExceeded) as err:
-            prompts.render(instance, prompts.Shots(
-                mode, prompts.default_exemplars(instance.kind)), token_budget=1300)
-        assert record["attempts"] == []
-        assert record["final"] == {"status": "BackendError", "reason": str(err.value)}
-    run_meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
-    assert run_meta["unexpected_errors"] == {"m-oracle": 0}
-    successes = sum(record["final"]["status"] == "Success" for record in records)
-    assert successes == 3 * 2 * len(matrix)
-    assert run_meta["cache_stats"]["m-oracle"]["misses"] == successes
-    write_instances(tmp_path / "meet.jsonl", [
-        i for i in instances.values() if i.kind is TaskKind.MEETING_PLANNING
-    ])
-    capsys.readouterr()
-    assert main(["run", "--config", str(config), "--dry-run"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert "unrenderable_prompts: 4" in out
-    assert out[-1].startswith("first_unrenderable: ") and out[-1].endswith("budget 1300")
-    assert main(["render", "--instances", str(tmp_path / "meet.jsonl"), "--mode", "CoT",
-                 "--budget", "1300", "--out", str(tmp_path / "prompts")]) == 2
-    assert "budget 1300" in capsys.readouterr().err
-    assert list((tmp_path / "prompts").iterdir()) == []
 
 
 def test_a_target_that_is_its_own_exemplar_fails_its_units_and_the_run_stands(

@@ -2,11 +2,12 @@
 that can be trusted: a property over drawn configs.
 
 Each draw takes 1-4 tasks, 1-2 levels, 1-3 instances from any seed, a
-matrix of 1-3 modes by 1-4 strategy kinds with a drawn ``:N``, a token
-budget that may leave prompts unrenderable, and an oracle, a scripted mock
-or both.  It runs the config cold, again from the same cache, rebuilds the
-report from the log and plans it with ``--dry-run``, each from the command
-line in a directory of its own.
+matrix of 1-3 modes by 1-4 strategy kinds with a drawn ``:N``, and an
+oracle, a scripted mock or both.  Half the draws start at an exemplar's
+seed with level 6 among the levels, so that exemplar's task has a target
+some of whose prompts cannot be rendered.  It runs the config cold, again
+from the same cache, rebuilds the report from the log and plans it with
+``--dry-run``, each from the command line in a directory of its own.
 """
 
 import contextlib
@@ -18,7 +19,8 @@ from pathlib import Path
 from hypothesis import event, given, settings, strategies as st
 
 from searchbench.cli import main
-from searchbench.prompts import PromptMode
+from searchbench.generate import EXEMPLAR_LEVEL, exemplar_instance
+from searchbench.prompts import DIRECT_SHOT_COUNT, PromptMode
 from searchbench.tasks import TaskKind
 
 _SPECS = {
@@ -38,14 +40,20 @@ def _configs(draw) -> dict:
     models = [{"name": "oracle", "backend": "oracle"},
               {"name": "mock", "backend": "mock",
                "script": draw(st.lists(st.text(max_size=20), max_size=3))}]
+    tasks = some([k.value for k in TaskKind], 4)
+    levels = some(list(range(1, EXEMPLAR_LEVEL + 1)), 2)
+    seed = draw(st.integers(-5, 10**6))
+    if draw(st.booleans()):  # the first target of one task is one of its exemplars
+        exemplar = exemplar_instance(TaskKind(draw(st.sampled_from(tasks))),
+                                     draw(st.integers(0, DIRECT_SHOT_COUNT - 1)))
+        seed, levels = exemplar.seed, list(dict.fromkeys([levels[0], EXEMPLAR_LEVEL]))
     return {
-        "tasks": some([k.value for k in TaskKind], 4),
-        "levels": some(list(range(1, 7)), 2),
+        "tasks": tasks,
+        "levels": levels,
         "instance_count": draw(st.integers(1, 3)),
-        "seed": draw(st.integers(-5, 10**6)),
+        "seed": seed,
         "matrix": [[mode, draw(_SPECS[kind])] for kind in some(list(_SPECS), 4)
                    for mode in modes],
-        "token_budget": draw(st.one_of(st.none(), st.integers(1, 6000))),
         "max_tokens": draw(st.integers(1, 8192)),
         "models": draw(st.sampled_from([models[:1], models[1:], models])),
     }

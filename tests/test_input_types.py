@@ -109,9 +109,9 @@ def test_every_config_field_of_the_wrong_type_names_its_key_path():
              "requests_per_second": 0.5, "script": ["x"]}
     doc = {"tasks": ["ThreeDM"], "levels": [3], "models": [model], "matrix": [["CoT", "ws"]],
            "instance_count": 2, "seed": 0, "concurrency": 2, "cache_path": "c.jsonl",
-           "out_dir": "out", "max_tokens": 100, "token_budget": 2000}
+           "out_dir": "out", "max_tokens": 100}
     config_from_dict(doc)
-    cases = list(_mistypes(doc, nullable={("cache_path",), ("token_budget",)}))
+    cases = list(_mistypes(doc, nullable={("cache_path",)}))
     assert len(cases) > 60
     assert _refused(config_from_dict, cases, lambda p: (ConfigError, f"{_name(p)}: ")) == []
 

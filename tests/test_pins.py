@@ -4,9 +4,6 @@ Each digest changes only with a format change recorded in CHANGES.md:
 
 * the 12 default-exemplar prompts (4 tasks x Direct/CoT/AoT), each rendered
   against one fixed target per task;
-* the same AoT prompts under a ladder of token budgets, from full size down
-  through every elision step to ``ContextBudgetExceeded``, and the CoT
-  prompts at their all-or-nothing budget boundary;
 * ``instance_to_record`` and ``trace_to_records`` of the depth-first and the
   greedy trace over a small grid that covers every task and includes the
   exemplar instances the prompts embed;
@@ -32,7 +29,7 @@ Each digest changes only with a format change recorded in CHANGES.md:
 * ``cache.jsonl`` of an ``oracle`` run of every task over the default
   matrix, the response cache a cold run appends line by line;
 * every bundle ``cli.prompt_lookup`` gives for one target per task at levels
-  1, 3 and 10, with and without a token budget.
+  1, 3 and 10.
 
 A prompt change alters every request digest and orphans existing response
 caches, so a failure here is a format change, not a test to update.
@@ -49,12 +46,10 @@ from searchbench.cli import config_from_dict, generate_instances, run
 from searchbench.generate import MAX_LEVEL, MIN_LEVEL, GenSpec, exemplar_instance, generate
 from searchbench.prompts import (
     DIRECT_SHOT_COUNT,
-    ContextBudgetExceeded,
     PromptMode,
     Shots,
     bundle_text,
     default_exemplars,
-    estimate_tokens,
     render,
 )
 from searchbench.solver import SearchMode, solve, solve_payload, trace_to_records
@@ -97,46 +92,6 @@ def prompt_digests() -> dict[str, str]:
         for mode in PromptMode:
             bundle = render(target, Shots(mode, exemplars))
             out[f"{kind.value}.{mode.value}"] = _digest(bundle_text(bundle))
-    return out
-
-
-BUDGET_LADDER_RUNGS = 40
-
-
-def _budgeted(target, shots, budget: int) -> str:
-    try:
-        return _digest(bundle_text(render(target, shots, token_budget=budget)))
-    except ContextBudgetExceeded:
-        return "ContextBudgetExceeded"
-
-
-def budget_digests() -> dict[str, str]:
-    """Per task: the AoT prompt at every elision step (each body's own size and
-    one token below it) plus evenly spaced budgets down past the smallest
-    body; the CoT prompt at its full size and one token below."""
-    out = {}
-    for kind in TaskKind:
-        target = generate(GenSpec(kind=kind, level=3, seed=0))
-        exemplars = default_exemplars(kind)
-        aot = Shots(PromptMode.AOT, exemplars)
-        body = render(target, aot).body
-        budgets = set()
-        while body is not None:
-            size = estimate_tokens(body)
-            budgets.update((size, size - 1))
-            try:
-                body = render(target, aot, token_budget=size - 1).body
-            except ContextBudgetExceeded:
-                body = None
-        top, bottom = max(budgets), min(budgets) - 1
-        budgets.update(range(top, bottom, -max(1, (top - bottom) // BUDGET_LADDER_RUNGS)))
-        ladder = [[b, _budgeted(target, aot, b)] for b in sorted(budgets)]
-        out[f"{kind.value}.AoT"] = _digest(ladder)
-
-        cot = Shots(PromptMode.COT, exemplars)
-        size = estimate_tokens(render(target, cot).body)
-        boundary = [[b, _budgeted(target, cot, b)] for b in (size, size - 1)]
-        out[f"{kind.value}.CoT"] = _digest(boundary)
     return out
 
 
@@ -352,16 +307,11 @@ def oracle_cache_digest(tmp_path) -> str:
     return _digest(cache.read_text(encoding="utf-8"))
 
 
-BUNDLE_BUDGET = 1700
-
-
 def bundle_digests(monkeypatch) -> dict[str, str]:
     """Per (task, mode): the bundle texts ``cli.prompt_lookup`` gives for one
-    target per task at levels 1, 3 and 10, all modes unbudgeted, then CoT and
-    AoT under a budget every CoT body fits and that elides the AoT bodies by
-    different amounts or not at all.  Every exemplar set must come through
-    ``cli.default_exemplars`` and every bundle through ``cli.render``, the
-    names the benchmark's tracer wraps: one call per task and one per
+    target per task at levels 1, 3 and 10.  Every exemplar set must come
+    through ``cli.default_exemplars`` and every bundle through ``cli.render``,
+    the names the benchmark's tracer wraps: one call per task and one per
     (instance, mode)."""
     exemplar_calls, bundles = [], []
     default_exemplars, render = cli.default_exemplars, cli.render
@@ -383,22 +333,18 @@ def bundle_digests(monkeypatch) -> dict[str, str]:
         "models": [{"name": "m-oracle", "backend": "oracle"}],
     }
     instances = generate_instances(config_from_dict(doc))
+    prompt = cli.prompt_lookup()
+    for inst in instances:
+        for mode in PromptMode:
+            prompt(inst, mode)
+    assert exemplar_calls == list(TaskKind)
+    assert [(inst.id, b.mode) for inst, b in bundles] == [
+        (inst.id, mode) for inst in instances for mode in PromptMode
+    ]
     out: dict[str, list] = {}
-    budgeted = [PromptMode.COT, PromptMode.AOT]
-    for budget, modes in ((None, list(PromptMode)), (BUNDLE_BUDGET, budgeted)):
-        exemplar_calls.clear()
-        bundles.clear()
-        prompt = cli.prompt_lookup(budget)
-        for inst in instances:
-            for mode in modes:
-                prompt(inst, mode)
-        assert exemplar_calls == list(TaskKind)
-        assert [(inst.id, b.mode) for inst, b in bundles] == [
-            (inst.id, mode) for inst in instances for mode in modes
-        ]
-        for inst, bundle in bundles:
-            key = f"{inst.kind.value}.{bundle.mode.value}" + (f"@{budget}" if budget else "")
-            out.setdefault(key, []).append(_digest(bundle_text(bundle)))
+    for inst, bundle in bundles:
+        key = f"{inst.kind.value}.{bundle.mode.value}"
+        out.setdefault(key, []).append(_digest(bundle_text(bundle)))
     return {key: _digest(texts) for key, texts in out.items()}
 
 
@@ -415,17 +361,6 @@ PROMPT_DIGESTS: dict[str, str] = {
     "MeetingPlanning.Direct": "a109ccfacbb00aceb035e1e5fcdbc7795fdbc21dd352a3cf8d805647b2ebaa2a",
     "MeetingPlanning.CoT": "b25cf90bf09d62274faf96e5916ff54bcfa4f9b3cb8f594faff499773e66d83e",
     "MeetingPlanning.AoT": "554cf8fb702d9c86ea22edad244a0505c21dd4ff92ce050153c2afc81ccf33da",
-}
-
-BUDGET_DIGESTS: dict[str, str] = {
-    "VertexCover.AoT": "928ae54db1ffbb40ce67c7d38c648f7ac66d18e2c110bdeeb7b548fdf90a2f6f",
-    "VertexCover.CoT": "9b4e5a72201ce11e86d639900dca54b9dc2da62a0e46e181ef6d854d9ea29268",
-    "ThreeDM.AoT": "20f1464d7190e18cb74ce9d0f4ab46db63a9755c71ae2420e7eb89f950a02e0b",
-    "ThreeDM.CoT": "267bb77f9629af6e560f8afc57a85bf1372c613655e857c880b71f7a647cc18f",
-    "TripPlanning.AoT": "58986f144a28749f13c4fe0df08238f5642c303dde0acfeac83f72bb00940932",
-    "TripPlanning.CoT": "14bc64c5f4a1d322f2c075c1cab4f41d4ca9fbc04f97d7209c9c21b5f5716853",
-    "MeetingPlanning.AoT": "4c2939b5cb02f8f08078a01ae5ebf11001ff3d7faad5a618ea724dee2168a709",
-    "MeetingPlanning.CoT": "b44c110fd55b3723ec11b8c2d79e78e24fd80999b5222e462947dfbaabaa7782",
 }
 
 RECORD_DIGESTS: dict[str, str] = {
@@ -575,23 +510,11 @@ BUNDLE_DIGESTS: dict[str, str] = {
     "MeetingPlanning.Direct": "dd326afb216dee7c334c8477654539ddc09e98d0c7da52df34abf219b1afffd2",
     "MeetingPlanning.CoT": "3de0b6f6011b091f2476eb2eacbf7e60d1c3e4eb8681d0fc94ffc60e64605292",
     "MeetingPlanning.AoT": "725aee38eaef74bb4cf9fb9145eeec6810e780c7619eb5436f63eb467eb4bd10",
-    "VertexCover.CoT@1700": "1327e9e4af3996f000e4e9a015cbbf4c2cdc6492e3e629756f54667256b183c0",
-    "VertexCover.AoT@1700": "d4730e0c8599eb441e4f6c2c95e7c6e4fe2e8b1e0818fcb140a4533a1dd5a949",
-    "ThreeDM.CoT@1700": "50065b790ff61d0f689eff8437709cd9a4e573d4423a80c00c315d77909e1d62",
-    "ThreeDM.AoT@1700": "795cf7a23f21fade430a7ee60aeb88107f511d7e3cc5510e98a3b887587050e4",
-    "TripPlanning.CoT@1700": "aa6e6bb297812abc8cfe071ca8a18235352653007e5af40f6af4bcf6d8d88514",
-    "TripPlanning.AoT@1700": "a3005e741fde3b20ef7685b7589dfbff1ba469de524b7c73468643eae8178cf7",
-    "MeetingPlanning.CoT@1700": "3de0b6f6011b091f2476eb2eacbf7e60d1c3e4eb8681d0fc94ffc60e64605292",
-    "MeetingPlanning.AoT@1700": "5eebdb5c5d7e256d01d84be724c595fdc59960c784600e22b803cf9503449f3b",
 }
 
 
 def test_default_exemplar_prompts_are_pinned():
     assert prompt_digests() == PROMPT_DIGESTS
-
-
-def test_budgeted_prompts_are_pinned():
-    assert budget_digests() == BUDGET_DIGESTS
 
 
 def test_instance_and_trace_records_are_pinned():

@@ -6,7 +6,6 @@ import pytest
 from searchbench.answers import parse_answer
 from searchbench.generate import EXEMPLAR_LEVEL, GenSpec, generate
 from searchbench.prompts import (
-    ContextBudgetExceeded,
     ExemplarTargetOverlap,
     PromptError,
     PromptMode,
@@ -18,11 +17,12 @@ from searchbench.prompts import (
     render,
     render_refine,
     statement_text,
+    written_search_tokens,
 )
-from searchbench.solver import SearchMode, solve, solve_payload
+from searchbench.solver import SearchMode, solve
 from searchbench.meeting import MeetingPayload
 from searchbench.threedm import ThreeDMPayload
-from searchbench.tasks import ProblemInstance, TaskKind
+from searchbench.tasks import TaskKind
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "docs" / "prompt-formats"
 
@@ -156,7 +156,7 @@ def test_exemplars_of_another_task_are_rejected(reference_trip):
 
 
 # ---------------------------------------------------------------------------
-# Token budgets and truncation
+# Token estimates and shared halves
 # ---------------------------------------------------------------------------
 
 
@@ -167,115 +167,30 @@ def test_estimate_tokens_scale():
     assert estimate_tokens(text * 2) > est
 
 
-def test_aot_truncation_preserves_accepting_path(reference_trip):
-    shots = Shots(PromptMode.AOT, default_exemplars(reference_trip.kind))
-    full = render(reference_trip, shots)
-    full_tokens = estimate_tokens(full.body)
-    squeezed = render(reference_trip, shots, token_budget=full_tokens - 50)
-    assert estimate_tokens(squeezed.body) <= full_tokens - 50
-    assert "Success" in squeezed.body
-    assert "### Target Question ###" in squeezed.body
-    assert squeezed.body != full.body
-
-
-def test_budget_too_small_raises(reference_trip):
-    exemplars = default_exemplars(reference_trip.kind)
-    for mode in PromptMode:
-        with pytest.raises(ContextBudgetExceeded):
-            render(reference_trip, Shots(mode, exemplars), token_budget=20)
-
-
-def test_cot_budget_all_or_nothing(reference_trip):
-    shots = Shots(PromptMode.COT, default_exemplars(reference_trip.kind))
-    full = render(reference_trip, shots)
-    need = estimate_tokens(full.body)
-    assert render(reference_trip, shots, token_budget=need).body == full.body
-    with pytest.raises(ContextBudgetExceeded):
-        render(reference_trip, shots, token_budget=need - 1)
-
-
-def _outcome(target, shots, budget):
-    try:
-        return render(target, shots, token_budget=budget)
-    except ContextBudgetExceeded as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("kind", list(TaskKind))
 def test_a_shared_half_renders_what_a_fresh_one_does(kind):
     """One ``Shots`` per mode serves targets of different statement lengths
-    in shuffled order, so a target may need fewer drops than the one before
-    it; every body, or budget error, must match a render from a fresh
-    ``Shots``.  Budgets: each AoT elision step's size and one token below
-    it, the CoT size and one below, the Direct size, and none."""
+    in shuffled order; every body must match a render from a fresh
+    ``Shots``."""
     exemplars = default_exemplars(kind)
     targets = [generate(GenSpec(kind=kind, level=level, seed=0)) for level in (1, 3, 10)]
-    cases = []
-    for mode in PromptMode:
-        for target in targets:
-            budgets, outcome = {None}, render(target, Shots(mode, exemplars))
-            while not isinstance(outcome, str):
-                size = estimate_tokens(outcome.body)
-                budgets.update((size, size - 1))
-                outcome = _outcome(target, Shots(mode, exemplars), size - 1)
-            cases += [(mode, target, budget) for budget in budgets]
+    cases = [(mode, target) for mode in PromptMode for target in targets]
     random.Random(0).shuffle(cases)
     shared = {mode: Shots(mode, exemplars) for mode in PromptMode}
-    for mode, target, budget in cases:
-        fresh = _outcome(target, Shots(mode, exemplars), budget)
-        assert _outcome(target, shared[mode], budget) == fresh
+    for mode, target in cases:
+        assert render(target, shared[mode]) == render(target, Shots(mode, exemplars))
 
 
-# x1 has ten candidate triples, so the accepting label is A10a3 and A1 is the
-# root of a dead subtree whose label is a prefix of A10.
-TEN_CHILDREN = ThreeDMPayload(n=4, triples=(
-    (0, 2, 2), (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3), (1, 1, 3), (1, 2, 2), (1, 2, 3),
-    (1, 3, 0), (1, 3, 2), (1, 3, 3), (2, 0, 0), (2, 2, 3), (3, 0, 1), (3, 1, 0), (3, 1, 1),
-))
-
-
-def _ten_children_prompt():
-    trace = solve_payload(TEN_CHILDREN, SearchMode.DFS)
-    assert trace.events[-1].step_label == "A10a3"
-    exemplar = ProblemInstance(
-        id="ThreeDM-ten-children", kind=TaskKind.THREE_DM, level=0, seed=0,
-        payload=TEN_CHILDREN, ground_truth=trace.solution,
-    )
-    target = generate(GenSpec(kind=TaskKind.THREE_DM, level=3, seed=5))
-    return target, Shots(PromptMode.AOT, [(exemplar, trace)])
-
-
-def test_aot_elision_drops_subtrees_whose_label_prefixes_the_accepting_one():
-    target, shots = _ten_children_prompt()
-    body = render(target, shots).body
-    while True:  # shrink the budget to the smallest body that still fits
-        try:
-            body = render(target, shots, token_budget=estimate_tokens(body) - 1).body
-        except ContextBudgetExceeded:
-            break
-    assert "Step: A1\n" not in body
-    assert "Step: A10\n" in body and "Step: A10a3\n" in body
-
-
-def test_aot_elision_order_is_depth_then_trace_order():
-    # The dead subtrees A1..A9 hang at one depth, so they go in trace order:
-    # A1 first, although its label shares two characters with A10a3.
-    target, shots = _ten_children_prompt()
-    dead = [f"A{i}" for i in range(1, 10)]
-    elided: dict[str, int] = {}  # label -> body tokens once it is gone
-    budget = estimate_tokens(render(target, shots).body)
-    while True:  # one token at a time, down to the smallest body that fits
-        try:
-            body = render(target, shots, token_budget=budget).body
-        except ContextBudgetExceeded:
-            break
-        for label in dead:
-            if f"Step: {label}\n" not in body:
-                elided.setdefault(label, estimate_tokens(body))
-        budget -= 1
-    assert list(elided) == dead
-    assert elided["A1"] == 1319
-    assert budget + 1 == estimate_tokens(body) == 582
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_a_written_search_is_the_span_its_aot_head_shows(kind):
+    """The AoT exemplar's own written-search length is the estimate of its
+    head from phase 3 through the Output Format."""
+    shots = Shots(PromptMode.AOT, default_exemplars(kind))
+    ((exemplar, _),) = shots.exemplars
+    start = shots.head.index("\n\n3. Depth-First Search with pruning\n\n") + 2
+    end = shots.head.index("\n\nQuestion:\n\n### Target Question ###\n")
+    assert "\n\n5. Output Format\n" in shots.head[start:end]
+    assert written_search_tokens(exemplar) == estimate_tokens(shots.head[start:end])
 
 
 @pytest.mark.parametrize("seed", [100, 101])
